@@ -16,7 +16,7 @@ half-cell refinement then integrates the stored field exactly); when the
 right-hand side is known in closed form its expressions can be sampled
 exactly instead, which makes the rule exact on cubics. The inner
 exponential weight accumulates int gamma by trapezoid on the same
-subdivision, once per target.
+subdivision, outward from each target.
 """
 from __future__ import annotations
 
@@ -26,7 +26,7 @@ import numpy as np
 
 from .expressions import Expression, Num, Neg, Pi, evaluate_on, is_literal_zero
 from .gridfield import Grid, GridFunction, interpolate_many, sup_norm
-from .gridfield import _SNAP  # shared node-snap width
+from .gridfield import _split_index  # shared node snapping
 from .system import SystemSpec
 
 _DEFAULT_STEP_EPS = 1e-12
@@ -38,8 +38,7 @@ class SingularBlockError(ValueError):
 
 @dataclass(frozen=True)
 class BlockAdjugates:
-    """Determinants and adjugates of the three blocks, plus the joint
-    form for rows 1..k (kept for cross-checking the two inversion routes)."""
+    """Determinants and adjugates of the three blocks."""
 
     det1: float
     det2: float
@@ -47,8 +46,6 @@ class BlockAdjugates:
     adj1: np.ndarray
     adj2: np.ndarray
     adj3: np.ndarray
-    det0: float
-    adj0: np.ndarray
 
     @classmethod
     def from_spec(cls, spec: SystemSpec) -> "BlockAdjugates":
@@ -63,14 +60,7 @@ class BlockAdjugates:
                 raise SingularBlockError(f"adjugate identity failed for {name}")
             dets.append(det)
             adjs.append(adj)
-        k = spec.k
-        a0 = np.zeros((k, k))
-        a0[:spec.l, :spec.l] = spec.a1
-        a0[spec.l:, spec.l:] = spec.a2
-        det0 = float(np.linalg.det(a0))
-        adj0 = det0 * np.linalg.inv(a0)
-        return cls(dets[0], dets[1], dets[2], adjs[0], adjs[1], adjs[2],
-                   det0, adj0)
+        return cls(dets[0], dets[1], dets[2], adjs[0], adjs[1], adjs[2])
 
     def block_items(self, spec: SystemSpec):
         return ((slice(0, spec.l), self.adj1, self.det1),
@@ -85,37 +75,6 @@ def default_step(spec: SystemSpec, grid: Grid) -> float:
     return min(1.0 / (4 * grid.nx),
                grid.period_y / (4 * grid.ny * mb + _DEFAULT_STEP_EPS),
                grid.period_t / (4 * grid.nt * ma + _DEFAULT_STEP_EPS))
-
-
-def _split_index(u: np.ndarray):
-    nearest = np.rint(u)
-    u = np.where(np.abs(u - nearest) < _SNAP, nearest, u)
-    base = np.floor(u)
-    return base.astype(np.int64), u - base
-
-
-def _shift_slices(stack: np.ndarray, dy_idx: np.ndarray,
-                  dt_idx: np.ndarray) -> np.ndarray:
-    """Sample stack[b, q] at (y_j + dy, t_k + dt), uniform shift per layer q.
-
-    stack is (B, L, ny, nt); dy_idx, dt_idx are per-layer shifts in index
-    units. Equivalent to trilinear interpolation restricted to the layer.
-    """
-    B, L, ny, nt = stack.shape
-    jy, fy = _split_index(dy_idx)
-    jt, ft = _split_index(dt_idx)
-    iy0 = (np.arange(ny)[None, :] + jy[:, None]) % ny
-    iy1 = (iy0 + 1) % ny
-    a0 = np.take_along_axis(stack, iy0[None, :, :, None], axis=2)
-    a1 = np.take_along_axis(stack, iy1[None, :, :, None], axis=2)
-    wy = fy[None, :, None, None]
-    sy = a0 * (1.0 - wy) + a1 * wy
-    it0 = (np.arange(nt)[None, :] + jt[:, None]) % nt
-    it1 = (it0 + 1) % nt
-    b0 = np.take_along_axis(sy, it0[None, :, None, :], axis=3)
-    b1 = np.take_along_axis(sy, it1[None, :, None, :], axis=3)
-    wt = ft[None, :, None, None]
-    return b0 * (1.0 - wt) + b1 * wt
 
 
 def _simpson_weights(count: int, h: float) -> np.ndarray:
@@ -138,6 +97,129 @@ def _const_value(e: Expression):
     return None
 
 
+def _shift_axis(a: np.ndarray, j: int, f: float, axis: int) -> np.ndarray:
+    """a read at index + j + f along a periodic axis, by two-point blend.
+
+    Returns a itself when the shift is zero, a new array otherwise.
+    """
+    if j == 0 and f == 0.0:
+        return a
+    r0 = np.roll(a, -j, axis=axis)
+    if f == 0.0:
+        return r0
+    r1 = np.roll(r0, -1, axis=axis)
+    r0 *= 1.0 - f
+    r1 *= f
+    r0 += r1
+    return r0
+
+
+def _integrate_grid_row(grid: Grid, beta: float, alpha: float,
+                        gam: Expression, forward: bool, comp: np.ndarray,
+                        out: np.ndarray) -> None:
+    """Line integrals of one row for every target x level, read from the grid.
+
+    comp is the row's (B, nx+1, ny, nt) field and out receives w for it.
+    The sum runs over the half-cell offset m from the target toward the
+    inflow face, so layer q = 2 ix - m (forward) or 2 ix + m. The (y, t)
+    shift, the constant-gamma factor and the Simpson weight (but for the
+    one target whose endpoint m is) depend on m alone; the targets still
+    reached at offset m are a contiguous range whose layers form a
+    stride-2 slab, shifted as a whole by rolls and blends. A variable
+    gamma is summed by trapezoid outward from each target as m grows.
+    """
+    nx, ny, nt = grid.nx, grid.ny, grid.nt
+    h2 = 1.0 / (2 * nx)
+    nq = 2 * nx + 1
+    refined = np.empty((comp.shape[0], nq, ny, nt))
+    refined[:, 0::2] = comp
+    refined[:, 1::2] = 0.5 * (comp[:, :-1] + comp[:, 1:])
+    d = (-h2 if forward else h2) * np.arange(nq)
+    jy, fy = (a.tolist() for a in _split_index(beta * d * ny / grid.period_y))
+    jt, ft = (a.tolist()
+              for a in _split_index(alpha * d * nt / grid.period_t))
+    c = _const_value(gam)
+    if c is not None:
+        efac = np.exp(c * d)
+    else:
+        xsq = np.arange(nq) * h2
+        ys = grid.ys()[None, :, None]
+        ts = grid.ts()[None, None, :]
+        gprev = np.empty((nx + 1, ny, nt))
+        G = np.zeros((nx + 1, ny, nt))
+    for m in range(nq):
+        if forward:
+            lo, hi = max(1, (m + 1) // 2), nx
+            q0 = 2 * lo - m
+        else:
+            lo, hi = 0, min(nx - 1, nx - (m + 1) // 2)
+            q0 = 2 * lo + m
+        count = hi - lo + 1
+        layers = slice(q0, q0 + 2 * count - 1, 2)
+        F = _shift_axis(refined[:, layers], jy[m], fy[m], 2)
+        F = _shift_axis(F, jt[m], ft[m], 3)
+        wts = np.full(count, 1.0 if m == 0 else (4.0 if m % 2 else 2.0))
+        if m and m % 2 == 0:
+            wts[0 if forward else -1] = 1.0
+        wts *= h2 / 3.0
+        if c is not None:
+            wts *= efac[m]
+            out[:, lo:hi + 1] += wts[None, :, None, None] * F
+            continue
+        gv = evaluate_on(gam, xsq[layers, None, None], ys + beta * d[m],
+                         ts + alpha * d[m])
+        if m:
+            G[lo:hi + 1] += 0.5 * h2 * (gprev[lo:hi + 1] + gv)
+        gprev[lo:hi + 1] = gv
+        ew = wts[:, None, None] * np.exp(-G[lo:hi + 1] if forward
+                                          else G[lo:hi + 1])
+        out[:, lo:hi + 1] += ew[None] * F
+    if not forward:
+        np.negative(out, out=out)
+
+
+def _integrate_expr_row(grid: Grid, beta: float, alpha: float,
+                        gam: Expression, forward: bool, rhs: Expression,
+                        out: np.ndarray) -> None:
+    """Line integrals of one row for every target, rhs sampled exactly.
+
+    Target by target, with the inner gamma integral as a cumulative
+    trapezoid; out is the row's (nx+1, ny, nt) slice of w.
+    """
+    nx = grid.nx
+    h2 = 1.0 / (2 * nx)
+    nq = 2 * nx + 1
+    xsq = np.arange(nq) * h2
+    ys = grid.ys()[None, :, None]
+    ts = grid.ts()[None, None, :]
+    gamma_zero = is_literal_zero(gam)
+    gamma_const = _const_value(gam)
+    targets = range(1, nx + 1) if forward else range(0, nx)
+    for ix in targets:
+        q0, q1 = (0, 2 * ix) if forward else (2 * ix, nq - 1)
+        xiq = xsq[q0:q1 + 1]
+        d = xiq - ix / nx
+        Yl = ys + beta * d[:, None, None]
+        Tl = ts + alpha * d[:, None, None]
+        F = evaluate_on(rhs, xiq[:, None, None], Yl, Tl)
+        if gamma_zero:
+            EF = F
+        elif gamma_const is not None:
+            EF = np.exp(gamma_const * d)[:, None, None] * F
+        else:
+            gv = evaluate_on(gam, xiq[:, None, None], Yl, Tl)
+            segs = 0.5 * h2 * (gv[:-1] + gv[1:])
+            zero = np.zeros((1,) + gv.shape[1:])
+            if forward:
+                tail = np.cumsum(segs[::-1], axis=0)[::-1]
+                G = np.concatenate([-tail, zero], axis=0)
+            else:
+                G = np.concatenate([zero, np.cumsum(segs, axis=0)], axis=0)
+            EF = np.exp(G) * F
+        acc = np.einsum("q,qjk->jk", _simpson_weights(d.size, h2), EF)
+        out[ix] = acc if forward else -acc
+
+
 def solve_transport_stack(spec: SystemSpec, grid: Grid, stack: np.ndarray,
                           cache: BlockAdjugates | None = None,
                           rhs_exprs=None) -> np.ndarray:
@@ -147,60 +229,19 @@ def solve_transport_stack(spec: SystemSpec, grid: Grid, stack: np.ndarray,
     integrand values are exact expression samples instead of interpolated
     grid reads; the batch must then have size 1.
     """
-    nx, ny, nt = grid.nx, grid.ny, grid.nt
+    nx = grid.nx
     n, k = spec.n, spec.k
     cache = cache or BlockAdjugates.from_spec(spec)
     if rhs_exprs is not None and stack.shape[0] != 1:
         raise ValueError("closed-form right-hand sides need a batch of one")
-    h2 = 1.0 / (2 * nx)
-    nq = 2 * nx + 1
-    xsq = np.arange(nq) * h2
-    ys = grid.ys()[None, :, None]
-    ts = grid.ts()[None, None, :]
     w = np.zeros_like(stack)
     for i in range(n):
-        beta = float(spec.beta[i])
-        alpha = float(spec.alpha[i])
-        gam = spec.gamma[i]
-        gamma_zero = is_literal_zero(gam)
-        gamma_const = _const_value(gam)
+        line = (float(spec.beta[i]), float(spec.alpha[i]), spec.gamma[i],
+                i < k)
         if rhs_exprs is None:
-            comp = stack[:, i]
-            refined = np.empty((stack.shape[0], nq, ny, nt))
-            refined[:, 0::2] = comp
-            refined[:, 1::2] = 0.5 * (comp[:, :-1] + comp[:, 1:])
-        forward = i < k
-        targets = range(1, nx + 1) if forward else range(0, nx)
-        for ix in targets:
-            q0, q1 = (0, 2 * ix) if forward else (2 * ix, nq - 1)
-            xiq = xsq[q0:q1 + 1]
-            d = xiq - ix / nx
-            if rhs_exprs is not None:
-                Yl = ys + beta * d[:, None, None]
-                Tl = ts + alpha * d[:, None, None]
-                F = evaluate_on(rhs_exprs[i], xiq[:, None, None], Yl, Tl)[None]
-            else:
-                F = _shift_slices(refined[:, q0:q1 + 1],
-                                  beta * d * ny / grid.period_y,
-                                  alpha * d * nt / grid.period_t)
-            if gamma_zero:
-                EF = F
-            elif gamma_const is not None:
-                EF = np.exp(gamma_const * d)[None, :, None, None] * F
-            else:
-                Yl = ys + beta * d[:, None, None]
-                Tl = ts + alpha * d[:, None, None]
-                gv = evaluate_on(gam, xiq[:, None, None], Yl, Tl)
-                segs = 0.5 * h2 * (gv[:-1] + gv[1:])
-                zero = np.zeros((1, ny, nt))
-                if forward:
-                    tail = np.cumsum(segs[::-1], axis=0)[::-1]
-                    G = np.concatenate([-tail, zero], axis=0)
-                else:
-                    G = np.concatenate([zero, np.cumsum(segs, axis=0)], axis=0)
-                EF = np.exp(G) * F
-            acc = np.einsum("q,bqjk->bjk", _simpson_weights(d.size, h2), EF)
-            w[:, i, ix] = acc if forward else -acc
+            _integrate_grid_row(grid, *line, stack[:, i], w[:, i])
+        else:
+            _integrate_expr_row(grid, *line, rhs_exprs[i], w[0, i])
     u = np.empty_like(w)
     for sl, adj, det in cache.block_items(spec):
         u[:, sl] = np.einsum("ij,bj...->bi...", adj, w[:, sl]) / det

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -159,9 +160,14 @@ def load_config(source) -> RunConfig:
     if len(b_node) != nn or any(len(r) != nn for r in b_node):
         problems.append(f"system.b: expected {nn} rows of {nn} entries")
 
-    nx = _get(gridnode, "nx", "grid", problems, default=4)
-    ny = _get(gridnode, "ny", "grid", problems, default=4)
-    nt = _get(gridnode, "nt", "grid", problems, default=4)
+    sizes = []
+    for name in ("nx", "ny", "nt"):
+        size = _get(gridnode, name, "grid", problems, default=4)
+        if isinstance(size, bool) or not isinstance(size, Integral):
+            problems.append(f"grid.{name}: expected an integer, got {size!r}")
+            size = 4
+        sizes.append(int(size))
+    nx, ny, nt = sizes
 
     method = solvernode.get("method", "auto")
     if method not in METHODS:
@@ -200,7 +206,7 @@ def load_config(source) -> RunConfig:
                               orientation=orientation,
                               period_y=float(period_y),
                               period_t=float(period_t))
-            grid = Grid(nx=int(nx), ny=int(ny), nt=int(nt),
+            grid = Grid(nx=nx, ny=ny, nt=nt,
                         period_y=float(period_y), period_t=float(period_t))
         except (TypeError, ValueError) as exc:
             problems.append(str(exc))

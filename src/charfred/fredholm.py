@@ -19,7 +19,8 @@ from .characteristics import (BlockAdjugates, apply_coupling,
                               apply_coupling_stack, sample_coupling,
                               solve_transport, solve_transport_stack)
 from .expressions import evaluate_on, is_literal_zero
-from .gridfield import Grid, GridFunction, interpolate_many, sup_norm, sum_sup_norm
+from .gridfield import (Grid, GridFunction, NonFiniteError, interpolate_many,
+                        sup_norm, sum_sup_norm)
 from .system import SystemSpec
 
 DISCRETE_UNKNOWN_CAP = 20_000
@@ -210,7 +211,8 @@ def solve_neumann(spec: SystemSpec, f: GridFunction, tol: float = 1e-10,
     """Fixed-point iteration w <- f - K w, then one transport solve.
 
     Stops when the sup norm of the update drops to tol * sup_norm(f);
-    raises NonConvergence when the budget runs out.
+    raises NonConvergence when the budget runs out or an iterate
+    overflows.
     """
     start = time.perf_counter()
     cache = cache or BlockAdjugates.from_spec(spec)
@@ -220,8 +222,11 @@ def solve_neumann(spec: SystemSpec, f: GridFunction, tol: float = 1e-10,
     iterations = 0
     while True:
         iterations += 1
-        post = f - apply_k(spec, w, cache, coupling)
-        diff = sup_norm(post - w)
+        try:
+            post = f - apply_k(spec, w, cache, coupling)
+            diff = sup_norm(post - w)
+        except NonFiniteError:
+            raise NonConvergence(iterations, float("inf")) from None
         w = post
         if diff <= target:
             break

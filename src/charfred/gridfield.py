@@ -26,6 +26,10 @@ class GridDomainError(ValueError):
     """Raised when an x coordinate leaves [0, 1] by more than the slack."""
 
 
+class NonFiniteError(ValueError):
+    """Raised when a field would hold an infinite or NaN value."""
+
+
 @dataclass(frozen=True)
 class Grid:
     nx: int
@@ -68,7 +72,7 @@ class GridFunction:
         if v.ndim != 4 or v.shape[1:] != (g.nx + 1, g.ny, g.nt):
             raise ValueError(f"values shape {v.shape} does not match grid")
         if not np.all(np.isfinite(v)):
-            raise ValueError("field values must be finite")
+            raise NonFiniteError("field values must be finite")
         v.flags.writeable = False
         object.__setattr__(self, "values", v)
 
@@ -125,13 +129,21 @@ def _locate_eval_error(e, grid, comp):
                         err.node) from err
 
 
-def _periodic_index(pos: np.ndarray, n: int, period: float):
-    u = np.asarray(pos, dtype=float) * n / period
+def _snap(u: np.ndarray) -> np.ndarray:
     nearest = np.rint(u)
-    u = np.where(np.abs(u - nearest) < _SNAP, nearest, u)
+    return np.where(np.abs(u - nearest) < _SNAP, nearest, u)
+
+
+def _split_index(u) -> tuple[np.ndarray, np.ndarray]:
+    """Integer part and fraction of index positions, snapped onto nodes."""
+    u = _snap(np.asarray(u, dtype=float))
     base = np.floor(u)
-    frac = u - base
-    i0 = (base.astype(np.int64) % n + n) % n
+    return base.astype(np.int64), u - base
+
+
+def _periodic_index(pos: np.ndarray, n: int, period: float):
+    base, frac = _split_index(np.asarray(pos, dtype=float) * n / period)
+    i0 = base % n
     i1 = (i0 + 1) % n
     return i0, i1, frac
 
@@ -142,9 +154,7 @@ def _x_index(pos: np.ndarray, nx: int):
         bad = np.asarray(pos, dtype=float)
         off = bad[(bad < -_X_SLACK) | (bad > 1 + _X_SLACK)]
         raise GridDomainError(f"x = {float(off.flat[0])!r} outside [0, 1]")
-    nearest = np.rint(u)
-    u = np.where(np.abs(u - nearest) < _SNAP, nearest, u)
-    u = np.clip(u, 0.0, float(nx))
+    u = np.clip(_snap(u), 0.0, float(nx))
     base = np.minimum(np.floor(u), nx - 1)
     frac = u - base
     i0 = base.astype(np.int64)

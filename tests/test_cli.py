@@ -125,6 +125,37 @@ def test_solve_nonconvergent_iteration(tmp_path, capsys):
     assert not (tmp_path / "run" / "solution.csv").exists()
 
 
+@pytest.mark.parametrize("method", ["neumann", "auto"])
+def test_solve_overflowing_iteration(method, tmp_path, capsys):
+    # coupling scaled by 1e3: the iterates overflow before max_iter
+    doc = base_config()
+    doc["grid"] = {"nx": 4, "ny": 4, "nt": 4}
+    doc["system"]["b"] = [["0", "0", "400*cos(2*pi*y)"], ["300", "0", "0"],
+                          ["0", "200*sin(2*pi*t)", "0"]]
+    out = tmp_path / "run"
+    rc = main(["solve", "--config", write_config(tmp_path, doc),
+               "--out", str(out), "--method", method])
+    captured = capsys.readouterr()
+    if method == "neumann":
+        assert rc == 3
+        assert "no convergence" in captured.err
+        assert not (out / "solution.csv").exists()
+    else:
+        assert rc == 0
+        assert "falling back to the dense section" in captured.err
+        assert "method=discrete" in captured.out
+
+
+@pytest.mark.parametrize("size", [6.9, 8.0, "8", True])
+def test_config_rejects_non_integer_grid_size(size, tmp_path, capsys):
+    doc = base_config()
+    doc["grid"]["ny"] = size
+    rc = main(["validate", "--config", write_config(tmp_path, doc)])
+    assert rc == 1
+    assert capsys.readouterr().err == \
+        f"config: grid.ny: expected an integer, got {size!r}\n"
+
+
 def test_solve_rejects_invalid_spec(tmp_path, capsys):
     rc = main(["solve", "--config", str(CONFIGS / "degenerate.json"),
                "--out", str(tmp_path / "run")])

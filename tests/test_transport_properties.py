@@ -1,0 +1,107 @@
+"""Property tests of the grid-read transport inverse.
+
+Random small grids, slopes that include zero, and zero, constant and
+variable gamma. The reference integrates each characteristic line on
+its own: interpolate_many reads the field at the half-cell points of
+the line, scipy's cumulative trapezoid gives the inner gamma integral
+and its composite Simpson rule the outer one.
+"""
+import numpy as np
+from hypothesis import given, settings, strategies as st
+from scipy.integrate import cumulative_trapezoid, simpson
+
+import charfred as cf
+from charfred.characteristics import solve_transport_stack
+from conftest import zero_b
+
+PROPERTY = settings(max_examples=40, deadline=None, derandomize=True,
+                    database=None)
+
+SLOPES = st.one_of(st.just(0.0), st.sampled_from((0.5, -1.0, 1.0, 2.0)),
+                   st.floats(-2.0, 2.0).map(lambda v: round(v, 3)))
+GAMMAS = st.sampled_from(("0", "0.3", "-0.2", "0.1*cos(2*pi*y)",
+                          "0.2*x - 0.1*sin(2*pi*(y + t))"))
+BLOCKS = st.sampled_from((1.0, 2.0, -0.5))
+
+
+@st.composite
+def problems(draw):
+    """A three-row spec, its grid and a seeded random generator."""
+    grid = cf.Grid(nx=draw(st.integers(4, 8)), ny=draw(st.integers(4, 9)),
+                   nt=draw(st.integers(4, 9)))
+    spec = cf.SystemSpec(
+        n=3, k=2, l=1, a1=[[draw(BLOCKS)]], a2=[[draw(BLOCKS)]],
+        a3=[[draw(BLOCKS)]],
+        alpha=tuple(draw(SLOPES) for _ in range(3)),
+        beta=tuple(draw(SLOPES) for _ in range(3)),
+        gamma=tuple(cf.parse(draw(GAMMAS)) for _ in range(3)), b=zero_b())
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    return spec, grid, rng
+
+
+def random_stack(grid, rng, batch):
+    return rng.standard_normal((batch, 3, grid.nx + 1, grid.ny, grid.nt))
+
+
+def reference_transport(spec, f):
+    nx = f.grid.nx
+    h2 = 1.0 / (2 * nx)
+    xi = np.arange(2 * nx + 1) * h2
+    ys = f.grid.ys()[None, :, None]
+    ts = f.grid.ts()[None, None, :]
+    u = np.zeros_like(f.values)
+    diag = np.diag(spec.full_matrix())
+    for i in range(spec.n):
+        forward = i < spec.k
+        for ix in range(1, nx + 1) if forward else range(nx):
+            line = (xi[:2 * ix + 1] if forward else xi[2 * ix:])[:, None, None]
+            d = line - ix / nx
+            Y = ys + spec.beta[i] * d
+            T = ts + spec.alpha[i] * d
+            vals = cf.interpolate_many(f, line, Y, T)[i]
+            gam = cf.evaluate_on(spec.gamma[i], line, Y, T)
+            if forward:
+                # int from xi up to the target, accumulated from the target
+                inner = cumulative_trapezoid(gam[::-1], dx=h2, axis=0,
+                                             initial=0)[::-1]
+                u[i, ix] = simpson(np.exp(-inner) * vals, dx=h2, axis=0)
+            else:
+                inner = cumulative_trapezoid(gam, dx=h2, axis=0, initial=0)
+                u[i, ix] = -simpson(np.exp(inner) * vals, dx=h2, axis=0)
+        u[i] /= diag[i]
+    return u
+
+
+@PROPERTY
+@given(problems())
+def test_grid_transport_matches_pointwise_reference(problem):
+    spec, grid, rng = problem
+    f = cf.GridFunction(grid, random_stack(grid, rng, 1)[0])
+    expect = reference_transport(spec, f)
+    got = cf.solve_transport(spec, f).values
+    np.testing.assert_allclose(got, expect, rtol=0,
+                               atol=1e-13 * np.abs(expect).max())
+
+
+@PROPERTY
+@given(problems())
+def test_stacked_solve_equals_single_solves(problem):
+    spec, grid, rng = problem
+    stack = random_stack(grid, rng, 3)
+    batched = solve_transport_stack(spec, grid, stack)
+    for col in range(stack.shape[0]):
+        single = solve_transport_stack(spec, grid, stack[col:col + 1])
+        np.testing.assert_allclose(batched[col], single[0], rtol=0,
+                                   atol=1e-14 * np.abs(single).max())
+
+
+@PROPERTY
+@given(problems(), st.floats(-3.0, 3.0), st.floats(-3.0, 3.0))
+def test_transport_is_linear(problem, a, b):
+    spec, grid, rng = problem
+    f, g = random_stack(grid, rng, 2)
+    tf, tg, tfg = (solve_transport_stack(spec, grid, v[None])[0]
+                   for v in (f, g, a * f + b * g))
+    scale = abs(a) * np.abs(tf).max() + abs(b) * np.abs(tg).max()
+    np.testing.assert_allclose(tfg, a * tf + b * tg, rtol=0,
+                               atol=1e-13 * scale)
