@@ -59,6 +59,24 @@ def _load(args):
     return None, 1
 
 
+def _rejected(report) -> int:
+    """Print a failed validation to stderr; 2 if it failed, else 0."""
+    if report.ok:
+        return 0
+    for v in report.violations:
+        print(f"validation: {v.rule}: {v.detail}", file=sys.stderr)
+    return 2
+
+
+def _load_valid(args):
+    """The config if it loads and validates, else (None, exit code)."""
+    cfg, code = _load(args)
+    if cfg is None:
+        return None, code
+    code = _rejected(validate_spec(cfg.spec))
+    return (None, code) if code else (cfg, 0)
+
+
 def _int_list(text: str) -> list:
     return [int(part) for part in text.split(",") if part.strip()]
 
@@ -73,22 +91,13 @@ def cmd_validate(args) -> int:
         _write_json(payload, args.out)
     else:
         print(json.dumps(payload, indent=2, sort_keys=True))
-    if not report.ok:
-        for v in report.violations:
-            print(f"validation: {v.rule}: {v.detail}", file=sys.stderr)
-        return 2
-    return 0
+    return _rejected(report)
 
 
 def cmd_solve(args) -> int:
-    cfg, code = _load(args)
+    cfg, code = _load_valid(args)
     if cfg is None:
         return code
-    report = validate_spec(cfg.spec)
-    if not report.ok:
-        for v in report.violations:
-            print(f"validation: {v.rule}: {v.detail}", file=sys.stderr)
-        return 2
     start = time.perf_counter()
     f = sample(cfg.rhs, cfg.grid)
     method = args.method or cfg.method
@@ -108,7 +117,8 @@ def cmd_solve(args) -> int:
                           f"iterations and {size} unknowns exceed the "
                           f"dense fallback cap", file=sys.stderr)
                     return 3
-                print(f"solve: iteration stalled (last update "
+                state = "diverged" if exc.diverged else "stalled"
+                print(f"solve: iteration {state} (last update "
                       f"{exc.last_diff:.3e}), falling back to the dense "
                       f"section", file=sys.stderr)
                 outcome = solve_discrete(cfg.spec, f, threads=threads)
@@ -131,14 +141,9 @@ def cmd_solve(args) -> int:
 
 
 def cmd_diagnose(args) -> int:
-    cfg, code = _load(args)
+    cfg, code = _load_valid(args)
     if cfg is None:
         return code
-    report = validate_spec(cfg.spec)
-    if not report.ok:
-        for v in report.violations:
-            print(f"validation: {v.rule}: {v.detail}", file=sys.stderr)
-        return 2
     start = time.perf_counter()
     try:
         diag = smoothing_profile(cfg.spec, cfg.grid,

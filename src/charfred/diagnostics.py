@@ -21,7 +21,8 @@ import numpy as np
 
 from .characteristics import BlockAdjugates, sample_coupling
 from .fredholm import apply_k
-from .gridfield import Grid, GridFunction, shift_diff_norm, sup_norm
+from .gridfield import (Grid, GridFunction, shift_diff_norm, sup_norm,
+                        text_target)
 from .system import EffectiveSlopes, SystemSpec, effective_slopes, nondegeneracy_value
 
 MODULUS_FLOOR = 1e-12
@@ -77,20 +78,11 @@ class DiagnosticsReport:
     CSV_HEADER = "power,omega,h,modulus,normalized"
 
     def to_csv(self, target) -> None:
-        close = False
-        if isinstance(target, (str, bytes)):
-            fh = open(target, "w", encoding="utf-8", newline="")
-            close = True
-        else:
-            fh = target
-        try:
+        with text_target(target) as fh:
             fh.write(self.CSV_HEADER + "\n")
             for r in self.rows:
                 fh.write(f"{r.power},{r.omega},{r.h!r},{r.modulus!r},"
                          f"{r.normalized!r}\n")
-        finally:
-            if close:
-                fh.close()
 
     def csv_text(self) -> str:
         buf = io.StringIO()

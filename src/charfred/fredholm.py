@@ -25,14 +25,22 @@ from .system import SystemSpec
 
 DISCRETE_UNKNOWN_CAP = 20_000
 KERNEL_SV_RTOL = 1e-8
+# an update norm this many times the smallest one so far means divergence
+DIVERGENCE_GROWTH = 1e6
 
 
 class NonConvergence(RuntimeError):
-    """Neumann iteration failed to contract within the iteration budget."""
+    """Neumann iteration failed to contract within the iteration budget.
 
-    def __init__(self, iterations: int, last_diff: float):
+    diverged is True when the iteration was stopped for growing (or
+    overflowing) rather than for running out of iterations.
+    """
+
+    def __init__(self, iterations: int, last_diff: float,
+                 diverged: bool = False):
         self.iterations = iterations
         self.last_diff = last_diff
+        self.diverged = diverged
         super().__init__(f"no convergence after {iterations} iterations "
                          f"(last update {last_diff:.3e})")
 
@@ -164,9 +172,11 @@ def apply_k_cubed_fused(spec: SystemSpec, f: GridFunction, probes,
     if np.any(pts[:, 0] < 0.0) or np.any(pts[:, 0] > 1.0):
         raise ValueError("probe x coordinates must lie in [0, 1]")
 
+    # one single-component view per row, so a read interpolates only it
+    parts = [GridFunction(f.grid, f.values[c:c + 1]) for c in range(f.m)]
+
     def read_f(X, Y, T, rows):
-        vals = interpolate_many(f, X, Y, T)
-        return {c: vals[c] for c in rows}
+        return {c: interpolate_many(parts[c], X, Y, T)[0] for c in rows}
 
     def chain(inner):
         def level(X, Y, T, rows):
@@ -211,8 +221,9 @@ def solve_neumann(spec: SystemSpec, f: GridFunction, tol: float = 1e-10,
     """Fixed-point iteration w <- f - K w, then one transport solve.
 
     Stops when the sup norm of the update drops to tol * sup_norm(f);
-    raises NonConvergence when the budget runs out or an iterate
-    overflows.
+    raises NonConvergence when the budget runs out, an iterate overflows
+    or an update norm grows past DIVERGENCE_GROWTH times the smallest
+    one seen.
     """
     start = time.perf_counter()
     cache = cache or BlockAdjugates.from_spec(spec)
@@ -220,16 +231,23 @@ def solve_neumann(spec: SystemSpec, f: GridFunction, tol: float = 1e-10,
     target = tol * sup_norm(f)
     w = f
     iterations = 0
+    smallest = float("inf")
     while True:
         iterations += 1
         try:
-            post = f - apply_k(spec, w, cache, coupling)
-            diff = sup_norm(post - w)
+            # an overflow surfaces as NonFiniteError, not as a warning
+            with np.errstate(over="ignore", invalid="ignore"):
+                post = f - apply_k(spec, w, cache, coupling)
+                diff = sup_norm(post - w)
         except NonFiniteError:
-            raise NonConvergence(iterations, float("inf")) from None
+            raise NonConvergence(iterations, float("inf"),
+                                 diverged=True) from None
         w = post
         if diff <= target:
             break
+        smallest = min(smallest, diff)
+        if diff > DIVERGENCE_GROWTH * smallest:
+            raise NonConvergence(iterations, diff, diverged=True)
         if iterations >= max_iter:
             raise NonConvergence(iterations, diff)
     residual = sup_norm(w + apply_k(spec, w, cache, coupling) - f)

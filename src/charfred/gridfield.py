@@ -8,6 +8,7 @@ periodic wrap in y and t.
 from __future__ import annotations
 
 import io
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
 
@@ -161,21 +162,40 @@ def _x_index(pos: np.ndarray, nx: int):
     return i0, i0 + 1, frac
 
 
+def _corners(i0, i1, frac):
+    """(index, weight) pairs of one axis.
+
+    When every point sits on a node the upper corner has weight exactly
+    zero and is left out: its terms would add only signed zeros.
+    """
+    if not np.any(frac):
+        return ((i0, 1.0 - frac),)
+    return ((i0, 1.0 - frac), (i1, frac))
+
+
 def interpolate_many(gf: GridFunction, x, y, t) -> np.ndarray:
-    """Trilinear interpolation at arrays of points; returns (m, *shape)."""
+    """Trilinear interpolation at arrays of points; returns (m, *shape).
+
+    x, y and t broadcast against each other but are indexed as given, so
+    grid-shaped inputs like (nx+1, 1, 1), (1, ny, 1), (1, 1, nt) cost one
+    index computation per axis level. Each corner is one flat gather.
+    """
     g = gf.grid
-    x, y, t = np.broadcast_arrays(np.asarray(x, float), np.asarray(y, float),
-                                  np.asarray(t, float))
+    x, y, t = (np.asarray(a, dtype=float) for a in (x, y, t))
+    shape = np.broadcast_shapes(x.shape, y.shape, t.shape)
     ix0, ix1, fx = _x_index(x, g.nx)
     iy0, iy1, fy = _periodic_index(y, g.ny, g.period_y)
     it0, it1, ft = _periodic_index(t, g.nt, g.period_t)
-    v = gf.values
-    out = np.zeros((gf.m,) + x.shape)
-    for ix, wx in ((ix0, 1.0 - fx), (ix1, fx)):
-        for iy, wy in ((iy0, 1.0 - fy), (iy1, fy)):
+    # flat offsets into the (m, nodes) view: ix * ny * nt + iy * nt + it
+    sx, sy = g.ny * g.nt, g.nt
+    flat = gf.values.reshape(gf.m, -1)
+    out = np.zeros((gf.m,) + shape)
+    for ix, wx in _corners(ix0 * sx, ix1 * sx, fx):
+        for iy, wy in _corners(iy0 * sy, iy1 * sy, fy):
             w2 = wx * wy
-            for it, wt in ((it0, 1.0 - ft), (it1, ft)):
-                out += v[:, ix, iy, it] * (w2 * wt)
+            ixy = ix + iy
+            for it, wt in _corners(it0, it1, ft):
+                out += np.take(flat, ixy + it, axis=1) * (w2 * wt)
     return out
 
 
@@ -218,31 +238,36 @@ def shift_diff_norm(gf: GridFunction, shift) -> ShiftDiff:
 CSV_HEADER = "component,ix,iy,it,x,y,t,value"
 
 
+@contextmanager
+def text_target(target):
+    """A text stream to write to: target itself, or the file at a path."""
+    if isinstance(target, (str, bytes)):
+        with open(target, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+    else:
+        yield target
+
+
 def to_csv(gf: GridFunction, target) -> None:
     """Write the field as CSV rows in (component, ix, iy, it) order."""
-    close = False
-    if isinstance(target, (str, bytes)):
-        fh = open(target, "w", encoding="utf-8", newline="")
-        close = True
-    else:
-        fh = target
-    try:
+    g = gf.grid
+    # every column but the value is formatted once per axis node
+    x_cols = [f"{x!r}," for x in g.xs().tolist()]
+    y_cols = [f"{y!r}," for y in g.ys().tolist()]
+    t_cols = [f"{t!r}," for t in g.ts().tolist()]
+    it_cols = [f"{it}," for it in range(g.nt)]
+    vals = gf.values.tolist()
+    with text_target(target) as fh:
         fh.write(CSV_HEADER + "\n")
-        g = gf.grid
-        xs = g.xs().tolist()
-        ys = g.ys().tolist()
-        ts = g.ts().tolist()
-        vals = gf.values.tolist()
         for c in range(gf.m):
             for ix in range(g.nx + 1):
-                for iy in range(g.ny):
-                    row = vals[c][ix][iy]
-                    for it in range(g.nt):
-                        fh.write(f"{c},{ix},{iy},{it},{xs[ix]!r},{ys[iy]!r},"
-                                 f"{ts[it]!r},{row[it]!r}\n")
-    finally:
-        if close:
-            fh.close()
+                rows = []
+                for iy, line in enumerate(vals[c][ix]):
+                    lead = f"{c},{ix},{iy},"
+                    xy = x_cols[ix] + y_cols[iy]
+                    rows += [f"{lead}{i}{xy}{t}{v!r}\n"
+                             for i, t, v in zip(it_cols, t_cols, line)]
+                fh.write("".join(rows))
 
 
 def from_csv(source, grid: Grid) -> GridFunction:

@@ -142,6 +142,7 @@ def test_solve_overflowing_iteration(method, tmp_path, capsys):
         assert not (out / "solution.csv").exists()
     else:
         assert rc == 0
+        assert "iteration diverged" in captured.err
         assert "falling back to the dense section" in captured.err
         assert "method=discrete" in captured.out
 

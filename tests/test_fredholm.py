@@ -1,3 +1,6 @@
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -5,6 +8,7 @@ import charfred as cf
 from charfred.fredholm import DISCRETE_UNKNOWN_CAP
 from conftest import ONE, ZERO, coupled_spec, cyclic_b, identity_spec
 
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 EXPRS = (cf.parse("sin(2*pi*y)*cos(2*pi*t)"), ONE, cf.parse("cos(2*pi*t)"))
 
 
@@ -86,6 +90,24 @@ def test_neumann_raises_on_divergence():
         cf.solve_neumann(spec, f, tol=1e-12, max_iter=8)
     assert err.value.iterations == 8
     assert err.value.last_diff > 1.0
+
+
+def test_neumann_stops_early_on_sustained_growth(tmp_path):
+    # the x1e3 coupling of the CLI overflow test: update norms grow
+    # 2e2, 1.4e4, 7.2e5, 7.6e6, 6.4e8, past 1e6 times the smallest
+    doc = json.loads((CONFIGS / "cyclic.json").read_text(encoding="utf-8"))
+    doc["grid"] = {"nx": 4, "ny": 4, "nt": 4}
+    doc["system"]["b"] = [["0", "0", "400*cos(2*pi*y)"], ["300", "0", "0"],
+                          ["0", "200*sin(2*pi*t)", "0"]]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    cfg = cf.load_config(str(path))
+    f = cf.sample(cfg.rhs, cfg.grid)
+    with pytest.raises(cf.NonConvergence) as err:
+        cf.solve_neumann(cfg.spec, f, cfg.tol, cfg.max_iter)
+    assert err.value.diverged
+    assert err.value.iterations <= 10
+    assert np.isfinite(err.value.last_diff)
 
 
 def test_assembled_matrix_acts_like_apply_k():
