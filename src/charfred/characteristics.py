@@ -16,7 +16,8 @@ half-cell refinement then integrates the stored field exactly); when the
 right-hand side is known in closed form its expressions can be sampled
 exactly instead, which makes the rule exact on cubics. The inner
 exponential weight accumulates int gamma by trapezoid on the same
-subdivision, outward from each target.
+subdivision, outward from each target. Rows whose gamma is a constant
+apply the same grid-read operator one (y, t) Fourier mode at a time.
 """
 from __future__ import annotations
 
@@ -114,6 +115,73 @@ def _shift_axis(a: np.ndarray, j: int, f: float, axis: int) -> np.ndarray:
     return r0
 
 
+def _line_shifts(grid: Grid, beta: float, alpha: float, forward: bool):
+    """Offsets d_m of the half-cell points m = 0..2 nx from a target, and
+    the whole (j) and fractional (f) y and t index shifts they cause."""
+    h2 = 1.0 / (2 * grid.nx)
+    d = (-h2 if forward else h2) * np.arange(2 * grid.nx + 1)
+    jy, fy = (a.tolist()
+              for a in _split_index(beta * d * grid.ny / grid.period_y))
+    jt, ft = (a.tolist()
+              for a in _split_index(alpha * d * grid.nt / grid.period_t))
+    return d, jy, fy, jt, ft
+
+
+def _shift_multipliers(j, f, n: int, modes: int) -> np.ndarray:
+    """Fourier multipliers of the two-point reads of _shift_axis.
+
+    Reading a period-n axis at index + j + f, (1 - f) a[i + j] +
+    f a[i + j + 1], multiplies mode k by e^{2 pi i k j / n} ((1 - f) +
+    f e^{2 pi i k / n}); one row per offset, one column per mode k < modes.
+    """
+    roots = np.exp(2j * np.pi * np.arange(n) / n)
+    k = np.arange(modes)
+    j = np.asarray(j)[:, None]
+    f = np.asarray(f)[:, None]
+    return roots[(k * j) % n] * ((1.0 - f) + f * roots[k])
+
+
+def _integrate_spectral_row(grid: Grid, beta: float, alpha: float, c: float,
+                            forward: bool, comp: np.ndarray,
+                            out: np.ndarray) -> None:
+    """The line integrals of _integrate_grid_row for a constant gamma c.
+
+    The same discrete operator, applied per (y, t) Fourier mode: every
+    roll-and-blend of offset m is the diagonal multiplier G_m (Simpson
+    weight s_m = 1, 4, 2, 4, ... times e^{c d_m} times the y and t shift
+    multipliers), and the half-cell layers are midpoints of whole cells,
+    so with v the row's x levels in the frame where the inflow face is
+    level 0 (x reversed for backward rows),
+
+        w[ix] = sum_{o < ix} H_o v[ix - o] + E_ix v[0],
+        H_o = G_2o + (G_2o-1 + G_2o+1) / 2,  E_ix = (G_2ix-1 + G_2ix) / 2,
+
+    where E carries the halved Simpson weight of the inflow-face endpoint.
+    """
+    nx, ny, nt = grid.nx, grid.ny, grid.nt
+    h2 = 1.0 / (2 * nx)
+    d, jy, fy, jt, ft = _line_shifts(grid, beta, alpha, forward)
+    simpson = np.full(2 * nx + 1, 2.0)
+    simpson[1::2] = 4.0
+    simpson[0] = 1.0
+    G = (((h2 / 3.0) * simpson * np.exp(c * d))[:, None, None]
+         * _shift_multipliers(jy, fy, ny, ny)[:, :, None]
+         * _shift_multipliers(jt, ft, nt, nt // 2 + 1)[:, None, :])
+    H = G[0:-1:2] + 0.5 * G[1::2]
+    H[1:] += 0.5 * G[1:-2:2]
+    E = 0.5 * (G[1::2] + G[2::2])
+    vhat = np.fft.rfft2(comp if forward else comp[:, ::-1], axes=(2, 3))
+    acc = np.zeros_like(vhat)
+    for o in range(nx):
+        acc[:, o + 1:] += H[o] * vhat[:, 1:nx + 1 - o]
+    acc[:, 1:] += E * vhat[:, :1]
+    w = np.fft.irfft2(acc, s=(ny, nt), axes=(2, 3))
+    if forward:
+        out[...] = w
+    else:
+        np.negative(w[:, ::-1], out=out)
+
+
 def _integrate_grid_row(grid: Grid, beta: float, alpha: float,
                         gam: Expression, forward: bool, comp: np.ndarray,
                         out: np.ndarray) -> None:
@@ -122,11 +190,11 @@ def _integrate_grid_row(grid: Grid, beta: float, alpha: float,
     comp is the row's (B, nx+1, ny, nt) field and out receives w for it.
     The sum runs over the half-cell offset m from the target toward the
     inflow face, so layer q = 2 ix - m (forward) or 2 ix + m. The (y, t)
-    shift, the constant-gamma factor and the Simpson weight (but for the
-    one target whose endpoint m is) depend on m alone; the targets still
-    reached at offset m are a contiguous range whose layers form a
-    stride-2 slab, shifted as a whole by rolls and blends. A variable
-    gamma is summed by trapezoid outward from each target as m grows.
+    shift and the Simpson weight (but for the one target whose endpoint
+    m is) depend on m alone; the targets still reached at offset m are a
+    contiguous range whose layers form a stride-2 slab, shifted as a
+    whole by rolls and blends. The variable gamma is summed by trapezoid
+    outward from each target as m grows.
     """
     nx, ny, nt = grid.nx, grid.ny, grid.nt
     h2 = 1.0 / (2 * nx)
@@ -134,19 +202,12 @@ def _integrate_grid_row(grid: Grid, beta: float, alpha: float,
     refined = np.empty((comp.shape[0], nq, ny, nt))
     refined[:, 0::2] = comp
     refined[:, 1::2] = 0.5 * (comp[:, :-1] + comp[:, 1:])
-    d = (-h2 if forward else h2) * np.arange(nq)
-    jy, fy = (a.tolist() for a in _split_index(beta * d * ny / grid.period_y))
-    jt, ft = (a.tolist()
-              for a in _split_index(alpha * d * nt / grid.period_t))
-    c = _const_value(gam)
-    if c is not None:
-        efac = np.exp(c * d)
-    else:
-        xsq = np.arange(nq) * h2
-        ys = grid.ys()[None, :, None]
-        ts = grid.ts()[None, None, :]
-        gprev = np.empty((nx + 1, ny, nt))
-        G = np.zeros((nx + 1, ny, nt))
+    d, jy, fy, jt, ft = _line_shifts(grid, beta, alpha, forward)
+    xsq = np.arange(nq) * h2
+    ys = grid.ys()[None, :, None]
+    ts = grid.ts()[None, None, :]
+    gprev = np.empty((nx + 1, ny, nt))
+    G = np.zeros((nx + 1, ny, nt))
     for m in range(nq):
         if forward:
             lo, hi = max(1, (m + 1) // 2), nx
@@ -162,10 +223,6 @@ def _integrate_grid_row(grid: Grid, beta: float, alpha: float,
         if m and m % 2 == 0:
             wts[0 if forward else -1] = 1.0
         wts *= h2 / 3.0
-        if c is not None:
-            wts *= efac[m]
-            out[:, lo:hi + 1] += wts[None, :, None, None] * F
-            continue
         gv = evaluate_on(gam, xsq[layers, None, None], ys + beta * d[m],
                          ts + alpha * d[m])
         if m:
@@ -236,18 +293,23 @@ def solve_transport_stack(spec: SystemSpec, grid: Grid, stack: np.ndarray,
         raise ValueError("closed-form right-hand sides need a batch of one")
     w = np.zeros_like(stack)
     for i in range(n):
-        line = (float(spec.beta[i]), float(spec.alpha[i]), spec.gamma[i],
-                i < k)
-        if rhs_exprs is None:
-            _integrate_grid_row(grid, *line, stack[:, i], w[:, i])
+        beta, alpha = float(spec.beta[i]), float(spec.alpha[i])
+        gam, forward = spec.gamma[i], i < k
+        c = _const_value(gam)
+        if rhs_exprs is not None:
+            _integrate_expr_row(grid, beta, alpha, gam, forward,
+                                rhs_exprs[i], w[0, i])
+        elif c is not None:
+            _integrate_spectral_row(grid, beta, alpha, c, forward,
+                                    stack[:, i], w[:, i])
         else:
-            _integrate_expr_row(grid, *line, rhs_exprs[i], w[0, i])
-    u = np.empty_like(w)
+            _integrate_grid_row(grid, beta, alpha, gam, forward,
+                                stack[:, i], w[:, i])
     for sl, adj, det in cache.block_items(spec):
-        u[:, sl] = np.einsum("ij,bj...->bi...", adj, w[:, sl]) / det
-    u[:, :k, 0] = 0.0
-    u[:, k:, nx] = 0.0
-    return u
+        w[:, sl] = np.einsum("ij,bj...->bi...", adj, w[:, sl]) / det
+    w[:, :k, 0] = 0.0
+    w[:, k:, nx] = 0.0
+    return w
 
 
 def solve_transport(spec: SystemSpec, f: GridFunction,

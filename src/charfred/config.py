@@ -33,7 +33,6 @@ class RunConfig:
     method: str
     tol: float
     max_iter: int
-    rhs_text: tuple
     rhs: tuple
 
 
@@ -218,6 +217,4 @@ def load_config(source) -> RunConfig:
     if problems:
         raise ConfigError(problems)
     return RunConfig(spec=spec, grid=grid, method=method, tol=tol,
-                     max_iter=max_iter,
-                     rhs_text=tuple(_entry_text(c) for c in rhsnode),
-                     rhs=rhs)
+                     max_iter=max_iter, rhs=rhs)

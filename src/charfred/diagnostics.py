@@ -159,16 +159,19 @@ def smoothing_profile(spec: SystemSpec, grid: Grid, powers=(0, 1, 2, 3),
         hs = [grid.period_y / (2 * omega)]
         hs += [float(fr) * grid.period_y for fr in shifts]
         hs = sorted(set(hs), reverse=True)
-        fields = {0: probe}
-        for m in range(1, max(powers, default=0) + 1):
-            fields[m] = apply_k(spec, fields[m - 1], cache, coupling)
         base = {}
         for h in hs:
             sd = shift_diff_norm(probe, (0.0, h, 0.0))
             base[h] = sd.value / sup0
-        for m in powers:
+        # K^m f is measured as it is produced; only the latest stays alive
+        field = probe
+        for m in range(max(powers, default=0) + 1):
+            if m:
+                field = apply_k(spec, field, cache, coupling)
+            if m not in powers:
+                continue
             for h in hs:
-                sd = shift_diff_norm(fields[m], (0.0, h, 0.0))
+                sd = shift_diff_norm(field, (0.0, h, 0.0))
                 skipped_total += sd.skipped
                 modulus = sd.value / sup0
                 if m == 0:

@@ -122,8 +122,14 @@ def _transport_at_points(spec, cache, inner, X, Y, T, glx, glw, panels, rows):
                     s = mid[None] + half[None] * glx.reshape(
                         (glx.size,) + (1,) * d.ndim)
                     ds = s - X[None, None]
-                    gv = evaluate_on(gam, s, Y[None, None] + beta * ds,
-                                     T[None, None] + alpha * ds)
+                    # the Y and T line arrays are built in place: the
+                    # same sums, without two more temporaries this size
+                    Ys = beta * ds
+                    Ys += Y[None, None]
+                    ds *= alpha
+                    ds += T[None, None]
+                    gv = evaluate_on(gam, s, Ys, ds)
+                    del Ys, ds
                     G = half * np.einsum("q,q...->...", glw, gv)
                     ew = wts * np.exp(G)
             w[i] = np.einsum("q...,q...->...", ew, hv)
@@ -259,7 +265,7 @@ def solve_neumann(spec: SystemSpec, f: GridFunction, tol: float = 1e-10,
 def assemble_dense(spec: SystemSpec, grid: Grid,
                    cache: BlockAdjugates | None = None,
                    coupling: dict | None = None, threads: int = 1,
-                   batch: int = 512) -> np.ndarray:
+                   batch: int = 256) -> np.ndarray:
     """Dense matrix of I + K in the node basis.
 
     Columns are impulse responses at grid nodes, ordered like the
@@ -315,8 +321,7 @@ def solve_discrete(spec: SystemSpec, f: GridFunction,
                                       lapack_driver="gelsy")
     kdim = None
     if kernel_estimate:
-        svals = np.linalg.svd(mat, compute_uv=False)
-        kdim = int(np.sum(svals <= KERNEL_SV_RTOL * svals[0]))
+        kdim = kernel_dimension(mat)
     w = GridFunction(grid, sol.reshape(f.values.shape))
     residual = sup_norm(w + apply_k(spec, w, cache, coupling) - f)
     u = solve_transport(spec, w, cache)

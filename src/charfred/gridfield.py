@@ -256,13 +256,13 @@ def to_csv(gf: GridFunction, target) -> None:
     y_cols = [f"{y!r}," for y in g.ys().tolist()]
     t_cols = [f"{t!r}," for t in g.ts().tolist()]
     it_cols = [f"{it}," for it in range(g.nt)]
-    vals = gf.values.tolist()
     with text_target(target) as fh:
         fh.write(CSV_HEADER + "\n")
         for c in range(gf.m):
             for ix in range(g.nx + 1):
                 rows = []
-                for iy, line in enumerate(vals[c][ix]):
+                # one block of Python floats at a time, not the whole field
+                for iy, line in enumerate(gf.values[c, ix].tolist()):
                     lead = f"{c},{ix},{iy},"
                     xy = x_cols[ix] + y_cols[iy]
                     rows += [f"{lead}{i}{xy}{t}{v!r}\n"

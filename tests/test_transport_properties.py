@@ -4,14 +4,19 @@ Random small grids, slopes that include zero, and zero, constant and
 variable gamma. The reference integrates each characteristic line on
 its own: interpolate_many reads the field at the half-cell points of
 the line, scipy's cumulative trapezoid gives the inner gamma integral
-and its composite Simpson rule the outer one.
+and its composite Simpson rule the outer one. Rows with a literal
+constant gamma take the spectral path, which is also checked against
+the half-cell walk that every other gamma takes.
 """
+from dataclasses import replace
+
 import numpy as np
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import cumulative_trapezoid, simpson
 
 import charfred as cf
 from charfred.characteristics import solve_transport_stack
+from charfred.expressions import BinOp, Num, Var
 from conftest import zero_b
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True,
@@ -21,11 +26,12 @@ SLOPES = st.one_of(st.just(0.0), st.sampled_from((0.5, -1.0, 1.0, 2.0)),
                    st.floats(-2.0, 2.0).map(lambda v: round(v, 3)))
 GAMMAS = st.sampled_from(("0", "0.3", "-0.2", "0.1*cos(2*pi*y)",
                           "0.2*x - 0.1*sin(2*pi*(y + t))"))
+CONSTANT_GAMMAS = st.sampled_from(("0", "0.3", "-0.2", "1.5", "pi", "-pi"))
 BLOCKS = st.sampled_from((1.0, 2.0, -0.5))
 
 
 @st.composite
-def problems(draw):
+def problems(draw, gammas=GAMMAS):
     """A three-row spec, its grid and a seeded random generator."""
     grid = cf.Grid(nx=draw(st.integers(4, 8)), ny=draw(st.integers(4, 9)),
                    nt=draw(st.integers(4, 9)))
@@ -34,7 +40,7 @@ def problems(draw):
         a3=[[draw(BLOCKS)]],
         alpha=tuple(draw(SLOPES) for _ in range(3)),
         beta=tuple(draw(SLOPES) for _ in range(3)),
-        gamma=tuple(cf.parse(draw(GAMMAS)) for _ in range(3)), b=zero_b())
+        gamma=tuple(cf.parse(draw(gammas)) for _ in range(3)), b=zero_b())
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     return spec, grid, rng
 
@@ -105,3 +111,31 @@ def test_transport_is_linear(problem, a, b):
     scale = abs(a) * np.abs(tf).max() + abs(b) * np.abs(tg).max()
     np.testing.assert_allclose(tfg, a * tf + b * tg, rtol=0,
                                atol=1e-13 * scale)
+
+
+def unfolded(gamma):
+    """gamma + 0*y: the same values, but no literal constant, so the
+    transport integrates the row by the half-cell walk."""
+    return BinOp("+", gamma, BinOp("*", Num(0.0), Var("y")))
+
+
+@PROPERTY
+@given(problems(CONSTANT_GAMMAS), st.integers(2, 4))
+def test_spectral_rows_match_the_walk(problem, batch):
+    spec, grid, rng = problem
+    walk = replace(spec, gamma=tuple(unfolded(g) for g in spec.gamma))
+    stack = random_stack(grid, rng, batch)
+    expect = solve_transport_stack(walk, grid, stack)
+    got = solve_transport_stack(spec, grid, stack)
+    np.testing.assert_allclose(got, expect, rtol=0,
+                               atol=1e-13 * np.abs(expect).max())
+
+
+@PROPERTY
+@given(problems(st.one_of(CONSTANT_GAMMAS, GAMMAS)), st.integers(2, 4))
+def test_transport_leaves_its_input_unmodified(problem, batch):
+    spec, grid, rng = problem
+    stack = random_stack(grid, rng, batch)
+    before = stack.copy()
+    solve_transport_stack(spec, grid, stack)
+    np.testing.assert_array_equal(stack, before)
