@@ -25,7 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expressions import Expression, Num, Neg, Pi, evaluate_on, is_literal_zero
+from .expressions import (Expression, constant_value, evaluate_on,
+                          is_literal_zero)
 from .gridfield import Grid, GridFunction, interpolate_many, sup_norm
 from .gridfield import _split_index  # shared node snapping
 from .system import SystemSpec
@@ -85,17 +86,6 @@ def _simpson_weights(count: int, h: float) -> np.ndarray:
     w[1:-1:2] = 4.0
     w[2:-1:2] = 2.0
     return w * (h / 3.0)
-
-
-def _const_value(e: Expression):
-    if isinstance(e, Num):
-        return e.value
-    if isinstance(e, Pi):
-        return float(np.pi)
-    if isinstance(e, Neg):
-        inner = _const_value(e.arg)
-        return None if inner is None else -inner
-    return None
 
 
 def _shift_axis(a: np.ndarray, j: int, f: float, axis: int) -> np.ndarray:
@@ -250,7 +240,7 @@ def _integrate_expr_row(grid: Grid, beta: float, alpha: float,
     ys = grid.ys()[None, :, None]
     ts = grid.ts()[None, None, :]
     gamma_zero = is_literal_zero(gam)
-    gamma_const = _const_value(gam)
+    gamma_const = constant_value(gam)
     targets = range(1, nx + 1) if forward else range(0, nx)
     for ix in targets:
         q0, q1 = (0, 2 * ix) if forward else (2 * ix, nq - 1)
@@ -295,7 +285,7 @@ def solve_transport_stack(spec: SystemSpec, grid: Grid, stack: np.ndarray,
     for i in range(n):
         beta, alpha = float(spec.beta[i]), float(spec.alpha[i])
         gam, forward = spec.gamma[i], i < k
-        c = _const_value(gam)
+        c = constant_value(gam)
         if rhs_exprs is not None:
             _integrate_expr_row(grid, beta, alpha, gam, forward,
                                 rhs_exprs[i], w[0, i])

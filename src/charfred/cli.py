@@ -5,6 +5,14 @@ solve (transport-reduced second-kind solve, CSV + JSON reports),
 diagnose (smoothing profile and Jacobian table), testbed (randomized
 kernel-dimension inequality checks on small dense sections).
 
+solve runs the configured method: neumann iterates w <- f - K w;
+discrete solves the finite section by restarted GMRES on K, assembling
+the dense section only for the kernel-dimension estimate (requested up
+to DISCRETE_UNKNOWN_CAP unknowns) and for a least-squares solve when
+GMRES stalls under that cap; auto runs neumann and, when it stalls or
+diverges, falls back to discrete at any size. A GMRES stall is reported
+on stderr with its relative residual and iteration count.
+
 Exit codes: 0 success, 1 malformed config or unusable request,
 2 validation failure, 3 non-convergence, 4 testbed violation.
 
@@ -102,27 +110,30 @@ def cmd_solve(args) -> int:
     f = sample(cfg.rhs, cfg.grid)
     sampled = time.perf_counter()
     method = args.method or cfg.method
-    size = cfg.spec.n * cfg.grid.node_count
+    # the kernel estimate needs the dense section, which the cap limits
+    estimate = cfg.spec.n * cfg.grid.node_count <= DISCRETE_UNKNOWN_CAP
     threads = _threads()
     try:
         if method == "neumann":
             outcome = solve_neumann(cfg.spec, f, cfg.tol, cfg.max_iter)
         elif method == "discrete":
-            outcome = solve_discrete(cfg.spec, f, threads=threads)
+            outcome = solve_discrete(cfg.spec, f, threads=threads,
+                                     kernel_estimate=estimate)
         else:
             try:
                 outcome = solve_neumann(cfg.spec, f, cfg.tol, cfg.max_iter)
             except NonConvergence as exc:
-                if size > DISCRETE_UNKNOWN_CAP:
-                    print(f"solve: no convergence after {exc.iterations} "
-                          f"iterations and {size} unknowns exceed the "
-                          f"dense fallback cap", file=sys.stderr)
-                    return 3
                 state = "diverged" if exc.diverged else "stalled"
                 print(f"solve: iteration {state} (last update "
                       f"{exc.last_diff:.3e}), falling back to the dense "
                       f"section", file=sys.stderr)
-                outcome = solve_discrete(cfg.spec, f, threads=threads)
+                outcome = solve_discrete(cfg.spec, f, threads=threads,
+                                         kernel_estimate=estimate)
+        if outcome.stalled_residual is not None:
+            print(f"solve: GMRES stalled after {outcome.iterations} "
+                  f"iterations (relative residual "
+                  f"{outcome.stalled_residual:.3e}), solved the dense "
+                  f"section by least squares", file=sys.stderr)
     except NonConvergence as exc:
         print(f"solve: no convergence after {exc.iterations} iterations "
               f"(last update {exc.last_diff:.3e})", file=sys.stderr)

@@ -288,6 +288,31 @@ def is_literal_zero(e: Expression) -> bool:
     return isinstance(e, Num) and e.value == 0.0
 
 
+def _reads_variables(e: Expression) -> bool:
+    if isinstance(e, Var):
+        return True
+    if isinstance(e, (Neg, Call)):
+        return _reads_variables(e.arg)
+    if isinstance(e, BinOp):
+        return _reads_variables(e.lhs) or _reads_variables(e.rhs)
+    return False
+
+
+def constant_value(e: Expression) -> float | None:
+    """The value of e if it reads none of x, y, t, else None.
+
+    The tree is evaluated once, so ``1/2`` and ``pi/4`` fold like the
+    literals ``0.5`` and ``pi``; a tree whose evaluation fails gives
+    None, leaving the error to the pointwise evaluation.
+    """
+    if _reads_variables(e):
+        return None
+    try:
+        return float(evaluate(e, 0.0, 0.0, 0.0))
+    except EvalError:
+        return None
+
+
 _SUM, _PRODUCT, _NEG, _POWER, _ATOM = 1, 2, 3, 4, 5
 
 

@@ -6,6 +6,9 @@ and D the pointwise coupling, the substitution w = C u turns it into
 through one more transport solve. Powers of K smooth: the coupling
 pattern cycles support through the three row groups, and after three
 applications every term has crossed transversal characteristic pairs.
+
+scipy is imported inside the functions that use it, so importing the
+package loads none of it.
 """
 from __future__ import annotations
 
@@ -13,12 +16,11 @@ import time
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .characteristics import (BlockAdjugates, apply_coupling,
                               apply_coupling_stack, sample_coupling,
                               solve_transport, solve_transport_stack)
-from .expressions import evaluate_on, is_literal_zero
+from .expressions import constant_value, evaluate_on, is_literal_zero
 from .gridfield import (Grid, GridFunction, NonFiniteError, interpolate_many,
                         sup_norm, sum_sup_norm)
 from .system import SystemSpec
@@ -27,13 +29,20 @@ DISCRETE_UNKNOWN_CAP = 20_000
 KERNEL_SV_RTOL = 1e-8
 # an update norm this many times the smallest one so far means divergence
 DIVERGENCE_GROWTH = 1e6
+# restarted GMRES on I + K: relative residual target, Krylov vectors kept
+# between restarts, and the iterations spent before it counts as stalled
+GMRES_RTOL = 1e-13
+GMRES_RESTART = 50
+GMRES_MAX_ITER = 200
 
 
 class NonConvergence(RuntimeError):
-    """Neumann iteration failed to contract within the iteration budget.
+    """An iteration failed to converge within its budget.
 
-    diverged is True when the iteration was stopped for growing (or
-    overflowing) rather than for running out of iterations.
+    last_diff is the last update norm of the Neumann iteration, or the
+    relative residual of a stalled GMRES solve. diverged is True when the
+    Neumann iteration was stopped for growing (or overflowing) rather
+    than for running out of iterations.
     """
 
     def __init__(self, iterations: int, last_diff: float,
@@ -91,8 +100,6 @@ def _transport_at_points(spec, cache, inner, X, Y, T, glx, glw, panels, rows):
     Only the blocks containing requested rows are integrated, which keeps
     the nested chain linear in the coupling width.
     """
-    from .characteristics import _const_value
-
     wanted = set(rows)
     w = {}
     for sl, _, _ in cache.block_items(spec):
@@ -112,7 +119,7 @@ def _transport_at_points(spec, cache, inner, X, Y, T, glx, glw, panels, rows):
             if is_literal_zero(gam):
                 ew = wts
             else:
-                c = _const_value(gam)
+                c = constant_value(gam)
                 if c is not None:
                     ew = wts * np.exp(c * d)
                 else:
@@ -208,6 +215,9 @@ class SolveOutcome:
     u: GridFunction
     w: GridFunction
     timing_seconds: float
+    # discrete only: the relative residual at which GMRES stalled, when a
+    # dense least-squares solve replaced its answer
+    stalled_residual: float | None = None
 
     def to_json_dict(self):
         # timing stays out: reports must be byte-identical across reruns
@@ -298,35 +308,95 @@ def assemble_dense(spec: SystemSpec, grid: Grid,
     return mat
 
 
+def _gmres(spec: SystemSpec, grid: Grid, rhs: np.ndarray,
+           cache: BlockAdjugates, coupling: dict):
+    """Restarted GMRES on v -> v + K v, K applied by apply_k.
+
+    Returns the solution, the iteration count and, when the budget ran
+    out first, the relative residual reached (else None).
+    """
+    import scipy.sparse.linalg
+
+    shape = (spec.n, grid.nx + 1, grid.ny, grid.nt)
+
+    def matvec(v):
+        kv = apply_k(spec, GridFunction(grid, v.reshape(shape)), cache,
+                     coupling)
+        return v + kv.values.reshape(v.shape)
+
+    op = scipy.sparse.linalg.LinearOperator((rhs.size, rhs.size),
+                                            matvec=matvec, dtype=float)
+    iterations = 0
+
+    def count(_):
+        nonlocal iterations
+        iterations += 1
+
+    sol, info = scipy.sparse.linalg.gmres(
+        op, rhs, rtol=GMRES_RTOL, restart=GMRES_RESTART,
+        maxiter=GMRES_MAX_ITER // GMRES_RESTART, callback=count,
+        callback_type="pr_norm")
+    if info == 0:
+        return sol, iterations, None
+    gap = np.linalg.norm(rhs - op.matvec(sol)) / np.linalg.norm(rhs)
+    return sol, iterations, float(gap)
+
+
+def _least_squares(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Rank-revealing least-squares solve (LAPACK gelsy)."""
+    import scipy.linalg
+
+    sol, _, _, _ = scipy.linalg.lstsq(mat, rhs, lapack_driver="gelsy")
+    return sol
+
+
 def solve_discrete(spec: SystemSpec, f: GridFunction,
                    cache: BlockAdjugates | None = None,
                    threads: int = 1,
                    kernel_estimate: bool = True) -> SolveOutcome:
-    """Dense finite-section solve of (I + K) w = f by least squares.
+    """Finite-section solve of (I + K) w = f, matrix-free by GMRES.
 
-    The kernel dimension estimate counts singular values of the section
-    at or below 1e-8 of the largest; pass kernel_estimate=False to skip
-    that extra SVD, which costs more than the solve itself.
+    The dense section is assembled only when it is needed:
+    - for the kernel dimension estimate, which counts singular values at
+      or below KERNEL_SV_RTOL of the largest; pass kernel_estimate=False
+      to skip it, since the SVD costs more than the solve;
+    - for a rank-revealing least-squares solve when that estimate finds
+      a kernel, or when GMRES stalls after GMRES_MAX_ITER iterations.
+    It is never built above DISCRETE_UNKNOWN_CAP unknowns: there a kernel
+    estimate is a ValueError and a stalled GMRES a NonConvergence.
     """
     start = time.perf_counter()
     grid = f.grid
     size = spec.n * (grid.nx + 1) * grid.ny * grid.nt
-    if size > DISCRETE_UNKNOWN_CAP:
+    dense_ok = size <= DISCRETE_UNKNOWN_CAP
+    if kernel_estimate and not dense_ok:
         raise ValueError(f"{size} unknowns exceed the dense-solve cap "
                          f"({DISCRETE_UNKNOWN_CAP})")
     cache = cache or BlockAdjugates.from_spec(spec)
     coupling = sample_coupling(spec, grid)
-    mat = assemble_dense(spec, grid, cache, coupling, threads=threads)
-    sol, _, _, _ = scipy.linalg.lstsq(mat, f.values.reshape(size),
-                                      lapack_driver="gelsy")
-    kdim = None
+    rhs = f.values.reshape(size)
+    mat = kdim = stalled = None
+    iterations = 0
     if kernel_estimate:
+        mat = assemble_dense(spec, grid, cache, coupling, threads=threads)
         kdim = kernel_dimension(mat)
+    if kdim:
+        # no unique solution for GMRES to converge to
+        sol = _least_squares(mat, rhs)
+    else:
+        sol, iterations, stalled = _gmres(spec, grid, rhs, cache, coupling)
+        if stalled is not None:
+            if not dense_ok:
+                raise NonConvergence(iterations, stalled)
+            if mat is None:
+                mat = assemble_dense(spec, grid, cache, coupling,
+                                     threads=threads)
+            sol = _least_squares(mat, rhs)
     w = GridFunction(grid, sol.reshape(f.values.shape))
     residual = sup_norm(w + apply_k(spec, w, cache, coupling) - f)
     u = solve_transport(spec, w, cache)
-    return SolveOutcome("discrete", 0, residual, kdim, u, w,
-                        time.perf_counter() - start)
+    return SolveOutcome("discrete", iterations, residual, kdim, u, w,
+                        time.perf_counter() - start, stalled)
 
 
 def kernel_dimension(mat: np.ndarray, rtol: float = KERNEL_SV_RTOL) -> int:

@@ -2,11 +2,16 @@
 from __future__ import annotations
 
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import charfred
+from charfred import cli, fredholm
 from charfred.cli import main
+from charfred.fredholm import DISCRETE_UNKNOWN_CAP, GMRES_MAX_ITER
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
@@ -19,6 +24,13 @@ def write_config(tmp_path: Path, doc: dict, name: str = "cfg.json") -> str:
     path = tmp_path / name
     path.write_text(json.dumps(doc), encoding="utf-8")
     return str(path)
+
+
+# couplings that defeat the Neumann iteration: the second also stalls
+# restarted GMRES (condition number 7.3e5 on a 4-node grid)
+CYCLIC_FOURS = [["0", "0", "4"], ["4", "0", "0"], ["0", "4", "0"]]
+THOUSANDFOLD = [["0", "0", "400*cos(2*pi*y)"], ["300", "0", "0"],
+                ["0", "200*sin(2*pi*t)", "0"]]
 
 
 def test_validate_ok_writes_report(tmp_path, capsys):
@@ -145,6 +157,81 @@ def test_solve_overflowing_iteration(method, tmp_path, capsys):
         assert "iteration diverged" in captured.err
         assert "falling back to the dense section" in captured.err
         assert "method=discrete" in captured.out
+
+
+def test_solve_reports_a_gmres_stall(tmp_path, capsys):
+    # gelsy solves the section once GMRES stalls
+    doc = base_config()
+    doc["grid"] = {"nx": 4, "ny": 4, "nt": 4}
+    doc["system"]["b"] = THOUSANDFOLD
+    out = tmp_path / "run"
+    rc = main(["solve", "--config", write_config(tmp_path, doc),
+               "--out", str(out), "--method", "discrete"])
+    captured = capsys.readouterr()
+    assert rc == 0
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith(f"solve: GMRES stalled after {GMRES_MAX_ITER} "
+                               f"iterations (relative residual ")
+    assert lines[0].endswith("), solved the dense section by least squares")
+    outcome = json.loads((out / "outcome.json").read_text(encoding="utf-8"))
+    assert outcome["iterations"] == GMRES_MAX_ITER
+    assert outcome["kernel_dimension_estimate"] == 0
+    assert outcome["residual_sup"] < 1e-10
+
+
+def test_solve_discrete_above_the_cap_skips_the_kernel_estimate(tmp_path,
+                                                                capsys):
+    doc = base_config()
+    doc["grid"] = {"nx": 30, "ny": 16, "nt": 16}
+    assert 3 * 31 * 16 * 16 > DISCRETE_UNKNOWN_CAP
+    out = tmp_path / "run"
+    rc = main(["solve", "--config", write_config(tmp_path, doc),
+               "--out", str(out), "--method", "discrete"])
+    assert rc == 0
+    assert capsys.readouterr().err == ""
+    outcome = json.loads((out / "outcome.json").read_text(encoding="utf-8"))
+    assert outcome["kernel_dimension_estimate"] is None
+    assert 0 < outcome["iterations"] < GMRES_MAX_ITER
+    assert outcome["residual_sup"] < 1e-10
+
+
+@pytest.mark.parametrize("coupling", [CYCLIC_FOURS, THOUSANDFOLD],
+                         ids=["gmres-converges", "gmres-stalls"])
+def test_auto_fallback_runs_above_the_cap(coupling, tmp_path, capsys,
+                                          monkeypatch):
+    # a cap below the 240 unknowns of a 4-node grid
+    monkeypatch.setattr(cli, "DISCRETE_UNKNOWN_CAP", 100)
+    monkeypatch.setattr(fredholm, "DISCRETE_UNKNOWN_CAP", 100)
+    doc = base_config()
+    doc["grid"] = {"nx": 4, "ny": 4, "nt": 4}
+    doc["solver"]["max_iter"] = 8
+    doc["system"]["b"] = coupling
+    out = tmp_path / "run"
+    rc = main(["solve", "--config", write_config(tmp_path, doc),
+               "--out", str(out)])
+    err = capsys.readouterr().err
+    assert "falling back to the dense section" in err
+    if coupling is CYCLIC_FOURS:
+        assert rc == 0
+        outcome = json.loads((out / "outcome.json").read_text(
+            encoding="utf-8"))
+        assert outcome["kernel_dimension_estimate"] is None
+        assert outcome["residual_sup"] < 1e-10
+    else:
+        assert rc == 3
+        assert f"no convergence after {GMRES_MAX_ITER} iterations" in err
+        assert not (out / "solution.csv").exists()
+
+
+def test_import_loads_no_scipy():
+    # scipy loads inside the solvers that use it, not on import
+    code = ("import sys, charfred, charfred.cli; "
+            "print([m for m in sys.modules if m.startswith('scipy')])")
+    src = str(Path(charfred.__file__).resolve().parent.parent)
+    done = subprocess.run([sys.executable, "-c", code], cwd=src,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout == "[]\n"
 
 
 @pytest.mark.parametrize("size", [6.9, 8.0, "8", True])

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from charfred.expressions import (EvalError, ParseError, check_periodicity,
-                                  evaluate, evaluate_on, is_literal_zero,
-                                  parse, pretty)
+                                  constant_value, evaluate, evaluate_on,
+                                  is_literal_zero, parse, pretty)
 
 GOLDEN = [
     # (text, (x, y, t), value)
@@ -156,3 +156,18 @@ def test_periodicity_respects_periods():
 def test_periodicity_sample_floor():
     with pytest.raises(ValueError):
         check_periodicity(parse("y"), 1.0, 1.0, samples=4)
+
+
+@pytest.mark.parametrize("text,value", [
+    ("0", 0.0), ("0.3", 0.3), ("-0.2", -0.2), ("pi", math.pi),
+    ("-pi", -math.pi), ("1/2", 0.5), ("pi/4", math.pi / 4),
+    ("2*0.15", 0.3), ("-(1 - 0.8)", -(1 - 0.8)), ("exp(0) - 1", 0.0),
+    ("cos(pi)/5", -0.2), ("2^-2", 0.25)])
+def test_constant_value_folds_variable_free_trees(text, value):
+    assert constant_value(parse(text)) == value
+
+
+@pytest.mark.parametrize("text", ["x", "0*y", "t - t", "sin(2*pi*y)",
+                                  "1/0", "exp(1000)"])
+def test_constant_value_refuses_variables_and_failures(text):
+    assert constant_value(parse(text)) is None

@@ -1,11 +1,14 @@
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import charfred as cf
-from charfred.fredholm import DISCRETE_UNKNOWN_CAP
+from charfred import fredholm
+from charfred.fredholm import DISCRETE_UNKNOWN_CAP, GMRES_MAX_ITER, GMRES_RTOL
 from conftest import ONE, ZERO, coupled_spec, cyclic_b, identity_spec
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -92,16 +95,21 @@ def test_neumann_raises_on_divergence():
     assert err.value.last_diff > 1.0
 
 
-def test_neumann_stops_early_on_sustained_growth(tmp_path):
-    # the x1e3 coupling of the CLI overflow test: update norms grow
-    # 2e2, 1.4e4, 7.2e5, 7.6e6, 6.4e8, past 1e6 times the smallest
+def overflow_config(tmp_path):
+    """The x1e3 coupling of the CLI overflow test on a 4-node grid."""
     doc = json.loads((CONFIGS / "cyclic.json").read_text(encoding="utf-8"))
     doc["grid"] = {"nx": 4, "ny": 4, "nt": 4}
     doc["system"]["b"] = [["0", "0", "400*cos(2*pi*y)"], ["300", "0", "0"],
                           ["0", "200*sin(2*pi*t)", "0"]]
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
-    cfg = cf.load_config(str(path))
+    return cf.load_config(str(path))
+
+
+def test_neumann_stops_early_on_sustained_growth(tmp_path):
+    # update norms grow 2e2, 1.4e4, 7.2e5, 7.6e6, 6.4e8, past 1e6 times
+    # the smallest
+    cfg = overflow_config(tmp_path)
     f = cf.sample(cfg.rhs, cfg.grid)
     with pytest.raises(cf.NonConvergence) as err:
         cf.solve_neumann(cfg.spec, f, cfg.tol, cfg.max_iter)
@@ -150,6 +158,91 @@ def test_discrete_respects_unknown_cap():
     f = cf.zeros(grid, 3)
     with pytest.raises(ValueError):
         cf.solve_discrete(spec, f)
+
+
+def gelsy(spec, f):
+    size = f.values.size
+    mat = cf.assemble_dense(spec, f.grid)
+    sol = scipy.linalg.lstsq(mat, f.values.reshape(size),
+                             lapack_driver="gelsy")[0]
+    return sol.reshape(f.values.shape)
+
+
+def test_gmres_matches_gelsy():
+    # the solve-section grid: 3 * 7 * 7 * 7 = 1,029 unknowns
+    spec = coupled_spec()
+    grid = cf.Grid(nx=6, ny=7, nt=7)
+    f = cf.sample(EXPRS, grid)
+    out = cf.solve_discrete(spec, f, kernel_estimate=False)
+    assert 0 < out.iterations < GMRES_MAX_ITER
+    assert out.stalled_residual is None
+    expect = gelsy(spec, f)
+    assert np.abs(out.w.values - expect).max() <= \
+        1e-10 * np.abs(expect).max()
+
+
+def test_kernel_routes_the_solve_to_gelsy(monkeypatch):
+    spec = coupled_spec()
+    grid = cf.Grid(nx=4, ny=4, nt=4)
+    f = cf.sample(EXPRS, grid)
+    monkeypatch.setattr(fredholm, "kernel_dimension", lambda mat: 1)
+
+    def no_gmres(*args):
+        raise AssertionError("GMRES ran on a section with a kernel")
+
+    monkeypatch.setattr(fredholm, "_gmres", no_gmres)
+    out = cf.solve_discrete(spec, f)
+    assert out.kernel_dimension_estimate == 1
+    assert out.iterations == 0 and out.stalled_residual is None
+    np.testing.assert_array_equal(out.w.values, gelsy(spec, f))
+
+
+def test_gmres_stall_falls_back_to_the_dense_section(tmp_path):
+    # condition number 7.3e5: restarted GMRES makes no headway
+    cfg = overflow_config(tmp_path)
+    f = cf.sample(cfg.rhs, cfg.grid)
+    out = cf.solve_discrete(cfg.spec, f, kernel_estimate=False)
+    assert out.iterations == GMRES_MAX_ITER
+    assert out.stalled_residual > GMRES_RTOL
+    assert out.kernel_dimension_estimate is None
+    np.testing.assert_array_equal(out.w.values, gelsy(cfg.spec, f))
+    assert out.residual_sup < 1e-9 * cf.sup_norm(f)
+
+
+def test_discrete_above_the_cap_stays_matrix_free(monkeypatch):
+    spec = coupled_spec()
+    grid = cf.Grid(nx=30, ny=16, nt=16)
+    size = 3 * 31 * 16 * 16
+    assert size > DISCRETE_UNKNOWN_CAP
+    f = cf.sample(EXPRS, grid)
+
+    def no_dense(*args, **kwargs):
+        raise AssertionError("dense section assembled above the cap")
+
+    monkeypatch.setattr(fredholm, "assemble_dense", no_dense)
+    tracemalloc.start()
+    try:
+        out = cf.solve_discrete(spec, f, kernel_estimate=False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the dense section would take size**2 doubles, 4.5 GB
+    assert peak < 200 * size * 8
+    assert out.kernel_dimension_estimate is None
+    assert 0 < out.iterations < GMRES_MAX_ITER
+    assert out.residual_sup < 1e-10 * cf.sup_norm(f)
+
+
+def test_gmres_stall_above_the_cap_is_a_nonconvergence(monkeypatch):
+    spec = coupled_spec()
+    grid = cf.Grid(nx=30, ny=16, nt=16)
+    f = cf.zeros(grid, 3)
+    monkeypatch.setattr(fredholm, "_gmres", lambda spec, grid, rhs, *rest:
+                        (rhs, GMRES_MAX_ITER, 0.5))
+    with pytest.raises(cf.NonConvergence) as err:
+        cf.solve_discrete(spec, f, kernel_estimate=False)
+    assert err.value.iterations == GMRES_MAX_ITER
+    assert err.value.last_diff == 0.5
 
 
 def test_discrete_kernel_estimate_can_be_skipped():

@@ -4,19 +4,21 @@ Random small grids, slopes that include zero, and zero, constant and
 variable gamma. The reference integrates each characteristic line on
 its own: interpolate_many reads the field at the half-cell points of
 the line, scipy's cumulative trapezoid gives the inner gamma integral
-and its composite Simpson rule the outer one. Rows with a literal
-constant gamma take the spectral path, which is also checked against
+and its composite Simpson rule the outer one. Rows whose gamma reads
+none of x, y, t take the spectral path, which is also checked against
 the half-cell walk that every other gamma takes.
 """
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import cumulative_trapezoid, simpson
 
 import charfred as cf
+from charfred import characteristics
 from charfred.characteristics import solve_transport_stack
-from charfred.expressions import BinOp, Num, Var
+from charfred.expressions import BinOp, Num, Var, constant_value
 from conftest import zero_b
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True,
@@ -27,6 +29,8 @@ SLOPES = st.one_of(st.just(0.0), st.sampled_from((0.5, -1.0, 1.0, 2.0)),
 GAMMAS = st.sampled_from(("0", "0.3", "-0.2", "0.1*cos(2*pi*y)",
                           "0.2*x - 0.1*sin(2*pi*(y + t))"))
 CONSTANT_GAMMAS = st.sampled_from(("0", "0.3", "-0.2", "1.5", "pi", "-pi"))
+FOLDED_GAMMAS = st.sampled_from(("1/2", "pi/4", "2*0.15", "-(1 - 0.8)",
+                                 "cos(pi)/5", "exp(0) - 1"))
 BLOCKS = st.sampled_from((1.0, 2.0, -0.5))
 
 
@@ -114,8 +118,8 @@ def test_transport_is_linear(problem, a, b):
 
 
 def unfolded(gamma):
-    """gamma + 0*y: the same values, but no literal constant, so the
-    transport integrates the row by the half-cell walk."""
+    """gamma + 0*y: the same values, but it reads y, so the transport
+    integrates the row by the half-cell walk."""
     return BinOp("+", gamma, BinOp("*", Num(0.0), Var("y")))
 
 
@@ -127,6 +131,25 @@ def test_spectral_rows_match_the_walk(problem, batch):
     stack = random_stack(grid, rng, batch)
     expect = solve_transport_stack(walk, grid, stack)
     got = solve_transport_stack(spec, grid, stack)
+    np.testing.assert_allclose(got, expect, rtol=0,
+                               atol=1e-13 * np.abs(expect).max())
+
+
+@PROPERTY
+@given(problems(FOLDED_GAMMAS), st.integers(2, 4))
+def test_constant_expression_gammas_take_the_spectral_path(problem, batch):
+    spec, grid, rng = problem
+    stack = random_stack(grid, rng, batch)
+    with mock.patch.object(characteristics, "_integrate_grid_row",
+                           side_effect=AssertionError("walked")):
+        got = solve_transport_stack(spec, grid, stack)
+    # the same as the literal each gamma folds to, bit for bit
+    literal = replace(spec, gamma=tuple(Num(constant_value(g))
+                                        for g in spec.gamma))
+    np.testing.assert_array_equal(got,
+                                  solve_transport_stack(literal, grid, stack))
+    walk = replace(spec, gamma=tuple(unfolded(g) for g in spec.gamma))
+    expect = solve_transport_stack(walk, grid, stack)
     np.testing.assert_allclose(got, expect, rtol=0,
                                atol=1e-13 * np.abs(expect).max())
 
