@@ -8,9 +8,9 @@ iterations, and smoothing behaviour the rest of the package measures.
 """
 from __future__ import annotations
 
-from .characteristics import (BlockAdjugates, SingularBlockError,
+from .characteristics import (SingularBlockError, TransportPlan,
                               apply_coupling, apply_transport, default_step,
-                              residual_sup, sample_coupling, solve_transport,
+                              residual_sup, solve_transport,
                               solve_transport_stack)
 from .config import ConfigError, RunConfig, load_config
 from .diagnostics import (DiagnosticsReport, JacobianRow, ModulusRow,
@@ -35,9 +35,9 @@ from .system import (FORWARD, MIRRORED, EffectiveSlopes, SystemSpec,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BlockAdjugates", "SingularBlockError", "apply_coupling",
-    "apply_transport", "default_step", "residual_sup", "sample_coupling",
-    "solve_transport", "solve_transport_stack",
+    "SingularBlockError", "TransportPlan", "apply_coupling",
+    "apply_transport", "default_step", "residual_sup", "solve_transport",
+    "solve_transport_stack",
     "ConfigError", "RunConfig", "load_config",
     "DiagnosticsReport", "JacobianRow", "ModulusRow", "jacobian_table",
     "oscillatory_probe", "smoothing_profile", "transversal_jacobian",

@@ -29,7 +29,7 @@ from .expressions import (Expression, constant_value, evaluate_on,
                           is_literal_zero)
 from .gridfield import Grid, GridFunction, interpolate_many, sup_norm
 from .gridfield import _split_index  # shared node snapping
-from .system import SystemSpec
+from .system import DET_FLOOR, SystemSpec
 
 _DEFAULT_STEP_EPS = 1e-12
 
@@ -39,35 +39,39 @@ class SingularBlockError(ValueError):
 
 
 @dataclass(frozen=True)
-class BlockAdjugates:
-    """Determinants and adjugates of the three blocks."""
+class TransportPlan:
+    """What every transport solve and coupling product on one grid shares.
 
-    det1: float
-    det2: float
-    det3: float
-    adj1: np.ndarray
-    adj2: np.ndarray
-    adj3: np.ndarray
+    blocks holds (rows, adjugate, determinant) for the three diagonal
+    blocks, rows a slice of components; coupling holds (i, j, node
+    values) for each nonzero entry b[i][j]. Build one per solve and pass
+    it down.
+    """
+
+    blocks: tuple
+    coupling: tuple
 
     @classmethod
-    def from_spec(cls, spec: SystemSpec) -> "BlockAdjugates":
-        dets, adjs = [], []
-        for name, a in (("a1", spec.a1), ("a2", spec.a2), ("a3", spec.a3)):
+    def build(cls, spec: SystemSpec, grid: Grid) -> "TransportPlan":
+        blocks = []
+        rows = (slice(0, spec.l), slice(spec.l, spec.k), slice(spec.k, spec.n))
+        for name, a, sl in zip(("a1", "a2", "a3"),
+                               (spec.a1, spec.a2, spec.a3), rows):
             det = float(np.linalg.det(a))
-            if abs(det) <= 1e-12:
+            if abs(det) <= DET_FLOOR:
                 raise SingularBlockError(f"|det {name}| = {abs(det):.3e}")
             adj = det * np.linalg.inv(a)
             scale = max(1.0, abs(det)) * max(1.0, float(np.abs(a).max()))
             if np.abs(a @ adj - det * np.eye(a.shape[0])).max() > 1e-12 * scale:
                 raise SingularBlockError(f"adjugate identity failed for {name}")
-            dets.append(det)
-            adjs.append(adj)
-        return cls(dets[0], dets[1], dets[2], adjs[0], adjs[1], adjs[2])
-
-    def block_items(self, spec: SystemSpec):
-        return ((slice(0, spec.l), self.adj1, self.det1),
-                (slice(spec.l, spec.k), self.adj2, self.det2),
-                (slice(spec.k, spec.n), self.adj3, self.det3))
+            blocks.append((sl, adj, det))
+        X = grid.xs()[:, None, None]
+        Y = grid.ys()[None, :, None]
+        T = grid.ts()[None, None, :]
+        coupling = tuple((i, j, evaluate_on(spec.b[i][j], X, Y, T))
+                         for i in range(spec.n) for j in range(spec.n)
+                         if not is_literal_zero(spec.b[i][j]))
+        return cls(tuple(blocks), coupling)
 
 
 def default_step(spec: SystemSpec, grid: Grid) -> float:
@@ -268,7 +272,7 @@ def _integrate_expr_row(grid: Grid, beta: float, alpha: float,
 
 
 def solve_transport_stack(spec: SystemSpec, grid: Grid, stack: np.ndarray,
-                          cache: BlockAdjugates | None = None,
+                          plan: TransportPlan | None = None,
                           rhs_exprs=None) -> np.ndarray:
     """Batched explicit inverse; stack is (B, n, nx+1, ny, nt).
 
@@ -278,7 +282,8 @@ def solve_transport_stack(spec: SystemSpec, grid: Grid, stack: np.ndarray,
     """
     nx = grid.nx
     n, k = spec.n, spec.k
-    cache = cache or BlockAdjugates.from_spec(spec)
+    if plan is None:
+        plan = TransportPlan.build(spec, grid)
     if rhs_exprs is not None and stack.shape[0] != 1:
         raise ValueError("closed-form right-hand sides need a batch of one")
     w = np.zeros_like(stack)
@@ -295,7 +300,7 @@ def solve_transport_stack(spec: SystemSpec, grid: Grid, stack: np.ndarray,
         else:
             _integrate_grid_row(grid, beta, alpha, gam, forward,
                                 stack[:, i], w[:, i])
-    for sl, adj, det in cache.block_items(spec):
+    for sl, adj, det in plan.blocks:
         w[:, sl] = np.einsum("ij,bj...->bi...", adj, w[:, sl]) / det
     w[:, :k, 0] = 0.0
     w[:, k:, nx] = 0.0
@@ -303,14 +308,14 @@ def solve_transport_stack(spec: SystemSpec, grid: Grid, stack: np.ndarray,
 
 
 def solve_transport(spec: SystemSpec, f: GridFunction,
-                    cache: BlockAdjugates | None = None,
+                    plan: TransportPlan | None = None,
                     rhs_exprs=None) -> GridFunction:
     """Solve the uncoupled system row by row along characteristics.
 
     Returns u with (A u)_i the integrated right-hand side of row i and
     the inflow rows zeroed exactly on their faces.
     """
-    out = solve_transport_stack(spec, f.grid, f.values[None], cache, rhs_exprs)
+    out = solve_transport_stack(spec, f.grid, f.values[None], plan, rhs_exprs)
     return GridFunction(f.grid, out[0])
 
 
@@ -352,34 +357,20 @@ def apply_transport(spec: SystemSpec, u: GridFunction,
     return GridFunction(grid, out)
 
 
-def sample_coupling(spec: SystemSpec, grid: Grid) -> dict:
-    """Node values of the nonzero coupling entries, keyed by (i, j)."""
-    X = grid.xs()[:, None, None]
-    Y = grid.ys()[None, :, None]
-    T = grid.ts()[None, None, :]
-    out = {}
-    for i in range(spec.n):
-        for j in range(spec.n):
-            e = spec.b[i][j]
-            if not is_literal_zero(e):
-                out[(i, j)] = evaluate_on(e, X, Y, T)
-    return out
-
-
 def apply_coupling_stack(spec: SystemSpec, grid: Grid, stack: np.ndarray,
-                         coupling: dict | None = None) -> np.ndarray:
-    if coupling is None:
-        coupling = sample_coupling(spec, grid)
+                         plan: TransportPlan | None = None) -> np.ndarray:
+    if plan is None:
+        plan = TransportPlan.build(spec, grid)
     out = np.zeros_like(stack)
-    for (i, j), vals in coupling.items():
+    for i, j, vals in plan.coupling:
         out[:, i] += vals * stack[:, j]
     return out
 
 
 def apply_coupling(spec: SystemSpec, u: GridFunction,
-                   coupling: dict | None = None) -> GridFunction:
+                   plan: TransportPlan | None = None) -> GridFunction:
     """Multiply pointwise by the coupling matrix b."""
-    out = apply_coupling_stack(spec, u.grid, u.values[None], coupling)
+    out = apply_coupling_stack(spec, u.grid, u.values[None], plan)
     return GridFunction(u.grid, out[0])
 
 

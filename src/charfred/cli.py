@@ -11,12 +11,14 @@ the dense section only for the kernel-dimension estimate (requested up
 to DISCRETE_UNKNOWN_CAP unknowns) and for a least-squares solve when
 GMRES stalls under that cap; auto runs neumann and, when it stalls or
 diverges, falls back to discrete at any size. A GMRES stall is reported
-on stderr with its relative residual and iteration count.
+on stderr with its relative residual and iteration count. Each solve
+and each diagnose run builds one TransportPlan for its grid and applies
+K through it; everything runs on one thread, and no environment
+variable changes what is computed.
 
 Exit codes: 0 success, 1 malformed config or unusable request,
 2 validation failure, 3 non-convergence, 4 testbed violation.
 
-CHARFRED_THREADS caps worker threads for dense assembly (default 1).
 Reports are deterministic: rerunning a subcommand with the same config
 and seed must produce byte-identical CSV/JSON. Wall-clock timings go to
 a separate timings.json that makes no such promise.
@@ -38,14 +40,6 @@ from .fredholm import (DISCRETE_UNKNOWN_CAP, NonConvergence,
                        solve_neumann)
 from .gridfield import sample, to_csv
 from .system import validate_spec
-
-
-def _threads() -> int:
-    raw = os.environ.get("CHARFRED_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _write_json(payload, path: str) -> None:
@@ -112,13 +106,11 @@ def cmd_solve(args) -> int:
     method = args.method or cfg.method
     # the kernel estimate needs the dense section, which the cap limits
     estimate = cfg.spec.n * cfg.grid.node_count <= DISCRETE_UNKNOWN_CAP
-    threads = _threads()
     try:
         if method == "neumann":
             outcome = solve_neumann(cfg.spec, f, cfg.tol, cfg.max_iter)
         elif method == "discrete":
-            outcome = solve_discrete(cfg.spec, f, threads=threads,
-                                     kernel_estimate=estimate)
+            outcome = solve_discrete(cfg.spec, f, kernel_estimate=estimate)
         else:
             try:
                 outcome = solve_neumann(cfg.spec, f, cfg.tol, cfg.max_iter)
@@ -127,7 +119,7 @@ def cmd_solve(args) -> int:
                 print(f"solve: iteration {state} (last update "
                       f"{exc.last_diff:.3e}), falling back to the dense "
                       f"section", file=sys.stderr)
-                outcome = solve_discrete(cfg.spec, f, threads=threads,
+                outcome = solve_discrete(cfg.spec, f,
                                          kernel_estimate=estimate)
         if outcome.stalled_residual is not None:
             print(f"solve: GMRES stalled after {outcome.iterations} "

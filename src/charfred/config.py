@@ -6,6 +6,7 @@ config with three typos produces one ConfigError naming all three.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from numbers import Integral
 
@@ -54,28 +55,42 @@ def _parse_entry(cell, where: str, problems: list):
         return parse("0")
 
 
-def _matrix(node, where: str, problems: list):
+def _array(node, ndim: int, where: str, problems: list):
+    """A finite numeric matrix (ndim 2) or vector (ndim 1)."""
+    fallback = np.eye(1) if ndim == 2 else np.zeros(1)
     try:
         arr = np.array(node, dtype=float)
     except (TypeError, ValueError):
-        problems.append(f"{where}: not a numeric matrix")
-        return np.eye(1)
-    if arr.ndim != 2:
-        problems.append(f"{where}: expected a 2-d array, got {arr.ndim}-d")
-        return np.eye(1)
+        kind = "matrix" if ndim == 2 else "vector"
+        problems.append(f"{where}: not a numeric {kind}")
+        return fallback
+    if arr.ndim != ndim:
+        problems.append(f"{where}: expected a {ndim}-d array, "
+                        f"got {arr.ndim}-d")
+        return fallback
+    if not np.isfinite(arr).all():
+        problems.append(f"{where}: expected finite numbers, got {node!r}")
+        return fallback
     return arr
 
 
-def _vector(node, where: str, problems: list):
+def _integer(value, where: str, problems: list, default: int) -> int:
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        problems.append(f"{where}: expected an integer, got {value!r}")
+        return default
+    return int(value)
+
+
+def _number(value, where: str, problems: list, default: float) -> float:
+    """A finite float; bools, and whatever float() rejects, are not."""
     try:
-        arr = np.array(node, dtype=float)
+        number = math.nan if isinstance(value, bool) else float(value)
     except (TypeError, ValueError):
-        problems.append(f"{where}: not a numeric vector")
-        return np.zeros(1)
-    if arr.ndim != 1:
-        problems.append(f"{where}: expected a 1-d array, got {arr.ndim}-d")
-        return np.zeros(1)
-    return arr
+        number = math.nan
+    if not math.isfinite(number):
+        problems.append(f"{where}: expected a finite number, got {value!r}")
+        return default
+    return number
 
 
 def _get(mapping, key, where, problems, default=None, required=True):
@@ -116,26 +131,25 @@ def load_config(source) -> RunConfig:
         problems.append("solver: expected an object")
         solvernode = {}
 
-    n = _get(sysnode, "n", "system", problems, default=3)
-    k = _get(sysnode, "k", "system", problems, default=2)
-    l = _get(sysnode, "l", "system", problems, default=1)
-    a1 = _matrix(_get(sysnode, "a1", "system", problems, default=[[1.0]]),
-                 "system.a1", problems)
-    a2 = _matrix(_get(sysnode, "a2", "system", problems, default=[[1.0]]),
-                 "system.a2", problems)
-    a3 = _matrix(_get(sysnode, "a3", "system", problems, default=[[1.0]]),
-                 "system.a3", problems)
-    alpha = _vector(_get(sysnode, "alpha", "system", problems,
-                         default=[0.0] * 3), "system.alpha", problems)
-    beta = _vector(_get(sysnode, "beta", "system", problems,
-                        default=[0.0] * 3), "system.beta", problems)
+    n, k, l = (_integer(_get(sysnode, key, "system", problems,
+                             default=default), f"system.{key}", problems,
+                        default)
+               for key, default in (("n", 3), ("k", 2), ("l", 1)))
+    a1, a2, a3 = (_array(_get(sysnode, key, "system", problems,
+                              default=[[1.0]]), 2, f"system.{key}", problems)
+                  for key in ("a1", "a2", "a3"))
+    alpha, beta = (_array(_get(sysnode, key, "system", problems,
+                               default=[0.0] * 3), 1, f"system.{key}",
+                          problems)
+                   for key in ("alpha", "beta"))
     orientation = sysnode.get("orientation", FORWARD)
     if orientation not in (FORWARD, MIRRORED):
         problems.append(f"system.orientation: expected {FORWARD!r} or "
                         f"{MIRRORED!r}, got {orientation!r}")
         orientation = FORWARD
-    period_y = sysnode.get("period_y", 1.0)
-    period_t = sysnode.get("period_t", 1.0)
+    period_y, period_t = (_number(sysnode.get(key, 1.0), f"system.{key}",
+                                  problems, 1.0)
+                          for key in ("period_y", "period_t"))
 
     gamma_node = _get(sysnode, "gamma", "system", problems, default=[])
     if not isinstance(gamma_node, list):
@@ -143,7 +157,7 @@ def load_config(source) -> RunConfig:
         gamma_node = []
     gamma = [_parse_entry(c, f"system.gamma[{i}]", problems)
              for i, c in enumerate(gamma_node)]
-    while len(gamma) < (n if isinstance(n, int) else 3):
+    while len(gamma) < n:
         gamma.append(parse("0"))
 
     b_node = _get(sysnode, "b", "system", problems, default=[])
@@ -151,7 +165,7 @@ def load_config(source) -> RunConfig:
                                            for r in b_node):
         problems.append("system.b: expected a list of rows")
         b_node = []
-    nn = n if isinstance(n, int) and n >= 3 else 3
+    nn = max(n, 3)
     b = [[parse("0")] * nn for _ in range(nn)]
     for i, row in enumerate(b_node[:nn]):
         for j, cell in enumerate(row[:nn]):
@@ -159,31 +173,24 @@ def load_config(source) -> RunConfig:
     if len(b_node) != nn or any(len(r) != nn for r in b_node):
         problems.append(f"system.b: expected {nn} rows of {nn} entries")
 
-    sizes = []
-    for name in ("nx", "ny", "nt"):
-        size = _get(gridnode, name, "grid", problems, default=4)
-        if isinstance(size, bool) or not isinstance(size, Integral):
-            problems.append(f"grid.{name}: expected an integer, got {size!r}")
-            size = 4
-        sizes.append(int(size))
-    nx, ny, nt = sizes
+    nx, ny, nt = (_integer(_get(gridnode, key, "grid", problems, default=4),
+                           f"grid.{key}", problems, 4)
+                  for key in ("nx", "ny", "nt"))
 
     method = solvernode.get("method", "auto")
     if method not in METHODS:
         problems.append(f"solver.method: expected one of {METHODS}, "
                         f"got {method!r}")
         method = "auto"
-    tol = solvernode.get("tol", 1e-10)
-    max_iter = solvernode.get("max_iter", 200)
-    if not isinstance(max_iter, int) or max_iter < 1:
+    max_iter = _integer(solvernode.get("max_iter", 200), "solver.max_iter",
+                        problems, 200)
+    if max_iter < 1:
         problems.append(f"solver.max_iter: expected a positive integer, "
                         f"got {max_iter!r}")
         max_iter = 200
-    try:
-        tol = float(tol)
-        if not tol > 0:
-            raise ValueError
-    except (TypeError, ValueError):
+    tol = _number(solvernode.get("tol", 1e-10), "solver.tol", problems,
+                  1e-10)
+    if tol <= 0:
         problems.append(f"solver.tol: expected a positive number, got {tol!r}")
         tol = 1e-10
 
@@ -192,7 +199,7 @@ def load_config(source) -> RunConfig:
         rhsnode = []
     rhs = tuple(_parse_entry(c, f"rhs[{i}]", problems)
                 for i, c in enumerate(rhsnode))
-    if isinstance(n, int) and len(rhs) != n:
+    if len(rhs) != n:
         problems.append(f"rhs: expected {n} components, got {len(rhs)}")
 
     spec = None
@@ -203,10 +210,9 @@ def load_config(source) -> RunConfig:
                               gamma=tuple(gamma[:n]),
                               b=tuple(tuple(r) for r in b),
                               orientation=orientation,
-                              period_y=float(period_y),
-                              period_t=float(period_t))
+                              period_y=period_y, period_t=period_t)
             grid = Grid(nx=nx, ny=ny, nt=nt,
-                        period_y=float(period_y), period_t=float(period_t))
+                        period_y=period_y, period_t=period_t)
         except (TypeError, ValueError) as exc:
             problems.append(str(exc))
     if not problems:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .characteristics import BlockAdjugates, sample_coupling
+from .characteristics import TransportPlan
 from .fredholm import apply_k
 from .gridfield import (Grid, GridFunction, shift_diff_norm, sup_norm,
                         text_target)
@@ -130,8 +130,8 @@ def jacobian_table(spec: SystemSpec) -> tuple:
 
 
 def smoothing_profile(spec: SystemSpec, grid: Grid, powers=(0, 1, 2, 3),
-                      frequencies=(4, 8), shifts=(0.25, 0.125, 0.0625),
-                      cache: BlockAdjugates | None = None) -> DiagnosticsReport:
+                      frequencies=(4, 8),
+                      shifts=(0.25, 0.125, 0.0625)) -> DiagnosticsReport:
     """Shift-difference moduli of K^m applied to single-frequency probes.
 
     frequencies are integer wave counts per period; each must leave at
@@ -144,8 +144,7 @@ def smoothing_profile(spec: SystemSpec, grid: Grid, powers=(0, 1, 2, 3),
     powers = sorted(set(int(p) for p in powers))
     if powers and powers[0] < 0:
         raise ValueError("powers must be nonnegative")
-    cache = cache or BlockAdjugates.from_spec(spec)
-    coupling = sample_coupling(spec, grid)
+    plan = TransportPlan.build(spec, grid)
     rows = []
     skipped_total = 0
     for omega in sorted(int(w) for w in frequencies):
@@ -167,7 +166,7 @@ def smoothing_profile(spec: SystemSpec, grid: Grid, powers=(0, 1, 2, 3),
         field = probe
         for m in range(max(powers, default=0) + 1):
             if m:
-                field = apply_k(spec, field, cache, coupling)
+                field = apply_k(spec, field, plan)
             if m not in powers:
                 continue
             for h in hs:

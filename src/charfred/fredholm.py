@@ -17,9 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .characteristics import (BlockAdjugates, apply_coupling,
-                              apply_coupling_stack, sample_coupling,
-                              solve_transport, solve_transport_stack)
+from .characteristics import (TransportPlan, apply_coupling,
+                              apply_coupling_stack, solve_transport,
+                              solve_transport_stack)
 from .expressions import constant_value, evaluate_on, is_literal_zero
 from .gridfield import (Grid, GridFunction, NonFiniteError, interpolate_many,
                         sup_norm, sum_sup_norm)
@@ -34,6 +34,12 @@ DIVERGENCE_GROWTH = 1e6
 GMRES_RTOL = 1e-13
 GMRES_RESTART = 50
 GMRES_MAX_ITER = 200
+# impulse columns per transport call in assemble_dense
+ASSEMBLY_BATCH = 256
+# Gauss-Legendre panels per line integral, and nodes per panel, of the
+# fused K^3 route
+FUSED_PANELS = 2
+FUSED_NODES = 8
 
 
 class NonConvergence(RuntimeError):
@@ -55,24 +61,22 @@ class NonConvergence(RuntimeError):
 
 
 def apply_k(spec: SystemSpec, f: GridFunction,
-            cache: BlockAdjugates | None = None,
-            coupling: dict | None = None) -> GridFunction:
+            plan: TransportPlan | None = None) -> GridFunction:
     """One application: coupling of the transport solution of f."""
-    return apply_coupling(spec, solve_transport(spec, f, cache), coupling)
+    if plan is None:
+        plan = TransportPlan.build(spec, f.grid)
+    return apply_coupling(spec, solve_transport(spec, f, plan), plan)
 
 
-def apply_k_power(spec: SystemSpec, f: GridFunction, power: int,
-                  cache: BlockAdjugates | None = None,
-                  coupling: dict | None = None) -> GridFunction:
+def apply_k_power(spec: SystemSpec, f: GridFunction,
+                  power: int) -> GridFunction:
     """K^power f with node resampling between applications."""
     if power < 1:
         raise ValueError("power must be a positive integer")
-    cache = cache or BlockAdjugates.from_spec(spec)
-    if coupling is None:
-        coupling = sample_coupling(spec, f.grid)
+    plan = TransportPlan.build(spec, f.grid)
     out = f
     for _ in range(power):
-        out = apply_k(spec, out, cache, coupling)
+        out = apply_k(spec, out, plan)
     return out
 
 
@@ -93,7 +97,7 @@ def _gl_panels(x0, X, glx, glw, panels):
     return xi, wts
 
 
-def _transport_at_points(spec, cache, inner, X, Y, T, glx, glw, panels, rows):
+def _transport_at_points(spec, plan, inner, X, Y, T, glx, glw, rows):
     """Requested components of (C^{-1} h) at scattered points.
 
     inner(X, Y, T, rows) returns the needed components of h as a dict.
@@ -102,7 +106,7 @@ def _transport_at_points(spec, cache, inner, X, Y, T, glx, glw, panels, rows):
     """
     wanted = set(rows)
     w = {}
-    for sl, _, _ in cache.block_items(spec):
+    for sl, _, _ in plan.blocks:
         block = range(sl.start, sl.stop)
         if not wanted.intersection(block):
             continue
@@ -110,7 +114,7 @@ def _transport_at_points(spec, cache, inner, X, Y, T, glx, glw, panels, rows):
             x0 = 0.0 if i < spec.k else 1.0
             beta = float(spec.beta[i])
             alpha = float(spec.alpha[i])
-            xi, wts = _gl_panels(x0, X, glx, glw, panels)
+            xi, wts = _gl_panels(x0, X, glx, glw, FUSED_PANELS)
             d = xi - X[None]
             Yl = Y[None] + beta * d
             Tl = T[None] + alpha * d
@@ -141,7 +145,7 @@ def _transport_at_points(spec, cache, inner, X, Y, T, glx, glw, panels, rows):
                     ew = wts * np.exp(G)
             w[i] = np.einsum("q...,q...->...", ew, hv)
     u = {}
-    for sl, adj, det in cache.block_items(spec):
+    for sl, adj, det in plan.blocks:
         block = range(sl.start, sl.stop)
         if not wanted.intersection(block):
             continue
@@ -167,9 +171,8 @@ def _coupling_at_points(spec, X, Y, T, values: dict, rows):
     return out
 
 
-def apply_k_cubed_fused(spec: SystemSpec, f: GridFunction, probes,
-                        cache: BlockAdjugates | None = None,
-                        panels: int = 2, nodes: int = 8) -> np.ndarray:
+def apply_k_cubed_fused(spec: SystemSpec, f: GridFunction,
+                        probes) -> np.ndarray:
     """(K^3 f) at probe points by fully nested quadrature.
 
     No intermediate field is resampled on the grid: the three line
@@ -177,13 +180,13 @@ def apply_k_cubed_fused(spec: SystemSpec, f: GridFunction, probes,
     through interpolation. probes is (p, 3) rows of (x, y, t); the result
     has shape (n, p).
     """
-    cache = cache or BlockAdjugates.from_spec(spec)
-    glx, glw = np.polynomial.legendre.leggauss(nodes)
+    glx, glw = np.polynomial.legendre.leggauss(FUSED_NODES)
     pts = np.asarray(probes, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError("probes must be an array of (x, y, t) rows")
     if np.any(pts[:, 0] < 0.0) or np.any(pts[:, 0] > 1.0):
         raise ValueError("probe x coordinates must lie in [0, 1]")
+    plan = TransportPlan.build(spec, f.grid)
 
     # one single-component view per row, so a read interpolates only it
     parts = [GridFunction(f.grid, f.values[c:c + 1]) for c in range(f.m)]
@@ -196,8 +199,8 @@ def apply_k_cubed_fused(spec: SystemSpec, f: GridFunction, probes,
             needed = set()
             for i in rows:
                 needed.update(_coupling_rows(spec, i))
-            u = _transport_at_points(spec, cache, inner, X, Y, T,
-                                     glx, glw, panels, needed)
+            u = _transport_at_points(spec, plan, inner, X, Y, T,
+                                     glx, glw, needed)
             return _coupling_at_points(spec, X, Y, T, u, rows)
         return level
 
@@ -232,8 +235,7 @@ class SolveOutcome:
 
 
 def solve_neumann(spec: SystemSpec, f: GridFunction, tol: float = 1e-10,
-                  max_iter: int = 100,
-                  cache: BlockAdjugates | None = None) -> SolveOutcome:
+                  max_iter: int = 100) -> SolveOutcome:
     """Fixed-point iteration w <- f - K w, then one transport solve.
 
     Stops when the sup norm of the update drops to tol * sup_norm(f);
@@ -242,8 +244,7 @@ def solve_neumann(spec: SystemSpec, f: GridFunction, tol: float = 1e-10,
     one seen.
     """
     start = time.perf_counter()
-    cache = cache or BlockAdjugates.from_spec(spec)
-    coupling = sample_coupling(spec, f.grid)
+    plan = TransportPlan.build(spec, f.grid)
     target = tol * sup_norm(f)
     w = f
     iterations = 0
@@ -253,7 +254,7 @@ def solve_neumann(spec: SystemSpec, f: GridFunction, tol: float = 1e-10,
         try:
             # an overflow surfaces as NonFiniteError, not as a warning
             with np.errstate(over="ignore", invalid="ignore"):
-                post = f - apply_k(spec, w, cache, coupling)
+                post = f - apply_k(spec, w, plan)
                 diff = sup_norm(post - w)
         except NonFiniteError:
             raise NonConvergence(iterations, float("inf"),
@@ -266,50 +267,51 @@ def solve_neumann(spec: SystemSpec, f: GridFunction, tol: float = 1e-10,
             raise NonConvergence(iterations, diff, diverged=True)
         if iterations >= max_iter:
             raise NonConvergence(iterations, diff)
-    residual = sup_norm(w + apply_k(spec, w, cache, coupling) - f)
-    u = solve_transport(spec, w, cache)
-    return SolveOutcome("neumann", iterations, residual, None, u, w,
-                        time.perf_counter() - start)
+    return _outcome("neumann", spec, f, w, plan, start, iterations)
+
+
+def _outcome(method: str, spec: SystemSpec, f: GridFunction,
+             w: GridFunction, plan: TransportPlan, start: float,
+             iterations: int, kdim: int | None = None,
+             stalled: float | None = None) -> SolveOutcome:
+    """The shared tail of both solvers: the residual of (I + K) w = f
+    and u = C^{-1} w."""
+    residual = sup_norm(w + apply_k(spec, w, plan) - f)
+    u = solve_transport(spec, w, plan)
+    return SolveOutcome(method, iterations, residual, kdim, u, w,
+                        time.perf_counter() - start, stalled)
 
 
 def assemble_dense(spec: SystemSpec, grid: Grid,
-                   cache: BlockAdjugates | None = None,
-                   coupling: dict | None = None, threads: int = 1,
-                   batch: int = 256) -> np.ndarray:
+                   plan: TransportPlan | None = None) -> np.ndarray:
     """Dense matrix of I + K in the node basis.
 
     Columns are impulse responses at grid nodes, ordered like the
     flattened (component, ix, iy, it) value array.
     """
-    cache = cache or BlockAdjugates.from_spec(spec)
-    if coupling is None:
-        coupling = sample_coupling(spec, grid)
+    if plan is None:
+        plan = TransportPlan.build(spec, grid)
     n = spec.n
     size = n * (grid.nx + 1) * grid.ny * grid.nt
     mat = np.empty((size, size))
 
+    # one batch's temporaries die with its call
     def fill(start: int, stop: int):
         stack = np.zeros((stop - start, n, grid.nx + 1, grid.ny, grid.nt))
         flat = stack.reshape(stop - start, size)
         flat[np.arange(stop - start), np.arange(start, stop)] = 1.0
-        ku = solve_transport_stack(spec, grid, stack, cache)
-        ke = apply_coupling_stack(spec, grid, ku, coupling)
+        ku = solve_transport_stack(spec, grid, stack, plan)
+        ke = apply_coupling_stack(spec, grid, ku, plan)
         mat[:, start:stop] = ke.reshape(stop - start, size).T
 
-    ranges = [(s, min(s + batch, size)) for s in range(0, size, batch)]
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(lambda r: fill(*r), ranges))
-    else:
-        for r in ranges:
-            fill(*r)
+    for start in range(0, size, ASSEMBLY_BATCH):
+        fill(start, min(start + ASSEMBLY_BATCH, size))
     mat[np.diag_indices(size)] += 1.0
     return mat
 
 
 def _gmres(spec: SystemSpec, grid: Grid, rhs: np.ndarray,
-           cache: BlockAdjugates, coupling: dict):
+           plan: TransportPlan):
     """Restarted GMRES on v -> v + K v, K applied by apply_k.
 
     Returns the solution, the iteration count and, when the budget ran
@@ -320,8 +322,7 @@ def _gmres(spec: SystemSpec, grid: Grid, rhs: np.ndarray,
     shape = (spec.n, grid.nx + 1, grid.ny, grid.nt)
 
     def matvec(v):
-        kv = apply_k(spec, GridFunction(grid, v.reshape(shape)), cache,
-                     coupling)
+        kv = apply_k(spec, GridFunction(grid, v.reshape(shape)), plan)
         return v + kv.values.reshape(v.shape)
 
     op = scipy.sparse.linalg.LinearOperator((rhs.size, rhs.size),
@@ -351,8 +352,6 @@ def _least_squares(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
 
 
 def solve_discrete(spec: SystemSpec, f: GridFunction,
-                   cache: BlockAdjugates | None = None,
-                   threads: int = 1,
                    kernel_estimate: bool = True) -> SolveOutcome:
     """Finite-section solve of (I + K) w = f, matrix-free by GMRES.
 
@@ -372,31 +371,27 @@ def solve_discrete(spec: SystemSpec, f: GridFunction,
     if kernel_estimate and not dense_ok:
         raise ValueError(f"{size} unknowns exceed the dense-solve cap "
                          f"({DISCRETE_UNKNOWN_CAP})")
-    cache = cache or BlockAdjugates.from_spec(spec)
-    coupling = sample_coupling(spec, grid)
+    plan = TransportPlan.build(spec, grid)
     rhs = f.values.reshape(size)
     mat = kdim = stalled = None
     iterations = 0
     if kernel_estimate:
-        mat = assemble_dense(spec, grid, cache, coupling, threads=threads)
+        mat = assemble_dense(spec, grid, plan)
         kdim = kernel_dimension(mat)
     if kdim:
         # no unique solution for GMRES to converge to
         sol = _least_squares(mat, rhs)
     else:
-        sol, iterations, stalled = _gmres(spec, grid, rhs, cache, coupling)
+        sol, iterations, stalled = _gmres(spec, grid, rhs, plan)
         if stalled is not None:
             if not dense_ok:
                 raise NonConvergence(iterations, stalled)
             if mat is None:
-                mat = assemble_dense(spec, grid, cache, coupling,
-                                     threads=threads)
+                mat = assemble_dense(spec, grid, plan)
             sol = _least_squares(mat, rhs)
     w = GridFunction(grid, sol.reshape(f.values.shape))
-    residual = sup_norm(w + apply_k(spec, w, cache, coupling) - f)
-    u = solve_transport(spec, w, cache)
-    return SolveOutcome("discrete", iterations, residual, kdim, u, w,
-                        time.perf_counter() - start, stalled)
+    return _outcome("discrete", spec, f, w, plan, start, iterations, kdim,
+                    stalled)
 
 
 def kernel_dimension(mat: np.ndarray, rtol: float = KERNEL_SV_RTOL) -> int:

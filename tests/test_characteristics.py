@@ -9,9 +9,8 @@ import numpy as np
 import pytest
 
 import charfred as cf
-from charfred.characteristics import (BlockAdjugates, SingularBlockError,
-                                      default_step, sample_coupling,
-                                      solve_transport_stack)
+from charfred.characteristics import (SingularBlockError, TransportPlan,
+                                      default_step, solve_transport_stack)
 from conftest import ONE, ZERO, coupled_spec, identity_spec, zero_b
 
 SINE = cf.parse("sin(2*pi*y)")
@@ -137,18 +136,19 @@ def test_adjugates_match_inverses():
         n=4, k=3, l=1, a1=[[3.0]], a2=a2, a3=[[-1.0]],
         alpha=(0.0,) * 4, beta=(0.0,) * 4, gamma=(ZERO,) * 4,
         b=tuple(tuple(ZERO for _ in range(4)) for _ in range(4)))
-    cache = BlockAdjugates.from_spec(spec)
-    np.testing.assert_allclose(cache.adj2 / cache.det2, np.linalg.inv(a2),
-                               rtol=1e-14)
-    assert cache.det1 == pytest.approx(3.0)
-    assert cache.det3 == pytest.approx(-1.0)
+    (_, _, det1), (rows2, adj2, det2), (_, _, det3) = TransportPlan.build(
+        spec, cf.Grid(nx=4, ny=4, nt=4)).blocks
+    assert rows2 == slice(1, 3)
+    np.testing.assert_allclose(adj2 / det2, np.linalg.inv(a2), rtol=1e-14)
+    assert det1 == pytest.approx(3.0)
+    assert det3 == pytest.approx(-1.0)
 
 
 def test_singular_block_raises():
     spec = identity_spec()
     object.__setattr__(spec, "a3", np.array([[1e-14]]))
     with pytest.raises(SingularBlockError):
-        BlockAdjugates.from_spec(spec)
+        TransportPlan.build(spec, cf.Grid(nx=4, ny=4, nt=4))
 
 
 def test_stack_solve_matches_single_solves():
@@ -209,7 +209,8 @@ def test_default_step_respects_grid_and_slopes():
 def test_sample_coupling_skips_literal_zeros():
     spec = coupled_spec()
     grid = cf.Grid(nx=4, ny=8, nt=8)
-    table = sample_coupling(spec, grid)
+    table = {(i, j): vals
+             for i, j, vals in TransportPlan.build(spec, grid).coupling}
     assert set(table) == {(0, 2), (1, 0), (2, 1)}
     expect = 0.4 * np.cos(2 * np.pi * grid.ys())
     np.testing.assert_allclose(table[(0, 2)][0, :, 0], expect, atol=1e-15)

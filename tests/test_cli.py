@@ -234,14 +234,53 @@ def test_import_loads_no_scipy():
     assert done.stdout == "[]\n"
 
 
-@pytest.mark.parametrize("size", [6.9, 8.0, "8", True])
-def test_config_rejects_non_integer_grid_size(size, tmp_path, capsys):
+@pytest.mark.parametrize("key,size", [
+    *(pytest.param("grid.ny", size, id=str(size))
+      for size in (6.9, 8.0, "8", True)),
+    pytest.param("system.n", 3.0, id="system.n-3.0"),
+    pytest.param("system.k", True, id="system.k-True"),
+    pytest.param("system.l", "1", id="system.l-str"),
+    pytest.param("grid.nx", 16.0, id="grid.nx-16.0"),
+    pytest.param("grid.nt", False, id="grid.nt-False"),
+    pytest.param("solver.max_iter", True, id="solver.max_iter-True"),
+    pytest.param("solver.max_iter", 200.0, id="solver.max_iter-200.0"),
+])
+def test_config_rejects_non_integer_grid_size(key, size, tmp_path, capsys):
     doc = base_config()
-    doc["grid"]["ny"] = size
+    section, name = key.split(".")
+    doc[section][name] = size
     rc = main(["validate", "--config", write_config(tmp_path, doc)])
     assert rc == 1
     assert capsys.readouterr().err == \
-        f"config: grid.ny: expected an integer, got {size!r}\n"
+        f"config: {key}: expected an integer, got {size!r}\n"
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize("key,value,expected", [
+    ("solver.tol", INF, "a finite number, got inf"),
+    ("solver.tol", True, "a finite number, got True"),
+    ("system.alpha", [NAN, 1, -1], "finite numbers, got [nan, 1, -1]"),
+    ("system.beta", [1, -INF, 0.5], "finite numbers, got [1, -inf, 0.5]"),
+    ("system.a1", [[NAN]], "finite numbers, got [[nan]]"),
+    ("system.a3", [[INF]], "finite numbers, got [[inf]]"),
+    ("system.period_y", NAN, "a finite number, got nan"),
+    ("system.period_y", True, "a finite number, got True"),
+    ("system.period_t", -INF, "a finite number, got -inf"),
+    ("system.period_t", False, "a finite number, got False"),
+])
+def test_config_rejects_non_finite_numbers(key, value, expected, tmp_path,
+                                           capsys):
+    # JSON readers accept NaN and Infinity; neither may reach a solver
+    doc = base_config()
+    section, name = key.split(".")
+    doc[section][name] = value
+    rc = main(["solve", "--config", write_config(tmp_path, doc),
+               "--out", str(tmp_path / "run")])
+    assert rc == 1
+    assert capsys.readouterr().err == f"config: {key}: expected {expected}\n"
+    assert not (tmp_path / "run").exists()
 
 
 def test_solve_rejects_invalid_spec(tmp_path, capsys):

@@ -131,12 +131,34 @@ def test_assembled_matrix_acts_like_apply_k():
                                atol=1e-12)
 
 
-def test_assemble_dense_threads_match():
+def test_each_entry_point_builds_one_plan(monkeypatch):
+    # every transport solve, coupling product and K application inside
+    # one entry point reuses the plan that entry point built
     spec = coupled_spec()
     grid = cf.Grid(nx=4, ny=4, nt=4)
-    one_thread = cf.assemble_dense(spec, grid, threads=1)
-    two_threads = cf.assemble_dense(spec, grid, threads=2)
-    np.testing.assert_array_equal(one_thread, two_threads)
+    f = cf.sample(EXPRS, grid)
+    build = cf.TransportPlan.build.__func__
+    built = []
+
+    def counting(cls, *args):
+        built.append(args)
+        return build(cls, *args)
+
+    monkeypatch.setattr(cf.TransportPlan, "build", classmethod(counting))
+    runs = {
+        "solve_neumann": lambda: cf.solve_neumann(spec, f),
+        "solve_discrete": lambda: cf.solve_discrete(spec, f,
+                                                    kernel_estimate=True),
+        "smoothing_profile": lambda: cf.smoothing_profile(
+            spec, grid, frequencies=(1,), shifts=()),
+        "apply_k_power": lambda: cf.apply_k_power(spec, f, 3),
+        "apply_k_cubed_fused": lambda: cf.apply_k_cubed_fused(
+            spec, f, np.array([[0.5, 0.25, 0.75]])),
+    }
+    for name, run in runs.items():
+        built.clear()
+        run()
+        assert len(built) == 1, name
 
 
 def test_discrete_agrees_with_neumann():
