@@ -11,13 +11,15 @@ the sign of the second family follows from the equation and its end
 condition (w vanishes at x = 1, so w(x) = -int_x^1 ...).
 
 Quadrature: composite Simpson on the half-cell subdivision xi_q = q/(2 nx).
-Grid-sampled integrands are read through trilinear interpolation (the
-half-cell refinement then integrates the stored field exactly); when the
-right-hand side is known in closed form its expressions can be sampled
-exactly instead, which makes the rule exact on cubics. The inner
-exponential weight accumulates int gamma by trapezoid on the same
-subdivision, outward from each target. Rows whose gamma is a constant
-apply the same grid-read operator one (y, t) Fourier mode at a time.
+One walk over the half-cell offsets from each target integrates every
+row: grid-sampled integrands are read through trilinear interpolation
+(the half-cell refinement then integrates the stored field exactly);
+when the right-hand side is known in closed form the walk samples its
+expressions exactly at the same line points instead, which makes the
+rule exact on cubics. The inner exponential weight accumulates int gamma
+by trapezoid on the same subdivision, outward from each target. Rows
+whose gamma is a constant and whose right-hand side is read from the
+grid apply the same operator one (y, t) Fourier mode at a time.
 """
 from __future__ import annotations
 
@@ -54,9 +56,7 @@ class TransportPlan:
     @classmethod
     def build(cls, spec: SystemSpec, grid: Grid) -> "TransportPlan":
         blocks = []
-        rows = (slice(0, spec.l), slice(spec.l, spec.k), slice(spec.k, spec.n))
-        for name, a, sl in zip(("a1", "a2", "a3"),
-                               (spec.a1, spec.a2, spec.a3), rows):
+        for name, (sl, a) in zip(("a1", "a2", "a3"), spec.blocks()):
             det = float(np.linalg.det(a))
             if abs(det) <= DET_FLOOR:
                 raise SingularBlockError(f"|det {name}| = {abs(det):.3e}")
@@ -83,15 +83,6 @@ def default_step(spec: SystemSpec, grid: Grid) -> float:
                grid.period_t / (4 * grid.nt * ma + _DEFAULT_STEP_EPS))
 
 
-def _simpson_weights(count: int, h: float) -> np.ndarray:
-    if count < 3:
-        return np.zeros(count)
-    w = np.ones(count)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return w * (h / 3.0)
-
-
 def _shift_axis(a: np.ndarray, j: int, f: float, axis: int) -> np.ndarray:
     """a read at index + j + f along a periodic axis, by two-point blend.
 
@@ -110,15 +101,20 @@ def _shift_axis(a: np.ndarray, j: int, f: float, axis: int) -> np.ndarray:
 
 
 def _line_shifts(grid: Grid, beta: float, alpha: float, forward: bool):
-    """Offsets d_m of the half-cell points m = 0..2 nx from a target, and
-    the whole (j) and fractional (f) y and t index shifts they cause."""
+    """Offsets d_m of the half-cell points m = 0..2 nx from a target, their
+    Simpson weights s_m = (1, 4, 2, 4, ..., 2) h2 / 3 (halved where m is
+    the endpoint of the target's line), and the whole (j) and fractional
+    (f) y and t index shifts they cause."""
     h2 = 1.0 / (2 * grid.nx)
     d = (-h2 if forward else h2) * np.arange(2 * grid.nx + 1)
+    simpson = np.full(2 * grid.nx + 1, 2.0)
+    simpson[1::2] = 4.0
+    simpson[0] = 1.0
     jy, fy = (a.tolist()
               for a in _split_index(beta * d * grid.ny / grid.period_y))
     jt, ft = (a.tolist()
               for a in _split_index(alpha * d * grid.nt / grid.period_t))
-    return d, jy, fy, jt, ft
+    return d, (h2 / 3.0) * simpson, jy, fy, jt, ft
 
 
 def _shift_multipliers(j, f, n: int, modes: int) -> np.ndarray:
@@ -153,12 +149,8 @@ def _integrate_spectral_row(grid: Grid, beta: float, alpha: float, c: float,
     where E carries the halved Simpson weight of the inflow-face endpoint.
     """
     nx, ny, nt = grid.nx, grid.ny, grid.nt
-    h2 = 1.0 / (2 * nx)
-    d, jy, fy, jt, ft = _line_shifts(grid, beta, alpha, forward)
-    simpson = np.full(2 * nx + 1, 2.0)
-    simpson[1::2] = 4.0
-    simpson[0] = 1.0
-    G = (((h2 / 3.0) * simpson * np.exp(c * d))[:, None, None]
+    d, s, jy, fy, jt, ft = _line_shifts(grid, beta, alpha, forward)
+    G = ((s * np.exp(c * d))[:, None, None]
          * _shift_multipliers(jy, fy, ny, ny)[:, :, None]
          * _shift_multipliers(jt, ft, nt, nt // 2 + 1)[:, None, :])
     H = G[0:-1:2] + 0.5 * G[1::2]
@@ -178,8 +170,8 @@ def _integrate_spectral_row(grid: Grid, beta: float, alpha: float, c: float,
 
 def _integrate_grid_row(grid: Grid, beta: float, alpha: float,
                         gam: Expression, forward: bool, comp: np.ndarray,
-                        out: np.ndarray) -> None:
-    """Line integrals of one row for every target x level, read from the grid.
+                        out: np.ndarray, rhs: Expression | None = None) -> None:
+    """Line integrals of one row for every target x level.
 
     comp is the row's (B, nx+1, ny, nt) field and out receives w for it.
     The sum runs over the half-cell offset m from the target toward the
@@ -187,16 +179,19 @@ def _integrate_grid_row(grid: Grid, beta: float, alpha: float,
     shift and the Simpson weight (but for the one target whose endpoint
     m is) depend on m alone; the targets still reached at offset m are a
     contiguous range whose layers form a stride-2 slab, shifted as a
-    whole by rolls and blends. The variable gamma is summed by trapezoid
+    whole by rolls and blends. With rhs given (then B = 1) the slab is
+    instead rhs sampled exactly at the line points, the same points at
+    which gamma is read. The variable gamma is summed by trapezoid
     outward from each target as m grows.
     """
     nx, ny, nt = grid.nx, grid.ny, grid.nt
     h2 = 1.0 / (2 * nx)
     nq = 2 * nx + 1
-    refined = np.empty((comp.shape[0], nq, ny, nt))
-    refined[:, 0::2] = comp
-    refined[:, 1::2] = 0.5 * (comp[:, :-1] + comp[:, 1:])
-    d, jy, fy, jt, ft = _line_shifts(grid, beta, alpha, forward)
+    if rhs is None:
+        refined = np.empty((comp.shape[0], nq, ny, nt))
+        refined[:, 0::2] = comp
+        refined[:, 1::2] = 0.5 * (comp[:, :-1] + comp[:, 1:])
+    d, s, jy, fy, jt, ft = _line_shifts(grid, beta, alpha, forward)
     xsq = np.arange(nq) * h2
     ys = grid.ys()[None, :, None]
     ts = grid.ts()[None, None, :]
@@ -211,14 +206,16 @@ def _integrate_grid_row(grid: Grid, beta: float, alpha: float,
             q0 = 2 * lo + m
         count = hi - lo + 1
         layers = slice(q0, q0 + 2 * count - 1, 2)
-        F = _shift_axis(refined[:, layers], jy[m], fy[m], 2)
-        F = _shift_axis(F, jt[m], ft[m], 3)
-        wts = np.full(count, 1.0 if m == 0 else (4.0 if m % 2 else 2.0))
+        X, Y, T = xsq[layers, None, None], ys + beta * d[m], ts + alpha * d[m]
+        if rhs is None:
+            F = _shift_axis(refined[:, layers], jy[m], fy[m], 2)
+            F = _shift_axis(F, jt[m], ft[m], 3)
+        else:
+            F = evaluate_on(rhs, X, Y, T)
+        wts = np.full(count, s[m])
         if m and m % 2 == 0:
-            wts[0 if forward else -1] = 1.0
-        wts *= h2 / 3.0
-        gv = evaluate_on(gam, xsq[layers, None, None], ys + beta * d[m],
-                         ts + alpha * d[m])
+            wts[0 if forward else -1] = 0.5 * s[m]
+        gv = evaluate_on(gam, X, Y, T)
         if m:
             G[lo:hi + 1] += 0.5 * h2 * (gprev[lo:hi + 1] + gv)
         gprev[lo:hi + 1] = gv
@@ -229,56 +226,14 @@ def _integrate_grid_row(grid: Grid, beta: float, alpha: float,
         np.negative(out, out=out)
 
 
-def _integrate_expr_row(grid: Grid, beta: float, alpha: float,
-                        gam: Expression, forward: bool, rhs: Expression,
-                        out: np.ndarray) -> None:
-    """Line integrals of one row for every target, rhs sampled exactly.
-
-    Target by target, with the inner gamma integral as a cumulative
-    trapezoid; out is the row's (nx+1, ny, nt) slice of w.
-    """
-    nx = grid.nx
-    h2 = 1.0 / (2 * nx)
-    nq = 2 * nx + 1
-    xsq = np.arange(nq) * h2
-    ys = grid.ys()[None, :, None]
-    ts = grid.ts()[None, None, :]
-    gamma_zero = is_literal_zero(gam)
-    gamma_const = constant_value(gam)
-    targets = range(1, nx + 1) if forward else range(0, nx)
-    for ix in targets:
-        q0, q1 = (0, 2 * ix) if forward else (2 * ix, nq - 1)
-        xiq = xsq[q0:q1 + 1]
-        d = xiq - ix / nx
-        Yl = ys + beta * d[:, None, None]
-        Tl = ts + alpha * d[:, None, None]
-        F = evaluate_on(rhs, xiq[:, None, None], Yl, Tl)
-        if gamma_zero:
-            EF = F
-        elif gamma_const is not None:
-            EF = np.exp(gamma_const * d)[:, None, None] * F
-        else:
-            gv = evaluate_on(gam, xiq[:, None, None], Yl, Tl)
-            segs = 0.5 * h2 * (gv[:-1] + gv[1:])
-            zero = np.zeros((1,) + gv.shape[1:])
-            if forward:
-                tail = np.cumsum(segs[::-1], axis=0)[::-1]
-                G = np.concatenate([-tail, zero], axis=0)
-            else:
-                G = np.concatenate([zero, np.cumsum(segs, axis=0)], axis=0)
-            EF = np.exp(G) * F
-        acc = np.einsum("q,qjk->jk", _simpson_weights(d.size, h2), EF)
-        out[ix] = acc if forward else -acc
-
-
 def solve_transport_stack(spec: SystemSpec, grid: Grid, stack: np.ndarray,
                           plan: TransportPlan | None = None,
                           rhs_exprs=None) -> np.ndarray:
     """Batched explicit inverse; stack is (B, n, nx+1, ny, nt).
 
     With rhs_exprs given (closed forms of the single field in the batch),
-    integrand values are exact expression samples instead of interpolated
-    grid reads; the batch must then have size 1.
+    every row takes the half-cell walk and reads exact expression samples
+    instead of interpolated grid values; the batch must then have size 1.
     """
     nx = grid.nx
     n, k = spec.n, spec.k
@@ -291,15 +246,13 @@ def solve_transport_stack(spec: SystemSpec, grid: Grid, stack: np.ndarray,
         beta, alpha = float(spec.beta[i]), float(spec.alpha[i])
         gam, forward = spec.gamma[i], i < k
         c = constant_value(gam)
-        if rhs_exprs is not None:
-            _integrate_expr_row(grid, beta, alpha, gam, forward,
-                                rhs_exprs[i], w[0, i])
-        elif c is not None:
+        if c is not None and rhs_exprs is None:
             _integrate_spectral_row(grid, beta, alpha, c, forward,
                                     stack[:, i], w[:, i])
         else:
             _integrate_grid_row(grid, beta, alpha, gam, forward,
-                                stack[:, i], w[:, i])
+                                stack[:, i], w[:, i],
+                                None if rhs_exprs is None else rhs_exprs[i])
     for sl, adj, det in plan.blocks:
         w[:, sl] = np.einsum("ij,bj...->bi...", adj, w[:, sl]) / det
     w[:, :k, 0] = 0.0

@@ -35,7 +35,7 @@ import numpy as np
 
 from .config import ConfigError, load_config
 from .diagnostics import smoothing_profile
-from .fredholm import (DISCRETE_UNKNOWN_CAP, NonConvergence,
+from .fredholm import (NonConvergence, dense_section_fits,
                        finite_section_kernel_check, solve_discrete,
                        solve_neumann)
 from .gridfield import sample, to_csv
@@ -105,7 +105,7 @@ def cmd_solve(args) -> int:
     sampled = time.perf_counter()
     method = args.method or cfg.method
     # the kernel estimate needs the dense section, which the cap limits
-    estimate = cfg.spec.n * cfg.grid.node_count <= DISCRETE_UNKNOWN_CAP
+    estimate = dense_section_fits(cfg.spec, cfg.grid)
     try:
         if method == "neumann":
             outcome = solve_neumann(cfg.spec, f, cfg.tol, cfg.max_iter)

@@ -55,8 +55,15 @@ def _parse_entry(cell, where: str, problems: list):
         return parse("0")
 
 
+def _holds_bool(node) -> bool:
+    if isinstance(node, list):
+        return any(_holds_bool(cell) for cell in node)
+    return isinstance(node, bool)
+
+
 def _array(node, ndim: int, where: str, problems: list):
-    """A finite numeric matrix (ndim 2) or vector (ndim 1)."""
+    """A finite numeric matrix (ndim 2) or vector (ndim 1); bools, which
+    float() would read as 0 and 1, are not numbers here."""
     fallback = np.eye(1) if ndim == 2 else np.zeros(1)
     try:
         arr = np.array(node, dtype=float)
@@ -68,7 +75,7 @@ def _array(node, ndim: int, where: str, problems: list):
         problems.append(f"{where}: expected a {ndim}-d array, "
                         f"got {arr.ndim}-d")
         return fallback
-    if not np.isfinite(arr).all():
+    if _holds_bool(node) or not np.isfinite(arr).all():
         problems.append(f"{where}: expected finite numbers, got {node!r}")
         return fallback
     return arr

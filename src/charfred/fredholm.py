@@ -351,6 +351,12 @@ def _least_squares(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return sol
 
 
+def dense_section_fits(spec: SystemSpec, grid: Grid) -> bool:
+    """Whether the dense section on grid stays within DISCRETE_UNKNOWN_CAP
+    unknowns, the bound on every dense assembly a solve may make."""
+    return spec.n * grid.node_count <= DISCRETE_UNKNOWN_CAP
+
+
 def solve_discrete(spec: SystemSpec, f: GridFunction,
                    kernel_estimate: bool = True) -> SolveOutcome:
     """Finite-section solve of (I + K) w = f, matrix-free by GMRES.
@@ -366,8 +372,8 @@ def solve_discrete(spec: SystemSpec, f: GridFunction,
     """
     start = time.perf_counter()
     grid = f.grid
-    size = spec.n * (grid.nx + 1) * grid.ny * grid.nt
-    dense_ok = size <= DISCRETE_UNKNOWN_CAP
+    size = spec.n * grid.node_count
+    dense_ok = dense_section_fits(spec, grid)
     if kernel_estimate and not dense_ok:
         raise ValueError(f"{size} unknowns exceed the dense-solve cap "
                          f"({DISCRETE_UNKNOWN_CAP})")

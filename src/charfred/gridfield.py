@@ -43,8 +43,8 @@ class Grid:
         for name in ("nx", "ny", "nt"):
             if getattr(self, name) < 4:
                 raise ValueError(f"{name} must be at least 4")
-        if self.period_y <= 0 or self.period_t <= 0:
-            raise ValueError("periods must be positive")
+        if not (0 < self.period_y < np.inf and 0 < self.period_t < np.inf):
+            raise ValueError("periods must be positive and finite")
 
     def xs(self) -> np.ndarray:
         return np.arange(self.nx + 1) / self.nx

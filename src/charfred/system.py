@@ -205,8 +205,8 @@ def validate_spec(spec: SystemSpec) -> ValidationReport:
     if spec.orientation not in (FORWARD, MIRRORED):
         bad.append(Violation("orientation",
                              f"unknown orientation {spec.orientation!r}"))
-    if spec.period_y <= 0 or spec.period_t <= 0:
-        bad.append(Violation("periods", "periods must be positive"))
+    if not (0 < spec.period_y < np.inf and 0 < spec.period_t < np.inf):
+        bad.append(Violation("periods", "periods must be positive and finite"))
 
     structural = not bad
     sizes = (l, k - l, n - k)

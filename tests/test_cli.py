@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import charfred
-from charfred import cli, fredholm
+from charfred import fredholm
 from charfred.cli import main
 from charfred.fredholm import DISCRETE_UNKNOWN_CAP, GMRES_MAX_ITER
 
@@ -201,7 +201,6 @@ def test_solve_discrete_above_the_cap_skips_the_kernel_estimate(tmp_path,
 def test_auto_fallback_runs_above_the_cap(coupling, tmp_path, capsys,
                                           monkeypatch):
     # a cap below the 240 unknowns of a 4-node grid
-    monkeypatch.setattr(cli, "DISCRETE_UNKNOWN_CAP", 100)
     monkeypatch.setattr(fredholm, "DISCRETE_UNKNOWN_CAP", 100)
     doc = base_config()
     doc["grid"] = {"nx": 4, "ny": 4, "nt": 4}
@@ -269,6 +268,9 @@ NAN, INF = float("nan"), float("inf")
     ("system.period_y", True, "a finite number, got True"),
     ("system.period_t", -INF, "a finite number, got -inf"),
     ("system.period_t", False, "a finite number, got False"),
+    ("system.alpha", [True, 1, -1], "finite numbers, got [True, 1, -1]"),
+    ("system.beta", [1, 0, False], "finite numbers, got [1, 0, False]"),
+    ("system.a2", [[True]], "finite numbers, got [[True]]"),
 ])
 def test_config_rejects_non_finite_numbers(key, value, expected, tmp_path,
                                            capsys):

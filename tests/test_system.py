@@ -1,4 +1,6 @@
 """Structure, validation, and nondegeneracy of system descriptions."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -141,6 +143,17 @@ def test_validation_rule_ids(override, rule):
     rep = cf.validate_spec(cf.SystemSpec(**base))
     assert not rep.ok
     assert rule in [v.rule for v in rep.violations]
+
+
+@pytest.mark.parametrize("period", [float("nan"), float("inf"),
+                                    -float("inf")])
+def test_non_finite_periods_are_rejected(period):
+    # NaN compares False with everything, so a sign test alone admits it
+    for key in ("period_y", "period_t"):
+        with pytest.raises(ValueError, match="periods must be positive"):
+            cf.Grid(nx=4, ny=4, nt=4, **{key: period})
+        rep = cf.validate_spec(replace(identity_spec(), **{key: period}))
+        assert [v.rule for v in rep.violations] == ["periods"]
 
 
 def test_validation_flags_pattern_and_periodicity():

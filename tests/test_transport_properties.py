@@ -1,12 +1,13 @@
-"""Property tests of the grid-read transport inverse.
+"""Property tests of the transport inverse.
 
 Random small grids, slopes that include zero, and zero, constant and
 variable gamma. The reference integrates each characteristic line on
 its own: interpolate_many reads the field at the half-cell points of
-the line, scipy's cumulative trapezoid gives the inner gamma integral
-and its composite Simpson rule the outer one. Rows whose gamma reads
-none of x, y, t take the spectral path, which is also checked against
-the half-cell walk that every other gamma takes.
+the line (or the closed-form right-hand side is evaluated there), scipy's
+cumulative trapezoid gives the inner gamma integral and its composite
+Simpson rule the outer one. Rows whose gamma reads none of x, y, t take
+the spectral path, which is also checked against the half-cell walk
+that every other gamma takes.
 """
 from dataclasses import replace
 from unittest import mock
@@ -32,6 +33,9 @@ CONSTANT_GAMMAS = st.sampled_from(("0", "0.3", "-0.2", "1.5", "pi", "-pi"))
 FOLDED_GAMMAS = st.sampled_from(("1/2", "pi/4", "2*0.15", "-(1 - 0.8)",
                                  "cos(pi)/5", "exp(0) - 1"))
 BLOCKS = st.sampled_from((1.0, 2.0, -0.5))
+CLOSED_FORMS = st.sampled_from(("x^3 - 2*x^2 + x - 1/4",
+                                "sin(2*pi*(y - t)) + cos(2*pi*y)",
+                                "exp(x)", "x*cos(2*pi*t) - 1/2"))
 
 
 @st.composite
@@ -53,7 +57,7 @@ def random_stack(grid, rng, batch):
     return rng.standard_normal((batch, 3, grid.nx + 1, grid.ny, grid.nt))
 
 
-def reference_transport(spec, f):
+def reference_transport(spec, f, rhs_exprs=None):
     nx = f.grid.nx
     h2 = 1.0 / (2 * nx)
     xi = np.arange(2 * nx + 1) * h2
@@ -68,7 +72,10 @@ def reference_transport(spec, f):
             d = line - ix / nx
             Y = ys + spec.beta[i] * d
             T = ts + spec.alpha[i] * d
-            vals = cf.interpolate_many(f, line, Y, T)[i]
+            if rhs_exprs is None:
+                vals = cf.interpolate_many(f, line, Y, T)[i]
+            else:
+                vals = cf.evaluate_on(rhs_exprs[i], line, Y, T)
             gam = cf.evaluate_on(spec.gamma[i], line, Y, T)
             if forward:
                 # int from xi up to the target, accumulated from the target
@@ -89,6 +96,18 @@ def test_grid_transport_matches_pointwise_reference(problem):
     f = cf.GridFunction(grid, random_stack(grid, rng, 1)[0])
     expect = reference_transport(spec, f)
     got = cf.solve_transport(spec, f).values
+    np.testing.assert_allclose(got, expect, rtol=0,
+                               atol=1e-13 * np.abs(expect).max())
+
+
+@PROPERTY
+@given(problems(), st.tuples(CLOSED_FORMS, CLOSED_FORMS, CLOSED_FORMS))
+def test_closed_form_transport_matches_pointwise_reference(problem, rhs):
+    spec, grid, _ = problem
+    exprs = tuple(cf.parse(r) for r in rhs)
+    f = cf.sample(exprs, grid)
+    expect = reference_transport(spec, f, exprs)
+    got = cf.solve_transport(spec, f, rhs_exprs=exprs).values
     np.testing.assert_allclose(got, expect, rtol=0,
                                atol=1e-13 * np.abs(expect).max())
 
