@@ -6,15 +6,18 @@ diagnose (smoothing profile and Jacobian table), testbed (randomized
 kernel-dimension inequality checks on small dense sections).
 
 solve runs the configured method: neumann iterates w <- f - K w;
-discrete solves the finite section by restarted GMRES on K, assembling
-the dense section only for the kernel-dimension estimate (requested up
-to DISCRETE_UNKNOWN_CAP unknowns) and for a least-squares solve when
-GMRES stalls under that cap; auto runs neumann and, when it stalls or
-diverges, falls back to discrete at any size. A GMRES stall is reported
-on stderr with its relative residual and iteration count. Each solve
-and each diagnose run builds one TransportPlan for its grid and applies
-K through it; everything runs on one thread, and no environment
-variable changes what is computed.
+discrete solves the finite section by restarted GMRES on K. Up to
+DISCRETE_UNKNOWN_CAP unknowns it also estimates the kernel dimension,
+first by the norm certificate sqrt(||K||_1 ||K||_inf) < 1 (with a
+rounding margin) on streamed section columns; only when that declines
+does it assemble the dense section for an SVD. The dense section also
+serves a least-squares solve when GMRES stalls under that cap. auto
+runs neumann and, when it stalls or diverges, falls back to discrete
+at any size. A GMRES stall is reported on stderr with its relative
+residual and iteration count. Each solve and each diagnose run builds
+one TransportPlan for its grid and applies K through it; everything
+runs on one thread, and no environment variable changes what is
+computed.
 
 Exit codes: 0 success, 1 malformed config or unusable request,
 2 validation failure, 3 non-convergence, 4 testbed violation.

@@ -15,6 +15,7 @@ Grammar (whitespace insensitive)::
 """
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from typing import Union
@@ -379,8 +380,8 @@ def check_periodicity(e: Expression, period_y: float, period_t: float,
     """
     if samples < 8:
         raise ValueError("need at least 8 sample points")
-    if period_y <= 0 or period_t <= 0:
-        raise ValueError("periods must be positive")
+    if not all(p > 0 and math.isfinite(p) for p in (period_y, period_t)):
+        raise ValueError("periods must be positive and finite")
     xs = np.array([_halton(i, 2) for i in range(1, samples + 1)])
     ys = np.array([_halton(i, 3) for i in range(1, samples + 1)]) * period_y
     ts = np.array([_halton(i, 5) for i in range(1, samples + 1)]) * period_t

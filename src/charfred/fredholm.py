@@ -12,6 +12,7 @@ package loads none of it.
 """
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -282,6 +283,30 @@ def _outcome(method: str, spec: SystemSpec, f: GridFunction,
                         time.perf_counter() - start, stalled)
 
 
+def _section_columns(spec: SystemSpec, grid: Grid, plan: TransportPlan):
+    """K images of the unit impulses, ASSEMBLY_BATCH at a time.
+
+    Yields (start, stop, cols) with cols[c] the column start + c of K in
+    the node basis, ordered like the flattened (component, ix, iy, it)
+    value array. Each batch is a fresh array the caller may overwrite.
+    """
+    size = spec.n * grid.node_count
+    for start in range(0, size, ASSEMBLY_BATCH):
+        stop = min(start + ASSEMBLY_BATCH, size)
+        yield start, stop, _impulse_images(spec, grid, plan, start, stop)
+
+
+def _impulse_images(spec, grid, plan, start, stop):
+    # one batch's temporaries die with this call
+    size = spec.n * grid.node_count
+    stack = np.zeros((stop - start, spec.n, grid.nx + 1, grid.ny, grid.nt))
+    flat = stack.reshape(stop - start, size)
+    flat[np.arange(stop - start), np.arange(start, stop)] = 1.0
+    ku = solve_transport_stack(spec, grid, stack, plan)
+    ke = apply_coupling_stack(spec, grid, ku, plan)
+    return ke.reshape(stop - start, size)
+
+
 def assemble_dense(spec: SystemSpec, grid: Grid,
                    plan: TransportPlan | None = None) -> np.ndarray:
     """Dense matrix of I + K in the node basis.
@@ -291,23 +316,36 @@ def assemble_dense(spec: SystemSpec, grid: Grid,
     """
     if plan is None:
         plan = TransportPlan.build(spec, grid)
-    n = spec.n
-    size = n * (grid.nx + 1) * grid.ny * grid.nt
+    size = spec.n * grid.node_count
     mat = np.empty((size, size))
-
-    # one batch's temporaries die with its call
-    def fill(start: int, stop: int):
-        stack = np.zeros((stop - start, n, grid.nx + 1, grid.ny, grid.nt))
-        flat = stack.reshape(stop - start, size)
-        flat[np.arange(stop - start), np.arange(start, stop)] = 1.0
-        ku = solve_transport_stack(spec, grid, stack, plan)
-        ke = apply_coupling_stack(spec, grid, ku, plan)
-        mat[:, start:stop] = ke.reshape(stop - start, size).T
-
-    for start in range(0, size, ASSEMBLY_BATCH):
-        fill(start, min(start + ASSEMBLY_BATCH, size))
+    for start, stop, cols in _section_columns(spec, grid, plan):
+        mat[:, start:stop] = cols.T
     mat[np.diag_indices(size)] += 1.0
     return mat
+
+
+def _section_abs_sums(spec: SystemSpec, grid: Grid,
+                      plan: TransportPlan) -> tuple[float, float]:
+    """(||K||_1, ||K||_inf) of the section, from streamed columns.
+
+    Holds the largest absolute column sum and one vector of absolute row
+    sums, never the matrix. A non-finite entry makes the second NaN or
+    inf.
+    """
+    col_max = 0.0
+    row_sums = np.zeros(spec.n * grid.node_count)
+    for _, _, cols in _section_columns(spec, grid, plan):
+        np.abs(cols, out=cols)
+        col_max = max(col_max, float(cols.sum(axis=1).max()))
+        row_sums += cols.sum(axis=0)
+    return col_max, float(row_sums.max())
+
+
+def _section_norm_bound(spec: SystemSpec, grid: Grid,
+                        plan: TransportPlan) -> float:
+    """q = sqrt(||K||_1 ||K||_inf), an upper bound on ||K||_2 (Hoelder)."""
+    norm1, norm_inf = _section_abs_sums(spec, grid, plan)
+    return math.sqrt(norm1 * norm_inf)
 
 
 def _gmres(spec: SystemSpec, grid: Grid, rhs: np.ndarray,
@@ -361,12 +399,23 @@ def solve_discrete(spec: SystemSpec, f: GridFunction,
                    kernel_estimate: bool = True) -> SolveOutcome:
     """Finite-section solve of (I + K) w = f, matrix-free by GMRES.
 
+    The kernel dimension estimate (kernel_estimate=True) counts singular
+    values of the section I + K at or below KERNEL_SV_RTOL of the largest.
+    It is first tried as a norm certificate. Hoelder's inequality bounds
+    ||K||_2 by q = sqrt(||K||_1 ||K||_inf), and both norms come from the
+    section's columns streamed in batches, without the n^2 matrix. Since
+    | ||(I + K) x|| - ||x|| | <= q ||x||, every singular value of I + K
+    lies in [1 - q, 1 + q]. When 1 - q > 2 KERNEL_SV_RTOL (1 + q), the
+    smallest exceeds the threshold KERNEL_SV_RTOL * sigma_max with a
+    factor 2 to spare for rounding in the sums and the SVD's backward
+    error, so the count is 0 and no dense section is built. When the
+    certificate declines, the section is assembled and its values-only
+    SVD gives the count; pass kernel_estimate=False to skip the estimate.
+
     The dense section is assembled only when it is needed:
-    - for the kernel dimension estimate, which counts singular values at
-      or below KERNEL_SV_RTOL of the largest; pass kernel_estimate=False
-      to skip it, since the SVD costs more than the solve;
-    - for a rank-revealing least-squares solve when that estimate finds
-      a kernel, or when GMRES stalls after GMRES_MAX_ITER iterations.
+    - for the SVD count, when the certificate declines;
+    - for a rank-revealing least-squares solve when that count finds a
+      kernel, or when GMRES stalls after GMRES_MAX_ITER iterations.
     It is never built above DISCRETE_UNKNOWN_CAP unknowns: there a kernel
     estimate is a ValueError and a stalled GMRES a NonConvergence.
     """
@@ -382,8 +431,12 @@ def solve_discrete(spec: SystemSpec, f: GridFunction,
     mat = kdim = stalled = None
     iterations = 0
     if kernel_estimate:
-        mat = assemble_dense(spec, grid, plan)
-        kdim = kernel_dimension(mat)
+        q = _section_norm_bound(spec, grid, plan)
+        if 1.0 - q > 2.0 * KERNEL_SV_RTOL * (1.0 + q):
+            kdim = 0
+        else:
+            mat = assemble_dense(spec, grid, plan)
+            kdim = kernel_dimension(mat)
     if kdim:
         # no unique solution for GMRES to converge to
         sol = _least_squares(mat, rhs)

@@ -153,6 +153,14 @@ def test_periodicity_respects_periods():
     assert not check_periodicity(parse("sin(pi*y)"), 1.0, 1.0)
 
 
+@pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf))
+@pytest.mark.parametrize("which", ("y", "t"))
+def test_periodicity_rejects_non_finite_periods(which, bad):
+    periods = {"period_y": 1.0, "period_t": 1.0, f"period_{which}": bad}
+    with pytest.raises(ValueError):
+        check_periodicity(parse("y"), **periods)
+
+
 def test_periodicity_sample_floor():
     with pytest.raises(ValueError):
         check_periodicity(parse("y"), 1.0, 1.0, samples=4)

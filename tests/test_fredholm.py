@@ -8,6 +8,7 @@ import scipy.linalg
 
 import charfred as cf
 from charfred import fredholm
+from charfred.expressions import is_literal_zero
 from charfred.fredholm import DISCRETE_UNKNOWN_CAP, GMRES_MAX_ITER, GMRES_RTOL
 from conftest import ONE, ZERO, coupled_spec, cyclic_b, identity_spec
 
@@ -207,6 +208,8 @@ def test_kernel_routes_the_solve_to_gelsy(monkeypatch):
     spec = coupled_spec()
     grid = cf.Grid(nx=4, ny=4, nt=4)
     f = cf.sample(EXPRS, grid)
+    # the norm certificate would prove this section kernel-free first
+    monkeypatch.setattr(fredholm, "_section_norm_bound", lambda *args: 1.0)
     monkeypatch.setattr(fredholm, "kernel_dimension", lambda mat: 1)
 
     def no_gmres(*args):
@@ -217,6 +220,94 @@ def test_kernel_routes_the_solve_to_gelsy(monkeypatch):
     assert out.kernel_dimension_estimate == 1
     assert out.iterations == 0 and out.stalled_residual is None
     np.testing.assert_array_equal(out.w.values, gelsy(spec, f))
+
+
+def fused_spec():
+    """Criterion 3's spec: variable gamma and couplings on every row."""
+    return identity_spec(
+        alpha=(0.5, 1.0, -1.0), beta=(1.0, -1.0, 0.5),
+        gamma=(cf.parse("0.3"), ZERO, cf.parse("0.1*cos(2*pi*y)")),
+        b=cyclic_b(cf.parse("0.4*cos(2*pi*y)"),
+                   cf.parse("0.3 + 0.1*sin(2*pi*t)"),
+                   cf.parse("0.2*cos(2*pi*y - 2*pi*t)")))
+
+
+def transversal_spec():
+    """Criterion 5's spec: zero-slope rows and unit couplings."""
+    return identity_spec(alpha=(0.0, 1.0, 0.0), beta=(1.0, -1.0, 0.0),
+                         b=cyclic_b(ONE, ONE, ONE))
+
+
+# 240 unknowns: the last batch holds 2 columns, or 48 of the third
+# component, which row 0 reads and whose row sum is the largest
+@pytest.mark.parametrize("batch", (7, 64))
+def test_streamed_norms_match_the_dense_section(monkeypatch, batch):
+    monkeypatch.setattr(fredholm, "ASSEMBLY_BATCH", batch)
+    spec = coupled_spec()
+    grid = cf.Grid(nx=4, ny=4, nt=4)
+    plan = cf.TransportPlan.build(spec, grid)
+    k = cf.assemble_dense(spec, grid, plan) - np.eye(240)
+    norm1, norm_inf = fredholm._section_abs_sums(spec, grid, plan)
+    assert norm1 == pytest.approx(np.abs(k).sum(0).max(), rel=1e-14)
+    assert norm_inf == pytest.approx(np.abs(k).sum(1).max(), rel=1e-14)
+    q = fredholm._section_norm_bound(spec, grid, plan)
+    assert q == pytest.approx(np.sqrt(norm1 * norm_inf), rel=1e-15)
+    assert q >= np.linalg.norm(k, 2)
+
+
+# 4 and 7 nodes per axis; x has at least 5 (nx >= 4)
+@pytest.mark.parametrize("nx,nyt", ((4, 4), (6, 7)))
+@pytest.mark.parametrize("make_spec",
+                         (coupled_spec, fused_spec, transversal_spec))
+def test_kernel_estimate_matches_the_dense_count(make_spec, nx, nyt):
+    spec = make_spec()
+    grid = cf.Grid(nx=nx, ny=nyt, nt=nyt)
+    f = cf.sample(EXPRS, grid)
+    out = cf.solve_discrete(spec, f)
+    assert out.kernel_dimension_estimate == \
+        cf.kernel_dimension(cf.assemble_dense(spec, grid))
+
+
+def test_kernel_estimate_finds_a_crafted_kernel():
+    # K is linear in b: scaling b by -1/lam, for a real eigenvalue lam of
+    # K, makes I + K singular, and the certificate must decline there
+    spec = coupled_spec()
+    grid = cf.Grid(nx=4, ny=4, nt=4)
+    eig = np.linalg.eigvals(cf.assemble_dense(spec, grid) - np.eye(240))
+    lam = eig[eig.imag == 0].real.max()
+    scale = float(-1.0 / lam)
+    b = [[e if is_literal_zero(e) else
+          cf.parse(f"({scale!r})*({cf.pretty(e)})") for e in row]
+         for row in spec.b]
+    crafted = identity_spec(alpha=spec.alpha, beta=spec.beta,
+                            gamma=spec.gamma,
+                            b=tuple(tuple(row) for row in b))
+    f = cf.sample(EXPRS, grid)
+    out = cf.solve_discrete(crafted, f)
+    assert out.kernel_dimension_estimate == 1
+    assert cf.kernel_dimension(cf.assemble_dense(crafted, grid)) == 1
+
+
+def test_kernel_estimate_holds_no_dense_section(monkeypatch):
+    spec = coupled_spec()
+    grid = cf.Grid(nx=8, ny=9, nt=9)
+    size = 3 * 9 * 9 * 9
+    f = cf.sample(EXPRS, grid)
+
+    def no_dense(*args, **kwargs):
+        raise AssertionError("dense section built for the kernel estimate")
+
+    monkeypatch.setattr(fredholm, "assemble_dense", no_dense)
+    monkeypatch.setattr(fredholm, "kernel_dimension", no_dense)
+    tracemalloc.start()
+    try:
+        out = cf.solve_discrete(spec, f, kernel_estimate=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.kernel_dimension_estimate == 0
+    # the dense section would take size**2 doubles, 38 MB
+    assert peak < size * size * 8
 
 
 def test_gmres_stall_falls_back_to_the_dense_section(tmp_path):
