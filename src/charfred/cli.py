@@ -107,7 +107,7 @@ def cmd_solve(args) -> int:
     f = sample(cfg.rhs, cfg.grid)
     sampled = time.perf_counter()
     method = args.method or cfg.method
-    # the kernel estimate needs the dense section, which the cap limits
+    # the cap bounds the kernel estimate's dense fallback
     estimate = dense_section_fits(cfg.spec, cfg.grid)
     try:
         if method == "neumann":

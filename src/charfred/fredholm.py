@@ -35,7 +35,7 @@ DIVERGENCE_GROWTH = 1e6
 GMRES_RTOL = 1e-13
 GMRES_RESTART = 50
 GMRES_MAX_ITER = 200
-# impulse columns per transport call in assemble_dense
+# impulse columns per transport call in _section_columns
 ASSEMBLY_BATCH = 256
 # Gauss-Legendre panels per line integral, and nodes per panel, of the
 # fused K^3 route
@@ -324,28 +324,27 @@ def assemble_dense(spec: SystemSpec, grid: Grid,
     return mat
 
 
-def _section_abs_sums(spec: SystemSpec, grid: Grid,
-                      plan: TransportPlan) -> tuple[float, float]:
-    """(||K||_1, ||K||_inf) of the section, from streamed columns.
+def _section_norm_bound(spec: SystemSpec, grid: Grid, plan: TransportPlan,
+                        limit: float = math.inf) -> float:
+    """q = sqrt(||K||_1 ||K||_inf), an upper bound on ||K||_2 (Hoelder).
 
-    Holds the largest absolute column sum and one vector of absolute row
-    sums, never the matrix. A non-finite entry makes the second NaN or
+    Streams the section's columns and holds the largest absolute column
+    sum and one vector of absolute row sums, never the matrix. Both only
+    grow batch by batch, so the running product bounds q from below: once
+    it reaches limit the stream stops and that partial value, at least
+    limit and at most q, is returned. A non-finite entry makes q NaN or
     inf.
     """
-    col_max = 0.0
+    col_max = q = 0.0
     row_sums = np.zeros(spec.n * grid.node_count)
     for _, _, cols in _section_columns(spec, grid, plan):
         np.abs(cols, out=cols)
         col_max = max(col_max, float(cols.sum(axis=1).max()))
         row_sums += cols.sum(axis=0)
-    return col_max, float(row_sums.max())
-
-
-def _section_norm_bound(spec: SystemSpec, grid: Grid,
-                        plan: TransportPlan) -> float:
-    """q = sqrt(||K||_1 ||K||_inf), an upper bound on ||K||_2 (Hoelder)."""
-    norm1, norm_inf = _section_abs_sums(spec, grid, plan)
-    return math.sqrt(norm1 * norm_inf)
+        q = math.sqrt(col_max * float(row_sums.max()))
+        if q >= limit:
+            break
+    return q
 
 
 def _gmres(spec: SystemSpec, grid: Grid, rhs: np.ndarray,
@@ -408,7 +407,11 @@ def solve_discrete(spec: SystemSpec, f: GridFunction,
     lies in [1 - q, 1 + q]. When 1 - q > 2 KERNEL_SV_RTOL (1 + q), the
     smallest exceeds the threshold KERNEL_SV_RTOL * sigma_max with a
     factor 2 to spare for rounding in the sums and the SVD's backward
-    error, so the count is 0 and no dense section is built. When the
+    error, so the count is 0 and no dense section is built. The stream
+    stops at the first batch whose running sums already put q past that
+    bound, so a section far past it, such as one whose Neumann iteration
+    diverged (spectral radius, hence q, above 1), costs its first batches
+    rather than a second pass over every column. When the
     certificate declines, the section is assembled and its values-only
     SVD gives the count; pass kernel_estimate=False to skip the estimate.
 
@@ -431,8 +434,9 @@ def solve_discrete(spec: SystemSpec, f: GridFunction,
     mat = kdim = stalled = None
     iterations = 0
     if kernel_estimate:
-        q = _section_norm_bound(spec, grid, plan)
-        if 1.0 - q > 2.0 * KERNEL_SV_RTOL * (1.0 + q):
+        # 1 - q > 2 KERNEL_SV_RTOL (1 + q) solved for q
+        q_max = (1.0 - 2.0 * KERNEL_SV_RTOL) / (1.0 + 2.0 * KERNEL_SV_RTOL)
+        if _section_norm_bound(spec, grid, plan, q_max) < q_max:
             kdim = 0
         else:
             mat = assemble_dense(spec, grid, plan)

@@ -247,12 +247,46 @@ def test_streamed_norms_match_the_dense_section(monkeypatch, batch):
     grid = cf.Grid(nx=4, ny=4, nt=4)
     plan = cf.TransportPlan.build(spec, grid)
     k = cf.assemble_dense(spec, grid, plan) - np.eye(240)
-    norm1, norm_inf = fredholm._section_abs_sums(spec, grid, plan)
-    assert norm1 == pytest.approx(np.abs(k).sum(0).max(), rel=1e-14)
-    assert norm_inf == pytest.approx(np.abs(k).sum(1).max(), rel=1e-14)
+    norm1, norm_inf = np.abs(k).sum(0).max(), np.abs(k).sum(1).max()
     q = fredholm._section_norm_bound(spec, grid, plan)
-    assert q == pytest.approx(np.sqrt(norm1 * norm_inf), rel=1e-15)
+    assert q == pytest.approx(np.sqrt(norm1 * norm_inf), rel=1e-14)
     assert q >= np.linalg.norm(k, 2)
+
+
+def test_certificate_stops_streaming_once_it_must_decline(monkeypatch):
+    # couplings x1e3: q is near 300, past the bound after the first batch
+    monkeypatch.setattr(fredholm, "ASSEMBLY_BATCH", 7)
+    spec = identity_spec(alpha=(0.5, 1.0, -1.0), beta=(1.0, -1.0, 0.5),
+                         gamma=(cf.parse("0.3"), ZERO, cf.parse("-0.2")),
+                         b=cyclic_b(cf.parse("400*cos(2*pi*y)"),
+                                    cf.parse("300"),
+                                    cf.parse("200*sin(2*pi*t)")))
+    grid = cf.Grid(nx=4, ny=4, nt=4)
+    plan = cf.TransportPlan.build(spec, grid)
+    q = fredholm._section_norm_bound(spec, grid, plan)
+    assert 1.0 <= fredholm._section_norm_bound(spec, grid, plan, 1.0) < q
+
+    batches = []
+    impulse_images = fredholm._impulse_images
+    assemble_dense = fredholm.assemble_dense
+
+    def counted(*args):
+        batches[-1] += 1
+        return impulse_images(*args)
+
+    def dense(*args):
+        batches.append(0)
+        return assemble_dense(*args)
+
+    monkeypatch.setattr(fredholm, "_impulse_images", counted)
+    monkeypatch.setattr(fredholm, "assemble_dense", dense)
+    batches.append(0)
+    out = cf.solve_discrete(spec, cf.sample(EXPRS, grid))
+    # one batch streamed for the certificate, then every batch for the
+    # dense count, and the estimate is that count
+    assert batches == [1, 35]
+    assert out.kernel_dimension_estimate == \
+        cf.kernel_dimension(assemble_dense(spec, grid, plan))
 
 
 # 4 and 7 nodes per axis; x has at least 5 (nx >= 4)
