@@ -139,7 +139,10 @@ def smoothing_profile(spec: SystemSpec, grid: Grid, powers=(0, 1, 2, 3),
     fractions of the y period; the half-wavelength shift Y/(2 omega) is
     always measured as well. The normalized column divides each modulus
     by its power-0 counterpart, cancelling interpolation smearing; rows
-    whose reference modulus is below 1e-12 report 0 there.
+    whose reference modulus is below 1e-12 report 0 there. The power-0
+    moduli are measured once per frequency, in the same pass as the
+    powers, also when 0 is not among them (then only its rows are left
+    out).
     """
     powers = sorted(set(int(p) for p in powers))
     if powers and powers[0] < 0:
@@ -158,28 +161,22 @@ def smoothing_profile(spec: SystemSpec, grid: Grid, powers=(0, 1, 2, 3),
         hs = [grid.period_y / (2 * omega)]
         hs += [float(fr) * grid.period_y for fr in shifts]
         hs = sorted(set(hs), reverse=True)
-        base = {}
-        for h in hs:
-            sd = shift_diff_norm(probe, (0.0, h, 0.0))
-            base[h] = sd.value / sup0
         # K^m f is measured as it is produced; only the latest stays alive
         field = probe
         for m in range(max(powers, default=0) + 1):
             if m:
                 field = apply_k(spec, field, plan)
-            if m not in powers:
-                continue
-            for h in hs:
-                sd = shift_diff_norm(field, (0.0, h, 0.0))
-                skipped_total += sd.skipped
-                modulus = sd.value / sup0
-                if m == 0:
-                    normalized = 1.0 if base[h] > MODULUS_FLOOR else 0.0
-                elif base[h] > MODULUS_FLOOR:
-                    normalized = modulus / base[h]
-                else:
-                    normalized = 0.0
-                rows.append(ModulusRow(m, omega, h, modulus, normalized))
+                if m not in powers:
+                    continue
+            sds = [shift_diff_norm(field, (0.0, h, 0.0)) for h in hs]
+            moduli = [sd.value / sup0 for sd in sds]
+            if not m:
+                base = moduli
+            if m in powers:
+                for h, sd, modulus, ref in zip(hs, sds, moduli, base):
+                    skipped_total += sd.skipped
+                    normalized = modulus / ref if ref > MODULUS_FLOOR else 0.0
+                    rows.append(ModulusRow(m, omega, h, modulus, normalized))
     comp = spec.group_ranges()[spec.feeding_group()][0]
     return DiagnosticsReport(comp + 1, tuple(rows), jacobian_table(spec),
                              skipped_total)

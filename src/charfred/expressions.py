@@ -24,6 +24,8 @@ import numpy as np
 
 FUNCTIONS = ("sin", "cos", "exp")
 VARIABLES = ("x", "y", "t")
+# relative tolerance of check_periodicity
+PERIODICITY_RTOL = 1e-9
 
 
 class ParseError(ValueError):
@@ -372,11 +374,11 @@ def _halton(index: int, base: int) -> float:
 
 
 def check_periodicity(e: Expression, period_y: float, period_t: float,
-                      samples: int = 64, tol: float = 1e-9) -> bool:
+                      samples: int = 64) -> bool:
     """Test e(x, y+Y, t) == e(x, y, t+T) == e(x, y, t) numerically.
 
     Uses a deterministic low-discrepancy (Halton) sample of the domain;
-    comparisons are relative: |dv| <= tol*(1 + |v|). Monotone in tol.
+    comparisons are relative: |dv| <= PERIODICITY_RTOL*(1 + |v|).
     """
     if samples < 8:
         raise ValueError("need at least 8 sample points")
@@ -388,6 +390,7 @@ def check_periodicity(e: Expression, period_y: float, period_t: float,
     base = evaluate_on(e, xs, ys, ts)
     for dy, dt in ((period_y, 0.0), (0.0, period_t), (period_y, period_t)):
         shifted = evaluate_on(e, xs, ys + dy, ts + dt)
-        if np.any(np.abs(shifted - base) > tol * (1.0 + np.abs(base))):
+        if np.any(np.abs(shifted - base)
+                  > PERIODICITY_RTOL * (1.0 + np.abs(base))):
             return False
     return True

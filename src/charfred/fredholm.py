@@ -275,10 +275,10 @@ def _outcome(method: str, spec: SystemSpec, f: GridFunction,
              w: GridFunction, plan: TransportPlan, start: float,
              iterations: int, kdim: int | None = None,
              stalled: float | None = None) -> SolveOutcome:
-    """The shared tail of both solvers: the residual of (I + K) w = f
-    and u = C^{-1} w."""
-    residual = sup_norm(w + apply_k(spec, w, plan) - f)
+    """The shared tail of both solvers: u = C^{-1} w and the residual of
+    (I + K) w = f, with K w = D u taken from that one transport solve."""
     u = solve_transport(spec, w, plan)
+    residual = sup_norm(w + apply_coupling(spec, u, plan) - f)
     return SolveOutcome(method, iterations, residual, kdim, u, w,
                         time.perf_counter() - start, stalled)
 
@@ -457,11 +457,11 @@ def solve_discrete(spec: SystemSpec, f: GridFunction,
                     stalled)
 
 
-def kernel_dimension(mat: np.ndarray, rtol: float = KERNEL_SV_RTOL) -> int:
+def kernel_dimension(mat: np.ndarray) -> int:
     s = np.linalg.svd(np.asarray(mat, dtype=float), compute_uv=False)
     if s.size == 0:
         return 0
-    return int(np.sum(s <= rtol * s[0]))
+    return int(np.sum(s <= KERNEL_SV_RTOL * s[0]))
 
 
 def finite_section_kernel_check(mat: np.ndarray, power: int) -> tuple[int, int]:

@@ -286,6 +286,11 @@ def from_csv(source, grid: Grid) -> GridFunction:
     finally:
         if close:
             fh.close()
+    # a negative index would wrap and a fractional one would truncate
+    index = rows[:, :4]
+    if (np.any(index != np.floor(index)) or np.any(index < 0)
+            or np.any(index[:, 1:] >= (grid.nx + 1, grid.ny, grid.nt))):
+        raise ValueError("node indices out of range for this grid")
     m = int(rows[:, 0].max()) + 1 if rows.size else 0
     expected = m * (grid.nx + 1) * grid.ny * grid.nt
     if rows.shape[0] != expected:
@@ -293,13 +298,7 @@ def from_csv(source, grid: Grid) -> GridFunction:
                          f"this grid, found {rows.shape[0]}")
     values = np.empty((m, grid.nx + 1, grid.ny, grid.nt))
     seen = np.zeros(values.shape, dtype=bool)
-    comp = rows[:, 0].astype(int)
-    ix = rows[:, 1].astype(int)
-    iy = rows[:, 2].astype(int)
-    it = rows[:, 3].astype(int)
-    if (ix.max(initial=0) > grid.nx or iy.max(initial=0) >= grid.ny
-            or it.max(initial=0) >= grid.nt):
-        raise ValueError("node indices out of range for this grid")
+    comp, ix, iy, it = index.astype(int).T
     values[comp, ix, iy, it] = rows[:, 7]
     seen[comp, ix, iy, it] = True
     if not seen.all():

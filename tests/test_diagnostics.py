@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 import charfred as cf
+from charfred import diagnostics
 from conftest import ONE, ZERO, cyclic_b, identity_spec
 
 
@@ -123,6 +124,36 @@ def test_smoothing_profile_decays_for_transversal_spec():
     # Higher frequency decays harder under K^3.
     assert m3_hi < 0.7 * m3_lo
     assert rep.modulus(1, 2, 0.25) == pytest.approx(1.0, rel=0.2)
+
+
+def test_smoothing_profile_without_power_zero_keeps_its_rows():
+    # the power-0 moduli still normalize every row when 0 is not requested
+    spec = transversal_control()
+    grid = cf.Grid(nx=8, ny=16, nt=8)
+    kw = dict(frequencies=(2, 4), shifts=(0.125,))
+    full = cf.smoothing_profile(spec, grid, powers=(0, 1, 3), **kw)
+    part = cf.smoothing_profile(spec, grid, powers=(1, 3), **kw)
+    assert part.rows == tuple(r for r in full.rows if r.power != 0)
+    assert {r.power for r in part.rows} == {1, 3}
+
+
+@pytest.mark.parametrize("powers", [(0, 1, 3), (1, 3)])
+def test_smoothing_profile_measures_each_power_once(monkeypatch, powers):
+    spec = transversal_control()
+    grid = cf.Grid(nx=4, ny=16, nt=4)
+    measure = diagnostics.shift_diff_norm
+    calls = []
+
+    def counting(field, shift):
+        calls.append(shift)
+        return measure(field, shift)
+
+    monkeypatch.setattr(diagnostics, "shift_diff_norm", counting)
+    cf.smoothing_profile(spec, grid, powers=powers, frequencies=(2, 4),
+                         shifts=(0.125,))
+    # omega = 2 shifts by 0.25 (its half wavelength) and 0.125; omega = 4
+    # only by 0.125, which is its half wavelength
+    assert len(calls) == (2 + 1) * len(set(powers) | {0})
 
 
 def test_smoothing_profile_rejects_bad_requests():

@@ -7,7 +7,7 @@ import pytest
 import scipy.linalg
 
 import charfred as cf
-from charfred import fredholm
+from charfred import characteristics, fredholm
 from charfred.expressions import is_literal_zero
 from charfred.fredholm import DISCRETE_UNKNOWN_CAP, GMRES_MAX_ITER, GMRES_RTOL
 from conftest import ONE, ZERO, coupled_spec, cyclic_b, identity_spec
@@ -72,6 +72,35 @@ def test_neumann_converges_on_contraction():
     # the reported w solves (I + K) w = f, and u is its transport lift
     lift = cf.solve_transport(spec, out.w)
     np.testing.assert_allclose(out.u.values, lift.values, atol=1e-15)
+
+
+def test_neumann_transports_the_final_iterate_once(monkeypatch):
+    # one transport solve inside each iteration's K, and one for
+    # u = C^{-1} w, whose coupling also gives the residual
+    spec = coupled_spec()
+    grid = cf.Grid(nx=6, ny=6, nt=6)
+    f = cf.sample(EXPRS, grid)
+    stack = characteristics.solve_transport_stack
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[2].shape[0])
+        return stack(*args, **kwargs)
+
+    monkeypatch.setattr(characteristics, "solve_transport_stack", counting)
+    out = cf.solve_neumann(spec, f)
+    assert out.iterations > 1
+    assert calls == [1] * (out.iterations + 1)
+
+
+@pytest.mark.parametrize("solve", [cf.solve_neumann, cf.solve_discrete])
+def test_residual_is_that_of_the_returned_w(solve):
+    spec = coupled_spec()
+    grid = cf.Grid(nx=6, ny=6, nt=6)
+    f = cf.sample(EXPRS, grid)
+    out = solve(spec, f)
+    assert out.residual_sup == cf.sup_norm(out.w + cf.apply_k(spec, out.w)
+                                           - f)
 
 
 def test_neumann_without_coupling_stops_after_one_pass():

@@ -174,6 +174,29 @@ def test_from_csv_rejects_wrong_sizes():
         from_csv(io.StringIO(truncated), g)
 
 
+def _relabel(text, column, old, new):
+    """CSV text with index column `column` set to `new` where it was `old`."""
+    lines = text.splitlines()
+    for k in range(1, len(lines)):
+        cells = lines[k].split(",")
+        if cells[column] == str(old):
+            cells[column] = new
+            lines[k] = ",".join(cells)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("column", [0, 1, 2, 3])
+def test_from_csv_rejects_negative_and_fractional_indices(column):
+    # -1 would wrap onto the last node of its axis and 1.5 truncate onto
+    # node 1; either way the file would read back as if nothing were wrong
+    g = cf.Grid(nx=4, ny=4, nt=4)
+    text = csv_text(cf.zeros(g, 2))
+    last = (1, g.nx, g.ny - 1, g.nt - 1)[column]
+    for old, new in ((last, "-1"), (1, "1.5")):
+        with pytest.raises(ValueError, match="node indices out of range"):
+            from_csv(io.StringIO(_relabel(text, column, old, new)), g)
+
+
 def test_field_arithmetic():
     g = cf.Grid(nx=4, ny=4, nt=4)
     rng = np.random.default_rng(2)
