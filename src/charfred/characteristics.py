@@ -46,12 +46,16 @@ class TransportPlan:
 
     blocks holds (rows, adjugate, determinant) for the three diagonal
     blocks, rows a slice of components; coupling holds (i, j, node
-    values) for each nonzero entry b[i][j]. Build one per solve and pass
-    it down.
+    values) for each nonzero entry b[i][j]; rows holds (forward, beta,
+    alpha, gamma, c, multipliers) per component, forward meaning inflow
+    at x = 0, c = constant_value(gamma) (None when gamma reads x, y or
+    t) and, for a constant c, multipliers the (H, E) pair of
+    _spectral_multipliers. Build one per solve and pass it down.
     """
 
     blocks: tuple
     coupling: tuple
+    rows: tuple
 
     @classmethod
     def build(cls, spec: SystemSpec, grid: Grid) -> "TransportPlan":
@@ -71,7 +75,13 @@ class TransportPlan:
         coupling = tuple((i, j, evaluate_on(spec.b[i][j], X, Y, T))
                          for i in range(spec.n) for j in range(spec.n)
                          if not is_literal_zero(spec.b[i][j]))
-        return cls(tuple(blocks), coupling)
+        rows = []
+        for i, gam in enumerate(spec.gamma):
+            line = (i < spec.k, float(spec.beta[i]), float(spec.alpha[i]))
+            c = constant_value(gam)
+            mult = None if c is None else _spectral_multipliers(grid, *line, c)
+            rows.append(line + (gam, c, mult))
+        return cls(tuple(blocks), coupling, tuple(rows))
 
 
 def default_step(spec: SystemSpec, grid: Grid) -> float:
@@ -131,31 +141,38 @@ def _shift_multipliers(j, f, n: int, modes: int) -> np.ndarray:
     return roots[(k * j) % n] * ((1.0 - f) + f * roots[k])
 
 
-def _integrate_spectral_row(grid: Grid, beta: float, alpha: float, c: float,
-                            forward: bool, comp: np.ndarray,
-                            out: np.ndarray) -> None:
-    """The line integrals of _integrate_grid_row for a constant gamma c.
+def _spectral_multipliers(grid: Grid, forward: bool, beta: float,
+                          alpha: float, c: float):
+    """(H, E) of _integrate_spectral_row for a row with constant gamma c.
 
-    The same discrete operator, applied per (y, t) Fourier mode: every
-    roll-and-blend of offset m is the diagonal multiplier G_m (Simpson
-    weight s_m = 1, 4, 2, 4, ... times e^{c d_m} times the y and t shift
-    multipliers), and the half-cell layers are midpoints of whole cells,
-    so with v the row's x levels in the frame where the inflow face is
-    level 0 (x reversed for backward rows),
-
-        w[ix] = sum_{o < ix} H_o v[ix - o] + E_ix v[0],
-        H_o = G_2o + (G_2o-1 + G_2o+1) / 2,  E_ix = (G_2ix-1 + G_2ix) / 2,
-
-    where E carries the halved Simpson weight of the inflow-face endpoint.
+    Offset m of _integrate_grid_row acts on each (y, t) Fourier mode as
+    the multiplier G_m: Simpson weight s_m = 1, 4, 2, 4, ... times
+    e^{c d_m} times the y and t shift multipliers. The half-cell layers
+    are midpoints of whole cells, so the offsets pair into the whole-cell
+    Toeplitz multiplier H_o = G_2o + (G_2o-1 + G_2o+1) / 2 and the
+    inflow-face endpoint multiplier E_ix = (G_2ix-1 + G_2ix) / 2, which
+    carries the halved Simpson weight of the endpoint.
     """
-    nx, ny, nt = grid.nx, grid.ny, grid.nt
     d, s, jy, fy, jt, ft = _line_shifts(grid, beta, alpha, forward)
     G = ((s * np.exp(c * d))[:, None, None]
-         * _shift_multipliers(jy, fy, ny, ny)[:, :, None]
-         * _shift_multipliers(jt, ft, nt, nt // 2 + 1)[:, None, :])
+         * _shift_multipliers(jy, fy, grid.ny, grid.ny)[:, :, None]
+         * _shift_multipliers(jt, ft, grid.nt, grid.nt // 2 + 1)[:, None, :])
     H = G[0:-1:2] + 0.5 * G[1::2]
     H[1:] += 0.5 * G[1:-2:2]
-    E = 0.5 * (G[1::2] + G[2::2])
+    return H, 0.5 * (G[1::2] + G[2::2])
+
+
+def _integrate_spectral_row(grid: Grid, forward: bool, H: np.ndarray,
+                            E: np.ndarray, comp: np.ndarray,
+                            out: np.ndarray) -> None:
+    """The line integrals of _integrate_grid_row for a constant gamma.
+
+    With v the row's x levels in the frame where the inflow face is level
+    0 (x reversed for backward rows), per (y, t) Fourier mode
+
+        w[ix] = sum_{o < ix} H_o v[ix - o] + E_ix v[0].
+    """
+    nx, ny, nt = grid.nx, grid.ny, grid.nt
     vhat = np.fft.rfft2(comp if forward else comp[:, ::-1], axes=(2, 3))
     acc = np.zeros_like(vhat)
     for o in range(nx):
@@ -235,20 +252,15 @@ def solve_transport_stack(spec: SystemSpec, grid: Grid, stack: np.ndarray,
     every row takes the half-cell walk and reads exact expression samples
     instead of interpolated grid values; the batch must then have size 1.
     """
-    nx = grid.nx
-    n, k = spec.n, spec.k
+    nx, k = grid.nx, spec.k
     if plan is None:
         plan = TransportPlan.build(spec, grid)
     if rhs_exprs is not None and stack.shape[0] != 1:
         raise ValueError("closed-form right-hand sides need a batch of one")
     w = np.zeros_like(stack)
-    for i in range(n):
-        beta, alpha = float(spec.beta[i]), float(spec.alpha[i])
-        gam, forward = spec.gamma[i], i < k
-        c = constant_value(gam)
-        if c is not None and rhs_exprs is None:
-            _integrate_spectral_row(grid, beta, alpha, c, forward,
-                                    stack[:, i], w[:, i])
+    for i, (forward, beta, alpha, gam, _, mult) in enumerate(plan.rows):
+        if mult is not None and rhs_exprs is None:
+            _integrate_spectral_row(grid, forward, *mult, stack[:, i], w[:, i])
         else:
             _integrate_grid_row(grid, beta, alpha, gam, forward,
                                 stack[:, i], w[:, i],
@@ -327,8 +339,7 @@ def apply_coupling(spec: SystemSpec, u: GridFunction,
     return GridFunction(u.grid, out[0])
 
 
-def residual_sup(spec: SystemSpec, u: GridFunction, f: GridFunction,
-                 step: float | None = None) -> float:
+def residual_sup(spec: SystemSpec, u: GridFunction, f: GridFunction) -> float:
     """sup norm of (transport + coupling) u - f on the nodes."""
-    lhs = apply_transport(spec, u, step) + apply_coupling(spec, u)
+    lhs = apply_transport(spec, u) + apply_coupling(spec, u)
     return sup_norm(lhs - f)

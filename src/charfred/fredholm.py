@@ -21,7 +21,7 @@ import numpy as np
 from .characteristics import (TransportPlan, apply_coupling,
                               apply_coupling_stack, solve_transport,
                               solve_transport_stack)
-from .expressions import constant_value, evaluate_on, is_literal_zero
+from .expressions import evaluate_on
 from .gridfield import (Grid, GridFunction, NonFiniteError, interpolate_many,
                         sup_norm, sum_sup_norm)
 from .system import SystemSpec
@@ -98,7 +98,7 @@ def _gl_panels(x0, X, glx, glw, panels):
     return xi, wts
 
 
-def _transport_at_points(spec, plan, inner, X, Y, T, glx, glw, rows):
+def _transport_at_points(plan, inner, X, Y, T, glx, glw, rows):
     """Requested components of (C^{-1} h) at scattered points.
 
     inner(X, Y, T, rows) returns the needed components of h as a dict.
@@ -112,38 +112,34 @@ def _transport_at_points(spec, plan, inner, X, Y, T, glx, glw, rows):
         if not wanted.intersection(block):
             continue
         for i in block:
-            x0 = 0.0 if i < spec.k else 1.0
-            beta = float(spec.beta[i])
-            alpha = float(spec.alpha[i])
-            xi, wts = _gl_panels(x0, X, glx, glw, FUSED_PANELS)
+            forward, beta, alpha, gam, c, _ = plan.rows[i]
+            xi, wts = _gl_panels(0.0 if forward else 1.0, X, glx, glw,
+                                 FUSED_PANELS)
             d = xi - X[None]
             Yl = Y[None] + beta * d
             Tl = T[None] + alpha * d
             hv = inner(xi, Yl, Tl, (i,))[i]
-            gam = spec.gamma[i]
-            if is_literal_zero(gam):
+            if c == 0.0:
                 ew = wts
+            elif c is not None:
+                ew = wts * np.exp(c * d)
             else:
-                c = constant_value(gam)
-                if c is not None:
-                    ew = wts * np.exp(c * d)
-                else:
-                    # int_X^xi gamma along the line, Gauss per segment
-                    half = d / 2.0
-                    mid = X[None] + half
-                    s = mid[None] + half[None] * glx.reshape(
-                        (glx.size,) + (1,) * d.ndim)
-                    ds = s - X[None, None]
-                    # the Y and T line arrays are built in place: the
-                    # same sums, without two more temporaries this size
-                    Ys = beta * ds
-                    Ys += Y[None, None]
-                    ds *= alpha
-                    ds += T[None, None]
-                    gv = evaluate_on(gam, s, Ys, ds)
-                    del Ys, ds
-                    G = half * np.einsum("q,q...->...", glw, gv)
-                    ew = wts * np.exp(G)
+                # int_X^xi gamma along the line, Gauss per segment
+                half = d / 2.0
+                mid = X[None] + half
+                s = mid[None] + half[None] * glx.reshape(
+                    (glx.size,) + (1,) * d.ndim)
+                ds = s - X[None, None]
+                # the Y and T line arrays are built in place: the same
+                # sums, without two more temporaries this size
+                Ys = beta * ds
+                Ys += Y[None, None]
+                ds *= alpha
+                ds += T[None, None]
+                gv = evaluate_on(gam, s, Ys, ds)
+                del Ys, ds
+                G = half * np.einsum("q,q...->...", glw, gv)
+                ew = wts * np.exp(G)
             w[i] = np.einsum("q...,q...->...", ew, hv)
     u = {}
     for sl, adj, det in plan.blocks:
@@ -158,17 +154,11 @@ def _transport_at_points(spec, plan, inner, X, Y, T, glx, glw, rows):
     return u
 
 
-def _coupling_rows(spec, i):
-    return tuple(j for j in range(spec.n) if not is_literal_zero(spec.b[i][j]))
-
-
-def _coupling_at_points(spec, X, Y, T, values: dict, rows):
-    out = {}
-    for i in rows:
-        acc = np.zeros(np.shape(X))
-        for j in _coupling_rows(spec, i):
-            acc = acc + evaluate_on(spec.b[i][j], X, Y, T) * values[j]
-        out[i] = acc
+def _coupling_at_points(spec, plan, X, Y, T, values: dict, rows):
+    out = {i: np.zeros(np.shape(X)) for i in rows}
+    for i, j, _ in plan.coupling:
+        if i in out:
+            out[i] = out[i] + evaluate_on(spec.b[i][j], X, Y, T) * values[j]
     return out
 
 
@@ -197,12 +187,9 @@ def apply_k_cubed_fused(spec: SystemSpec, f: GridFunction,
 
     def chain(inner):
         def level(X, Y, T, rows):
-            needed = set()
-            for i in rows:
-                needed.update(_coupling_rows(spec, i))
-            u = _transport_at_points(spec, plan, inner, X, Y, T,
-                                     glx, glw, needed)
-            return _coupling_at_points(spec, X, Y, T, u, rows)
+            needed = {j for i, j, _ in plan.coupling if i in rows}
+            u = _transport_at_points(plan, inner, X, Y, T, glx, glw, needed)
+            return _coupling_at_points(spec, plan, X, Y, T, u, rows)
         return level
 
     k3 = chain(chain(chain(read_f)))

@@ -8,6 +8,7 @@ periodic wrap in y and t.
 from __future__ import annotations
 
 import io
+import itertools
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import NamedTuple, Sequence
@@ -278,11 +279,23 @@ def from_csv(source, grid: Grid) -> GridFunction:
         close = True
     else:
         fh = source
+    width = CSV_HEADER.count(",") + 1
     try:
         header = fh.readline().strip()
         if header != CSV_HEADER:
             raise ValueError(f"unexpected CSV header: {header!r}")
-        rows = np.loadtxt(fh, delimiter=",", ndmin=2)
+        # loadtxt warns on an empty input, so the header-only file of a
+        # 0-component field is read without it
+        lines = (line for line in fh if line.strip())
+        first = next(lines, None)
+        try:
+            rows = (np.empty((0, width)) if first is None else np.loadtxt(
+                itertools.chain([first], lines), delimiter=",", ndmin=2))
+            if rows.shape[1] != width:
+                raise ValueError(f"found {rows.shape[1]} fields")
+        except ValueError as exc:
+            raise ValueError(f"every row must hold the {width} numbers "
+                             f"{CSV_HEADER!r}: {exc}") from None
     finally:
         if close:
             fh.close()

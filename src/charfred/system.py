@@ -143,8 +143,7 @@ class TripleCheck:
                 "degenerate": self.degenerate}
 
 
-def check_nondegeneracy(spec: SystemSpec,
-                        slopes: EffectiveSlopes | None = None) -> list[TripleCheck]:
+def check_nondegeneracy(spec: SystemSpec) -> list[TripleCheck]:
     """Evaluate the transversality determinant on every group triple.
 
     A triple is exempt when both first-group and second-group effective
@@ -152,8 +151,7 @@ def check_nondegeneracy(spec: SystemSpec,
     computed for reporting only; degeneracy is judged on the stated
     value against a slope-squared scale.
     """
-    if slopes is None:
-        slopes = effective_slopes(spec)
+    slopes = effective_slopes(spec)
     mags = np.concatenate([np.abs(slopes.alpha), np.abs(slopes.beta)])
     scale = max(1.0, float(mags.max(initial=0.0))) ** 2
     g1, g2, g3 = spec.group_ranges()

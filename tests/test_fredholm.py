@@ -93,6 +93,28 @@ def test_neumann_transports_the_final_iterate_once(monkeypatch):
     assert calls == [1] * (out.iterations + 1)
 
 
+@pytest.mark.parametrize("name, per_row", [("constant_value", 1),
+                                           ("_shift_multipliers", 2)])
+def test_plan_decides_each_row_once(monkeypatch, name, per_row):
+    # gamma is classified and a constant-gamma row's spectral multipliers
+    # (one y and one t factor) are built once, when the plan is; every
+    # gamma of coupled_spec is a constant
+    spec = coupled_spec()
+    grid = cf.Grid(nx=6, ny=6, nt=6)
+    f = cf.sample(EXPRS, grid)
+    inner = getattr(characteristics, name)
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return inner(*args)
+
+    monkeypatch.setattr(characteristics, name, counting)
+    out = cf.solve_neumann(spec, f)
+    assert out.iterations > 1
+    assert len(calls) == per_row * spec.n
+
+
 @pytest.mark.parametrize("solve", [cf.solve_neumann, cf.solve_discrete])
 def test_residual_is_that_of_the_returned_w(solve):
     spec = coupled_spec()

@@ -1,4 +1,6 @@
 import io
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -172,6 +174,23 @@ def test_from_csv_rejects_wrong_sizes():
     truncated = "\n".join(text.splitlines()[:-3]) + "\n"
     with pytest.raises(ValueError):
         from_csv(io.StringIO(truncated), g)
+
+
+@pytest.mark.parametrize("row", ["0,0,0", "0,0,0,0,0,0,0,0,0"])
+def test_from_csv_names_the_header_on_a_wrong_field_count(row):
+    g = cf.Grid(nx=4, ny=4, nt=4)
+    with pytest.raises(ValueError, match=re.escape(CSV_HEADER)):
+        from_csv(io.StringIO(f"{CSV_HEADER}\n{row}\n"), g)
+
+
+def test_from_csv_reads_a_header_only_file_as_no_components():
+    g = cf.Grid(nx=4, ny=4, nt=4)
+    text = csv_text(cf.zeros(g, 0))
+    assert text == CSV_HEADER + "\n"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        back = from_csv(io.StringIO(text), g)
+    assert back.values.shape == (0, 5, 4, 4)
 
 
 def _relabel(text, column, old, new):
