@@ -243,6 +243,38 @@ def _integrate_grid_row(grid: Grid, beta: float, alpha: float,
         np.negative(out, out=out)
 
 
+def _row_integrals(grid: Grid, stack: np.ndarray, plan: TransportPlan,
+                   rhs_exprs=None) -> np.ndarray:
+    """Each row's line integrals of its own component, before the blocks.
+
+    Row i of the result depends on row i of stack alone. Every weight of
+    both row kernels (Simpson weights, exp factors, two-point blends, the
+    midpoint refinement) is nonnegative and backward rows are negated as a
+    whole, so for a nonnegative stack each row has the sign of its
+    direction: >= 0 forward, <= 0 backward.
+    """
+    w = np.zeros_like(stack)
+    for i, (forward, beta, alpha, gam, _, mult) in enumerate(plan.rows):
+        if mult is not None and rhs_exprs is None:
+            _integrate_spectral_row(grid, forward, *mult, stack[:, i], w[:, i])
+        else:
+            _integrate_grid_row(grid, beta, alpha, gam, forward,
+                                stack[:, i], w[:, i],
+                                None if rhs_exprs is None else rhs_exprs[i])
+    return w
+
+
+def _apply_blocks(spec: SystemSpec, grid: Grid, w: np.ndarray,
+                  plan: TransportPlan) -> np.ndarray:
+    """u = A^{-1} w block by block, then the inflow faces zeroed; in place
+    on the (B, n, nx+1, ny, nt) stack w, which is returned."""
+    for sl, adj, det in plan.blocks:
+        w[:, sl] = np.einsum("ij,bj...->bi...", adj, w[:, sl]) / det
+    w[:, :spec.k, 0] = 0.0
+    w[:, spec.k:, grid.nx] = 0.0
+    return w
+
+
 def solve_transport_stack(spec: SystemSpec, grid: Grid, stack: np.ndarray,
                           plan: TransportPlan | None = None,
                           rhs_exprs=None) -> np.ndarray:
@@ -252,24 +284,12 @@ def solve_transport_stack(spec: SystemSpec, grid: Grid, stack: np.ndarray,
     every row takes the half-cell walk and reads exact expression samples
     instead of interpolated grid values; the batch must then have size 1.
     """
-    nx, k = grid.nx, spec.k
     if plan is None:
         plan = TransportPlan.build(spec, grid)
     if rhs_exprs is not None and stack.shape[0] != 1:
         raise ValueError("closed-form right-hand sides need a batch of one")
-    w = np.zeros_like(stack)
-    for i, (forward, beta, alpha, gam, _, mult) in enumerate(plan.rows):
-        if mult is not None and rhs_exprs is None:
-            _integrate_spectral_row(grid, forward, *mult, stack[:, i], w[:, i])
-        else:
-            _integrate_grid_row(grid, beta, alpha, gam, forward,
-                                stack[:, i], w[:, i],
-                                None if rhs_exprs is None else rhs_exprs[i])
-    for sl, adj, det in plan.blocks:
-        w[:, sl] = np.einsum("ij,bj...->bi...", adj, w[:, sl]) / det
-    w[:, :k, 0] = 0.0
-    w[:, k:, nx] = 0.0
-    return w
+    return _apply_blocks(spec, grid, _row_integrals(grid, stack, plan,
+                                                    rhs_exprs), plan)
 
 
 def solve_transport(spec: SystemSpec, f: GridFunction,

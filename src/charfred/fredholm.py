@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .characteristics import (TransportPlan, apply_coupling,
-                              apply_coupling_stack, solve_transport,
-                              solve_transport_stack)
+from .characteristics import (TransportPlan, _apply_blocks, _row_integrals,
+                              apply_coupling, apply_coupling_stack,
+                              solve_transport, solve_transport_stack)
 from .expressions import evaluate_on
 from .gridfield import (Grid, GridFunction, NonFiniteError, interpolate_many,
                         sup_norm, sum_sup_norm)
@@ -311,6 +311,28 @@ def assemble_dense(spec: SystemSpec, grid: Grid,
     return mat
 
 
+def _section_inf_norm(spec: SystemSpec, grid: Grid,
+                      plan: TransportPlan) -> float:
+    """||K||_inf of the section from one transport of the ones field.
+
+    K = M R: R holds each row's line integrals of its own component
+    (_row_integrals) and M(node) = B P A^{-1} is pointwise, so the entry
+    of K in row (i, node) and column (j, node') is M_ij(node)
+    R_j(node, node'). Each row of R has one sign, so its absolute row sum
+    is |R_j 1|(node), and row (i, node) of |K| sums to
+    sum_j |M_ij(node)| |R_j 1|(node). The columns of M are the blocks and
+    face zeroing applied to the unit fields, then the coupling.
+    """
+    shape = (spec.n, grid.nx + 1, grid.ny, grid.nt)
+    r = np.abs(_row_integrals(grid, np.ones((1,) + shape), plan)[0])
+    unit = np.zeros((spec.n,) + shape)
+    unit[np.arange(spec.n), np.arange(spec.n)] = 1.0
+    m = apply_coupling_stack(spec, grid, _apply_blocks(spec, grid, unit, plan),
+                             plan)
+    np.abs(m, out=m)
+    return float(np.einsum("ji...,j...->i...", m, r).max())
+
+
 def _section_norm_bound(spec: SystemSpec, grid: Grid, plan: TransportPlan,
                         limit: float = math.inf) -> float:
     """q = sqrt(||K||_1 ||K||_inf), an upper bound on ||K||_2 (Hoelder).
@@ -387,23 +409,38 @@ def solve_discrete(spec: SystemSpec, f: GridFunction,
 
     The kernel dimension estimate (kernel_estimate=True) counts singular
     values of the section I + K at or below KERNEL_SV_RTOL of the largest.
-    It is first tried as a norm certificate. Hoelder's inequality bounds
-    ||K||_2 by q = sqrt(||K||_1 ||K||_inf), and both norms come from the
-    section's columns streamed in batches, without the n^2 matrix. Since
-    | ||(I + K) x|| - ||x|| | <= q ||x||, every singular value of I + K
-    lies in [1 - q, 1 + q]. When 1 - q > 2 KERNEL_SV_RTOL (1 + q), the
-    smallest exceeds the threshold KERNEL_SV_RTOL * sigma_max with a
-    factor 2 to spare for rounding in the sums and the SVD's backward
-    error, so the count is 0 and no dense section is built. The stream
-    stops at the first batch whose running sums already put q past that
-    bound, so a section far past it, such as one whose Neumann iteration
-    diverged (spectral radius, hence q, above 1), costs its first batches
-    rather than a second pass over every column. When the
-    certificate declines, the section is assembled and its values-only
-    SVD gives the count; pass kernel_estimate=False to skip the estimate.
+    Two certificates that the count is 0 are tried before any SVD.
+
+    The first is structural. K = M R, where R holds each row's line
+    integrals of its own component and M(node) = B P A^{-1} (coupling,
+    face zeroing, inverse blocks) is pointwise. Every row of R has one
+    sign, so q_inf = ||K||_inf is exactly the largest of
+    sum_j |M_ij| |R_j 1| over rows i and nodes: one transport of the ones
+    field (_section_inf_norm), not n columns. With n unknowns,
+    ||X||_2 <= sqrt(n) ||X||_inf and ||(I + K)^{-1}||_inf <= 1 / (1 - q_inf)
+    put every singular value of I + K in [(1 - q_inf) / sqrt(n),
+    1 + sqrt(n) q_inf]. When (1 - q_inf) / sqrt(n) >
+    2 KERNEL_SV_RTOL (1 + sqrt(n) q_inf), the smallest exceeds the
+    threshold with the same factor 2 as below, and the count is 0.
+
+    When that declines (q_inf at or above 1, or too close to it for n),
+    Hoelder's inequality bounds ||K||_2 by q = sqrt(||K||_1 ||K||_inf),
+    and both norms come from the section's columns streamed in batches,
+    without the n^2 matrix. Since | ||(I + K) x|| - ||x|| | <= q ||x||,
+    every singular value of I + K lies in [1 - q, 1 + q]. When
+    1 - q > 2 KERNEL_SV_RTOL (1 + q), the smallest exceeds the threshold
+    KERNEL_SV_RTOL * sigma_max with a factor 2 to spare for rounding in
+    the sums and the SVD's backward error, so the count is 0 and no dense
+    section is built. The stream stops at the first batch whose running
+    sums already put q past that bound, so a section far past it, such as
+    one whose Neumann iteration diverged (spectral radius, hence q, above
+    1), costs its first batches rather than a second pass over every
+    column. When both certificates decline, the section is assembled and
+    its values-only SVD gives the count; pass kernel_estimate=False to
+    skip the estimate.
 
     The dense section is assembled only when it is needed:
-    - for the SVD count, when the certificate declines;
+    - for the SVD count, when both certificates decline;
     - for a rank-revealing least-squares solve when that count finds a
       kernel, or when GMRES stalls after GMRES_MAX_ITER iterations.
     It is never built above DISCRETE_UNKNOWN_CAP unknowns: there a kernel
@@ -421,9 +458,12 @@ def solve_discrete(spec: SystemSpec, f: GridFunction,
     mat = kdim = stalled = None
     iterations = 0
     if kernel_estimate:
+        root = math.sqrt(size)
+        q_inf = _section_inf_norm(spec, grid, plan)
         # 1 - q > 2 KERNEL_SV_RTOL (1 + q) solved for q
         q_max = (1.0 - 2.0 * KERNEL_SV_RTOL) / (1.0 + 2.0 * KERNEL_SV_RTOL)
-        if _section_norm_bound(spec, grid, plan, q_max) < q_max:
+        if ((1.0 - q_inf) / root > 2.0 * KERNEL_SV_RTOL * (1.0 + root * q_inf)
+                or _section_norm_bound(spec, grid, plan, q_max) < q_max):
             kdim = 0
         else:
             mat = assemble_dense(spec, grid, plan)

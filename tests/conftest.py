@@ -35,3 +35,20 @@ def coupled_spec():
         gamma=(cf.parse("0.3"), ZERO, cf.parse("-0.2")),
         b=cyclic_b(cf.parse("0.4*cos(2*pi*y)"), cf.parse("0.3"),
                    cf.parse("0.2*sin(2*pi*t)")))
+
+
+def block_coupled_spec():
+    """Four rows, a non-diagonal 2 x 2 first block and variable gamma.
+
+    Row 3 (group 2) reads both rows of group 1, so the pointwise factor
+    B P A^{-1} of K mixes them.
+    """
+    return cf.SystemSpec(
+        n=4, k=3, l=2, a1=[[1.0, 0.5], [-0.3, 1.2]], a2=[[1.0]],
+        a3=[[1.0]], alpha=(0.5, 0.0, 1.0, -1.0), beta=(1.0, -0.5, -1.0, 0.5),
+        gamma=(cf.parse("0.3"), cf.parse("0.1*cos(2*pi*y)"), ZERO,
+               cf.parse("-0.2")),
+        b=((ZERO, ZERO, ZERO, cf.parse("0.4*cos(2*pi*y)")),
+           (ZERO, ZERO, ZERO, cf.parse("0.2")),
+           (cf.parse("0.3"), cf.parse("-0.25*sin(2*pi*t)"), ZERO, ZERO),
+           (ZERO, ZERO, cf.parse("0.2*sin(2*pi*t)"), ZERO)))

@@ -1,5 +1,7 @@
 import json
+import math
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -10,7 +12,8 @@ import charfred as cf
 from charfred import characteristics, fredholm
 from charfred.expressions import is_literal_zero
 from charfred.fredholm import DISCRETE_UNKNOWN_CAP, GMRES_MAX_ITER, GMRES_RTOL
-from conftest import ONE, ZERO, coupled_spec, cyclic_b, identity_spec
+from conftest import (ONE, ZERO, block_coupled_spec, coupled_spec, cyclic_b,
+                      identity_spec)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 EXPRS = (cf.parse("sin(2*pi*y)*cos(2*pi*t)"), ONE, cf.parse("cos(2*pi*t)"))
@@ -259,7 +262,8 @@ def test_kernel_routes_the_solve_to_gelsy(monkeypatch):
     spec = coupled_spec()
     grid = cf.Grid(nx=4, ny=4, nt=4)
     f = cf.sample(EXPRS, grid)
-    # the norm certificate would prove this section kernel-free first
+    # either norm certificate would prove this section kernel-free first
+    monkeypatch.setattr(fredholm, "_section_inf_norm", lambda *args: 1.0)
     monkeypatch.setattr(fredholm, "_section_norm_bound", lambda *args: 1.0)
     monkeypatch.setattr(fredholm, "kernel_dimension", lambda mat: 1)
 
@@ -338,6 +342,60 @@ def test_certificate_stops_streaming_once_it_must_decline(monkeypatch):
     assert batches == [1, 35]
     assert out.kernel_dimension_estimate == \
         cf.kernel_dimension(assemble_dense(spec, grid, plan))
+
+
+def coupled_x4_spec():
+    """coupled_spec with every coupling scaled by 4: ||K||_inf near 1.45."""
+    spec = coupled_spec()
+    return replace(spec, b=tuple(
+        tuple(e if is_literal_zero(e) else cf.parse(f"4*({cf.pretty(e)})")
+              for e in row) for row in spec.b))
+
+
+# 4 to 7 nodes per axis; x has at least 5 (nx >= 4)
+@pytest.mark.parametrize("nx,nyt", ((4, 4), (5, 6), (6, 7)))
+@pytest.mark.parametrize("make_spec",
+                         (coupled_spec, fused_spec, transversal_spec,
+                          coupled_x4_spec, block_coupled_spec))
+def test_structural_norm_equals_the_dense_row_sums(make_spec, nx, nyt):
+    spec = make_spec()
+    grid = cf.Grid(nx=nx, ny=nyt, nt=nyt)
+    plan = cf.TransportPlan.build(spec, grid)
+    k = cf.assemble_dense(spec, grid, plan) - np.eye(spec.n * grid.node_count)
+    # equal up to rounding, on either side
+    assert fredholm._section_inf_norm(spec, grid, plan) == \
+        pytest.approx(np.abs(k).sum(1).max(), rel=1e-12)
+
+
+def test_structural_certificate_needs_no_columns(monkeypatch):
+    # 3 * 13**3 = 6,591 unknowns
+    spec = coupled_spec()
+    grid = cf.Grid(nx=12, ny=13, nt=13)
+
+    def no_columns(*args):
+        raise AssertionError("section columns streamed")
+
+    monkeypatch.setattr(fredholm, "_section_columns", no_columns)
+    out = cf.solve_discrete(spec, cf.sample(EXPRS, grid))
+    assert out.kernel_dimension_estimate == 0
+
+
+def test_transversal_section_takes_the_stream(monkeypatch):
+    # ||K||_inf is exactly 1 there, so the structural test declines and
+    # the Hoelder stream certifies the section from every column
+    spec = transversal_spec()
+    grid = cf.Grid(nx=6, ny=7, nt=7)
+    calls = []
+    impulse_images = fredholm._impulse_images
+
+    def counted(*args):
+        calls.append(args[3:])  # (start, stop) of the batch
+        return impulse_images(*args)
+
+    monkeypatch.setattr(fredholm, "_impulse_images", counted)
+    out = cf.solve_discrete(spec, cf.sample(EXPRS, grid))
+    assert out.kernel_dimension_estimate == 0
+    assert len(calls) == math.ceil(3 * 7 ** 3 / fredholm.ASSEMBLY_BATCH)
 
 
 # 4 and 7 nodes per axis; x has at least 5 (nx >= 4)

@@ -18,7 +18,8 @@ from scipy.integrate import cumulative_trapezoid, simpson
 
 import charfred as cf
 from charfred import characteristics
-from charfred.characteristics import solve_transport_stack
+from charfred.characteristics import (TransportPlan, _row_integrals,
+                                      solve_transport_stack)
 from charfred.expressions import BinOp, Num, Var, constant_value
 from conftest import zero_b
 
@@ -181,3 +182,19 @@ def test_transport_leaves_its_input_unmodified(problem, batch):
     before = stack.copy()
     solve_transport_stack(spec, grid, stack)
     np.testing.assert_array_equal(stack, before)
+
+
+@PROPERTY
+@given(problems(st.one_of(CONSTANT_GAMMAS, GAMMAS)), st.booleans(),
+       st.integers(1, 3))
+def test_row_integrals_of_a_nonnegative_field_keep_the_row_sign(
+        problem, ones, batch):
+    # the invariant behind the structural ||K||_inf of solve_discrete
+    spec, grid, rng = problem
+    shape = (batch, 3, grid.nx + 1, grid.ny, grid.nt)
+    stack = np.ones(shape) if ones else rng.random(shape)
+    plan = TransportPlan.build(spec, grid)
+    w = _row_integrals(grid, stack, plan)
+    for i, (forward, *_) in enumerate(plan.rows):
+        row = w[:, i] if forward else -w[:, i]
+        assert row.min() >= -1e-14 * np.abs(row).max()
