@@ -22,8 +22,9 @@ from .characteristics import (TransportPlan, _apply_blocks, _row_integrals,
                               apply_coupling, apply_coupling_stack,
                               solve_transport, solve_transport_stack)
 from .expressions import evaluate_on
-from .gridfield import (Grid, GridFunction, NonFiniteError, interpolate_many,
-                        sup_norm, sum_sup_norm)
+from .gridfield import (Grid, GridDomainError, GridFunction, NonFiniteError,
+                        _require_finite, interpolate_many, sup_norm,
+                        sum_sup_norm)
 from .system import SystemSpec
 
 DISCRETE_UNKNOWN_CAP = 20_000
@@ -41,6 +42,14 @@ ASSEMBLY_BATCH = 256
 # fused K^3 route
 FUSED_PANELS = 2
 FUSED_NODES = 8
+# probes per block of the fused K^3 route. The largest temporary, the
+# variable-gamma line integral of the innermost level, holds
+# FUSED_NODES * (FUSED_PANELS * FUSED_NODES)^3 points per probe, 2 MiB at
+# 8 probes: half the 4 MiB L2 of the Xeon the block sweep ran on, where
+# op time was flat from 4 to 32 probes per block and peak memory grew
+# with the block. At 8 every block of a longer call holds 4 probes or
+# more, and such blocks gave results bit-identical to one unblocked call
+FUSED_BLOCK = 8
 
 
 class NonConvergence(RuntimeError):
@@ -170,13 +179,23 @@ def apply_k_cubed_fused(spec: SystemSpec, f: GridFunction,
     integrals are nested Gauss-Legendre panels and only f itself is read
     through interpolation. probes is (p, 3) rows of (x, y, t); the result
     has shape (n, p).
+
+    Each probe carries (FUSED_PANELS * FUSED_NODES)^3 innermost points,
+    so the probes are evaluated in ceil(p / FUSED_BLOCK) near-equal
+    blocks and peak memory is set by the block, not by p. A probe with x
+    outside [0, 1] or a non-finite y or t raises GridDomainError.
     """
-    glx, glw = np.polynomial.legendre.leggauss(FUSED_NODES)
     pts = np.asarray(probes, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError("probes must be an array of (x, y, t) rows")
-    if np.any(pts[:, 0] < 0.0) or np.any(pts[:, 0] > 1.0):
-        raise ValueError("probe x coordinates must lie in [0, 1]")
+    # written so that NaN fails it too
+    inside = (0.0 <= pts[:, 0]) & (pts[:, 0] <= 1.0)
+    if not inside.all():
+        bad = float(pts[~inside, 0][0])
+        raise GridDomainError(f"probe x = {bad!r} outside [0, 1]")
+    _require_finite("probe y", pts[:, 1])
+    _require_finite("probe t", pts[:, 2])
+    glx, glw = np.polynomial.legendre.leggauss(FUSED_NODES)
     plan = TransportPlan.build(spec, f.grid)
 
     # one single-component view per row, so a read interpolates only it
@@ -193,8 +212,13 @@ def apply_k_cubed_fused(spec: SystemSpec, f: GridFunction,
         return level
 
     k3 = chain(chain(chain(read_f)))
-    top = k3(pts[:, 0], pts[:, 1], pts[:, 2], tuple(range(spec.n)))
-    return np.stack([top[i] for i in range(spec.n)])
+    rows = tuple(range(spec.n))
+    blocks = np.array_split(pts, max(1, -(-len(pts) // FUSED_BLOCK)))
+    out = []
+    for block in blocks:
+        top = k3(block[:, 0], block[:, 1], block[:, 2], rows)
+        out.append(np.stack([top[i] for i in rows]))
+    return np.concatenate(out, axis=1)
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,8 @@ _X_SLACK = 1e-12
 
 
 class GridDomainError(ValueError):
-    """Raised when an x coordinate leaves [0, 1] by more than the slack."""
+    """Raised when an x coordinate leaves [0, 1] by more than the slack,
+    or any coordinate is NaN or infinite."""
 
 
 class NonFiniteError(ValueError):
@@ -131,47 +132,73 @@ def _locate_eval_error(e, grid, comp):
                         err.node) from err
 
 
-def _snap(u: np.ndarray) -> np.ndarray:
+def _snap(u: np.ndarray) -> None:
+    """Move index positions within _SNAP of a node onto it, in place."""
     nearest = np.rint(u)
-    return np.where(np.abs(u - nearest) < _SNAP, nearest, u)
+    gap = np.subtract(u, nearest)
+    np.abs(gap, out=gap)
+    np.copyto(u, nearest, where=gap < _SNAP)
 
 
 def _split_index(u) -> tuple[np.ndarray, np.ndarray]:
-    """Integer part and fraction of index positions, snapped onto nodes."""
-    u = _snap(np.asarray(u, dtype=float))
+    """Integer part and fraction of index positions, snapped onto nodes.
+
+    A float array u is overwritten with the fractions, so callers pass
+    a temporary of their own.
+    """
+    u = np.asarray(u, dtype=float)
+    _snap(u)
     base = np.floor(u)
-    return base.astype(np.int64), u - base
+    u -= base
+    return base.astype(np.int64), u
 
 
-def _periodic_index(pos: np.ndarray, n: int, period: float):
-    base, frac = _split_index(np.asarray(pos, dtype=float) * n / period)
-    i0 = base % n
-    i1 = (i0 + 1) % n
-    return i0, i1, frac
+def _require_finite(name: str, a: np.ndarray) -> None:
+    finite = np.isfinite(a)
+    if not finite.all():
+        bad = a[~finite].flat[0]
+        raise GridDomainError(f"{name} = {float(bad)!r} is not finite")
 
 
-def _x_index(pos: np.ndarray, nx: int):
-    u = np.asarray(pos, dtype=float) * nx
-    if np.any(u < -_X_SLACK * nx) or np.any(u > nx * (1 + _X_SLACK)):
-        bad = np.asarray(pos, dtype=float)
-        off = bad[(bad < -_X_SLACK) | (bad > 1 + _X_SLACK)]
-        raise GridDomainError(f"x = {float(off.flat[0])!r} outside [0, 1]")
-    u = np.clip(_snap(u), 0.0, float(nx))
-    base = np.minimum(np.floor(u), nx - 1)
-    frac = u - base
-    i0 = base.astype(np.int64)
-    return i0, i0 + 1, frac
+def _periodic_index(pos: np.ndarray, n: int, period: float, stride: int):
+    """Flat offsets of the lower and upper corners, and the fractions."""
+    u = pos * n
+    u /= period
+    base, frac = _split_index(u)
+    base %= n
+    base *= stride
+    upper = base + stride
+    upper[upper == n * stride] = 0
+    return base, upper, frac
 
 
-def _corners(i0, i1, frac):
-    """(index, weight) pairs of one axis.
+def _x_index(pos: np.ndarray, nx: int, stride: int):
+    """Flat offsets of the lower and upper corners, and the fractions."""
+    u = pos * nx
+    # written so that NaN fails it too
+    inside = (u >= -_X_SLACK * nx) & (u <= nx * (1 + _X_SLACK))
+    if not inside.all():
+        bad = pos[~inside].flat[0]
+        raise GridDomainError(f"x = {float(bad)!r} outside [0, 1]")
+    _snap(u)
+    np.clip(u, 0.0, float(nx), out=u)
+    base = np.floor(u)
+    np.minimum(base, nx - 1, out=base)
+    u -= base
+    lower = base.astype(np.int64)
+    lower *= stride
+    return lower, lower + stride, u
+
+
+def _corners(lower, upper, frac):
+    """(offset, weight) pairs of one axis.
 
     When every point sits on a node the upper corner has weight exactly
     zero and is left out: its terms would add only signed zeros.
     """
     if not np.any(frac):
-        return ((i0, 1.0 - frac),)
-    return ((i0, 1.0 - frac), (i1, frac))
+        return ((lower, 1.0 - frac),)
+    return ((lower, 1.0 - frac), (upper, frac))
 
 
 def interpolate_many(gf: GridFunction, x, y, t) -> np.ndarray:
@@ -180,24 +207,31 @@ def interpolate_many(gf: GridFunction, x, y, t) -> np.ndarray:
     x, y and t broadcast against each other but are indexed as given, so
     grid-shaped inputs like (nx+1, 1, 1), (1, ny, 1), (1, 1, nt) cost one
     index computation per axis level. Each corner is one flat gather.
+    Coordinates must be finite and x within [0, 1] up to a slack of
+    1e-12; anything else raises GridDomainError.
     """
     g = gf.grid
     x, y, t = (np.asarray(a, dtype=float) for a in (x, y, t))
     shape = np.broadcast_shapes(x.shape, y.shape, t.shape)
-    ix0, ix1, fx = _x_index(x, g.nx)
-    iy0, iy1, fy = _periodic_index(y, g.ny, g.period_y)
-    it0, it1, ft = _periodic_index(t, g.nt, g.period_t)
+    # the index work runs in place, on arrays rather than numpy scalars
+    x, y, t = np.atleast_1d(x, y, t)
+    _require_finite("y", y)
+    _require_finite("t", t)
     # flat offsets into the (m, nodes) view: ix * ny * nt + iy * nt + it
-    sx, sy = g.ny * g.nt, g.nt
+    xc = _corners(*_x_index(x, g.nx, g.ny * g.nt))
+    yc = _corners(*_periodic_index(y, g.ny, g.period_y, g.nt))
+    tc = _corners(*_periodic_index(t, g.nt, g.period_t, 1))
     flat = gf.values.reshape(gf.m, -1)
-    out = np.zeros((gf.m,) + shape)
-    for ix, wx in _corners(ix0 * sx, ix1 * sx, fx):
-        for iy, wy in _corners(iy0 * sy, iy1 * sy, fy):
+    out = np.zeros((gf.m,) + (shape or (1,)))
+    for ix, wx in xc:
+        for iy, wy in yc:
             w2 = wx * wy
             ixy = ix + iy
-            for it, wt in _corners(it0, it1, ft):
-                out += np.take(flat, ixy + it, axis=1) * (w2 * wt)
-    return out
+            for it, wt in tc:
+                term = np.take(flat, ixy + it, axis=1)
+                term *= w2 * wt
+                out += term
+    return out.reshape((gf.m,) + shape)
 
 
 def interpolate(gf: GridFunction, x: float, y: float, t: float) -> np.ndarray:

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import tracemalloc
 from dataclasses import replace
 from pathlib import Path
@@ -12,6 +13,7 @@ import charfred as cf
 from charfred import characteristics, fredholm
 from charfred.expressions import is_literal_zero
 from charfred.fredholm import DISCRETE_UNKNOWN_CAP, GMRES_MAX_ITER, GMRES_RTOL
+from charfred.gridfield import GridDomainError
 from conftest import (ONE, ZERO, block_coupled_spec, coupled_spec, cyclic_b,
                       identity_spec)
 
@@ -546,8 +548,38 @@ def test_fused_cube_rejects_bad_probes():
     f = cf.zeros(grid, 3)
     with pytest.raises(ValueError):
         cf.apply_k_cubed_fused(spec, f, np.zeros((2, 2)))
-    with pytest.raises(ValueError):
-        cf.apply_k_cubed_fused(spec, f, np.array([[1.5, 0.0, 0.0]]))
+    # the first bad value is named, NaN included
+    cases = {"probe x = 1.5 outside": (1.5, 0.0, 0.0),
+             "probe x = nan outside": (math.nan, 0.0, 0.0),
+             "probe y = nan is not finite": (0.5, math.nan, 0.0),
+             "probe t = -inf is not finite": (0.5, 0.25, -math.inf)}
+    for message, bad in cases.items():
+        probes = np.array([[0.5, 0.5, 0.5], bad, (0.25, 0.0, math.inf)])
+        with pytest.raises(GridDomainError, match=re.escape(message)):
+            cf.apply_k_cubed_fused(spec, f, probes)
+
+
+def traced_peak(run):
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_fused_cube_memory_is_bounded_by_the_block():
+    spec = fused_spec()
+    grid = cf.Grid(nx=4, ny=5, nt=5)
+    f = cf.sample(EXPRS, grid)
+    rng = np.random.default_rng(3)
+    block = fredholm.FUSED_BLOCK
+    probes = np.column_stack([rng.uniform(0.0, 1.0, 8 * block),
+                              rng.uniform(0.0, 1.0, 8 * block),
+                              rng.uniform(0.0, 1.0, 8 * block)])
+    one = traced_peak(lambda: cf.apply_k_cubed_fused(spec, f, probes[:block]))
+    eight = traced_peak(lambda: cf.apply_k_cubed_fused(spec, f, probes))
+    assert eight <= 1.5 * one
 
 
 def test_kernel_dimension_thresholds():

@@ -1,4 +1,5 @@
 import io
+import math
 import re
 import warnings
 
@@ -94,6 +95,17 @@ def test_interpolation_rejects_x_outside_slab():
     # within the snap slack both faces are fine
     cf.interpolate(f, 1.0 + 1e-13, 0.0, 0.0)
     cf.interpolate(f, -1e-13, 0.0, 0.0)
+
+
+@pytest.mark.parametrize("axis, bad", [("x", math.nan), ("y", math.nan),
+                                       ("y", math.inf), ("t", -math.inf)])
+def test_interpolate_many_rejects_non_finite_coordinates(axis, bad):
+    f = linear_field(cf.Grid(nx=4, ny=4, nt=4))
+    points = {"x": np.array([0.5, bad, 0.25]) if axis == "x" else 0.5,
+              "y": np.array([0.5, bad, math.nan]) if axis == "y" else 0.5,
+              "t": np.array([0.5, bad, math.inf]) if axis == "t" else 0.5}
+    with pytest.raises(GridDomainError, match=re.escape(f"{axis} = {bad!r}")):
+        cf.interpolate_many(f, points["x"], points["y"], points["t"])
 
 
 def test_interpolate_many_shapes():

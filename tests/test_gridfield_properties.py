@@ -1,8 +1,11 @@
 """Property tests of grid-field interpolation and the CSV writer.
 
 Each property compares against an in-test oracle bit for bit: the
-eight-corner fancy-index trilinear interpolation, full-field reads
-sliced to one component, and a per-row f-string CSV writer.
+eight-corner fancy-index trilinear interpolation (with its own snapping
+and index arithmetic, so the kernel is not compared with itself),
+full-field reads sliced to one component, and a per-row f-string CSV
+writer. The fused K^3 route in probe blocks is compared with per-probe
+evaluation.
 """
 import io
 from unittest import mock
@@ -12,12 +15,38 @@ from hypothesis import given, settings, strategies as st
 
 import charfred as cf
 from charfred import fredholm
-from charfred.gridfield import (CSV_HEADER, _periodic_index, _x_index,
-                                csv_text, from_csv)
+from charfred.gridfield import _SNAP, CSV_HEADER, csv_text, from_csv
 from conftest import coupled_spec
 
 PROPERTY = settings(max_examples=60, deadline=None, derandomize=True,
                     database=None)
+
+
+def oracle_snap(u):
+    nearest = np.rint(u)
+    return np.where(np.abs(u - nearest) < _SNAP, nearest, u)
+
+
+def oracle_split_index(u):
+    u = oracle_snap(np.asarray(u, dtype=float))
+    base = np.floor(u)
+    return base.astype(np.int64), u - base
+
+
+def oracle_periodic_index(pos, n, period):
+    base, frac = oracle_split_index(np.asarray(pos, dtype=float) * n / period)
+    i0 = base % n
+    i1 = (i0 + 1) % n
+    return i0, i1, frac
+
+
+def oracle_x_index(pos, nx):
+    u = np.asarray(pos, dtype=float) * nx
+    u = np.clip(oracle_snap(u), 0.0, float(nx))
+    base = np.minimum(np.floor(u), nx - 1)
+    frac = u - base
+    i0 = base.astype(np.int64)
+    return i0, i0 + 1, frac
 
 
 def oracle_interpolate(gf, x, y, t):
@@ -25,9 +54,9 @@ def oracle_interpolate(gf, x, y, t):
     g = gf.grid
     x, y, t = np.broadcast_arrays(np.asarray(x, float), np.asarray(y, float),
                                   np.asarray(t, float))
-    ix0, ix1, fx = _x_index(x, g.nx)
-    iy0, iy1, fy = _periodic_index(y, g.ny, g.period_y)
-    it0, it1, ft = _periodic_index(t, g.nt, g.period_t)
+    ix0, ix1, fx = oracle_x_index(x, g.nx)
+    iy0, iy1, fy = oracle_periodic_index(y, g.ny, g.period_y)
+    it0, it1, ft = oracle_periodic_index(t, g.nt, g.period_t)
     v = gf.values
     out = np.zeros((gf.m,) + x.shape)
     for ix, wx in ((ix0, 1.0 - fx), (ix1, fx)):
@@ -162,6 +191,32 @@ def test_fused_reads_one_component_as_a_sliced_full_read(field, count):
     # the cyclic coupling reaches every component of f within K^3
     assert set(seen) == {0, 1, 2}
     assert same_bits(got, expect)
+
+
+BLOCK = fredholm.FUSED_BLOCK
+
+
+@settings(max_examples=10, deadline=None, derandomize=True, database=None)
+@given(fields(m=3), st.sampled_from((0, 1, BLOCK - 1, BLOCK + 1,
+                                     2 * BLOCK + 3)))
+def test_fused_blocks_match_per_probe_evaluation(field, count):
+    f, rng = field
+    probes = np.column_stack([rng.uniform(0.0, 1.0, count),
+                              rng.uniform(-1.0, 2.0, count),
+                              rng.uniform(-1.0, 2.0, count)])
+    spec = coupled_spec()
+    got = fredholm.apply_k_cubed_fused(spec, f, probes)
+    assert got.shape == (3, count)
+    if count == 0:
+        return
+    alone = np.column_stack([fredholm.apply_k_cubed_fused(spec, f, p[None])
+                             for p in probes])
+    tol = 1e-15 * np.abs(alone).max()
+    assert np.abs(got - alone).max() <= tol
+    # block composition changes with the order, the columns follow it
+    order = rng.permutation(count)
+    shuffled = fredholm.apply_k_cubed_fused(spec, f, probes[order])
+    assert np.abs(shuffled - got[:, order]).max() <= tol
 
 
 SPECIAL = np.array([0.0, -0.0, 5e-324, -1e300, 1.0 / 3.0, 123456.789])
