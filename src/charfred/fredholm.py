@@ -42,13 +42,13 @@ ASSEMBLY_BATCH = 256
 # fused K^3 route
 FUSED_PANELS = 2
 FUSED_NODES = 8
-# probes per block of the fused K^3 route. The largest temporary, the
-# variable-gamma line integral of the innermost level, holds
-# FUSED_NODES * (FUSED_PANELS * FUSED_NODES)^3 points per probe, 2 MiB at
-# 8 probes: half the 4 MiB L2 of the Xeon the block sweep ran on, where
-# op time was flat from 4 to 32 probes per block and peak memory grew
-# with the block. At 8 every block of a longer call holds 4 probes or
-# more, and such blocks gave results bit-identical to one unblocked call
+# probes per block of the fused K^3 route. The largest temporaries are
+# the innermost level's arrays of (FUSED_PANELS * FUSED_NODES)^3 points
+# per probe, 256 KiB each at 8 probes; tracemalloc puts a block's peak at
+# 7.0 MiB on a 33-node grid. In a sweep on a 2-core Xeon, 100 probes took
+# about as long in blocks of 4 or 8 and 1.5 times as long in blocks of
+# 16 or 32. At 8 every block of a longer call holds 4 probes or more,
+# and such blocks give results bit-identical to one unblocked call
 FUSED_BLOCK = 8
 
 
@@ -107,12 +107,49 @@ def _gl_panels(x0, X, glx, glw, panels):
     return xi, wts
 
 
-def _transport_at_points(plan, inner, X, Y, T, glx, glw, rows):
+def _gl_integration_matrix(glx, glw):
+    """S[k, j] = int_{-1}^{glx[k]} l_j, with l_j the Lagrange basis at the
+    Gauss nodes glx.
+
+    S applied to samples of g at glx integrates g's interpolant from -1
+    to each node, exactly when g is a polynomial of degree below glx.size.
+    """
+    leg = np.polynomial.legendre
+    q = glx.size
+    # l_j = w_j sum_n (n + 1/2) P_n(x_j) P_n, since the rule integrates
+    # every product P_n P_m with n, m < q exactly
+    coef = leg.legvander(glx, q - 1).T * glw * (np.arange(q) + 0.5)[:, None]
+    return leg.legvander(glx, q) @ leg.legint(coef, lbnd=-1)
+
+
+def _gamma_integrals(gam, x0, X, xi, Yl, Tl, glw, S):
+    """int_X^xi gamma along each line, at the panel nodes (xi, Yl, Tl) of
+    _gl_panels(x0, X, ...), from gamma read at those nodes alone.
+
+    S (_gl_integration_matrix) integrates each panel from its start to
+    its nodes, and the whole panels from there to X are subtracted; every
+    panel has the signed half-length (X - x0) / (2 FUSED_PANELS). The
+    result integrates gamma's degree FUSED_NODES - 1 interpolant on each
+    panel exactly.
+    """
+    gv = evaluate_on(gam, xi, Yl, Tl).reshape(FUSED_PANELS, glw.size, X.size)
+    whole = glw @ gv
+    beyond = np.cumsum(whole[::-1], axis=0)[::-1]
+    G = S @ gv
+    G -= beyond[:, None]
+    G *= (X.reshape(-1) - x0) / (2 * FUSED_PANELS)
+    return G.reshape(xi.shape)
+
+
+def _transport_at_points(plan, inner, X, Y, T, glx, glw, S, rows):
     """Requested components of (C^{-1} h) at scattered points.
 
     inner(X, Y, T, rows) returns the needed components of h as a dict.
     Only the blocks containing requested rows are integrated, which keeps
-    the nested chain linear in the coupling width.
+    the nested chain linear in the coupling width. A variable gamma is
+    read once per panel node, where h is read, and its line integral
+    from X to each node comes from those samples through the
+    integration matrix S (_gl_integration_matrix).
     """
     wanted = set(rows)
     w = {}
@@ -122,8 +159,8 @@ def _transport_at_points(plan, inner, X, Y, T, glx, glw, rows):
             continue
         for i in block:
             forward, beta, alpha, gam, c, _ = plan.rows[i]
-            xi, wts = _gl_panels(0.0 if forward else 1.0, X, glx, glw,
-                                 FUSED_PANELS)
+            x0 = 0.0 if forward else 1.0
+            xi, wts = _gl_panels(x0, X, glx, glw, FUSED_PANELS)
             d = xi - X[None]
             Yl = Y[None] + beta * d
             Tl = T[None] + alpha * d
@@ -133,22 +170,8 @@ def _transport_at_points(plan, inner, X, Y, T, glx, glw, rows):
             elif c is not None:
                 ew = wts * np.exp(c * d)
             else:
-                # int_X^xi gamma along the line, Gauss per segment
-                half = d / 2.0
-                mid = X[None] + half
-                s = mid[None] + half[None] * glx.reshape(
-                    (glx.size,) + (1,) * d.ndim)
-                ds = s - X[None, None]
-                # the Y and T line arrays are built in place: the same
-                # sums, without two more temporaries this size
-                Ys = beta * ds
-                Ys += Y[None, None]
-                ds *= alpha
-                ds += T[None, None]
-                gv = evaluate_on(gam, s, Ys, ds)
-                del Ys, ds
-                G = half * np.einsum("q,q...->...", glw, gv)
-                ew = wts * np.exp(G)
+                ew = wts * np.exp(_gamma_integrals(gam, x0, X, xi, Yl, Tl,
+                                                   glw, S))
             w[i] = np.einsum("q...,q...->...", ew, hv)
     u = {}
     for sl, adj, det in plan.blocks:
@@ -180,6 +203,11 @@ def apply_k_cubed_fused(spec: SystemSpec, f: GridFunction,
     through interpolation. probes is (p, 3) rows of (x, y, t); the result
     has shape (n, p).
 
+    Each line integral has FUSED_PANELS Gauss panels of FUSED_NODES
+    nodes, and a variable gamma is read only at those nodes: its
+    integral along the line comes from the integration matrix S built
+    here beside the Gauss rule (_gamma_integrals).
+
     Each probe carries (FUSED_PANELS * FUSED_NODES)^3 innermost points,
     so the probes are evaluated in ceil(p / FUSED_BLOCK) near-equal
     blocks and peak memory is set by the block, not by p. A probe with x
@@ -196,6 +224,7 @@ def apply_k_cubed_fused(spec: SystemSpec, f: GridFunction,
     _require_finite("probe y", pts[:, 1])
     _require_finite("probe t", pts[:, 2])
     glx, glw = np.polynomial.legendre.leggauss(FUSED_NODES)
+    S = _gl_integration_matrix(glx, glw)
     plan = TransportPlan.build(spec, f.grid)
 
     # one single-component view per row, so a read interpolates only it
@@ -207,7 +236,8 @@ def apply_k_cubed_fused(spec: SystemSpec, f: GridFunction,
     def chain(inner):
         def level(X, Y, T, rows):
             needed = {j for i, j, _ in plan.coupling if i in rows}
-            u = _transport_at_points(plan, inner, X, Y, T, glx, glw, needed)
+            u = _transport_at_points(plan, inner, X, Y, T, glx, glw, S,
+                                     needed)
             return _coupling_at_points(spec, plan, X, Y, T, u, rows)
         return level
 

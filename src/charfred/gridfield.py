@@ -253,9 +253,12 @@ def shift_diff_norm(gf: GridFunction, shift) -> ShiftDiff:
     """sup |u(p + shift) - u(p)| over nodes p with x + hx still in [0, 1].
 
     Nodes whose shifted x leaves the slab are skipped and counted; the
-    count is (number of excluded x levels) * ny * nt.
+    count is (number of excluded x levels) * ny * nt. A NaN or infinite
+    shift raises GridDomainError naming its axis.
     """
     hx, hy, ht = (float(s) for s in shift)
+    for axis, h in zip("xyt", (hx, hy, ht)):
+        _require_finite(f"{axis} shift", np.asarray(h))
     g = gf.grid
     xs = gf.grid.xs()
     keep = (xs + hx >= -_X_SLACK) & (xs + hx <= 1.0 + _X_SLACK)

@@ -11,7 +11,7 @@ import scipy.linalg
 
 import charfred as cf
 from charfred import characteristics, fredholm
-from charfred.expressions import is_literal_zero
+from charfred.expressions import constant_value, is_literal_zero
 from charfred.fredholm import DISCRETE_UNKNOWN_CAP, GMRES_MAX_ITER, GMRES_RTOL
 from charfred.gridfield import GridDomainError
 from conftest import (ONE, ZERO, block_coupled_spec, coupled_spec, cyclic_b,
@@ -581,6 +581,121 @@ def test_fused_cube_memory_is_bounded_by_the_block():
     eight = traced_peak(lambda: cf.apply_k_cubed_fused(spec, f, probes))
     assert eight <= 1.5 * one
 
+
+def test_integration_matrix_is_exact_on_the_interpolating_degrees():
+    glx, glw = np.polynomial.legendre.leggauss(fredholm.FUSED_NODES)
+    S = fredholm._gl_integration_matrix(glx, glw)
+    np.testing.assert_allclose(S @ np.ones_like(glx), glx + 1.0,
+                               rtol=0, atol=1e-13)
+    for degree in range(fredholm.FUSED_NODES):
+        exact = (glx ** (degree + 1) - (-1.0) ** (degree + 1)) / (degree + 1)
+        np.testing.assert_allclose(S @ glx ** degree, exact, rtol=0,
+                                   atol=1e-13)
+
+
+def oracle_gamma_integrals(gam, X, Y, T, beta, alpha, xi, glx, glw):
+    """int_X^xi gamma along the line by a fresh Gauss rule on [X, xi] per
+    node, reading gamma at glx.size points per node (the rule the
+    integration matrix replaced)."""
+    d = xi - X[None]
+    half = d / 2.0
+    mid = X[None] + half
+    s = mid[None] + half[None] * glx.reshape((glx.size,) + (1,) * d.ndim)
+    ds = s - X[None, None]
+    gv = cf.evaluate_on(gam, s, Y[None, None] + beta * ds,
+                        T[None, None] + alpha * ds)
+    return half * np.einsum("q,q...->...", glw, gv)
+
+
+def gamma_integral_pairs(gam, alpha, beta):
+    """(beta, alpha, L, new rule, oracle) per row of a spec with gamma on
+    all three rows: rows 0 and 1 flow in at x = 0, row 2 at x = 1. L is
+    |X - x0|, the longest line from a point to its nodes."""
+    spec = identity_spec(alpha=alpha, beta=beta, gamma=(gam, gam, gam))
+    plan = characteristics.TransportPlan.build(spec, cf.Grid(nx=4, ny=5,
+                                                             nt=5))
+    glx, glw = np.polynomial.legendre.leggauss(fredholm.FUSED_NODES)
+    S = fredholm._gl_integration_matrix(glx, glw)
+    X, Y, T = np.random.default_rng(5).uniform(0.0, 1.0, (3, 2, 6))
+    X[0, :2] = (0.0, 1.0)
+    for forward, beta, alpha, row_gam, c, _ in plan.rows:
+        assert row_gam is gam and c is None
+        x0 = 0.0 if forward else 1.0
+        xi, _ = fredholm._gl_panels(x0, X, glx, glw, fredholm.FUSED_PANELS)
+        d = xi - X[None]
+        got = fredholm._gamma_integrals(gam, x0, X, xi, Y[None] + beta * d,
+                                        T[None] + alpha * d, glw, S)
+        want = oracle_gamma_integrals(gam, X, Y, T, beta, alpha, xi, glx,
+                                      glw)
+        yield beta, alpha, np.abs(X - x0), got, want
+
+
+def test_gamma_integrals_match_the_per_node_rule_on_criterion_3():
+    # criterion 3's variable gamma, on its row's line in both directions
+    pairs = gamma_integral_pairs(cf.parse("0.1*cos(2*pi*y)"),
+                                 alpha=(-1.0,) * 3, beta=(0.5,) * 3)
+    for _, _, _, got, want in pairs:
+        # the transport weights exp(G) agree to 1e-10 relative
+        assert np.abs(np.expm1(got - want)).max() <= 1e-10
+
+
+# gamma = amplitude * (cos or sin)(2 pi (a x + b y + c t)) + constant:
+# (text, amplitude, (a, b, c))
+LINE_GAMMAS = (("2*cos(2*pi*(y - 2*t))", 2.0, (0.0, 1.0, -2.0)),
+               ("0.5*sin(2*pi*(x + t)) - 0.2", 0.5, (1.0, 0.0, 1.0)),
+               ("0.3*cos(2*pi*(x + y - t))", 0.3, (1.0, 1.0, -1.0)))
+
+
+@pytest.mark.parametrize("text, amplitude, freq", LINE_GAMMAS)
+def test_gamma_integrals_match_the_per_node_rule_within_its_error(
+        text, amplitude, freq):
+    q, panels = fredholm.FUSED_NODES, fredholm.FUSED_PANELS
+    pairs = gamma_integral_pairs(cf.parse(text), alpha=(0.5, 1.0, -1.0),
+                                 beta=(1.0, -1.0, 0.5))
+    for beta, alpha, L, got, want in pairs:
+        # along the line gamma's derivatives of order m are at most
+        # amplitude (2 pi k)^m. The new rule integrates each panel's
+        # degree q - 1 Gauss interpolant exactly, off gamma by at most
+        # amplitude (4 pi k h)^q q! / (2q)! on a panel of half-length h,
+        # over a line no longer than L. The old rule is q-point Gauss on
+        # [X, xi], with the classical remainder
+        k = abs(freq[0] + freq[1] * beta + freq[2] * alpha)
+        h = L / (2 * panels)
+        new = L * amplitude * (4 * np.pi * k * h) ** q * math.factorial(q) \
+            / math.factorial(2 * q)
+        old = L ** (2 * q + 1) * math.factorial(q) ** 4 \
+            / ((2 * q + 1) * math.factorial(2 * q) ** 3) \
+            * amplitude * (2 * np.pi * k) ** (2 * q)
+        tol = new + old + 1e-13 * amplitude
+        assert (np.abs(got - want) <= tol[None]).all()
+
+
+def test_fused_reads_gamma_once_per_panel_node(monkeypatch):
+    spec = fused_spec()
+    f = cf.sample(EXPRS, cf.Grid(nx=4, ny=5, nt=5))
+    probes = np.random.default_rng(3).uniform(0.0, 1.0, (10, 3))
+    varying = [g for g in spec.gamma if constant_value(g) is None]
+    real = fredholm.evaluate_on
+    points = {"gamma": 0, "coupling": 0}
+
+    def counting(e, x, y, t):
+        out = real(e, x, y, t)
+        points["gamma" if any(e is g for g in varying) else "coupling"] \
+            += out.size
+        return out
+
+    monkeypatch.setattr(fredholm, "evaluate_on", counting)
+    cf.apply_k_cubed_fused(spec, f, probes)
+    # row 2 alone has a variable gamma, and the cyclic coupling
+    # integrates it once per level: along p, p n and p n^2 lines
+    n = fredholm.FUSED_PANELS * fredholm.FUSED_NODES
+    lines = len(probes) * (1 + n + n * n)
+    assert len(varying) == 1
+    assert points["gamma"] <= n * lines
+    # a fresh FUSED_NODES-point rule per panel node read gamma
+    # FUSED_NODES times as often
+    per_node_rule = fredholm.FUSED_NODES * n * lines + points["coupling"]
+    assert 5 * (points["gamma"] + points["coupling"]) <= per_node_rule
 
 def test_kernel_dimension_thresholds():
     assert cf.kernel_dimension(np.diag([1.0, 0.5, 0.0])) == 1

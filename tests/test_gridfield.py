@@ -146,6 +146,18 @@ def test_shift_diff_norm_counts_skipped_x_levels():
     assert sd.value == pytest.approx(0.3, rel=1e-12)
 
 
+@pytest.mark.parametrize("axis", range(3))
+@pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf))
+def test_shift_diff_norm_rejects_non_finite_shifts(axis, bad):
+    # a non-finite x shift once skipped every node and returned 0.0
+    f = linear_field(cf.Grid(nx=4, ny=4, nt=4))
+    shift = [0.25, 0.0, 0.0]
+    shift[axis] = bad
+    message = f"{'xyt'[axis]} shift = {bad!r} is not finite"
+    with pytest.raises(GridDomainError, match=re.escape(message)):
+        shift_diff_norm(f, shift)
+
+
 def test_csv_round_trip():
     g = cf.Grid(nx=4, ny=4, nt=4)
     rng = np.random.default_rng(11)
