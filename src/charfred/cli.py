@@ -6,18 +6,17 @@ diagnose (smoothing profile and Jacobian table), testbed (randomized
 kernel-dimension inequality checks on small dense sections).
 
 solve runs the configured method: neumann iterates w <- f - K w;
-discrete solves the finite section by restarted GMRES on K. Up to
-DISCRETE_UNKNOWN_CAP unknowns it also estimates the kernel dimension,
-first by the norm certificate sqrt(||K||_1 ||K||_inf) < 1 (with a
-rounding margin) on streamed section columns; only when that declines
-does it assemble the dense section for an SVD. The dense section also
-serves a least-squares solve when GMRES stalls under that cap. auto
-runs neumann and, when it stalls or diverges, falls back to discrete
-at any size. A GMRES stall is reported on stderr with its relative
-residual and iteration count. Each solve and each diagnose run builds
-one TransportPlan for its grid and applies K through it; everything
-runs on one thread, and no environment variable changes what is
-computed.
+discrete solves the finite section by restarted GMRES on K and
+estimates its kernel dimension. fredholm.solve_discrete alone decides
+how: the structural norm certificate runs at every size, and the
+O(N^2) steps (streamed columns, the dense SVD, least squares after a
+GMRES stall) only up to its dense-section cap, so the estimate is null
+only above that cap when the certificate declines. auto runs neumann
+and, when it stalls or diverges, falls back to discrete at any size. A
+GMRES stall is reported on stderr with its relative residual and
+iteration count. Each solve and each diagnose run builds one
+TransportPlan for its grid and applies K through it; everything runs on
+one thread, and no environment variable changes what is computed.
 
 Exit codes: 0 success, 1 malformed config or unusable request,
 2 validation failure, 3 non-convergence, 4 testbed violation.
@@ -38,9 +37,8 @@ import numpy as np
 
 from .config import ConfigError, load_config
 from .diagnostics import smoothing_profile
-from .fredholm import (NonConvergence, dense_section_fits,
-                       finite_section_kernel_check, solve_discrete,
-                       solve_neumann)
+from .fredholm import (NonConvergence, finite_section_kernel_check,
+                       solve_discrete, solve_neumann)
 from .gridfield import sample, to_csv
 from .system import validate_spec
 
@@ -107,23 +105,20 @@ def cmd_solve(args) -> int:
     f = sample(cfg.rhs, cfg.grid)
     sampled = time.perf_counter()
     method = args.method or cfg.method
-    # the cap bounds the kernel estimate's dense fallback
-    estimate = dense_section_fits(cfg.spec, cfg.grid)
     try:
         if method == "neumann":
             outcome = solve_neumann(cfg.spec, f, cfg.tol, cfg.max_iter)
         elif method == "discrete":
-            outcome = solve_discrete(cfg.spec, f, kernel_estimate=estimate)
+            outcome = solve_discrete(cfg.spec, f)
         else:
             try:
                 outcome = solve_neumann(cfg.spec, f, cfg.tol, cfg.max_iter)
             except NonConvergence as exc:
                 state = "diverged" if exc.diverged else "stalled"
                 print(f"solve: iteration {state} (last update "
-                      f"{exc.last_diff:.3e}), falling back to the dense "
-                      f"section", file=sys.stderr)
-                outcome = solve_discrete(cfg.spec, f,
-                                         kernel_estimate=estimate)
+                      f"{exc.last_diff:.3e}), falling back to the discrete "
+                      f"method", file=sys.stderr)
+                outcome = solve_discrete(cfg.spec, f)
         if outcome.stalled_residual is not None:
             print(f"solve: GMRES stalled after {outcome.iterations} "
                   f"iterations (relative residual "
@@ -201,7 +196,11 @@ def _crafted_sections(rng: np.random.Generator, powers) -> list:
 
 
 def cmd_testbed(args) -> int:
-    powers = _int_list(args.powers)
+    try:
+        powers = _int_list(args.powers)
+    except ValueError as exc:
+        print(f"testbed: {exc}", file=sys.stderr)
+        return 1
     if not powers or any(p < 2 for p in powers):
         print("testbed: powers must all be at least 2", file=sys.stderr)
         return 1

@@ -387,27 +387,23 @@ def _section_inf_norm(spec: SystemSpec, grid: Grid,
     return float(np.einsum("ji...,j...->i...", m, r).max())
 
 
-def _section_norm_bound(spec: SystemSpec, grid: Grid, plan: TransportPlan,
-                        limit: float = math.inf) -> float:
-    """q = sqrt(||K||_1 ||K||_inf), an upper bound on ||K||_2 (Hoelder).
+def _section_col_norm(spec: SystemSpec, grid: Grid, plan: TransportPlan,
+                      limit: float = math.inf) -> float:
+    """||K||_1, the largest absolute column sum of the section.
 
-    Streams the section's columns and holds the largest absolute column
-    sum and one vector of absolute row sums, never the matrix. Both only
-    grow batch by batch, so the running product bounds q from below: once
-    it reaches limit the stream stops and that partial value, at least
-    limit and at most q, is returned. A non-finite entry makes q NaN or
-    inf.
+    Streams the section's columns and holds only the running maximum,
+    never the matrix. That maximum only grows batch by batch, so once it
+    reaches limit the stream stops and that partial value, at least
+    limit and at most ||K||_1, is returned. A non-finite entry makes the
+    result NaN or inf, and stops the stream too.
     """
-    col_max = q = 0.0
-    row_sums = np.zeros(spec.n * grid.node_count)
+    norm = 0.0
     for _, _, cols in _section_columns(spec, grid, plan):
         np.abs(cols, out=cols)
-        col_max = max(col_max, float(cols.sum(axis=1).max()))
-        row_sums += cols.sum(axis=0)
-        q = math.sqrt(col_max * float(row_sums.max()))
-        if q >= limit:
+        norm = float(cols.sum(axis=1).max(initial=norm))
+        if not norm < limit:
             break
-    return q
+    return norm
 
 
 def _gmres(spec: SystemSpec, grid: Grid, rhs: np.ndarray,
@@ -451,12 +447,6 @@ def _least_squares(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return sol
 
 
-def dense_section_fits(spec: SystemSpec, grid: Grid) -> bool:
-    """Whether the dense section on grid stays within DISCRETE_UNKNOWN_CAP
-    unknowns, the bound on every dense assembly a solve may make."""
-    return spec.n * grid.node_count <= DISCRETE_UNKNOWN_CAP
-
-
 def solve_discrete(spec: SystemSpec, f: GridFunction,
                    kernel_estimate: bool = True) -> SolveOutcome:
     """Finite-section solve of (I + K) w = f, matrix-free by GMRES.
@@ -478,35 +468,35 @@ def solve_discrete(spec: SystemSpec, f: GridFunction,
     threshold with the same factor 2 as below, and the count is 0.
 
     When that declines (q_inf at or above 1, or too close to it for n),
-    Hoelder's inequality bounds ||K||_2 by q = sqrt(||K||_1 ||K||_inf),
-    and both norms come from the section's columns streamed in batches,
-    without the n^2 matrix. Since | ||(I + K) x|| - ||x|| | <= q ||x||,
-    every singular value of I + K lies in [1 - q, 1 + q]. When
-    1 - q > 2 KERNEL_SV_RTOL (1 + q), the smallest exceeds the threshold
-    KERNEL_SV_RTOL * sigma_max with a factor 2 to spare for rounding in
-    the sums and the SVD's backward error, so the count is 0 and no dense
-    section is built. The stream stops at the first batch whose running
-    sums already put q past that bound, so a section far past it, such as
-    one whose Neumann iteration diverged (spectral radius, hence q, above
-    1), costs its first batches rather than a second pass over every
-    column. When both certificates decline, the section is assembled and
-    its values-only SVD gives the count; pass kernel_estimate=False to
-    skip the estimate.
+    Hoelder's inequality bounds ||K||_2 by q = sqrt(||K||_1 q_inf), and
+    ||K||_1 comes from the section's columns streamed in batches
+    (_section_col_norm), without the n^2 matrix. Since
+    | ||(I + K) x|| - ||x|| | <= q ||x||, every singular value of I + K
+    lies in [1 - q, 1 + q]. When 1 - q > 2 KERNEL_SV_RTOL (1 + q), the
+    smallest exceeds the threshold KERNEL_SV_RTOL * sigma_max with a
+    factor 2 to spare for rounding in the sums and the SVD's backward
+    error, so the count is 0 and no dense section is built. The stream
+    stops at the first batch whose running maximum already puts q past
+    that bound, so a section far past it, such as one whose Neumann
+    iteration diverged (spectral radius, hence q, above 1), costs its
+    first batches rather than a second pass over every column. When both
+    certificates decline, the section is assembled and its values-only
+    SVD gives the count; pass kernel_estimate=False to skip the estimate.
 
-    The dense section is assembled only when it is needed:
+    The structural certificate runs at any size. The O(n^2) steps (the
+    column stream, the dense section and its SVD or least-squares solve)
+    run only up to DISCRETE_UNKNOWN_CAP unknowns. Above it, an estimate
+    the structural certificate declines is None, and a stalled GMRES is
+    a NonConvergence. Below it, the dense section is assembled only when
+    it is needed:
     - for the SVD count, when both certificates decline;
     - for a rank-revealing least-squares solve when that count finds a
       kernel, or when GMRES stalls after GMRES_MAX_ITER iterations.
-    It is never built above DISCRETE_UNKNOWN_CAP unknowns: there a kernel
-    estimate is a ValueError and a stalled GMRES a NonConvergence.
     """
     start = time.perf_counter()
     grid = f.grid
     size = spec.n * grid.node_count
-    dense_ok = dense_section_fits(spec, grid)
-    if kernel_estimate and not dense_ok:
-        raise ValueError(f"{size} unknowns exceed the dense-solve cap "
-                         f"({DISCRETE_UNKNOWN_CAP})")
+    dense_ok = size <= DISCRETE_UNKNOWN_CAP
     plan = TransportPlan.build(spec, grid)
     rhs = f.values.reshape(size)
     mat = kdim = stalled = None
@@ -514,14 +504,18 @@ def solve_discrete(spec: SystemSpec, f: GridFunction,
     if kernel_estimate:
         root = math.sqrt(size)
         q_inf = _section_inf_norm(spec, grid, plan)
-        # 1 - q > 2 KERNEL_SV_RTOL (1 + q) solved for q
-        q_max = (1.0 - 2.0 * KERNEL_SV_RTOL) / (1.0 + 2.0 * KERNEL_SV_RTOL)
-        if ((1.0 - q_inf) / root > 2.0 * KERNEL_SV_RTOL * (1.0 + root * q_inf)
-                or _section_norm_bound(spec, grid, plan, q_max) < q_max):
+        if (1.0 - q_inf) / root > 2.0 * KERNEL_SV_RTOL * (1.0 + root * q_inf):
             kdim = 0
-        else:
-            mat = assemble_dense(spec, grid, plan)
-            kdim = kernel_dimension(mat)
+        elif dense_ok:
+            # 1 - q > 2 KERNEL_SV_RTOL (1 + q) solved for q is q < q_max,
+            # and q = sqrt(||K||_1 q_inf) < q_max is ||K||_1 < limit
+            q_max = (1.0 - 2.0 * KERNEL_SV_RTOL) / (1.0 + 2.0 * KERNEL_SV_RTOL)
+            limit = q_max ** 2 / q_inf
+            if _section_col_norm(spec, grid, plan, limit) < limit:
+                kdim = 0
+            else:
+                mat = assemble_dense(spec, grid, plan)
+                kdim = kernel_dimension(mat)
     if kdim:
         # no unique solution for GMRES to converge to
         sol = _least_squares(mat, rhs)

@@ -155,7 +155,7 @@ def test_solve_overflowing_iteration(method, tmp_path, capsys):
     else:
         assert rc == 0
         assert "iteration diverged" in captured.err
-        assert "falling back to the dense section" in captured.err
+        assert "falling back to the discrete method" in captured.err
         assert "method=discrete" in captured.out
 
 
@@ -180,8 +180,8 @@ def test_solve_reports_a_gmres_stall(tmp_path, capsys):
     assert outcome["residual_sup"] < 1e-10
 
 
-def test_solve_discrete_above_the_cap_skips_the_kernel_estimate(tmp_path,
-                                                                capsys):
+def test_solve_discrete_above_the_cap_certifies_the_kernel_estimate(
+        tmp_path, capsys):
     doc = base_config()
     doc["grid"] = {"nx": 30, "ny": 16, "nt": 16}
     assert 3 * 31 * 16 * 16 > DISCRETE_UNKNOWN_CAP
@@ -191,7 +191,7 @@ def test_solve_discrete_above_the_cap_skips_the_kernel_estimate(tmp_path,
     assert rc == 0
     assert capsys.readouterr().err == ""
     outcome = json.loads((out / "outcome.json").read_text(encoding="utf-8"))
-    assert outcome["kernel_dimension_estimate"] is None
+    assert outcome["kernel_dimension_estimate"] == 0
     assert 0 < outcome["iterations"] < GMRES_MAX_ITER
     assert outcome["residual_sup"] < 1e-10
 
@@ -210,7 +210,7 @@ def test_auto_fallback_runs_above_the_cap(coupling, tmp_path, capsys,
     rc = main(["solve", "--config", write_config(tmp_path, doc),
                "--out", str(out)])
     err = capsys.readouterr().err
-    assert "falling back to the dense section" in err
+    assert "falling back to the discrete method" in err
     if coupling is CYCLIC_FOURS:
         assert rc == 0
         outcome = json.loads((out / "outcome.json").read_text(
@@ -341,6 +341,8 @@ def test_testbed_deterministic_report(tmp_path):
     ["testbed", "--powers", "1,2"],
     ["testbed", "--powers", ""],
     ["testbed", "--count", "-1"],
+    ["testbed", "--powers", "a"],
+    ["testbed", "--powers", "2.5"],
 ])
 def test_testbed_rejects_bad_requests(argv, capsys):
     assert main(argv) == 1

@@ -230,13 +230,34 @@ def test_discrete_agrees_with_neumann():
     assert b.residual_sup < 1e-10
 
 
-def test_discrete_respects_unknown_cap():
+def forbid_quadratic_steps(monkeypatch):
+    # the column stream, the dense section and its SVD
+    def no_section(*args, **kwargs):
+        raise AssertionError("O(n^2) step run above the cap")
+
+    for name in ("assemble_dense", "_section_columns", "kernel_dimension"):
+        monkeypatch.setattr(fredholm, name, no_section)
+
+
+def test_kernel_estimate_above_the_cap_is_structural(monkeypatch):
     spec = coupled_spec()
     grid = cf.Grid(nx=30, ny=16, nt=16)
     assert 3 * 31 * 16 * 16 > DISCRETE_UNKNOWN_CAP
-    f = cf.zeros(grid, 3)
-    with pytest.raises(ValueError):
-        cf.solve_discrete(spec, f)
+    forbid_quadratic_steps(monkeypatch)
+    out = cf.solve_discrete(spec, cf.zeros(grid, 3))
+    assert out.kernel_dimension_estimate == 0
+
+
+def test_declining_certificate_above_the_cap_gives_no_estimate(monkeypatch):
+    # ||K||_inf near 1.45 declines the structural certificate, and a cap
+    # below the 240 unknowns leaves no stream or SVD to settle it
+    monkeypatch.setattr(fredholm, "DISCRETE_UNKNOWN_CAP", 100)
+    spec = coupled_x4_spec()
+    grid = cf.Grid(nx=4, ny=4, nt=4)
+    forbid_quadratic_steps(monkeypatch)
+    out = cf.solve_discrete(spec, cf.sample(EXPRS, grid))
+    assert out.kernel_dimension_estimate is None
+    assert out.stalled_residual is None
 
 
 def gelsy(spec, f):
@@ -266,7 +287,7 @@ def test_kernel_routes_the_solve_to_gelsy(monkeypatch):
     f = cf.sample(EXPRS, grid)
     # either norm certificate would prove this section kernel-free first
     monkeypatch.setattr(fredholm, "_section_inf_norm", lambda *args: 1.0)
-    monkeypatch.setattr(fredholm, "_section_norm_bound", lambda *args: 1.0)
+    monkeypatch.setattr(fredholm, "_section_col_norm", lambda *args: 1.0)
     monkeypatch.setattr(fredholm, "kernel_dimension", lambda mat: 1)
 
     def no_gmres(*args):
@@ -295,8 +316,7 @@ def transversal_spec():
                          b=cyclic_b(ONE, ONE, ONE))
 
 
-# 240 unknowns: the last batch holds 2 columns, or 48 of the third
-# component, which row 0 reads and whose row sum is the largest
+# 240 unknowns: the last batch holds 2 columns, or 48
 @pytest.mark.parametrize("batch", (7, 64))
 def test_streamed_norms_match_the_dense_section(monkeypatch, batch):
     monkeypatch.setattr(fredholm, "ASSEMBLY_BATCH", batch)
@@ -304,10 +324,10 @@ def test_streamed_norms_match_the_dense_section(monkeypatch, batch):
     grid = cf.Grid(nx=4, ny=4, nt=4)
     plan = cf.TransportPlan.build(spec, grid)
     k = cf.assemble_dense(spec, grid, plan) - np.eye(240)
-    norm1, norm_inf = np.abs(k).sum(0).max(), np.abs(k).sum(1).max()
-    q = fredholm._section_norm_bound(spec, grid, plan)
-    assert q == pytest.approx(np.sqrt(norm1 * norm_inf), rel=1e-14)
-    assert q >= np.linalg.norm(k, 2)
+    norm1 = fredholm._section_col_norm(spec, grid, plan)
+    assert norm1 == pytest.approx(np.abs(k).sum(0).max(), rel=1e-14)
+    q_inf = fredholm._section_inf_norm(spec, grid, plan)
+    assert math.sqrt(norm1 * q_inf) >= np.linalg.norm(k, 2)
 
 
 def test_certificate_stops_streaming_once_it_must_decline(monkeypatch):
@@ -320,10 +340,22 @@ def test_certificate_stops_streaming_once_it_must_decline(monkeypatch):
                                     cf.parse("200*sin(2*pi*t)")))
     grid = cf.Grid(nx=4, ny=4, nt=4)
     plan = cf.TransportPlan.build(spec, grid)
-    q = fredholm._section_norm_bound(spec, grid, plan)
-    assert 1.0 <= fredholm._section_norm_bound(spec, grid, plan, 1.0) < q
+    norm1 = fredholm._section_col_norm(spec, grid, plan)
+    assert 1.0 <= fredholm._section_col_norm(spec, grid, plan, 1.0) < norm1
 
-    batches = []
+    batches = count_batches(monkeypatch)
+    out = cf.solve_discrete(spec, cf.sample(EXPRS, grid))
+    # one batch streamed for the certificate, then every batch for the
+    # dense count, and the estimate is that count
+    assert batches == [1, 35]
+    assert out.kernel_dimension_estimate == \
+        cf.kernel_dimension(cf.assemble_dense(spec, grid, plan))
+
+
+def count_batches(monkeypatch):
+    """Impulse batches streamed before the first assemble_dense call,
+    then in each call: the returned list grows as solve_discrete runs."""
+    batches = [0]
     impulse_images = fredholm._impulse_images
     assemble_dense = fredholm.assemble_dense
 
@@ -337,13 +369,7 @@ def test_certificate_stops_streaming_once_it_must_decline(monkeypatch):
 
     monkeypatch.setattr(fredholm, "_impulse_images", counted)
     monkeypatch.setattr(fredholm, "assemble_dense", dense)
-    batches.append(0)
-    out = cf.solve_discrete(spec, cf.sample(EXPRS, grid))
-    # one batch streamed for the certificate, then every batch for the
-    # dense count, and the estimate is that count
-    assert batches == [1, 35]
-    assert out.kernel_dimension_estimate == \
-        cf.kernel_dimension(assemble_dense(spec, grid, plan))
+    return batches
 
 
 def coupled_x4_spec():
@@ -398,6 +424,18 @@ def test_transversal_section_takes_the_stream(monkeypatch):
     out = cf.solve_discrete(spec, cf.sample(EXPRS, grid))
     assert out.kernel_dimension_estimate == 0
     assert len(calls) == math.ceil(3 * 7 ** 3 / fredholm.ASSEMBLY_BATCH)
+
+
+def test_x4_coupling_stops_the_stream_after_one_batch(monkeypatch):
+    # q_inf near 1.45 declines the structural test, and the first batch's
+    # largest column sum already reaches q_max^2 / q_inf, so the stream
+    # stops there and the dense count gives the estimate
+    spec = coupled_x4_spec()
+    grid = cf.Grid(nx=6, ny=7, nt=7)
+    batches = count_batches(monkeypatch)
+    out = cf.solve_discrete(spec, cf.sample(EXPRS, grid))
+    assert batches == [1, math.ceil(3 * 7 ** 3 / fredholm.ASSEMBLY_BATCH)]
+    assert out.kernel_dimension_estimate == 0
 
 
 # 4 and 7 nodes per axis; x has at least 5 (nx >= 4)
