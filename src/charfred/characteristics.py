@@ -304,17 +304,14 @@ def solve_transport(spec: SystemSpec, f: GridFunction,
     return GridFunction(f.grid, out[0])
 
 
-def apply_transport(spec: SystemSpec, u: GridFunction,
-                    step: float | None = None) -> GridFunction:
+def apply_transport(spec: SystemSpec, u: GridFunction) -> GridFunction:
     """Forward operator: directional differences plus the gamma term.
 
-    Central differences along each row's line direction, one sided on the
-    faces x = 0 and x = 1.
+    Central differences of step default_step along each row's line
+    direction, one sided on the faces x = 0 and x = 1.
     """
     grid = u.grid
-    s = default_step(spec, grid) if step is None else float(step)
-    if s <= 0 or s > 1.0 / (2 * grid.nx):
-        raise ValueError("step must be positive and at most half a cell")
+    s = default_step(spec, grid)
     nx, ny, nt = grid.nx, grid.ny, grid.nt
     X = np.broadcast_to(grid.xs()[:, None, None], (nx + 1, ny, nt))
     Y = np.broadcast_to(grid.ys()[None, :, None], (nx + 1, ny, nt))

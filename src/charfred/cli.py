@@ -8,13 +8,15 @@ kernel-dimension inequality checks on small dense sections).
 solve runs the configured method: neumann iterates w <- f - K w;
 discrete solves the finite section by restarted GMRES on K and
 estimates its kernel dimension. fredholm.solve_discrete alone decides
-how: the structural norm certificate runs at every size, and the
-O(N^2) steps (streamed columns, the dense SVD, least squares after a
+how: the structural certificate from powers of |K| runs at every size,
+and the O(N^2) steps (the dense section, its SVD, least squares after a
 GMRES stall) only up to its dense-section cap, so the estimate is null
 only above that cap when the certificate declines. auto runs neumann
 and, when it stalls or diverges, falls back to discrete at any size. A
 GMRES stall is reported on stderr with its relative residual and
-iteration count. Each solve and each diagnose run builds one
+iteration count. A coefficient or right-hand side that cannot be
+evaluated at a grid node ends solve or diagnose with one stderr line
+and exit 1. Each solve and each diagnose run builds one
 TransportPlan for its grid and applies K through it; everything runs on
 one thread, and no environment variable changes what is computed.
 
@@ -37,6 +39,7 @@ import numpy as np
 
 from .config import ConfigError, load_config
 from .diagnostics import smoothing_profile
+from .expressions import EvalError
 from .fredholm import (NonConvergence, finite_section_kernel_check,
                        solve_discrete, solve_neumann)
 from .gridfield import sample, to_csv
@@ -101,11 +104,11 @@ def cmd_solve(args) -> int:
     cfg, code = _load_valid(args)
     if cfg is None:
         return code
-    start = time.perf_counter()
-    f = sample(cfg.rhs, cfg.grid)
-    sampled = time.perf_counter()
     method = args.method or cfg.method
+    start = time.perf_counter()
     try:
+        f = sample(cfg.rhs, cfg.grid)
+        sampled = time.perf_counter()
         if method == "neumann":
             outcome = solve_neumann(cfg.spec, f, cfg.tol, cfg.max_iter)
         elif method == "discrete":
@@ -128,7 +131,9 @@ def cmd_solve(args) -> int:
         print(f"solve: no convergence after {exc.iterations} iterations "
               f"(last update {exc.last_diff:.3e})", file=sys.stderr)
         return 3
-    except ValueError as exc:
+    except (ValueError, EvalError) as exc:
+        # EvalError: a coefficient undefined at a grid node, which
+        # validation's sample points can miss
         print(f"solve: {exc}", file=sys.stderr)
         return 1
     solved = time.perf_counter()
@@ -155,7 +160,7 @@ def cmd_diagnose(args) -> int:
         diag = smoothing_profile(cfg.spec, cfg.grid,
                                  powers=_int_list(args.powers),
                                  frequencies=_int_list(args.frequencies))
-    except ValueError as exc:
+    except (ValueError, EvalError) as exc:
         print(f"diagnose: {exc}", file=sys.stderr)
         return 1
     profiled = time.perf_counter()

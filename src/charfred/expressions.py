@@ -44,6 +44,7 @@ class EvalError(ArithmeticError):
 
     def __init__(self, message: str, node: "Expression"):
         self.node = node
+        self.reason = message
         super().__init__(f"{message} in '{pretty(node)}'")
 
 
@@ -373,20 +374,19 @@ def _halton(index: int, base: int) -> float:
     return r
 
 
-def check_periodicity(e: Expression, period_y: float, period_t: float,
-                      samples: int = 64) -> bool:
+def check_periodicity(e: Expression, period_y: float,
+                      period_t: float) -> bool:
     """Test e(x, y+Y, t) == e(x, y, t+T) == e(x, y, t) numerically.
 
-    Uses a deterministic low-discrepancy (Halton) sample of the domain;
-    comparisons are relative: |dv| <= PERIODICITY_RTOL*(1 + |v|).
+    Uses a deterministic 64-point low-discrepancy (Halton) sample of the
+    domain; comparisons are relative: |dv| <= PERIODICITY_RTOL*(1 + |v|).
     """
-    if samples < 8:
-        raise ValueError("need at least 8 sample points")
     if not all(p > 0 and math.isfinite(p) for p in (period_y, period_t)):
         raise ValueError("periods must be positive and finite")
-    xs = np.array([_halton(i, 2) for i in range(1, samples + 1)])
-    ys = np.array([_halton(i, 3) for i in range(1, samples + 1)]) * period_y
-    ts = np.array([_halton(i, 5) for i in range(1, samples + 1)]) * period_t
+    points = range(1, 65)
+    xs = np.array([_halton(i, 2) for i in points])
+    ys = np.array([_halton(i, 3) for i in points]) * period_y
+    ts = np.array([_halton(i, 5) for i in points]) * period_t
     base = evaluate_on(e, xs, ys, ts)
     for dy, dt in ((period_y, 0.0), (0.0, period_t), (period_y, period_t)):
         shifted = evaluate_on(e, xs, ys + dy, ts + dt)

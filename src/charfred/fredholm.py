@@ -12,6 +12,7 @@ package loads none of it.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import time
 from dataclasses import dataclass
@@ -36,7 +37,7 @@ DIVERGENCE_GROWTH = 1e6
 GMRES_RTOL = 1e-13
 GMRES_RESTART = 50
 GMRES_MAX_ITER = 200
-# impulse columns per transport call in _section_columns
+# impulse columns per transport call in assemble_dense
 ASSEMBLY_BATCH = 256
 # Gauss-Legendre panels per line integral, and nodes per panel, of the
 # fused K^3 route
@@ -324,19 +325,6 @@ def _outcome(method: str, spec: SystemSpec, f: GridFunction,
                         time.perf_counter() - start, stalled)
 
 
-def _section_columns(spec: SystemSpec, grid: Grid, plan: TransportPlan):
-    """K images of the unit impulses, ASSEMBLY_BATCH at a time.
-
-    Yields (start, stop, cols) with cols[c] the column start + c of K in
-    the node basis, ordered like the flattened (component, ix, iy, it)
-    value array. Each batch is a fresh array the caller may overwrite.
-    """
-    size = spec.n * grid.node_count
-    for start in range(0, size, ASSEMBLY_BATCH):
-        stop = min(start + ASSEMBLY_BATCH, size)
-        yield start, stop, _impulse_images(spec, grid, plan, start, stop)
-
-
 def _impulse_images(spec, grid, plan, start, stop):
     # one batch's temporaries die with this call
     size = spec.n * grid.node_count
@@ -353,57 +341,48 @@ def assemble_dense(spec: SystemSpec, grid: Grid,
     """Dense matrix of I + K in the node basis.
 
     Columns are impulse responses at grid nodes, ordered like the
-    flattened (component, ix, iy, it) value array.
+    flattened (component, ix, iy, it) value array, computed
+    ASSEMBLY_BATCH at a time.
     """
     if plan is None:
         plan = TransportPlan.build(spec, grid)
     size = spec.n * grid.node_count
     mat = np.empty((size, size))
-    for start, stop, cols in _section_columns(spec, grid, plan):
-        mat[:, start:stop] = cols.T
+    for start in range(0, size, ASSEMBLY_BATCH):
+        stop = min(start + ASSEMBLY_BATCH, size)
+        mat[:, start:stop] = _impulse_images(spec, grid, plan, start, stop).T
     mat[np.diag_indices(size)] += 1.0
     return mat
 
 
-def _section_inf_norm(spec: SystemSpec, grid: Grid,
-                      plan: TransportPlan) -> float:
-    """||K||_inf of the section from one transport of the ones field.
+def _section_power_norms(spec: SystemSpec, grid: Grid, plan: TransportPlan):
+    """a_p = max(|K|^p 1) for p = 1, 2, ..., one transport per power.
 
     K = M R: R holds each row's line integrals of its own component
     (_row_integrals) and M(node) = B P A^{-1} is pointwise, so the entry
-    of K in row (i, node) and column (j, node') is M_ij(node)
-    R_j(node, node'). Each row of R has one sign, so its absolute row sum
-    is |R_j 1|(node), and row (i, node) of |K| sums to
-    sum_j |M_ij(node)| |R_j 1|(node). The columns of M are the blocks and
-    face zeroing applied to the unit fields, then the coupling.
+    of K in row (i, node) and column (j, node') is the one product
+    M_ij(node) R_j(node, node'). Each row of R has one sign, so for
+    v >= 0, |R_j| v_j = |R_j v_j| and
+    (|K| v)_i = sum_j |M_ij| |R_j v_j|. The columns of M are the blocks
+    and face zeroing applied to the unit fields, then the coupling; |M|
+    is built once. a_1 is ||K||_inf exactly, and a_p >= ||K^p||_inf. The
+    generator stops after the first NaN or infinite a_p.
     """
     shape = (spec.n, grid.nx + 1, grid.ny, grid.nt)
-    r = np.abs(_row_integrals(grid, np.ones((1,) + shape), plan)[0])
     unit = np.zeros((spec.n,) + shape)
     unit[np.arange(spec.n), np.arange(spec.n)] = 1.0
     m = apply_coupling_stack(spec, grid, _apply_blocks(spec, grid, unit, plan),
                              plan)
     np.abs(m, out=m)
-    return float(np.einsum("ji...,j...->i...", m, r).max())
-
-
-def _section_col_norm(spec: SystemSpec, grid: Grid, plan: TransportPlan,
-                      limit: float = math.inf) -> float:
-    """||K||_1, the largest absolute column sum of the section.
-
-    Streams the section's columns and holds only the running maximum,
-    never the matrix. That maximum only grows batch by batch, so once it
-    reaches limit the stream stops and that partial value, at least
-    limit and at most ||K||_1, is returned. A non-finite entry makes the
-    result NaN or inf, and stops the stream too.
-    """
-    norm = 0.0
-    for _, _, cols in _section_columns(spec, grid, plan):
-        np.abs(cols, out=cols)
-        norm = float(cols.sum(axis=1).max(initial=norm))
-        if not norm < limit:
-            break
-    return norm
+    v = np.ones((1,) + shape)
+    a = 0.0
+    while math.isfinite(a):
+        # an overflow shows as an infinite a_p
+        with np.errstate(over="ignore", invalid="ignore"):
+            r = np.abs(_row_integrals(grid, v, plan)[0])
+            v[0] = np.einsum("ji...,j...->i...", m, r)
+        a = float(v.max())
+        yield a
 
 
 def _gmres(spec: SystemSpec, grid: Grid, rhs: np.ndarray,
@@ -453,43 +432,31 @@ def solve_discrete(spec: SystemSpec, f: GridFunction,
 
     The kernel dimension estimate (kernel_estimate=True) counts singular
     values of the section I + K at or below KERNEL_SV_RTOL of the largest.
-    Two certificates that the count is 0 are tried before any SVD.
+    A structural certificate that the count is 0 is tried before any SVD.
 
-    The first is structural. K = M R, where R holds each row's line
-    integrals of its own component and M(node) = B P A^{-1} (coupling,
-    face zeroing, inverse blocks) is pointwise. Every row of R has one
-    sign, so q_inf = ||K||_inf is exactly the largest of
-    sum_j |M_ij| |R_j 1| over rows i and nodes: one transport of the ones
-    field (_section_inf_norm), not n columns. With n unknowns,
-    ||X||_2 <= sqrt(n) ||X||_inf and ||(I + K)^{-1}||_inf <= 1 / (1 - q_inf)
-    put every singular value of I + K in [(1 - q_inf) / sqrt(n),
-    1 + sqrt(n) q_inf]. When (1 - q_inf) / sqrt(n) >
-    2 KERNEL_SV_RTOL (1 + sqrt(n) q_inf), the smallest exceeds the
-    threshold with the same factor 2 as below, and the count is 0.
+    K = M R, where R holds each row's line integrals of its own component
+    and M(node) = B P A^{-1} (coupling, face zeroing, inverse blocks) is
+    pointwise. Every row of R has one sign, so |K| v for v >= 0 costs
+    one transport, and a_p = max(|K|^p 1) bounds ||K^p||_inf
+    (_section_power_norms); a_1 = ||K||_inf exactly. From
+    (I + K) sum_{k<p} (-K)^k = I - (-K)^p, when a_p < 1,
+    ||(I + K)^{-1}||_inf <= B_p = (1 + a_1 + ... + a_{p-1}) / (1 - a_p).
+    With n unknowns and ||X||_2 <= sqrt(n) ||X||_inf, every singular
+    value of I + K lies in [1 / (sqrt(n) B_p), 1 + sqrt(n) a_1]. When
+    1 / (sqrt(n) B_p) > 2 KERNEL_SV_RTOL (1 + sqrt(n) a_1), the smallest
+    exceeds the threshold with a factor 2 to spare for rounding in the
+    sums and the SVD's backward error, and the count is 0. Powers
+    p = 1, 2, 3 are tried in turn, three being the number of row groups
+    the coupling cycles through; a NaN or infinite a_p declines. When all
+    three decline, the section is assembled and its values-only SVD gives
+    the count; pass kernel_estimate=False to skip the estimate.
 
-    When that declines (q_inf at or above 1, or too close to it for n),
-    Hoelder's inequality bounds ||K||_2 by q = sqrt(||K||_1 q_inf), and
-    ||K||_1 comes from the section's columns streamed in batches
-    (_section_col_norm), without the n^2 matrix. Since
-    | ||(I + K) x|| - ||x|| | <= q ||x||, every singular value of I + K
-    lies in [1 - q, 1 + q]. When 1 - q > 2 KERNEL_SV_RTOL (1 + q), the
-    smallest exceeds the threshold KERNEL_SV_RTOL * sigma_max with a
-    factor 2 to spare for rounding in the sums and the SVD's backward
-    error, so the count is 0 and no dense section is built. The stream
-    stops at the first batch whose running maximum already puts q past
-    that bound, so a section far past it, such as one whose Neumann
-    iteration diverged (spectral radius, hence q, above 1), costs its
-    first batches rather than a second pass over every column. When both
-    certificates decline, the section is assembled and its values-only
-    SVD gives the count; pass kernel_estimate=False to skip the estimate.
-
-    The structural certificate runs at any size. The O(n^2) steps (the
-    column stream, the dense section and its SVD or least-squares solve)
-    run only up to DISCRETE_UNKNOWN_CAP unknowns. Above it, an estimate
-    the structural certificate declines is None, and a stalled GMRES is
-    a NonConvergence. Below it, the dense section is assembled only when
-    it is needed:
-    - for the SVD count, when both certificates decline;
+    The certificate runs at any size. The O(n^2) steps (the dense
+    section and its SVD or least-squares solve) run only up to
+    DISCRETE_UNKNOWN_CAP unknowns. Above it, an estimate the certificate
+    declines is None, and a stalled GMRES is a NonConvergence. Below it,
+    the dense section is assembled only when it is needed:
+    - for the SVD count, when the certificate declines;
     - for a rank-revealing least-squares solve when that count finds a
       kernel, or when GMRES stalls after GMRES_MAX_ITER iterations.
     """
@@ -503,17 +470,18 @@ def solve_discrete(spec: SystemSpec, f: GridFunction,
     iterations = 0
     if kernel_estimate:
         root = math.sqrt(size)
-        q_inf = _section_inf_norm(spec, grid, plan)
-        if (1.0 - q_inf) / root > 2.0 * KERNEL_SV_RTOL * (1.0 + root * q_inf):
-            kdim = 0
-        elif dense_ok:
-            # 1 - q > 2 KERNEL_SV_RTOL (1 + q) solved for q is q < q_max,
-            # and q = sqrt(||K||_1 q_inf) < q_max is ||K||_1 < limit
-            q_max = (1.0 - 2.0 * KERNEL_SV_RTOL) / (1.0 + 2.0 * KERNEL_SV_RTOL)
-            limit = q_max ** 2 / q_inf
-            if _section_col_norm(spec, grid, plan, limit) < limit:
+        norms = _section_power_norms(spec, grid, plan)
+        a_1 = next(norms)
+        floor = 2.0 * KERNEL_SV_RTOL * (1.0 + root * a_1)
+        head = 1.0  # 1 + a_1 + ... + a_{p-1}
+        for a_p in itertools.chain([a_1], itertools.islice(norms, 2)):
+            # 1 / (sqrt(n) B_p) > floor, which is False for NaN or inf
+            if (1.0 - a_p) / (root * head) > floor:
                 kdim = 0
-            else:
+                break
+            head += a_p
+        else:
+            if dense_ok:
                 mat = assemble_dense(spec, grid, plan)
                 kdim = kernel_dimension(mat)
     if kdim:

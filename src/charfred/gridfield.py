@@ -128,7 +128,8 @@ def _locate_eval_error(e, grid, comp):
                     evaluate_on(e, x, y, t)
                 except EvalError as err:
                     raise EvalError(
-                        f"component {comp} at node ({ix},{iy},{it}): {err}",
+                        f"component {comp} at node ({ix},{iy},{it}): "
+                        f"{err.reason}",
                         err.node) from err
 
 

@@ -188,16 +188,6 @@ def test_apply_transport_inverts_solve_transport():
     assert resid[0] / resid[1] > 1.6
 
 
-def test_apply_transport_rejects_bad_step():
-    spec = identity_spec()
-    grid = cf.Grid(nx=8, ny=4, nt=4)
-    u = cf.zeros(grid, 3)
-    with pytest.raises(ValueError):
-        cf.apply_transport(spec, u, step=0.2)
-    with pytest.raises(ValueError):
-        cf.apply_transport(spec, u, step=0.0)
-
-
 def test_default_step_respects_grid_and_slopes():
     spec = identity_spec(alpha=(4.0, 0.0, 0.0), beta=(0.0, 0.0, 0.0))
     grid = cf.Grid(nx=8, ny=8, nt=8)

@@ -292,6 +292,33 @@ def test_solve_rejects_invalid_spec(tmp_path, capsys):
     assert "validation:" in capsys.readouterr().err
 
 
+# undefined at the node y = 0, which validation's sample points miss
+POLE = "1/sin(2*pi*y)"
+
+
+@pytest.mark.parametrize("where", [("rhs", 0), ("system", "b", 1, 0),
+                                   ("system", "gamma", 0)],
+                         ids=["rhs", "b", "gamma"])
+def test_coefficient_undefined_at_a_node_is_one_line(where, tmp_path,
+                                                       capsys):
+    doc = base_config()
+    doc["grid"] = {"nx": 4, "ny": 4, "nt": 4}
+    parent = doc
+    for key in where[:-1]:
+        parent = parent[key]
+    parent[where[-1]] = POLE
+    path = write_config(tmp_path, doc)
+    runs = [["solve"]]
+    if where[0] != "rhs":  # diagnose does not read the right-hand side
+        runs.append(["diagnose", "--frequencies", "1"])
+    for run in runs:
+        rc = main(run + ["--config", path, "--out", str(tmp_path / run[0])])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith(f"{run[0]}: ") and err.count("\n") == 1
+        assert err.count(POLE) == 1
+
+
 def test_diagnose_reports(tmp_path, capsys):
     out = tmp_path / "diag"
     rc = main(["diagnose", "--config", str(CONFIGS / "cyclic.json"),

@@ -161,11 +161,6 @@ def test_periodicity_rejects_non_finite_periods(which, bad):
         check_periodicity(parse("y"), **periods)
 
 
-def test_periodicity_sample_floor():
-    with pytest.raises(ValueError):
-        check_periodicity(parse("y"), 1.0, 1.0, samples=4)
-
-
 @pytest.mark.parametrize("text,value", [
     ("0", 0.0), ("0.3", 0.3), ("-0.2", -0.2), ("pi", math.pi),
     ("-pi", -math.pi), ("1/2", 0.5), ("pi/4", math.pi / 4),

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import re
@@ -231,11 +232,11 @@ def test_discrete_agrees_with_neumann():
 
 
 def forbid_quadratic_steps(monkeypatch):
-    # the column stream, the dense section and its SVD
+    # the impulse columns, the dense section and its SVD
     def no_section(*args, **kwargs):
-        raise AssertionError("O(n^2) step run above the cap")
+        raise AssertionError("O(n^2) step run")
 
-    for name in ("assemble_dense", "_section_columns", "kernel_dimension"):
+    for name in ("assemble_dense", "_impulse_images", "kernel_dimension"):
         monkeypatch.setattr(fredholm, name, no_section)
 
 
@@ -249,10 +250,10 @@ def test_kernel_estimate_above_the_cap_is_structural(monkeypatch):
 
 
 def test_declining_certificate_above_the_cap_gives_no_estimate(monkeypatch):
-    # ||K||_inf near 1.45 declines the structural certificate, and a cap
-    # below the 240 unknowns leaves no stream or SVD to settle it
+    # a_1, a_2, a_3 near 11, 24 and 88 decline the structural certificate,
+    # and a cap below the 240 unknowns leaves no SVD to settle it
     monkeypatch.setattr(fredholm, "DISCRETE_UNKNOWN_CAP", 100)
-    spec = coupled_x4_spec()
+    spec = coupled_x30_spec()
     grid = cf.Grid(nx=4, ny=4, nt=4)
     forbid_quadratic_steps(monkeypatch)
     out = cf.solve_discrete(spec, cf.sample(EXPRS, grid))
@@ -285,9 +286,9 @@ def test_kernel_routes_the_solve_to_gelsy(monkeypatch):
     spec = coupled_spec()
     grid = cf.Grid(nx=4, ny=4, nt=4)
     f = cf.sample(EXPRS, grid)
-    # either norm certificate would prove this section kernel-free first
-    monkeypatch.setattr(fredholm, "_section_inf_norm", lambda *args: 1.0)
-    monkeypatch.setattr(fredholm, "_section_col_norm", lambda *args: 1.0)
+    # the certificate would prove this section kernel-free first
+    monkeypatch.setattr(fredholm, "_section_power_norms",
+                        lambda *args: itertools.repeat(1.0))
     monkeypatch.setattr(fredholm, "kernel_dimension", lambda mat: 1)
 
     def no_gmres(*args):
@@ -318,66 +319,31 @@ def transversal_spec():
 
 # 240 unknowns: the last batch holds 2 columns, or 48
 @pytest.mark.parametrize("batch", (7, 64))
-def test_streamed_norms_match_the_dense_section(monkeypatch, batch):
-    monkeypatch.setattr(fredholm, "ASSEMBLY_BATCH", batch)
+def test_assembly_batches_give_one_matrix(monkeypatch, batch):
     spec = coupled_spec()
     grid = cf.Grid(nx=4, ny=4, nt=4)
     plan = cf.TransportPlan.build(spec, grid)
-    k = cf.assemble_dense(spec, grid, plan) - np.eye(240)
-    norm1 = fredholm._section_col_norm(spec, grid, plan)
-    assert norm1 == pytest.approx(np.abs(k).sum(0).max(), rel=1e-14)
-    q_inf = fredholm._section_inf_norm(spec, grid, plan)
-    assert math.sqrt(norm1 * q_inf) >= np.linalg.norm(k, 2)
+    whole = cf.assemble_dense(spec, grid, plan)
+    monkeypatch.setattr(fredholm, "ASSEMBLY_BATCH", batch)
+    np.testing.assert_array_equal(cf.assemble_dense(spec, grid, plan), whole)
 
 
-def test_certificate_stops_streaming_once_it_must_decline(monkeypatch):
-    # couplings x1e3: q is near 300, past the bound after the first batch
-    monkeypatch.setattr(fredholm, "ASSEMBLY_BATCH", 7)
-    spec = identity_spec(alpha=(0.5, 1.0, -1.0), beta=(1.0, -1.0, 0.5),
-                         gamma=(cf.parse("0.3"), ZERO, cf.parse("-0.2")),
-                         b=cyclic_b(cf.parse("400*cos(2*pi*y)"),
-                                    cf.parse("300"),
-                                    cf.parse("200*sin(2*pi*t)")))
-    grid = cf.Grid(nx=4, ny=4, nt=4)
-    plan = cf.TransportPlan.build(spec, grid)
-    norm1 = fredholm._section_col_norm(spec, grid, plan)
-    assert 1.0 <= fredholm._section_col_norm(spec, grid, plan, 1.0) < norm1
-
-    batches = count_batches(monkeypatch)
-    out = cf.solve_discrete(spec, cf.sample(EXPRS, grid))
-    # one batch streamed for the certificate, then every batch for the
-    # dense count, and the estimate is that count
-    assert batches == [1, 35]
-    assert out.kernel_dimension_estimate == \
-        cf.kernel_dimension(cf.assemble_dense(spec, grid, plan))
-
-
-def count_batches(monkeypatch):
-    """Impulse batches streamed before the first assemble_dense call,
-    then in each call: the returned list grows as solve_discrete runs."""
-    batches = [0]
-    impulse_images = fredholm._impulse_images
-    assemble_dense = fredholm.assemble_dense
-
-    def counted(*args):
-        batches[-1] += 1
-        return impulse_images(*args)
-
-    def dense(*args):
-        batches.append(0)
-        return assemble_dense(*args)
-
-    monkeypatch.setattr(fredholm, "_impulse_images", counted)
-    monkeypatch.setattr(fredholm, "assemble_dense", dense)
-    return batches
+def scaled_coupled_spec(factor):
+    spec = coupled_spec()
+    return replace(spec, b=tuple(
+        tuple(e if is_literal_zero(e) else
+              cf.parse(f"{factor}*({cf.pretty(e)})") for e in row)
+        for row in spec.b))
 
 
 def coupled_x4_spec():
     """coupled_spec with every coupling scaled by 4: ||K||_inf near 1.45."""
-    spec = coupled_spec()
-    return replace(spec, b=tuple(
-        tuple(e if is_literal_zero(e) else cf.parse(f"4*({cf.pretty(e)})")
-              for e in row) for row in spec.b))
+    return scaled_coupled_spec(4)
+
+
+def coupled_x30_spec():
+    """coupled_spec with every coupling scaled by 30: ||K||_inf near 10.9."""
+    return scaled_coupled_spec(30)
 
 
 # 4 to 7 nodes per axis; x has at least 5 (nx >= 4)
@@ -389,52 +355,69 @@ def test_structural_norm_equals_the_dense_row_sums(make_spec, nx, nyt):
     spec = make_spec()
     grid = cf.Grid(nx=nx, ny=nyt, nt=nyt)
     plan = cf.TransportPlan.build(spec, grid)
-    k = cf.assemble_dense(spec, grid, plan) - np.eye(spec.n * grid.node_count)
-    # equal up to rounding, on either side
-    assert fredholm._section_inf_norm(spec, grid, plan) == \
-        pytest.approx(np.abs(k).sum(1).max(), rel=1e-12)
+    size = spec.n * grid.node_count
+    k = cf.assemble_dense(spec, grid, plan) - np.eye(size)
+    a = list(itertools.islice(
+        fredholm._section_power_norms(spec, grid, plan), 3))
+    # a_1 equals ||K||_inf up to rounding, on either side; a_2 and a_3
+    # bound ||K^p||_inf, which they reach on transversal_spec
+    assert a[0] == pytest.approx(np.abs(k).sum(1).max(), rel=1e-12)
+    for p in (2, 3):
+        dense = np.abs(np.linalg.matrix_power(k, p)).sum(1).max()
+        assert a[p - 1] >= dense * (1.0 - 1e-12)
+    inverse = np.abs(np.linalg.inv(np.eye(size) + k)).sum(1).max()
+    for p in (1, 2, 3):
+        if a[p - 1] < 1.0:
+            assert (1.0 + sum(a[:p - 1])) / (1.0 - a[p - 1]) >= inverse
+
+
+def test_power_norms_stop_after_an_overflow():
+    spec = scaled_coupled_spec(1e200)
+    grid = cf.Grid(nx=4, ny=4, nt=4)
+    plan = cf.TransportPlan.build(spec, grid)
+    a = list(fredholm._section_power_norms(spec, grid, plan))
+    assert len(a) == 2 and math.isfinite(a[0]) and a[1] == math.inf
+
+
+# 240 unknowns, so sqrt(n) = 15.5. a_2 = 0 certifies only if the bound
+# drops its 1 + a_1 factor: 1 / 15.5 is above the threshold 0.031 that
+# a_1 = 1e5 sets, and 1 / (15.5 (1 + 1e5)) is below it
+@pytest.mark.parametrize("norms", ([math.nan], [math.inf], [1.5, math.nan],
+                                   [1e5, 0.0, 0.0]),
+                         ids=["nan", "inf", "finite-then-nan", "head"])
+def test_declining_power_norms_take_the_dense_count(monkeypatch, norms):
+    spec = coupled_spec()
+    grid = cf.Grid(nx=4, ny=4, nt=4)
+    counts = []
+    kernel_dimension = fredholm.kernel_dimension
+
+    def counted(mat):
+        counts.append(kernel_dimension(mat))
+        return counts[-1]
+
+    monkeypatch.setattr(fredholm, "_section_power_norms",
+                        lambda *args: iter(norms))
+    monkeypatch.setattr(fredholm, "kernel_dimension", counted)
+    out = cf.solve_discrete(spec, cf.sample(EXPRS, grid))
+    assert counts == [0] and out.kernel_dimension_estimate == 0
 
 
 def test_structural_certificate_needs_no_columns(monkeypatch):
     # 3 * 13**3 = 6,591 unknowns
     spec = coupled_spec()
     grid = cf.Grid(nx=12, ny=13, nt=13)
-
-    def no_columns(*args):
-        raise AssertionError("section columns streamed")
-
-    monkeypatch.setattr(fredholm, "_section_columns", no_columns)
+    forbid_quadratic_steps(monkeypatch)
     out = cf.solve_discrete(spec, cf.sample(EXPRS, grid))
     assert out.kernel_dimension_estimate == 0
 
 
-def test_transversal_section_takes_the_stream(monkeypatch):
-    # ||K||_inf is exactly 1 there, so the structural test declines and
-    # the Hoelder stream certifies the section from every column
-    spec = transversal_spec()
-    grid = cf.Grid(nx=6, ny=7, nt=7)
-    calls = []
-    impulse_images = fredholm._impulse_images
-
-    def counted(*args):
-        calls.append(args[3:])  # (start, stop) of the batch
-        return impulse_images(*args)
-
-    monkeypatch.setattr(fredholm, "_impulse_images", counted)
-    out = cf.solve_discrete(spec, cf.sample(EXPRS, grid))
-    assert out.kernel_dimension_estimate == 0
-    assert len(calls) == math.ceil(3 * 7 ** 3 / fredholm.ASSEMBLY_BATCH)
-
-
-def test_x4_coupling_stops_the_stream_after_one_batch(monkeypatch):
-    # q_inf near 1.45 declines the structural test, and the first batch's
-    # largest column sum already reaches q_max^2 / q_inf, so the stream
-    # stops there and the dense count gives the estimate
-    spec = coupled_x4_spec()
-    grid = cf.Grid(nx=6, ny=7, nt=7)
-    batches = count_batches(monkeypatch)
-    out = cf.solve_discrete(spec, cf.sample(EXPRS, grid))
-    assert batches == [1, math.ceil(3 * 7 ** 3 / fredholm.ASSEMBLY_BATCH)]
+@pytest.mark.parametrize("make_spec", (transversal_spec, coupled_x4_spec))
+def test_powers_of_k_certify_without_columns(monkeypatch, make_spec):
+    # a_1 is 1 on transversal_spec and near 1.45 on coupled_x4_spec, so
+    # p = 1 declines; a_2 near 0.5 certifies both at 6,591 unknowns
+    grid = cf.Grid(nx=12, ny=13, nt=13)
+    forbid_quadratic_steps(monkeypatch)
+    out = cf.solve_discrete(make_spec(), cf.sample(EXPRS, grid))
     assert out.kernel_dimension_estimate == 0
 
 
