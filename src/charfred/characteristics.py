@@ -29,7 +29,8 @@ import numpy as np
 
 from .expressions import (Expression, constant_value, evaluate_on,
                           is_literal_zero)
-from .gridfield import Grid, GridFunction, interpolate_many, sup_norm
+from .gridfield import (Grid, GridFunction, evaluate_at_nodes,
+                        interpolate_many, sup_norm)
 from .gridfield import _split_index  # shared node snapping
 from .system import DET_FLOOR, SystemSpec
 
@@ -50,7 +51,8 @@ class TransportPlan:
     alpha, gamma, c, multipliers) per component, forward meaning inflow
     at x = 0, c = constant_value(gamma) (None when gamma reads x, y or
     t) and, for a constant c, multipliers the (H, E) pair of
-    _spectral_multipliers. Build one per solve and pass it down.
+    _spectral_multipliers. Build one per solve and pass it down; the
+    spec's periods must equal the grid's.
     """
 
     blocks: tuple
@@ -59,6 +61,11 @@ class TransportPlan:
 
     @classmethod
     def build(cls, spec: SystemSpec, grid: Grid) -> "TransportPlan":
+        for name in ("period_y", "period_t"):
+            ours, theirs = getattr(spec, name), getattr(grid, name)
+            if ours != theirs:
+                raise ValueError(f"the spec's {name} = {ours!r} differs "
+                                 f"from the grid's {theirs!r}")
         blocks = []
         for name, (sl, a) in zip(("a1", "a2", "a3"), spec.blocks()):
             det = float(np.linalg.det(a))
@@ -69,16 +76,17 @@ class TransportPlan:
             if np.abs(a @ adj - det * np.eye(a.shape[0])).max() > 1e-12 * scale:
                 raise SingularBlockError(f"adjugate identity failed for {name}")
             blocks.append((sl, adj, det))
-        X = grid.xs()[:, None, None]
-        Y = grid.ys()[None, :, None]
-        T = grid.ts()[None, None, :]
-        coupling = tuple((i, j, evaluate_on(spec.b[i][j], X, Y, T))
+        coupling = tuple((i, j, evaluate_at_nodes(spec.b[i][j], grid,
+                                                  f"b[{i + 1}][{j + 1}]"))
                          for i in range(spec.n) for j in range(spec.n)
                          if not is_literal_zero(spec.b[i][j]))
         rows = []
         for i, gam in enumerate(spec.gamma):
             line = (i < spec.k, float(spec.beta[i]), float(spec.alpha[i]))
             c = constant_value(gam)
+            if c is None:
+                # a failure here names gamma; inside the walk it would not
+                evaluate_at_nodes(gam, grid, f"gamma[{i + 1}]")
             mult = None if c is None else _spectral_multipliers(grid, *line, c)
             rows.append(line + (gam, c, mult))
         return cls(tuple(blocks), coupling, tuple(rows))

@@ -1,6 +1,7 @@
 """Command-line front end.
 
-Subcommands: validate (structural checks and the nondegeneracy table),
+Subcommands: validate (structural checks, the nondegeneracy table and
+rhs, gamma and b evaluated at every grid node),
 solve (transport-reduced second-kind solve, CSV + JSON reports),
 diagnose (smoothing profile and Jacobian table), testbed (randomized
 kernel-dimension inequality checks on small dense sections).
@@ -16,7 +17,8 @@ and, when it stalls or diverges, falls back to discrete at any size. A
 GMRES stall is reported on stderr with its relative residual and
 iteration count. A coefficient or right-hand side that cannot be
 evaluated at a grid node ends solve or diagnose with one stderr line
-and exit 1. Each solve and each diagnose run builds one
+and exit 1, as does an --out directory that cannot be made, which is
+checked before any work. Each solve and each diagnose run builds one
 TransportPlan for its grid and applies K through it; everything runs on
 one thread, and no environment variable changes what is computed.
 
@@ -25,11 +27,14 @@ Exit codes: 0 success, 1 malformed config or unusable request,
 
 Reports are deterministic: rerunning a subcommand with the same config
 and seed must produce byte-identical CSV/JSON. Wall-clock timings go to
-a separate timings.json that makes no such promise.
+a separate timings.json that makes no such promise. A JSON report of a
+record (validate, diagnostics.json) has the record's dataclass fields as
+its keys; outcome.json holds norms derived from the solution instead.
 """
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -37,18 +42,22 @@ import time
 
 import numpy as np
 
-from .config import ConfigError, load_config
+from .config import ConfigError, load_config, validate_config
 from .diagnostics import smoothing_profile
 from .expressions import EvalError
 from .fredholm import (NonConvergence, finite_section_kernel_check,
                        solve_discrete, solve_neumann)
-from .gridfield import sample, to_csv
+from .gridfield import sample, text_target, to_csv
 from .system import validate_spec
 
 
-def _write_json(payload, path: str) -> None:
+def _write_json(payload, path: str | None = None) -> None:
+    """payload as sorted, indented JSON to the file at path, or to stdout;
+    a dataclass is written with its fields as the keys."""
+    if dataclasses.is_dataclass(payload):
+        payload = dataclasses.asdict(payload)
     text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    with open(path, "w", encoding="utf-8") as fh:
+    with text_target(sys.stdout if path is None else path) as fh:
         fh.write(text)
 
 
@@ -75,12 +84,21 @@ def _rejected(report) -> int:
 
 
 def _load_valid(args):
-    """The config if it loads and validates, else (None, exit code)."""
+    """The config if it loads and validates and the --out directory can be
+    made, else (None, exit code)."""
     cfg, code = _load(args)
     if cfg is None:
         return None, code
     code = _rejected(validate_spec(cfg.spec))
-    return (None, code) if code else (cfg, 0)
+    if code:
+        return None, code
+    try:
+        os.makedirs(args.out, exist_ok=True)
+    except OSError as exc:
+        print(f"{args.command}: cannot create directory {args.out!r}: "
+              f"{exc.strerror}", file=sys.stderr)
+        return None, 1
+    return cfg, 0
 
 
 def _int_list(text: str) -> list:
@@ -91,12 +109,8 @@ def cmd_validate(args) -> int:
     cfg, code = _load(args)
     if cfg is None:
         return code
-    report = validate_spec(cfg.spec)
-    payload = report.to_dict()
-    if args.out:
-        _write_json(payload, args.out)
-    else:
-        print(json.dumps(payload, indent=2, sort_keys=True))
+    report = validate_config(cfg)
+    _write_json(report, args.out)
     return _rejected(report)
 
 
@@ -128,8 +142,7 @@ def cmd_solve(args) -> int:
                   f"{outcome.stalled_residual:.3e}), solved the dense "
                   f"section by least squares", file=sys.stderr)
     except NonConvergence as exc:
-        print(f"solve: no convergence after {exc.iterations} iterations "
-              f"(last update {exc.last_diff:.3e})", file=sys.stderr)
+        print(f"solve: {exc}", file=sys.stderr)
         return 3
     except (ValueError, EvalError) as exc:
         # EvalError: a coefficient undefined at a grid node, which
@@ -137,7 +150,6 @@ def cmd_solve(args) -> int:
         print(f"solve: {exc}", file=sys.stderr)
         return 1
     solved = time.perf_counter()
-    os.makedirs(args.out, exist_ok=True)
     to_csv(outcome.u, os.path.join(args.out, "solution.csv"))
     _write_json(outcome.to_json_dict(), os.path.join(args.out, "outcome.json"))
     written = time.perf_counter()
@@ -164,10 +176,8 @@ def cmd_diagnose(args) -> int:
         print(f"diagnose: {exc}", file=sys.stderr)
         return 1
     profiled = time.perf_counter()
-    os.makedirs(args.out, exist_ok=True)
     diag.to_csv(os.path.join(args.out, "diagnostics.csv"))
-    _write_json(diag.to_json_dict(),
-                os.path.join(args.out, "diagnostics.json"))
+    _write_json(diag, os.path.join(args.out, "diagnostics.json"))
     written = time.perf_counter()
     _write_json({"profile_seconds": profiled - start,
                  "write_seconds": written - profiled,

@@ -7,14 +7,15 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from numbers import Integral
 
 import numpy as np
 
-from .expressions import ParseError, parse
-from .gridfield import Grid
-from .system import FORWARD, MIRRORED, SystemSpec
+from .expressions import EvalError, ParseError, parse
+from .gridfield import Grid, evaluate_at_nodes, text_target
+from .system import (FORWARD, MIRRORED, SystemSpec, ValidationReport,
+                     Violation, coefficient_entries, validate_spec)
 
 SCHEMA_VERSION = 1
 SOLVE_UNKNOWN_CAP = 2_000_000
@@ -112,11 +113,9 @@ def load_config(source) -> RunConfig:
     """Load a RunConfig from a path, a file object, or a parsed dict."""
     if isinstance(source, dict):
         doc = source
-    elif isinstance(source, (str, bytes)):
-        with open(source, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
     else:
-        doc = json.load(source)
+        with text_target(source, "r") as fh:
+            doc = json.load(fh)
     problems: list = []
     if not isinstance(doc, dict):
         raise ConfigError(["top level: expected a JSON object"])
@@ -231,3 +230,20 @@ def load_config(source) -> RunConfig:
         raise ConfigError(problems)
     return RunConfig(spec=spec, grid=grid, method=method, tol=tol,
                      max_iter=max_iter, rhs=rhs)
+
+
+def validate_config(cfg: RunConfig) -> ValidationReport:
+    """validate_spec, plus rhs, gamma and b evaluated at the grid's nodes,
+    which the spec's own sample points can miss; each entry undefined at
+    a node adds one expr-eval violation naming it and the node."""
+    report = validate_spec(cfg.spec)
+    entries = [(f"rhs[{i + 1}]", e) for i, e in enumerate(cfg.rhs)]
+    bad = []
+    for label, e in entries + list(coefficient_entries(cfg.spec)):
+        try:
+            evaluate_at_nodes(e, cfg.grid, label)
+        except EvalError as err:
+            bad.append(Violation("expr-eval", str(err)))
+    if not bad:
+        return report
+    return replace(report, ok=False, violations=report.violations + tuple(bad))

@@ -48,24 +48,14 @@ class ModulusRow:
     modulus: float
     normalized: float
 
-    def to_dict(self):
-        return {"power": self.power, "omega": self.omega, "h": self.h,
-                "modulus": self.modulus, "normalized": self.normalized}
-
 
 @dataclass(frozen=True)
 class JacobianRow:
     """Triple indices are 1-based, as in validation reports."""
-    i: int
-    j: int
-    s: int
+    triple: tuple[int, int, int]
     jacobian: float
     condition: float
     difference: float
-
-    def to_dict(self):
-        return {"triple": [self.i, self.j, self.s], "jacobian": self.jacobian,
-                "condition": self.condition, "difference": self.difference}
 
 
 @dataclass(frozen=True)
@@ -88,14 +78,6 @@ class DiagnosticsReport:
         buf = io.StringIO()
         self.to_csv(buf)
         return buf.getvalue()
-
-    def to_json_dict(self):
-        return {
-            "feeding_component": self.feeding_component,
-            "rows": [r.to_dict() for r in self.rows],
-            "jacobians": [j.to_dict() for j in self.jacobians],
-            "skipped_nodes": self.skipped_nodes,
-        }
 
     def modulus(self, power: int, omega: int, h: float,
                 normalized: bool = True) -> float:
@@ -124,7 +106,7 @@ def jacobian_table(spec: SystemSpec) -> tuple:
             for s in g3:
                 jac = transversal_jacobian(slopes, i, j, s)
                 cond = nondegeneracy_value(slopes, i, j, s)
-                out.append(JacobianRow(i + 1, j + 1, s + 1, jac, cond,
+                out.append(JacobianRow((i + 1, j + 1, s + 1), jac, cond,
                                        abs(jac - cond)))
     return tuple(out)
 

@@ -106,20 +106,24 @@ def zeros(grid: Grid, m: int) -> GridFunction:
 
 def sample(exprs: Sequence[Expression], grid: Grid) -> GridFunction:
     """Evaluate expressions on every node; m = len(exprs)."""
-    X = grid.xs()[:, None, None]
-    Y = grid.ys()[None, :, None]
-    T = grid.ts()[None, None, :]
     out = np.empty((len(exprs), grid.nx + 1, grid.ny, grid.nt))
     for c, e in enumerate(exprs):
-        try:
-            out[c] = evaluate_on(e, X, Y, T)
-        except EvalError:
-            _locate_eval_error(e, grid, c)
-            raise
+        out[c] = evaluate_at_nodes(e, grid, f"component {c}")
     return GridFunction(grid, out)
 
 
-def _locate_eval_error(e, grid, comp):
+def evaluate_at_nodes(e: Expression, grid: Grid, label: str):
+    """e on the grid's nodes, broadcast from (nx+1, 1, 1), (1, ny, 1) and
+    (1, 1, nt) axes; an EvalError names label and the first failing node."""
+    try:
+        return evaluate_on(e, grid.xs()[:, None, None],
+                           grid.ys()[None, :, None], grid.ts()[None, None, :])
+    except EvalError:
+        _locate_eval_error(e, grid, label)
+        raise
+
+
+def _locate_eval_error(e, grid, label):
     # rerun pointwise to name the first failing node
     for ix, x in enumerate(grid.xs()):
         for iy, y in enumerate(grid.ys()):
@@ -127,10 +131,8 @@ def _locate_eval_error(e, grid, comp):
                 try:
                     evaluate_on(e, x, y, t)
                 except EvalError as err:
-                    raise EvalError(
-                        f"component {comp} at node ({ix},{iy},{it}): "
-                        f"{err.reason}",
-                        err.node) from err
+                    raise EvalError(f"{label} at node ({ix},{iy},{it}): "
+                                    f"{err.reason}", err.node) from err
 
 
 def _snap(u: np.ndarray) -> None:
@@ -278,10 +280,12 @@ CSV_HEADER = "component,ix,iy,it,x,y,t,value"
 
 
 @contextmanager
-def text_target(target):
-    """A text stream to write to: target itself, or the file at a path."""
+def text_target(target, mode: str = "w"):
+    """A text stream: target itself, or the file at a path opened in mode
+    "w" (newlines written untranslated) or "r"."""
     if isinstance(target, (str, bytes)):
-        with open(target, "w", encoding="utf-8", newline="") as fh:
+        with open(target, mode, encoding="utf-8",
+                  newline="" if mode == "w" else None) as fh:
             yield fh
     else:
         yield target
@@ -311,14 +315,8 @@ def to_csv(gf: GridFunction, target) -> None:
 
 def from_csv(source, grid: Grid) -> GridFunction:
     """Rebuild a field from to_csv output (inverse up to float repr)."""
-    close = False
-    if isinstance(source, (str, bytes)):
-        fh = open(source, "r", encoding="utf-8")
-        close = True
-    else:
-        fh = source
     width = CSV_HEADER.count(",") + 1
-    try:
+    with text_target(source, "r") as fh:
         header = fh.readline().strip()
         if header != CSV_HEADER:
             raise ValueError(f"unexpected CSV header: {header!r}")
@@ -334,9 +332,6 @@ def from_csv(source, grid: Grid) -> GridFunction:
         except ValueError as exc:
             raise ValueError(f"every row must hold the {width} numbers "
                              f"{CSV_HEADER!r}: {exc}") from None
-    finally:
-        if close:
-            fh.close()
     # a negative index would wrap and a fractional one would truncate
     index = rows[:, :4]
     if (np.any(index != np.floor(index)) or np.any(index < 0)

@@ -129,18 +129,11 @@ def nondegeneracy_value(slopes: EffectiveSlopes, i: int, j: int, s: int) -> floa
 @dataclass(frozen=True)
 class TripleCheck:
     """One (i, j, s) row triple; indices are 1-based as reported."""
-    i: int
-    j: int
-    s: int
+    triple: tuple[int, int, int]
     value: float
     cyclic_value: float
     exempt: bool
     degenerate: bool
-
-    def to_dict(self):
-        return {"triple": [self.i, self.j, self.s], "value": self.value,
-                "cyclic_value": self.cyclic_value, "exempt": self.exempt,
-                "degenerate": self.degenerate}
 
 
 def check_nondegeneracy(spec: SystemSpec) -> list[TripleCheck]:
@@ -164,7 +157,7 @@ def check_nondegeneracy(spec: SystemSpec) -> list[TripleCheck]:
                 exempt = bool(slopes.alpha[i] == 0.0
                               and slopes.alpha[j] == 0.0)
                 degenerate = bool(abs(value) <= DEGENERACY_RTOL * scale)
-                out.append(TripleCheck(i + 1, j + 1, s + 1, value, cyclic,
+                out.append(TripleCheck((i + 1, j + 1, s + 1), value, cyclic,
                                        exempt, degenerate))
     return out
 
@@ -180,14 +173,6 @@ class ValidationReport:
     ok: bool
     violations: tuple
     nondegeneracy: tuple
-
-    def to_dict(self):
-        return {
-            "ok": self.ok,
-            "violations": [{"rule": v.rule, "detail": v.detail}
-                           for v in self.violations],
-            "nondegeneracy": [t.to_dict() for t in self.nondegeneracy],
-        }
 
 
 def validate_spec(spec: SystemSpec) -> ValidationReport:
@@ -244,7 +229,7 @@ def validate_spec(spec: SystemSpec) -> ValidationReport:
                     bad.append(Violation(
                         "pattern", f"b[{i + 1}][{j + 1}] = '{pretty(e)}' lies "
                                    f"outside the {spec.orientation} pattern"))
-        for label, e in _periodic_entries(spec):
+        for label, e in coefficient_entries(spec):
             try:
                 if not check_periodicity(e, spec.period_y, spec.period_t):
                     bad.append(Violation("periodicity",
@@ -260,12 +245,15 @@ def validate_spec(spec: SystemSpec) -> ValidationReport:
             if tc.degenerate and not tc.exempt:
                 bad.append(Violation(
                     "nondegeneracy",
-                    f"triple ({tc.i},{tc.j},{tc.s}) value {tc.value:.3e}"))
+                    f"triple ({','.join(map(str, tc.triple))}) value "
+                    f"{tc.value:.3e}"))
 
     return ValidationReport(not bad, tuple(bad), triples)
 
 
-def _periodic_entries(spec: SystemSpec):
+def coefficient_entries(spec: SystemSpec):
+    """(label, expression) for each gamma entry and nonzero b entry,
+    labelled 1-based as gamma[i] and b[i][j]."""
     for i, e in enumerate(spec.gamma):
         yield f"gamma[{i + 1}]", e
     for i, row in enumerate(spec.b):

@@ -5,6 +5,8 @@ exponential relaxation, cubic polynomials (where the quadrature is
 exact), and a sine forcing along a slanted line with an explicit
 antiderivative.
 """
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -149,6 +151,16 @@ def test_singular_block_raises():
     object.__setattr__(spec, "a3", np.array([[1e-14]]))
     with pytest.raises(SingularBlockError):
         TransportPlan.build(spec, cf.Grid(nx=4, ny=4, nt=4))
+
+
+@pytest.mark.parametrize("name", ["period_y", "period_t"])
+def test_spec_and_grid_periods_must_agree(name):
+    # the transport reads the grid's periods; the spec's must not differ
+    spec = replace(coupled_spec(), **{name: 2.0})
+    f = cf.sample((ONE, ONE, ONE), cf.Grid(nx=4, ny=4, nt=4))
+    with pytest.raises(ValueError, match=rf"spec's {name} = 2\.0 differs "
+                                         rf"from the grid's 1\.0"):
+        cf.solve_neumann(spec, f)
 
 
 def test_stack_solve_matches_single_solves():

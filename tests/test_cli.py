@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import charfred
-from charfred import fredholm
+from charfred import cli, fredholm
 from charfred.cli import main
 from charfred.fredholm import DISCRETE_UNKNOWN_CAP, GMRES_MAX_ITER
 
@@ -42,6 +42,17 @@ def test_validate_ok_writes_report(tmp_path, capsys):
     assert doc["ok"] is True
     assert doc["violations"] == []
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("name", ["cyclic", "degenerate"])
+def test_validate_writes_the_same_bytes_to_stdout_and_out(name, tmp_path,
+                                                          capsys):
+    cfg = str(CONFIGS / f"{name}.json")
+    rc = main(["validate", "--config", cfg])
+    stdout = capsys.readouterr().out
+    out = tmp_path / "report.json"
+    assert main(["validate", "--config", cfg, "--out", str(out)]) == rc
+    assert out.read_bytes() == stdout.encode("utf-8")
 
 
 def test_validate_degenerate_spec_fails(capsys):
@@ -296,10 +307,10 @@ def test_solve_rejects_invalid_spec(tmp_path, capsys):
 POLE = "1/sin(2*pi*y)"
 
 
-@pytest.mark.parametrize("where", [("rhs", 0), ("system", "b", 1, 0),
-                                   ("system", "gamma", 0)],
-                         ids=["rhs", "b", "gamma"])
-def test_coefficient_undefined_at_a_node_is_one_line(where, tmp_path,
+@pytest.mark.parametrize("where,label", [
+    (("rhs", 0), "rhs[1]"), (("system", "b", 1, 0), "b[2][1]"),
+    (("system", "gamma", 0), "gamma[1]")], ids=["rhs", "b", "gamma"])
+def test_coefficient_undefined_at_a_node_is_one_line(where, label, tmp_path,
                                                        capsys):
     doc = base_config()
     doc["grid"] = {"nx": 4, "ny": 4, "nt": 4}
@@ -308,15 +319,41 @@ def test_coefficient_undefined_at_a_node_is_one_line(where, tmp_path,
         parent = parent[key]
     parent[where[-1]] = POLE
     path = write_config(tmp_path, doc)
-    runs = [["solve"]]
+    runs = [["validate"], ["solve"]]
     if where[0] != "rhs":  # diagnose does not read the right-hand side
         runs.append(["diagnose", "--frequencies", "1"])
     for run in runs:
         rc = main(run + ["--config", path, "--out", str(tmp_path / run[0])])
         err = capsys.readouterr().err
-        assert rc == 1
-        assert err.startswith(f"{run[0]}: ") and err.count("\n") == 1
-        assert err.count(POLE) == 1
+        if run[0] == "validate":
+            assert rc == 2
+            assert err.startswith("validation: expr-eval: ")
+        else:
+            assert rc == 1
+            assert err.startswith(f"{run[0]}: ")
+        assert err.count("\n") == 1 and err.count(POLE) == 1
+        assert "at node (0,0,0): division by zero" in err
+        # solve names the right-hand side by its 0-based component
+        if run[0] != "solve" or where[0] != "rhs":
+            assert f"{label} at node" in err
+
+
+@pytest.mark.parametrize("command", ["solve", "diagnose"])
+def test_out_naming_a_file_stops_before_any_work(command, tmp_path, capsys,
+                                                  monkeypatch):
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before --out was checked")
+
+    monkeypatch.setattr(cli, "sample", no_work)
+    monkeypatch.setattr(cli, "smoothing_profile", no_work)
+    out = tmp_path / "report.json"
+    out.write_text("{}", encoding="utf-8")
+    rc = main([command, "--config", str(CONFIGS / "cyclic.json"),
+               "--out", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == \
+        f"{command}: cannot create directory {str(out)!r}: File exists\n"
+    assert out.read_text(encoding="utf-8") == "{}"
 
 
 def test_diagnose_reports(tmp_path, capsys):

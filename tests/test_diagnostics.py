@@ -1,6 +1,9 @@
 """Tests for the diagnostics module: jacobian table and smoothing profile."""
 from __future__ import annotations
 
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
@@ -43,7 +46,7 @@ def test_jacobian_table_single_triple():
     table = cf.jacobian_table(spec)
     assert len(table) == 1
     row = table[0]
-    assert (row.i, row.j, row.s) == (1, 2, 3)
+    assert row.triple == (1, 2, 3)
     # (1-(-1))*(1-(-1)) - ((-1)-0.5)*(0.5-1) = 4 - 0.75
     assert row.jacobian == pytest.approx(3.25, abs=1e-14)
     assert row.condition == pytest.approx(3.25, abs=1e-14)
@@ -191,7 +194,7 @@ def test_report_json_dict():
     grid = cf.Grid(nx=4, ny=8, nt=4)
     rep = cf.smoothing_profile(spec, grid, powers=(0,), frequencies=(2,),
                                shifts=())
-    doc = rep.to_json_dict()
+    doc = json.loads(json.dumps(dataclasses.asdict(rep)))
     assert set(doc) == {"feeding_component", "rows", "jacobians",
                         "skipped_nodes"}
     assert doc["jacobians"][0]["triple"] == [1, 2, 3]

@@ -8,6 +8,7 @@ writer. The fused K^3 route in probe blocks is compared with per-probe
 evaluation.
 """
 import io
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
@@ -166,6 +167,12 @@ def test_single_component_reads_are_full_reads_sliced(case):
         assert same_bits(cf.interpolate_many(part, x, y, t)[0], full[c])
 
 
+def coupled_spec_on(grid):
+    """coupled_spec with the grid's periods, which a transport requires."""
+    return replace(coupled_spec(), period_y=grid.period_y,
+                   period_t=grid.period_t)
+
+
 @settings(max_examples=8, deadline=None, derandomize=True, database=None)
 @given(fields(m=3), st.integers(1, 4))
 def test_fused_reads_one_component_as_a_sliced_full_read(field, count):
@@ -173,7 +180,7 @@ def test_fused_reads_one_component_as_a_sliced_full_read(field, count):
     probes = np.column_stack([rng.uniform(0.0, 1.0, count),
                               rng.uniform(-1.0, 2.0, count),
                               rng.uniform(-1.0, 2.0, count)])
-    spec = coupled_spec()
+    spec = coupled_spec_on(f.grid)
     real = cf.interpolate_many
     seen = []
 
@@ -204,7 +211,7 @@ def test_fused_blocks_match_per_probe_evaluation(field, count):
     probes = np.column_stack([rng.uniform(0.0, 1.0, count),
                               rng.uniform(-1.0, 2.0, count),
                               rng.uniform(-1.0, 2.0, count)])
-    spec = coupled_spec()
+    spec = coupled_spec_on(f.grid)
     got = fredholm.apply_k_cubed_fused(spec, f, probes)
     assert got.shape == (3, count)
     if count == 0:

@@ -1,4 +1,5 @@
 """Structure, validation, and nondegeneracy of system descriptions."""
+import dataclasses
 from dataclasses import replace
 
 import numpy as np
@@ -83,7 +84,7 @@ def test_check_nondegeneracy_reports_one_based_triples():
     checks = cf.check_nondegeneracy(s)
     assert len(checks) == 1
     t = checks[0]
-    assert (t.i, t.j, t.s) == (1, 2, 3)
+    assert t.triple == (1, 2, 3)
     assert t.value == pytest.approx(1.0)
     assert not t.degenerate
     assert not t.exempt
@@ -187,7 +188,7 @@ def test_report_dict_is_json_clean():
     rep = cf.validate_spec(identity_spec(b=cyclic_b(ONE, ONE, ONE),
                                          alpha=(0.0, 1.0, 0.0),
                                          beta=(1.0, -1.0, 0.0)))
-    text = json.dumps(rep.to_dict(), sort_keys=True)
+    text = json.dumps(dataclasses.asdict(rep), sort_keys=True)
     assert '"ok": true' in text
 
 
