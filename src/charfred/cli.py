@@ -15,15 +15,22 @@ GMRES stall) only up to its dense-section cap, so the estimate is null
 only above that cap when the certificate declines. auto runs neumann
 and, when it stalls or diverges, falls back to discrete at any size. A
 GMRES stall is reported on stderr with its relative residual and
-iteration count. A coefficient or right-hand side that cannot be
-evaluated at a grid node ends solve or diagnose with one stderr line
-and exit 1, as does an --out directory that cannot be made, which is
-checked before any work. Each solve and each diagnose run builds one
-TransportPlan for its grid and applies K through it; everything runs on
-one thread, and no environment variable changes what is computed.
+iteration count. solve and diagnose run the same validate_config as
+validate, and make the --out directory, before any work, so a
+coefficient or right-hand side undefined at a grid node fails all three
+alike. Each solve and each diagnose run builds one TransportPlan for
+its grid and applies K through it; everything runs on one thread, and
+no environment variable changes what is computed.
 
-Exit codes: 0 success, 1 malformed config or unusable request,
-2 validation failure, 3 non-convergence, 4 testbed violation.
+Exit codes, each failure reported in stderr lines with the prefix shown;
+main alone turns an exception into a code:
+0 success;
+1 a config that cannot be read or is malformed ("config: "), an output
+  that cannot be written ("<command>: cannot write '<path>': "), or an
+  unusable request ("<command>: ");
+2 a failed validation ("validation: <rule>: "), the report still written;
+3 non-convergence ("solve: ");
+4 a testbed violation ("testbed: ").
 
 Reports are deterministic: rerunning a subcommand with the same config
 and seed must produce byte-identical CSV/JSON. Wall-clock timings go to
@@ -48,7 +55,6 @@ from .expressions import EvalError
 from .fredholm import (NonConvergence, finite_section_kernel_check,
                        solve_discrete, solve_neumann)
 from .gridfield import sample, text_target, to_csv
-from .system import validate_spec
 
 
 def _write_json(payload, path: str | None = None) -> None:
@@ -61,19 +67,6 @@ def _write_json(payload, path: str | None = None) -> None:
         fh.write(text)
 
 
-def _load(args):
-    try:
-        return load_config(args.config), 0
-    except FileNotFoundError:
-        print(f"config: no such file: {args.config}", file=sys.stderr)
-    except json.JSONDecodeError as exc:
-        print(f"config: invalid JSON: {exc}", file=sys.stderr)
-    except ConfigError as exc:
-        for problem in exc.problems:
-            print(f"config: {problem}", file=sys.stderr)
-    return None, 1
-
-
 def _rejected(report) -> int:
     """Print a failed validation to stderr; 2 if it failed, else 0."""
     if report.ok:
@@ -84,21 +77,13 @@ def _rejected(report) -> int:
 
 
 def _load_valid(args):
-    """The config if it loads and validates and the --out directory can be
-    made, else (None, exit code)."""
-    cfg, code = _load(args)
-    if cfg is None:
-        return None, code
-    code = _rejected(validate_spec(cfg.spec))
-    if code:
-        return None, code
-    try:
+    """The config and 0 if it loads and passes validate_config, after the
+    --out directory is made; else the exit code of the failed validation."""
+    cfg = load_config(args.config)
+    code = _rejected(validate_config(cfg))
+    if not code:
         os.makedirs(args.out, exist_ok=True)
-    except OSError as exc:
-        print(f"{args.command}: cannot create directory {args.out!r}: "
-              f"{exc.strerror}", file=sys.stderr)
-        return None, 1
-    return cfg, 0
+    return cfg, code
 
 
 def _int_list(text: str) -> list:
@@ -106,49 +91,37 @@ def _int_list(text: str) -> list:
 
 
 def cmd_validate(args) -> int:
-    cfg, code = _load(args)
-    if cfg is None:
-        return code
-    report = validate_config(cfg)
+    report = validate_config(load_config(args.config))
     _write_json(report, args.out)
     return _rejected(report)
 
 
 def cmd_solve(args) -> int:
     cfg, code = _load_valid(args)
-    if cfg is None:
+    if code:
         return code
     method = args.method or cfg.method
     start = time.perf_counter()
-    try:
-        f = sample(cfg.rhs, cfg.grid)
-        sampled = time.perf_counter()
-        if method == "neumann":
+    f = sample(cfg.rhs, cfg.grid)
+    sampled = time.perf_counter()
+    if method == "neumann":
+        outcome = solve_neumann(cfg.spec, f, cfg.tol, cfg.max_iter)
+    elif method == "discrete":
+        outcome = solve_discrete(cfg.spec, f)
+    else:
+        try:
             outcome = solve_neumann(cfg.spec, f, cfg.tol, cfg.max_iter)
-        elif method == "discrete":
+        except NonConvergence as exc:
+            state = "diverged" if exc.diverged else "stalled"
+            print(f"solve: iteration {state} (last update "
+                  f"{exc.last_diff:.3e}), falling back to the discrete "
+                  f"method", file=sys.stderr)
             outcome = solve_discrete(cfg.spec, f)
-        else:
-            try:
-                outcome = solve_neumann(cfg.spec, f, cfg.tol, cfg.max_iter)
-            except NonConvergence as exc:
-                state = "diverged" if exc.diverged else "stalled"
-                print(f"solve: iteration {state} (last update "
-                      f"{exc.last_diff:.3e}), falling back to the discrete "
-                      f"method", file=sys.stderr)
-                outcome = solve_discrete(cfg.spec, f)
-        if outcome.stalled_residual is not None:
-            print(f"solve: GMRES stalled after {outcome.iterations} "
-                  f"iterations (relative residual "
-                  f"{outcome.stalled_residual:.3e}), solved the dense "
-                  f"section by least squares", file=sys.stderr)
-    except NonConvergence as exc:
-        print(f"solve: {exc}", file=sys.stderr)
-        return 3
-    except (ValueError, EvalError) as exc:
-        # EvalError: a coefficient undefined at a grid node, which
-        # validation's sample points can miss
-        print(f"solve: {exc}", file=sys.stderr)
-        return 1
+    if outcome.stalled_residual is not None:
+        print(f"solve: GMRES stalled after {outcome.iterations} "
+              f"iterations (relative residual "
+              f"{outcome.stalled_residual:.3e}), solved the dense "
+              f"section by least squares", file=sys.stderr)
     solved = time.perf_counter()
     to_csv(outcome.u, os.path.join(args.out, "solution.csv"))
     _write_json(outcome.to_json_dict(), os.path.join(args.out, "outcome.json"))
@@ -165,16 +138,14 @@ def cmd_solve(args) -> int:
 
 def cmd_diagnose(args) -> int:
     cfg, code = _load_valid(args)
-    if cfg is None:
+    if code:
         return code
     start = time.perf_counter()
-    try:
-        diag = smoothing_profile(cfg.spec, cfg.grid,
-                                 powers=_int_list(args.powers),
-                                 frequencies=_int_list(args.frequencies))
-    except (ValueError, EvalError) as exc:
-        print(f"diagnose: {exc}", file=sys.stderr)
-        return 1
+    frequencies = (None if args.frequencies is None
+                   else _int_list(args.frequencies))
+    diag = smoothing_profile(cfg.spec, cfg.grid,
+                             powers=_int_list(args.powers),
+                             frequencies=frequencies)
     profiled = time.perf_counter()
     diag.to_csv(os.path.join(args.out, "diagnostics.csv"))
     _write_json(diag, os.path.join(args.out, "diagnostics.json"))
@@ -211,18 +182,11 @@ def _crafted_sections(rng: np.random.Generator, powers) -> list:
 
 
 def cmd_testbed(args) -> int:
-    try:
-        powers = _int_list(args.powers)
-    except ValueError as exc:
-        print(f"testbed: {exc}", file=sys.stderr)
-        return 1
+    powers = _int_list(args.powers)
     if not powers or any(p < 2 for p in powers):
-        print("testbed: powers must all be at least 2", file=sys.stderr)
-        return 1
+        raise ValueError("powers must all be at least 2")
     if args.max_dim < 1 or args.count < 0:
-        print("testbed: count must be nonnegative and max-dim positive",
-              file=sys.stderr)
-        return 1
+        raise ValueError("count must be nonnegative and max-dim positive")
     rng = np.random.default_rng(args.seed)
     # the random cases draw from rng before the crafted ones do
     cases = []
@@ -288,7 +252,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", required=True)
     p.add_argument("--out", default=".")
     p.add_argument("--powers", default="0,1,2,3")
-    p.add_argument("--frequencies", default="2,4")
+    p.add_argument("--frequencies",
+                   help="wave counts per y period; by default 2 and 4, "
+                        "less any that ny cannot resolve")
     p.set_defaults(func=cmd_diagnose)
 
     p = sub.add_parser("testbed", help="randomized checks of the "
@@ -304,8 +270,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one subcommand; the one place an exception becomes an exit
+    code and a stderr line."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ConfigError as exc:
+        for problem in exc.problems:
+            print(f"config: {problem}", file=sys.stderr)
+    except NonConvergence as exc:
+        print(f"{args.command}: {exc}", file=sys.stderr)
+        return 3
+    except OSError as exc:
+        print(f"{args.command}: cannot write {exc.filename!r}: "
+              f"{exc.strerror}", file=sys.stderr)
+    except (ValueError, EvalError) as exc:
+        print(f"{args.command}: {exc}", file=sys.stderr)
+    return 1
 
 
 if __name__ == "__main__":

@@ -101,21 +101,32 @@ def _number(value, where: str, problems: list, default: float) -> float:
     return number
 
 
-def _get(mapping, key, where, problems, default=None, required=True):
+def _get(mapping, key, where, problems, default=None):
     if key in mapping:
         return mapping[key]
-    if required:
-        problems.append(f"{where}: missing key {key!r}")
+    problems.append(f"{where}: missing key {key!r}")
     return default
 
 
 def load_config(source) -> RunConfig:
-    """Load a RunConfig from a path, a file object, or a parsed dict."""
+    """Load a RunConfig from a path, a file object, or a parsed dict.
+
+    A source that cannot be read, or whose text is not UTF-8 JSON, raises
+    ConfigError like every other problem with the document.
+    """
     if isinstance(source, dict):
         doc = source
     else:
-        with text_target(source, "r") as fh:
-            doc = json.load(fh)
+        try:
+            with text_target(source, "r") as fh:
+                doc = json.load(fh)
+        except FileNotFoundError:
+            raise ConfigError([f"no such file: {source}"]) from None
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise ConfigError([f"invalid JSON: {exc}"]) from None
+        except OSError as exc:
+            raise ConfigError([f"cannot read {source!r}: {exc.strerror}"]) \
+                from None
     problems: list = []
     if not isinstance(doc, dict):
         raise ConfigError(["top level: expected a JSON object"])
@@ -161,10 +172,11 @@ def load_config(source) -> RunConfig:
     if not isinstance(gamma_node, list):
         problems.append("system.gamma: expected a list of expressions")
         gamma_node = []
-    gamma = [_parse_entry(c, f"system.gamma[{i}]", problems)
-             for i, c in enumerate(gamma_node)]
-    while len(gamma) < n:
-        gamma.append(parse("0"))
+    gamma = tuple(_parse_entry(c, f"system.gamma[{i}]", problems)
+                  for i, c in enumerate(gamma_node))
+    if len(gamma) != n:
+        problems.append(f"system.gamma: expected {n} entries, "
+                        f"got {len(gamma)}")
 
     b_node = _get(sysnode, "b", "system", problems, default=[])
     if not isinstance(b_node, list) or any(not isinstance(r, list)
@@ -213,7 +225,7 @@ def load_config(source) -> RunConfig:
         try:
             spec = SystemSpec(n=n, k=k, l=l, a1=a1, a2=a2, a3=a3,
                               alpha=alpha, beta=beta,
-                              gamma=tuple(gamma[:n]),
+                              gamma=gamma,
                               b=tuple(tuple(r) for r in b),
                               orientation=orientation,
                               period_y=period_y, period_t=period_t)

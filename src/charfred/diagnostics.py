@@ -112,12 +112,14 @@ def jacobian_table(spec: SystemSpec) -> tuple:
 
 
 def smoothing_profile(spec: SystemSpec, grid: Grid, powers=(0, 1, 2, 3),
-                      frequencies=(4, 8),
+                      frequencies=None,
                       shifts=(0.25, 0.125, 0.0625)) -> DiagnosticsReport:
     """Shift-difference moduli of K^m applied to single-frequency probes.
 
     frequencies are integer wave counts per period; each must leave at
-    least 4 nodes per wavelength (omega <= ny/4). shifts are dyadic
+    least 4 nodes per wavelength (omega <= ny/4). None means 2 and 4, less
+    any omega above ny/4; when neither is left, omega = 2 is refused as
+    an explicit request would be. shifts are dyadic
     fractions of the y period; the half-wavelength shift Y/(2 omega) is
     always measured as well. The normalized column divides each modulus
     by its power-0 counterpart, cancelling interpolation smearing; rows
@@ -130,6 +132,8 @@ def smoothing_profile(spec: SystemSpec, grid: Grid, powers=(0, 1, 2, 3),
     if powers and powers[0] < 0:
         raise ValueError("powers must be nonnegative")
     plan = TransportPlan.build(spec, grid)
+    if frequencies is None:
+        frequencies = [w for w in (2, 4) if w <= grid.ny / 4] or [2]
     rows = []
     skipped_total = 0
     for omega in sorted(int(w) for w in frequencies):

@@ -183,14 +183,14 @@ def _x_index(pos: np.ndarray, nx: int, stride: int):
     if not inside.all():
         bad = pos[~inside].flat[0]
         raise GridDomainError(f"x = {float(bad)!r} outside [0, 1]")
-    _snap(u)
     np.clip(u, 0.0, float(nx), out=u)
-    base = np.floor(u)
-    np.minimum(base, nx - 1, out=base)
-    u -= base
-    lower = base.astype(np.int64)
-    lower *= stride
-    return lower, lower + stride, u
+    base, frac = _split_index(u)
+    # the face x = 1 is the top of the last cell, not a cell of its own
+    top = base == nx
+    base[top] = nx - 1
+    frac[top] = 1.0
+    base *= stride
+    return base, base + stride, frac
 
 
 def _corners(lower, upper, frac):

@@ -11,6 +11,7 @@ import pytest
 import charfred
 from charfred import cli, fredholm
 from charfred.cli import main
+from charfred.config import ConfigError, load_config
 from charfred.fredholm import DISCRETE_UNKNOWN_CAP, GMRES_MAX_ITER
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -319,23 +320,17 @@ def test_coefficient_undefined_at_a_node_is_one_line(where, label, tmp_path,
         parent = parent[key]
     parent[where[-1]] = POLE
     path = write_config(tmp_path, doc)
-    runs = [["validate"], ["solve"]]
-    if where[0] != "rhs":  # diagnose does not read the right-hand side
-        runs.append(["diagnose", "--frequencies", "1"])
-    for run in runs:
-        rc = main(run + ["--config", path, "--out", str(tmp_path / run[0])])
+    for command in ("validate", "solve", "diagnose"):
+        rc = main([command, "--config", path,
+                   "--out", str(tmp_path / command)])
         err = capsys.readouterr().err
-        if run[0] == "validate":
-            assert rc == 2
-            assert err.startswith("validation: expr-eval: ")
-        else:
-            assert rc == 1
-            assert err.startswith(f"{run[0]}: ")
+        assert rc == 2
+        assert err.startswith(f"validation: expr-eval: {label} at node "
+                              f"(0,0,0): division by zero")
         assert err.count("\n") == 1 and err.count(POLE) == 1
-        assert "at node (0,0,0): division by zero" in err
-        # solve names the right-hand side by its 0-based component
-        if run[0] != "solve" or where[0] != "rhs":
-            assert f"{label} at node" in err
+    # solve and diagnose stop before making their --out directory
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json",
+                                                          "validate"]
 
 
 @pytest.mark.parametrize("command", ["solve", "diagnose"])
@@ -352,8 +347,59 @@ def test_out_naming_a_file_stops_before_any_work(command, tmp_path, capsys,
                "--out", str(out)])
     assert rc == 1
     assert capsys.readouterr().err == \
-        f"{command}: cannot create directory {str(out)!r}: File exists\n"
+        f"{command}: cannot write {str(out)!r}: File exists\n"
     assert out.read_text(encoding="utf-8") == "{}"
+
+
+def _not_utf8(tmp_path: Path) -> str:
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"rhs": ["\u00e9"]}'.encode("latin-1"))
+    return str(path)
+
+
+@pytest.mark.parametrize("argv,first", [
+    (["validate", "--config", str(CONFIGS)],
+     f"config: cannot read {str(CONFIGS)!r}: Is a directory"),
+    (["validate", "--config", "{tmp}/latin1.json"],
+     "config: invalid JSON: 'utf-8' codec can't decode byte 0xe9"),
+    (["validate", "--config", str(CONFIGS / "cyclic.json"),
+      "--out", "{tmp}/missing/r.json"], "validate: cannot write "),
+    (["testbed", "--count", "1", "--out", "{tmp}/missing/r.json"],
+     "testbed: cannot write "),
+], ids=["config-is-a-directory", "config-not-utf8", "validate-out",
+        "testbed-out"])
+def test_unreadable_input_or_unwritable_output_is_one_line(argv, first,
+                                                           tmp_path, capsys):
+    _not_utf8(tmp_path)
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "Traceback" not in err
+    assert err.startswith(first)
+    if argv[-1].endswith("r.json"):
+        assert err.endswith(f"{argv[-1]!r}: No such file or directory\n")
+
+
+def test_load_config_reports_an_unreadable_source(tmp_path):
+    for source, problem in [
+            (str(tmp_path / "absent.json"), "no such file: "),
+            (str(tmp_path), "cannot read "),
+            (_not_utf8(tmp_path), "invalid JSON: ")]:
+        with pytest.raises(ConfigError) as caught:
+            load_config(source)
+        assert len(caught.value.problems) == 1
+        assert caught.value.problems[0].startswith(problem)
+
+
+@pytest.mark.parametrize("entries", [2, 4])
+def test_config_rejects_a_gamma_of_the_wrong_length(entries, tmp_path,
+                                                    capsys):
+    doc = base_config()
+    doc["system"]["gamma"] = ["0.3", "0", "-0.2", "0"][:entries]
+    rc = main(["validate", "--config", write_config(tmp_path, doc)])
+    assert rc == 1
+    assert capsys.readouterr().err == \
+        f"config: system.gamma: expected 3 entries, got {entries}\n"
 
 
 def test_diagnose_reports(tmp_path, capsys):
@@ -371,6 +417,22 @@ def test_diagnose_reports(tmp_path, capsys):
     assert doc["feeding_component"] == 3
     assert len(doc["jacobians"]) == 1
     assert (out / "timings.json").is_file()
+
+
+def test_diagnose_default_keeps_the_frequencies_ny_resolves(tmp_path, capsys):
+    # uncoupled.json has ny = 9: omega = 4 would leave 2.25 nodes per
+    # wavelength, so the default measures omega = 2 alone
+    cfg = str(CONFIGS / "uncoupled.json")
+    default, explicit = tmp_path / "default", tmp_path / "explicit"
+    assert main(["diagnose", "--config", cfg, "--out", str(default)]) == 0
+    assert main(["diagnose", "--config", cfg, "--out", str(explicit),
+                 "--frequencies", "2"]) == 0
+    first, second = capsys.readouterr().out.splitlines()
+    assert first == second and first.startswith("rows=12 ")
+    for name in ("diagnostics.csv", "diagnostics.json"):
+        assert (default / name).read_bytes() == (explicit / name).read_bytes()
+    assert main(["diagnose", "--config", cfg, "--out", str(explicit),
+                 "--frequencies", "4"]) == 1
 
 
 def test_diagnose_rejects_unresolvable_frequency(tmp_path, capsys):

@@ -164,6 +164,10 @@ def test_smoothing_profile_rejects_bad_requests():
     grid = cf.Grid(nx=4, ny=16, nt=4)
     with pytest.raises(ValueError, match="fewer than 4 nodes"):
         cf.smoothing_profile(spec, grid, frequencies=(8,), shifts=())
+    # the default (2, 4) keeps what ny resolves, and refuses omega = 2
+    # when that is nothing
+    with pytest.raises(ValueError, match="omega = 2 leaves fewer"):
+        cf.smoothing_profile(spec, cf.Grid(nx=4, ny=7, nt=4), shifts=())
     with pytest.raises(ValueError, match="positive integers"):
         cf.smoothing_profile(spec, grid, frequencies=(0,), shifts=())
     with pytest.raises(ValueError, match="nonnegative"):
