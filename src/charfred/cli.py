@@ -7,7 +7,7 @@ diagnose (smoothing profile and Jacobian table), testbed (randomized
 kernel-dimension inequality checks on small dense sections).
 
 solve runs the configured method: neumann iterates w <- f - K w;
-discrete solves the finite section by restarted GMRES on K and
+discrete solves the finite section by restarted GMRES on I + K and
 estimates its kernel dimension. fredholm.solve_discrete alone decides
 how: the structural certificate from powers of |K| runs at every size,
 and the O(N^2) steps (the dense section, its SVD, least squares after a
@@ -34,7 +34,8 @@ main alone turns an exception into a code:
 
 Reports are deterministic: rerunning a subcommand with the same config
 and seed must produce byte-identical CSV/JSON. Wall-clock timings go to
-a separate timings.json that makes no such promise. A JSON report of a
+a separate timings.json that makes no such promise; its phases are read
+from one clock and sum to its total. A JSON report of a
 record (validate, diagnostics.json) has the record's dataclass fields as
 its keys; outcome.json holds norms derived from the solution instead.
 """
@@ -127,7 +128,7 @@ def cmd_solve(args) -> int:
     _write_json(outcome.to_json_dict(), os.path.join(args.out, "outcome.json"))
     written = time.perf_counter()
     _write_json({"sample_seconds": sampled - start,
-                 "solve_seconds": outcome.timing_seconds,
+                 "solve_seconds": solved - sampled,
                  "write_seconds": written - solved,
                  "total_seconds": written - start},
                 os.path.join(args.out, "timings.json"))
@@ -141,11 +142,11 @@ def cmd_diagnose(args) -> int:
     if code:
         return code
     start = time.perf_counter()
-    frequencies = (None if args.frequencies is None
-                   else _int_list(args.frequencies))
-    diag = smoothing_profile(cfg.spec, cfg.grid,
-                             powers=_int_list(args.powers),
-                             frequencies=frequencies)
+    # an option left out is left to smoothing_profile's default
+    lists = {name: _int_list(text) for name, text in
+             (("powers", args.powers), ("frequencies", args.frequencies))
+             if text is not None}
+    diag = smoothing_profile(cfg.spec, cfg.grid, **lists)
     profiled = time.perf_counter()
     diag.to_csv(os.path.join(args.out, "diagnostics.csv"))
     _write_json(diag, os.path.join(args.out, "diagnostics.json"))
@@ -251,7 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
                                         "operator")
     p.add_argument("--config", required=True)
     p.add_argument("--out", default=".")
-    p.add_argument("--powers", default="0,1,2,3")
+    p.add_argument("--powers",
+                   help="powers of K to measure; by default 0,1,2,3")
     p.add_argument("--frequencies",
                    help="wave counts per y period; by default 2 and 4, "
                         "less any that ny cannot resolve")

@@ -102,10 +102,37 @@ def _number(value, where: str, problems: list, default: float) -> float:
 
 
 def _get(mapping, key, where, problems, default=None):
-    if key in mapping:
-        return mapping[key]
-    problems.append(f"{where}: missing key {key!r}")
-    return default
+    """mapping[key], or default after a missing-key problem; a mapping of
+    None is a section already reported, so its keys add no problem."""
+    if mapping is None:
+        return default
+    if key not in mapping:
+        problems.append(f"{where}: missing key {key!r}")
+    return mapping.get(key, default)
+
+
+def _section(doc, key, problems):
+    """doc[key] if it is an object; else None after one problem."""
+    node = _get(doc, key, "top level", problems)
+    if key in doc and not isinstance(node, dict):
+        problems.append(f"{key}: expected an object")
+        return None
+    return node
+
+
+def _get_list(mapping, key, where, problems, rows=False):
+    """mapping[key] if it is a list (of lists, when rows); else None after
+    at most one problem, as _get reports a missing key."""
+    if mapping is None or key not in mapping:
+        return _get(mapping, key, where, problems)
+    node = mapping[key]
+    if isinstance(node, list) and not (
+            rows and any(not isinstance(r, list) for r in node)):
+        return node
+    label = key if where == "top level" else f"{where}.{key}"
+    what = "rows" if rows else "expressions"
+    problems.append(f"{label}: expected a list of {what}")
+    return None
 
 
 def load_config(source) -> RunConfig:
@@ -134,16 +161,12 @@ def load_config(source) -> RunConfig:
         problems.append(f"schema: expected {SCHEMA_VERSION}, "
                         f"got {doc.get('schema')!r}")
 
-    sysnode = _get(doc, "system", "top level", problems, default={})
-    gridnode = _get(doc, "grid", "top level", problems, default={})
+    # a section or list that is missing or malformed is reported once:
+    # it reads as None below, and nothing checks its keys or length
+    sysnode = _section(doc, "system", problems)
+    gridnode = _section(doc, "grid", problems)
     solvernode = doc.get("solver", {})
-    rhsnode = _get(doc, "rhs", "top level", problems, default=[])
-    if not isinstance(sysnode, dict):
-        problems.append("system: expected an object")
-        sysnode = {}
-    if not isinstance(gridnode, dict):
-        problems.append("grid: expected an object")
-        gridnode = {}
+    rhsnode = _get_list(doc, "rhs", "top level", problems)
     if not isinstance(solvernode, dict):
         problems.append("solver: expected an object")
         solvernode = {}
@@ -159,36 +182,31 @@ def load_config(source) -> RunConfig:
                                default=[0.0] * 3), 1, f"system.{key}",
                           problems)
                    for key in ("alpha", "beta"))
-    orientation = sysnode.get("orientation", FORWARD)
+    optional = sysnode or {}
+    orientation = optional.get("orientation", FORWARD)
     if orientation not in (FORWARD, MIRRORED):
         problems.append(f"system.orientation: expected {FORWARD!r} or "
                         f"{MIRRORED!r}, got {orientation!r}")
         orientation = FORWARD
-    period_y, period_t = (_number(sysnode.get(key, 1.0), f"system.{key}",
+    period_y, period_t = (_number(optional.get(key, 1.0), f"system.{key}",
                                   problems, 1.0)
                           for key in ("period_y", "period_t"))
 
-    gamma_node = _get(sysnode, "gamma", "system", problems, default=[])
-    if not isinstance(gamma_node, list):
-        problems.append("system.gamma: expected a list of expressions")
-        gamma_node = []
+    gamma_node = _get_list(sysnode, "gamma", "system", problems)
     gamma = tuple(_parse_entry(c, f"system.gamma[{i}]", problems)
-                  for i, c in enumerate(gamma_node))
-    if len(gamma) != n:
+                  for i, c in enumerate(gamma_node or []))
+    if gamma_node is not None and len(gamma) != n:
         problems.append(f"system.gamma: expected {n} entries, "
                         f"got {len(gamma)}")
 
-    b_node = _get(sysnode, "b", "system", problems, default=[])
-    if not isinstance(b_node, list) or any(not isinstance(r, list)
-                                           for r in b_node):
-        problems.append("system.b: expected a list of rows")
-        b_node = []
+    b_node = _get_list(sysnode, "b", "system", problems, rows=True)
     nn = max(n, 3)
     b = [[parse("0")] * nn for _ in range(nn)]
-    for i, row in enumerate(b_node[:nn]):
+    for i, row in enumerate((b_node or [])[:nn]):
         for j, cell in enumerate(row[:nn]):
             b[i][j] = _parse_entry(cell, f"system.b[{i}][{j}]", problems)
-    if len(b_node) != nn or any(len(r) != nn for r in b_node):
+    if b_node is not None and (len(b_node) != nn
+                               or any(len(r) != nn for r in b_node)):
         problems.append(f"system.b: expected {nn} rows of {nn} entries")
 
     nx, ny, nt = (_integer(_get(gridnode, key, "grid", problems, default=4),
@@ -212,12 +230,9 @@ def load_config(source) -> RunConfig:
         problems.append(f"solver.tol: expected a positive number, got {tol!r}")
         tol = 1e-10
 
-    if not isinstance(rhsnode, list):
-        problems.append("rhs: expected a list of expressions")
-        rhsnode = []
     rhs = tuple(_parse_entry(c, f"rhs[{i}]", problems)
-                for i, c in enumerate(rhsnode))
-    if len(rhs) != n:
+                for i, c in enumerate(rhsnode or []))
+    if rhsnode is not None and len(rhs) != n:
         problems.append(f"rhs: expected {n} components, got {len(rhs)}")
 
     spec = None

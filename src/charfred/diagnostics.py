@@ -63,7 +63,6 @@ class DiagnosticsReport:
     feeding_component: int
     rows: tuple
     jacobians: tuple
-    skipped_nodes: int
 
     CSV_HEADER = "power,omega,h,modulus,normalized"
 
@@ -135,7 +134,6 @@ def smoothing_profile(spec: SystemSpec, grid: Grid, powers=(0, 1, 2, 3),
     if frequencies is None:
         frequencies = [w for w in (2, 4) if w <= grid.ny / 4] or [2]
     rows = []
-    skipped_total = 0
     for omega in sorted(int(w) for w in frequencies):
         if omega < 1:
             raise ValueError("frequencies must be positive integers")
@@ -154,15 +152,12 @@ def smoothing_profile(spec: SystemSpec, grid: Grid, powers=(0, 1, 2, 3),
                 field = apply_k(spec, field, plan)
                 if m not in powers:
                     continue
-            sds = [shift_diff_norm(field, (0.0, h, 0.0)) for h in hs]
-            moduli = [sd.value / sup0 for sd in sds]
+            moduli = [shift_diff_norm(field, h) / sup0 for h in hs]
             if not m:
                 base = moduli
             if m in powers:
-                for h, sd, modulus, ref in zip(hs, sds, moduli, base):
-                    skipped_total += sd.skipped
+                for h, modulus, ref in zip(hs, moduli, base):
                     normalized = modulus / ref if ref > MODULUS_FLOOR else 0.0
                     rows.append(ModulusRow(m, omega, h, modulus, normalized))
     comp = spec.group_ranges()[spec.feeding_group()][0]
-    return DiagnosticsReport(comp + 1, tuple(rows), jacobian_table(spec),
-                             skipped_total)
+    return DiagnosticsReport(comp + 1, tuple(rows), jacobian_table(spec))

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,18 +56,19 @@ class NonConvergence(RuntimeError):
     """An iteration failed to converge within its budget.
 
     last_diff is the last update norm of the Neumann iteration, or the
-    relative residual of a stalled GMRES solve. diverged is True when the
-    Neumann iteration was stopped for growing (or overflowing) rather
-    than for running out of iterations.
+    relative residual of a stalled GMRES solve; measure names which, in
+    the message. diverged is True when the Neumann iteration was stopped
+    for growing (or overflowing) rather than for running out of
+    iterations.
     """
 
     def __init__(self, iterations: int, last_diff: float,
-                 diverged: bool = False):
+                 diverged: bool = False, measure: str = "last update"):
         self.iterations = iterations
         self.last_diff = last_diff
         self.diverged = diverged
         super().__init__(f"no convergence after {iterations} iterations "
-                         f"(last update {last_diff:.3e})")
+                         f"({measure} {last_diff:.3e})")
 
 
 def apply_k(spec: SystemSpec, f: GridFunction,
@@ -260,13 +260,11 @@ class SolveOutcome:
     kernel_dimension_estimate: int | None
     u: GridFunction
     w: GridFunction
-    timing_seconds: float
     # discrete only: the relative residual at which GMRES stalled, when a
     # dense least-squares solve replaced its answer
     stalled_residual: float | None = None
 
     def to_json_dict(self):
-        # timing stays out: reports must be byte-identical across reruns
         return {
             "method": self.method,
             "iterations": self.iterations,
@@ -286,7 +284,6 @@ def solve_neumann(spec: SystemSpec, f: GridFunction, tol: float = 1e-10,
     or an update norm grows past DIVERGENCE_GROWTH times the smallest
     one seen.
     """
-    start = time.perf_counter()
     plan = TransportPlan.build(spec, f.grid)
     target = tol * sup_norm(f)
     w = f
@@ -310,19 +307,18 @@ def solve_neumann(spec: SystemSpec, f: GridFunction, tol: float = 1e-10,
             raise NonConvergence(iterations, diff, diverged=True)
         if iterations >= max_iter:
             raise NonConvergence(iterations, diff)
-    return _outcome("neumann", spec, f, w, plan, start, iterations)
+    return _outcome("neumann", spec, f, w, plan, iterations)
 
 
 def _outcome(method: str, spec: SystemSpec, f: GridFunction,
-             w: GridFunction, plan: TransportPlan, start: float,
-             iterations: int, kdim: int | None = None,
+             w: GridFunction, plan: TransportPlan, iterations: int,
+             kdim: int | None = None,
              stalled: float | None = None) -> SolveOutcome:
     """The shared tail of both solvers: u = C^{-1} w and the residual of
     (I + K) w = f, with K w = D u taken from that one transport solve."""
     u = solve_transport(spec, w, plan)
     residual = sup_norm(w + apply_coupling(spec, u, plan) - f)
-    return SolveOutcome(method, iterations, residual, kdim, u, w,
-                        time.perf_counter() - start, stalled)
+    return SolveOutcome(method, iterations, residual, kdim, u, w, stalled)
 
 
 def _impulse_images(spec, grid, plan, start, stop):
@@ -460,7 +456,6 @@ def solve_discrete(spec: SystemSpec, f: GridFunction,
     - for a rank-revealing least-squares solve when that count finds a
       kernel, or when GMRES stalls after GMRES_MAX_ITER iterations.
     """
-    start = time.perf_counter()
     grid = f.grid
     size = spec.n * grid.node_count
     dense_ok = size <= DISCRETE_UNKNOWN_CAP
@@ -491,13 +486,13 @@ def solve_discrete(spec: SystemSpec, f: GridFunction,
         sol, iterations, stalled = _gmres(spec, grid, rhs, plan)
         if stalled is not None:
             if not dense_ok:
-                raise NonConvergence(iterations, stalled)
+                raise NonConvergence(iterations, stalled,
+                                     measure="relative residual")
             if mat is None:
                 mat = assemble_dense(spec, grid, plan)
             sol = _least_squares(mat, rhs)
     w = GridFunction(grid, sol.reshape(f.values.shape))
-    return _outcome("discrete", spec, f, w, plan, start, iterations, kdim,
-                    stalled)
+    return _outcome("discrete", spec, f, w, plan, iterations, kdim, stalled)
 
 
 def kernel_dimension(mat: np.ndarray) -> int:

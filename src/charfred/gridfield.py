@@ -11,7 +11,7 @@ import io
 import itertools
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -93,11 +93,6 @@ class GridFunction:
         return GridFunction(self.grid, self.values * float(scalar))
 
     __rmul__ = __mul__
-
-
-class ShiftDiff(NamedTuple):
-    value: float
-    skipped: int
 
 
 def zeros(grid: Grid, m: int) -> GridFunction:
@@ -252,28 +247,17 @@ def sum_sup_norm(gf: GridFunction) -> float:
     return float(np.sum(np.max(np.abs(gf.values), axis=(1, 2, 3))))
 
 
-def shift_diff_norm(gf: GridFunction, shift) -> ShiftDiff:
-    """sup |u(p + shift) - u(p)| over nodes p with x + hx still in [0, 1].
+def shift_diff_norm(gf: GridFunction, hy: float) -> float:
+    """sup |u(x, y + hy, t) - u(x, y, t)| over all nodes.
 
-    Nodes whose shifted x leaves the slab are skipped and counted; the
-    count is (number of excluded x levels) * ny * nt. A NaN or infinite
-    shift raises GridDomainError naming its axis.
+    A NaN or infinite hy raises GridDomainError.
     """
-    hx, hy, ht = (float(s) for s in shift)
-    for axis, h in zip("xyt", (hx, hy, ht)):
-        _require_finite(f"{axis} shift", np.asarray(h))
+    _require_finite("y shift", np.asarray(hy, dtype=float))
     g = gf.grid
-    xs = gf.grid.xs()
-    keep = (xs + hx >= -_X_SLACK) & (xs + hx <= 1.0 + _X_SLACK)
-    skipped = int(np.sum(~keep)) * g.ny * g.nt
-    if not np.any(keep):
-        return ShiftDiff(0.0, skipped)
-    X = (xs[keep] + hx)[:, None, None]
-    Y = (gf.grid.ys() + hy)[None, :, None]
-    T = (gf.grid.ts() + ht)[None, None, :]
-    shifted = interpolate_many(gf, X, Y, T)
-    diff = shifted - gf.values[:, keep]
-    return ShiftDiff(float(np.max(np.abs(diff))), skipped)
+    shifted = interpolate_many(gf, g.xs()[:, None, None],
+                               (g.ys() + hy)[None, :, None],
+                               g.ts()[None, None, :])
+    return float(np.max(np.abs(shifted - gf.values)))
 
 
 CSV_HEADER = "component,ix,iy,it,x,y,t,value"

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -91,6 +92,31 @@ def test_config_problems_are_all_reported(tmp_path, capsys):
     assert all(ln.startswith("config: ") for ln in lines)
 
 
+@pytest.mark.parametrize("fault", [
+    pytest.param(lambda doc: doc["system"].pop("gamma"), id="no-gamma"),
+    pytest.param(lambda doc: doc["system"].pop("b"), id="no-b"),
+    pytest.param(lambda doc: doc.pop("rhs"), id="no-rhs"),
+    pytest.param(lambda doc: doc["system"].update(gamma="0"),
+                 id="gamma-str"),
+    pytest.param(lambda doc: doc["system"].update(b=3), id="b-number"),
+    pytest.param(lambda doc: doc["system"]["b"].__setitem__(0, "0"),
+                 id="b-row-str"),
+    pytest.param(lambda doc: doc.update(rhs={}), id="rhs-object"),
+    pytest.param(lambda doc: doc.pop("system"), id="no-system"),
+    pytest.param(lambda doc: doc.update(system=5), id="system-number"),
+    pytest.param(lambda doc: doc.pop("grid"), id="no-grid"),
+    pytest.param(lambda doc: doc.update(grid=[4, 4, 4]), id="grid-list"),
+])
+def test_a_missing_or_malformed_value_is_one_line(fault, tmp_path, capsys):
+    # nothing that reads the value afterwards reports it a second time
+    doc = base_config()
+    fault(doc)
+    rc = main(["validate", "--config", write_config(tmp_path, doc)])
+    assert rc == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("config: ")
+
+
 def test_solve_reports_and_determinism(tmp_path, capsys):
     cfg = str(CONFIGS / "cyclic.json")
     out1, out2 = tmp_path / "run1", tmp_path / "run2"
@@ -171,6 +197,20 @@ def test_solve_overflowing_iteration(method, tmp_path, capsys):
         assert "method=discrete" in captured.out
 
 
+def test_timing_phases_sum_to_the_total_after_a_fallback(tmp_path):
+    # the failed Neumann attempt counts towards solve_seconds
+    doc = base_config()
+    doc["grid"] = {"nx": 4, "ny": 4, "nt": 4}
+    doc["system"]["b"] = THOUSANDFOLD
+    out = tmp_path / "run"
+    assert main(["solve", "--config", write_config(tmp_path, doc),
+                 "--out", str(out), "--method", "auto"]) == 0
+    timings = json.loads((out / "timings.json").read_text(encoding="utf-8"))
+    phases = (timings["sample_seconds"] + timings["solve_seconds"]
+              + timings["write_seconds"])
+    assert phases == pytest.approx(timings["total_seconds"], abs=1e-9)
+
+
 def test_solve_reports_a_gmres_stall(tmp_path, capsys):
     # gelsy solves the section once GMRES stalls
     doc = base_config()
@@ -233,6 +273,20 @@ def test_auto_fallback_runs_above_the_cap(coupling, tmp_path, capsys,
         assert rc == 3
         assert f"no convergence after {GMRES_MAX_ITER} iterations" in err
         assert not (out / "solution.csv").exists()
+
+
+def test_gmres_stall_above_the_cap_names_its_residual(tmp_path, capsys,
+                                                     monkeypatch):
+    monkeypatch.setattr(fredholm, "DISCRETE_UNKNOWN_CAP", 100)
+    doc = base_config()
+    doc["grid"] = {"nx": 4, "ny": 4, "nt": 4}
+    doc["system"]["b"] = THOUSANDFOLD
+    rc = main(["solve", "--config", write_config(tmp_path, doc),
+               "--out", str(tmp_path / "run"), "--method", "discrete"])
+    assert rc == 3
+    line = (rf"solve: no convergence after {GMRES_MAX_ITER} iterations "
+            r"\(relative residual \d\.\d{3}e[+-]\d\d\)\n")
+    assert re.fullmatch(line, capsys.readouterr().err)
 
 
 def test_import_loads_no_scipy():
@@ -421,12 +475,13 @@ def test_diagnose_reports(tmp_path, capsys):
 
 def test_diagnose_default_keeps_the_frequencies_ny_resolves(tmp_path, capsys):
     # uncoupled.json has ny = 9: omega = 4 would leave 2.25 nodes per
-    # wavelength, so the default measures omega = 2 alone
+    # wavelength, so the default measures omega = 2 alone; the default
+    # powers are 0 to 3
     cfg = str(CONFIGS / "uncoupled.json")
     default, explicit = tmp_path / "default", tmp_path / "explicit"
     assert main(["diagnose", "--config", cfg, "--out", str(default)]) == 0
     assert main(["diagnose", "--config", cfg, "--out", str(explicit),
-                 "--frequencies", "2"]) == 0
+                 "--frequencies", "2", "--powers", "0,1,2,3"]) == 0
     first, second = capsys.readouterr().out.splitlines()
     assert first == second and first.startswith("rows=12 ")
     for name in ("diagnostics.csv", "diagnostics.json"):

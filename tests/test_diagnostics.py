@@ -88,7 +88,6 @@ def test_smoothing_profile_flat_for_degenerate_control():
                                frequencies=(2,), shifts=())
     h = 0.25  # half wavelength of omega = 2
     assert rep.feeding_component == 3
-    assert rep.skipped_nodes == 0
     assert rep.modulus(0, 2, h) == 1.0
     assert rep.modulus(1, 2, h) == pytest.approx(1.0, abs=1e-12)
     # K^2 f = -(x - x^2/2) sin(...): coefficient peaks at 1/2, and the
@@ -147,9 +146,9 @@ def test_smoothing_profile_measures_each_power_once(monkeypatch, powers):
     measure = diagnostics.shift_diff_norm
     calls = []
 
-    def counting(field, shift):
-        calls.append(shift)
-        return measure(field, shift)
+    def counting(field, hy):
+        calls.append(hy)
+        return measure(field, hy)
 
     monkeypatch.setattr(diagnostics, "shift_diff_norm", counting)
     cf.smoothing_profile(spec, grid, powers=powers, frequencies=(2, 4),
@@ -199,7 +198,6 @@ def test_report_json_dict():
     rep = cf.smoothing_profile(spec, grid, powers=(0,), frequencies=(2,),
                                shifts=())
     doc = json.loads(json.dumps(dataclasses.asdict(rep)))
-    assert set(doc) == {"feeding_component", "rows", "jacobians",
-                        "skipped_nodes"}
+    assert set(doc) == {"feeding_component", "rows", "jacobians"}
     assert doc["jacobians"][0]["triple"] == [1, 2, 3]
     assert doc["rows"][0]["power"] == 0

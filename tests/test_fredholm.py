@@ -543,7 +543,6 @@ def test_outcome_json_dict_is_timing_free():
     assert set(d) == {"method", "iterations", "residual_sup",
                       "kernel_dimension_estimate", "solution_sup_norm",
                       "solution_sum_sup_norm"}
-    assert out.timing_seconds > 0.0
 
 
 def test_fused_cube_matches_grid_composition():

@@ -132,31 +132,18 @@ def test_shift_diff_norm_on_node_multiples_matches_roll():
     g = cf.Grid(nx=4, ny=8, nt=8)
     rng = np.random.default_rng(5)
     f = cf.GridFunction(g, rng.standard_normal((2, 5, 8, 8)))
-    sd = shift_diff_norm(f, (0.0, 2 * g.period_y / 8, 0.0))
+    sd = shift_diff_norm(f, 2 * g.period_y / 8)
     expect = np.abs(np.roll(f.values, -2, axis=2) - f.values).max()
-    assert sd.value == pytest.approx(expect, rel=1e-12)
-    assert sd.skipped == 0
+    assert isinstance(sd, float)
+    assert sd == pytest.approx(expect, rel=1e-12)
 
 
-def test_shift_diff_norm_counts_skipped_x_levels():
-    g = cf.Grid(nx=4, ny=4, nt=4)
-    f = linear_field(g)
-    sd = shift_diff_norm(f, (0.3, 0.0, 0.0))
-    # x nodes 0.75 and 1.0 cannot shift by 0.3 and stay in the slab
-    assert sd.skipped == 2 * 4 * 4
-    assert sd.value == pytest.approx(0.3, rel=1e-12)
-
-
-@pytest.mark.parametrize("axis", range(3))
 @pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf))
-def test_shift_diff_norm_rejects_non_finite_shifts(axis, bad):
-    # a non-finite x shift once skipped every node and returned 0.0
+def test_shift_diff_norm_rejects_non_finite_shifts(bad):
     f = linear_field(cf.Grid(nx=4, ny=4, nt=4))
-    shift = [0.25, 0.0, 0.0]
-    shift[axis] = bad
-    message = f"{'xyt'[axis]} shift = {bad!r} is not finite"
+    message = f"y shift = {bad!r} is not finite"
     with pytest.raises(GridDomainError, match=re.escape(message)):
-        shift_diff_norm(f, shift)
+        shift_diff_norm(f, bad)
 
 
 def test_csv_round_trip():
