@@ -171,10 +171,15 @@ def load_config(source) -> RunConfig:
         problems.append("solver: expected an object")
         solvernode = {}
 
-    n, k, l = (_integer(_get(sysnode, key, "system", problems,
-                             default=default), f"system.{key}", problems,
-                        default)
-               for key, default in (("n", 3), ("k", 2), ("l", 1)))
+    reported = len(problems)
+    n = _integer(_get(sysnode, "n", "system", problems, default=3),
+                 "system.n", problems, 3)
+    # gamma, b and rhs are measured against n only when n itself was read
+    n_read = len(problems) == reported
+    k, l = (_integer(_get(sysnode, key, "system", problems,
+                          default=default), f"system.{key}", problems,
+                     default)
+            for key, default in (("k", 2), ("l", 1)))
     a1, a2, a3 = (_array(_get(sysnode, key, "system", problems,
                               default=[[1.0]]), 2, f"system.{key}", problems)
                   for key in ("a1", "a2", "a3"))
@@ -195,7 +200,7 @@ def load_config(source) -> RunConfig:
     gamma_node = _get_list(sysnode, "gamma", "system", problems)
     gamma = tuple(_parse_entry(c, f"system.gamma[{i}]", problems)
                   for i, c in enumerate(gamma_node or []))
-    if gamma_node is not None and len(gamma) != n:
+    if n_read and gamma_node is not None and len(gamma) != n:
         problems.append(f"system.gamma: expected {n} entries, "
                         f"got {len(gamma)}")
 
@@ -205,8 +210,8 @@ def load_config(source) -> RunConfig:
     for i, row in enumerate((b_node or [])[:nn]):
         for j, cell in enumerate(row[:nn]):
             b[i][j] = _parse_entry(cell, f"system.b[{i}][{j}]", problems)
-    if b_node is not None and (len(b_node) != nn
-                               or any(len(r) != nn for r in b_node)):
+    if n_read and b_node is not None and (
+            len(b_node) != nn or any(len(r) != nn for r in b_node)):
         problems.append(f"system.b: expected {nn} rows of {nn} entries")
 
     nx, ny, nt = (_integer(_get(gridnode, key, "grid", problems, default=4),
@@ -232,7 +237,7 @@ def load_config(source) -> RunConfig:
 
     rhs = tuple(_parse_entry(c, f"rhs[{i}]", problems)
                 for i, c in enumerate(rhsnode or []))
-    if rhsnode is not None and len(rhs) != n:
+    if n_read and rhsnode is not None and len(rhs) != n:
         problems.append(f"rhs: expected {n} components, got {len(rhs)}")
 
     spec = None

@@ -116,30 +116,33 @@ def smoothing_profile(spec: SystemSpec, grid: Grid, powers=(0, 1, 2, 3),
     """Shift-difference moduli of K^m applied to single-frequency probes.
 
     frequencies are integer wave counts per period; each must leave at
-    least 4 nodes per wavelength (omega <= ny/4). None means 2 and 4, less
-    any omega above ny/4; when neither is left, omega = 2 is refused as
-    an explicit request would be. shifts are dyadic
-    fractions of the y period; the half-wavelength shift Y/(2 omega) is
-    always measured as well. The normalized column divides each modulus
-    by its power-0 counterpart, cancelling interpolation smearing; rows
-    whose reference modulus is below 1e-12 report 0 there. The power-0
-    moduli are measured once per frequency, in the same pass as the
-    powers, also when 0 is not among them (then only its rows are left
-    out).
+    least 4 nodes per wavelength (omega <= ny/4), and all are checked
+    before any K is applied. Like powers, they are sorted and a repeated
+    one is profiled once. None means 2 and 4, less any omega above ny/4;
+    when neither is left, omega = 2 is refused as an explicit request
+    would be. shifts are dyadic fractions of the y period; the
+    half-wavelength shift Y/(2 omega) is always measured as well. The
+    normalized column divides each modulus by its power-0 counterpart,
+    cancelling interpolation smearing; rows whose reference modulus is
+    below 1e-12 report 0 there. The power-0 moduli are measured once per
+    frequency, in the same pass as the powers, also when 0 is not among
+    them (then only its rows are left out).
     """
     powers = sorted(set(int(p) for p in powers))
     if powers and powers[0] < 0:
         raise ValueError("powers must be nonnegative")
-    plan = TransportPlan.build(spec, grid)
     if frequencies is None:
         frequencies = [w for w in (2, 4) if w <= grid.ny / 4] or [2]
+    frequencies = sorted(set(int(w) for w in frequencies))
+    if frequencies and frequencies[0] < 1:
+        raise ValueError("frequencies must be positive integers")
+    too_fine = [w for w in frequencies if w > grid.ny / 4]
+    if too_fine:
+        raise ValueError(f"omega = {too_fine[0]} leaves fewer than 4 nodes "
+                         f"per wavelength on ny = {grid.ny}")
+    plan = TransportPlan.build(spec, grid)
     rows = []
-    for omega in sorted(int(w) for w in frequencies):
-        if omega < 1:
-            raise ValueError("frequencies must be positive integers")
-        if omega > grid.ny / 4:
-            raise ValueError(f"omega = {omega} leaves fewer than 4 nodes "
-                             f"per wavelength on ny = {grid.ny}")
+    for omega in frequencies:
         probe = oscillatory_probe(spec, grid, omega)
         sup0 = sup_norm(probe)
         hs = [grid.period_y / (2 * omega)]

@@ -456,6 +456,18 @@ def test_config_rejects_a_gamma_of_the_wrong_length(entries, tmp_path,
         f"config: system.gamma: expected 3 entries, got {entries}\n"
 
 
+def test_a_malformed_n_adds_no_length_lines(tmp_path, capsys):
+    # gamma and rhs fit n = 2, so n is the one fault
+    doc = base_config()
+    doc["system"]["n"] = 2.0
+    doc["system"]["gamma"] = doc["system"]["gamma"][:2]
+    doc["rhs"] = doc["rhs"][:2]
+    rc = main(["validate", "--config", write_config(tmp_path, doc)])
+    assert rc == 1
+    assert capsys.readouterr().err == \
+        "config: system.n: expected an integer, got 2.0\n"
+
+
 def test_diagnose_reports(tmp_path, capsys):
     out = tmp_path / "diag"
     rc = main(["diagnose", "--config", str(CONFIGS / "cyclic.json"),

@@ -174,6 +174,35 @@ def test_smoothing_profile_rejects_bad_requests():
                              shifts=())
 
 
+def test_smoothing_profile_profiles_a_repeated_frequency_once(monkeypatch):
+    spec = transversal_control()
+    grid = cf.Grid(nx=4, ny=16, nt=4)
+    kw = dict(powers=(0, 1), shifts=(0.125,))
+    once = cf.smoothing_profile(spec, grid, frequencies=(2,), **kw)
+    calls = []
+    apply_k = diagnostics.apply_k
+
+    def counting(*args):
+        calls.append(None)
+        return apply_k(*args)
+
+    monkeypatch.setattr(diagnostics, "apply_k", counting)
+    twice = cf.smoothing_profile(spec, grid, frequencies=(2, 2), **kw)
+    assert twice.rows == once.rows
+    assert len(calls) == 1
+
+
+def test_smoothing_profile_checks_every_frequency_first(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("K applied before the frequencies were checked")
+
+    monkeypatch.setattr(diagnostics, "apply_k", refuse)
+    grid = cf.Grid(nx=4, ny=16, nt=4)
+    with pytest.raises(ValueError, match="omega = 99 leaves fewer"):
+        cf.smoothing_profile(transversal_control(), grid,
+                             frequencies=(2, 99), shifts=())
+
+
 def test_report_csv_and_lookup(tmp_path):
     spec = degenerate_control()
     grid = cf.Grid(nx=4, ny=16, nt=4)

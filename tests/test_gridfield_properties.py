@@ -5,7 +5,8 @@ eight-corner fancy-index trilinear interpolation (with its own snapping
 and index arithmetic, so the kernel is not compared with itself),
 full-field reads sliced to one component, and a per-row f-string CSV
 writer. The fused K^3 route in probe blocks is compared with per-probe
-evaluation.
+evaluation, and the y-shift modulus with the difference read through
+interpolate_many.
 """
 import io
 from dataclasses import replace
@@ -165,6 +166,40 @@ def test_single_component_reads_are_full_reads_sliced(case):
     for c in range(gf.m):
         part = cf.GridFunction(gf.grid, gf.values[c:c + 1])
         assert same_bits(cf.interpolate_many(part, x, y, t)[0], full[c])
+
+
+# y shifts, in nodes: on a node, between nodes, within a few _SNAP of a
+# node (either side of the snap), or anywhere; k reaches three periods
+# either way
+SHIFT_KINDS = st.sampled_from(("node", "between", "near-node", "random"))
+
+
+@st.composite
+def shift_cases(draw):
+    gf, _ = draw(fields())
+    g = gf.grid
+    k = draw(st.integers(-3 * g.ny, 3 * g.ny))
+    kind = draw(SHIFT_KINDS)
+    if kind == "node":
+        nodes = k
+    elif kind == "between":
+        nodes = k + draw(st.floats(0.001, 0.999))
+    elif kind == "near-node":
+        nodes = k + draw(st.sampled_from((-2.0, -0.5, 0.5, 2.0))) * _SNAP
+    else:
+        nodes = draw(st.floats(-3.0 * g.ny, 3.0 * g.ny))
+    return gf, nodes * g.period_y / g.ny
+
+
+@PROPERTY
+@given(shift_cases())
+def test_shift_diff_norm_is_the_interpolated_difference(case):
+    gf, hy = case
+    g = gf.grid
+    shifted = cf.interpolate_many(gf, g.xs()[:, None, None],
+                                  (g.ys() + hy)[None, :, None],
+                                  g.ts()[None, None, :])
+    assert cf.shift_diff_norm(gf, hy) == np.max(np.abs(shifted - gf.values))
 
 
 def coupled_spec_on(grid):
