@@ -260,10 +260,18 @@ def _row_integrals(grid: Grid, stack: np.ndarray, plan: TransportPlan,
     midpoint refinement) is nonnegative and backward rows are negated as a
     whole, so for a nonnegative stack each row has the sign of its
     direction: >= 0 forward, <= 0 backward.
+
+    A row whose slice of stack is all zero (of either sign) is not
+    integrated: both kernels give +0.0 there, negated to -0.0 on backward
+    rows, and that is what the row is set to. So K applied to a field
+    held by one row group costs one group's transport.
     """
     w = np.zeros_like(stack)
     for i, (forward, beta, alpha, gam, _, mult) in enumerate(plan.rows):
-        if mult is not None and rhs_exprs is None:
+        if rhs_exprs is None and not stack[:, i].any():
+            if not forward:
+                w[:, i] = -0.0
+        elif mult is not None and rhs_exprs is None:
             _integrate_spectral_row(grid, forward, *mult, stack[:, i], w[:, i])
         else:
             _integrate_grid_row(grid, beta, alpha, gam, forward,

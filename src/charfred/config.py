@@ -174,6 +174,9 @@ def load_config(source) -> RunConfig:
     reported = len(problems)
     n = _integer(_get(sysnode, "n", "system", problems, default=3),
                  "system.n", problems, 3)
+    if n < 1:
+        problems.append(f"system.n: expected a positive integer, got {n!r}")
+        n = 3
     # gamma, b and rhs are measured against n only when n itself was read
     n_read = len(problems) == reported
     k, l = (_integer(_get(sysnode, key, "system", problems,

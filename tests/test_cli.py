@@ -123,7 +123,7 @@ def test_solve_reports_and_determinism(tmp_path, capsys):
     assert main(["solve", "--config", cfg, "--out", str(out1)]) == 0
     assert main(["solve", "--config", cfg, "--out", str(out2)]) == 0
     stdout = capsys.readouterr().out
-    assert "method=neumann iterations=9" in stdout
+    assert "method=neumann iterations=5" in stdout
     for name in ("solution.csv", "outcome.json", "timings.json"):
         assert (out1 / name).is_file()
     # Byte-identical reruns; timings.json is exempt from that promise.
@@ -133,10 +133,27 @@ def test_solve_reports_and_determinism(tmp_path, capsys):
         (out2 / "outcome.json").read_bytes()
     doc = json.loads((out1 / "outcome.json").read_text(encoding="utf-8"))
     assert doc["method"] == "neumann"
-    assert doc["iterations"] == 9
+    assert doc["iterations"] == 5
     assert doc["residual_sup"] < 1e-10
     header = (out1 / "solution.csv").read_text(encoding="utf-8").splitlines()[0]
     assert header == "component,ix,iy,it,x,y,t,value"
+
+
+def test_neumann_sweeps_a_mirrored_cycle_in_its_order(tmp_path, capsys):
+    # the same couplings in the mirrored cycle, swept 1 -> 3 -> 2; the
+    # forward order 1 -> 2 -> 3 would take 7 sweeps here
+    doc = base_config()
+    b = doc["system"]["b"]
+    doc["system"]["b"] = [["0", b[0][2], "0"], ["0", "0", b[1][0]],
+                          [b[2][1], "0", "0"]]
+    doc["system"]["orientation"] = "mirrored"
+    out = tmp_path / "run"
+    assert main(["solve", "--config", write_config(tmp_path, doc),
+                 "--out", str(out), "--method", "neumann"]) == 0
+    assert "method=neumann iterations=5" in capsys.readouterr().out
+    outcome = json.loads((out / "outcome.json").read_text(encoding="utf-8"))
+    assert outcome["iterations"] == 5
+    assert outcome["residual_sup"] <= 1e-10
 
 
 def test_solve_uncoupled_single_iteration(tmp_path):
@@ -466,6 +483,17 @@ def test_a_malformed_n_adds_no_length_lines(tmp_path, capsys):
     assert rc == 1
     assert capsys.readouterr().err == \
         "config: system.n: expected an integer, got 2.0\n"
+
+
+@pytest.mark.parametrize("n", [-1, 0])
+def test_a_nonpositive_n_is_named_once(n, tmp_path, capsys):
+    # gamma and rhs keep their three entries; only n is named
+    doc = base_config()
+    doc["system"]["n"] = n
+    rc = main(["validate", "--config", write_config(tmp_path, doc)])
+    assert rc == 1
+    assert capsys.readouterr().err == \
+        f"config: system.n: expected a positive integer, got {n}\n"
 
 
 def test_diagnose_reports(tmp_path, capsys):

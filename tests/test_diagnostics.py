@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import charfred as cf
-from charfred import diagnostics
+from charfred import characteristics, diagnostics
 from conftest import ONE, ZERO, cyclic_b, identity_spec
 
 
@@ -230,3 +230,27 @@ def test_report_json_dict():
     assert set(doc) == {"feeding_component", "rows", "jacobians"}
     assert doc["jacobians"][0]["triple"] == [1, 2, 3]
     assert doc["rows"][0]["power"] == 0
+
+
+def test_smoothing_profile_transports_one_group_per_k(monkeypatch):
+    # the probe and every K^m of it live in one row group, of one row
+    # here, so each K application integrates that row and skips the rest
+    spec = transversal_control()
+    grid = cf.Grid(nx=4, ny=8, nt=4)
+    applied, integrated = [], []
+
+    def counting(fn, calls):
+        def wrapper(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(diagnostics, "apply_k",
+                        counting(diagnostics.apply_k, applied))
+    for name in ("_integrate_spectral_row", "_integrate_grid_row"):
+        monkeypatch.setattr(characteristics, name, counting(
+            getattr(characteristics, name), integrated))
+    cf.smoothing_profile(spec, grid, frequencies=(1, 2))
+    # powers 0 to 3 at two frequencies: three K applications each
+    assert len(applied) == 6
+    assert len(integrated) == len(applied)

@@ -81,8 +81,8 @@ def test_neumann_converges_on_contraction():
 
 
 def test_neumann_transports_the_final_iterate_once(monkeypatch):
-    # one transport solve inside each iteration's K, and one for
-    # u = C^{-1} w, whose coupling also gives the residual
+    # one transport solve inside each of a sweep's three K applications,
+    # and one for u = C^{-1} w, whose coupling also gives the residual
     spec = coupled_spec()
     grid = cf.Grid(nx=6, ny=6, nt=6)
     f = cf.sample(EXPRS, grid)
@@ -96,7 +96,7 @@ def test_neumann_transports_the_final_iterate_once(monkeypatch):
     monkeypatch.setattr(characteristics, "solve_transport_stack", counting)
     out = cf.solve_neumann(spec, f)
     assert out.iterations > 1
-    assert calls == [1] * (out.iterations + 1)
+    assert calls == [1] * (3 * out.iterations + 1)
 
 
 @pytest.mark.parametrize("name, per_row", [("constant_value", 1),
@@ -165,8 +165,8 @@ def overflow_config(tmp_path):
 
 
 def test_neumann_stops_early_on_sustained_growth(tmp_path):
-    # update norms grow 2e2, 1.4e4, 7.2e5, 7.6e6, 6.4e8, past 1e6 times
-    # the smallest
+    # sweep update norms grow 5.3e4, 3.2e10, 1.1e15, past 1e6 times the
+    # smallest
     cfg = overflow_config(tmp_path)
     f = cf.sample(cfg.rhs, cfg.grid)
     with pytest.raises(cf.NonConvergence) as err:
@@ -344,6 +344,32 @@ def coupled_x4_spec():
 def coupled_x30_spec():
     """coupled_spec with every coupling scaled by 30: ||K||_inf near 10.9."""
     return scaled_coupled_spec(30)
+
+
+def mirrored_spec():
+    """coupled_spec's couplings in the mirrored cycle: group 1 reads
+    group 2, group 2 reads group 3 and group 3 reads group 1."""
+    spec = coupled_spec()
+    b = [[ZERO] * 3 for _ in range(3)]
+    b[0][1], b[1][2], b[2][0] = spec.b[0][2], spec.b[1][0], spec.b[2][1]
+    return replace(spec, b=tuple(map(tuple, b)), orientation=cf.MIRRORED)
+
+
+# 5 x nodes and 4 y and t nodes, then 7 of each
+@pytest.mark.parametrize("nx,nyt", ((4, 4), (6, 7)))
+@pytest.mark.parametrize("make_spec",
+                         (coupled_spec, fused_spec, transversal_spec,
+                          coupled_x4_spec, mirrored_spec, block_coupled_spec))
+def test_neumann_sweeps_match_gelsy(make_spec, nx, nyt):
+    spec = make_spec()
+    grid = cf.Grid(nx=nx, ny=nyt, nt=nyt)
+    rng = np.random.default_rng(nx)
+    f = cf.GridFunction(grid, rng.standard_normal(
+        (spec.n, nx + 1, nyt, nyt)))
+    out = cf.solve_neumann(spec, f, tol=1e-12)
+    expect = gelsy(spec, f)
+    assert np.abs(out.w.values - expect).max() <= \
+        1e-10 * np.abs(expect).max()
 
 
 # 4 to 7 nodes per axis; x has at least 5 (nx >= 4)
