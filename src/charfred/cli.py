@@ -7,21 +7,24 @@ diagnose (smoothing profile and Jacobian table), testbed (randomized
 kernel-dimension inequality checks on small dense sections).
 
 solve runs the configured method: neumann sweeps the row groups in their
-coupling cycle, w_g <- f_g - (K w)_g, and counts sweeps; discrete solves
-the finite section by restarted GMRES on I + K and estimates its kernel
-dimension. fredholm.solve_discrete alone decides how: the structural
-certificate from powers of |K| runs at every size, and the dense steps
-(the section, its SVD, least squares after a GMRES stall; O(N^2) memory,
-O(N^3) time) only up to its dense-section cap, so the estimate is null
-only above that cap when the certificate declines. auto runs neumann
-and, when it stalls or diverges, falls back to discrete at any size. A
-GMRES stall is reported on stderr with its relative residual and
-iteration count. solve and diagnose run the same validate_config as
-validate, and make the --out directory, before any work, so a
-coefficient or right-hand side undefined at a grid node fails all three
-alike. Each solve and each diagnose run builds one TransportPlan for its
-grid and applies K through it; everything runs on one thread, and no
-environment variable changes what is computed.
+coupling cycle, w_g <- f_g - (K w)_g, and counts sweeps; discrete
+eliminates two row groups, solves the one-group system I + S (S the
+group's block of K^3) by restarted GMRES, back-substitutes, refines
+while the full residual is above its target and falling, and estimates
+the kernel dimension. fredholm.solve_discrete alone decides how: the
+structural certificate from powers of |K| runs at every size, and the
+dense steps (the N/3-row section of I + S, its SVD, least squares after
+a stall; O(N^2) memory, O(N^3) time) only up to its dense-section cap,
+so the estimate is null only above that cap when the certificate
+declines. auto runs neumann and, when it stalls or diverges, falls back
+to discrete at any size. A stall is reported on stderr with its full
+relative residual and GMRES iteration count, and outcome.json carries
+refinements and stalled_residual. solve and diagnose run the same
+validate_config as validate, and make the --out directory, before any
+work, so a coefficient or right-hand side undefined at a grid node fails
+all three alike. Each solve and each diagnose run builds one
+TransportPlan for its grid and applies K through it; everything runs on
+one thread, and no environment variable changes what is computed.
 
 Exit codes, each failure reported in stderr lines with the prefix shown;
 main alone turns an exception into a code:

@@ -18,13 +18,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import characteristics
 from .characteristics import (TransportPlan, _apply_blocks, _row_integrals,
                               apply_coupling, apply_coupling_stack,
-                              solve_transport, solve_transport_stack)
+                              solve_transport)
 from .expressions import evaluate_on
-from .gridfield import (Grid, GridDomainError, GridFunction, NonFiniteError,
-                        _require_finite, interpolate_many, sup_norm,
-                        sum_sup_norm)
+from .gridfield import (Grid, GridDomainError, GridFunction, _require_finite,
+                        interpolate_many, sup_norm, sum_sup_norm)
 from .system import SystemSpec
 
 DISCRETE_UNKNOWN_CAP = 20_000
@@ -55,9 +55,9 @@ FUSED_BLOCK = 8
 class NonConvergence(RuntimeError):
     """An iteration failed to converge within its budget.
 
-    last_diff is the update norm of the last Neumann sweep, or the
-    relative residual of a stalled GMRES solve; measure names which, in
-    the message. diverged is True when the Neumann iteration was stopped
+    last_diff is the update norm of the last Neumann sweep, or the full
+    relative residual of a stalled discrete solve; measure names which,
+    in the message. diverged is True when the Neumann iteration was stopped
     for growing (or overflowing) rather than for running out of
     iterations.
     """
@@ -260,8 +260,10 @@ class SolveOutcome:
     kernel_dimension_estimate: int | None
     u: GridFunction
     w: GridFunction
-    # discrete only: the relative residual at which GMRES stalled, when a
-    # dense least-squares solve replaced its answer
+    # discrete only: the iterative-refinement steps applied to the
+    # returned w, and the full relative residual at which the GMRES route
+    # stalled, when a dense least-squares solve replaced its answer
+    refinements: int = 0
     stalled_residual: float | None = None
 
     def to_json_dict(self):
@@ -270,9 +272,62 @@ class SolveOutcome:
             "iterations": self.iterations,
             "residual_sup": self.residual_sup,
             "kernel_dimension_estimate": self.kernel_dimension_estimate,
+            "refinements": self.refinements,
+            "stalled_residual": self.stalled_residual,
             "solution_sup_norm": sup_norm(self.u),
             "solution_sum_sup_norm": sum_sup_norm(self.u),
         }
+
+
+def _group_block(spec: SystemSpec, grid: Grid, plan: TransportPlan, g: int,
+                 h: int, held: np.ndarray) -> np.ndarray:
+    """K_{g<-h}: the group-g rows of K applied to a field that row group
+    h alone holds.
+
+    held is the (B, |h|, nx+1, ny, nt) stack of group h's rows, and the
+    result the (B, |g|, nx+1, ny, nt) stack of group g's. The transport
+    runs on a stack whose other rows are zero, which _row_integrals does
+    not integrate, and only the plan.coupling entries from group h into
+    group g are multiplied. The cyclic pattern admits no other entry into
+    group g, so the result is apply_k's group-g rows bit for bit, at one
+    group's transport and one group's coupling.
+    """
+    rows, cols = spec.blocks()[g][0], spec.blocks()[h][0]
+    batch, space = held.shape[0], held.shape[2:]
+    stack = np.zeros((batch, spec.n) + space)
+    stack[:, cols] = held
+    u = characteristics.solve_transport_stack(spec, grid, stack, plan)
+    out = np.zeros((batch, rows.stop - rows.start) + space)
+    for i, j, vals in plan.coupling:
+        if rows.start <= i < rows.stop and cols.start <= j < cols.stop:
+            out[:, i - rows.start] += vals * u[:, j]
+    return out
+
+
+def _cycle(spec: SystemSpec, first: int) -> list:
+    """The three row groups from first on, each followed by the group
+    that reads it: the order of a Gauss-Seidel sweep."""
+    reader = {h: g for g, h in spec.coupling_pattern()}
+    order = [first]
+    while len(order) < 3:
+        order.append(reader[order[-1]])
+    return order
+
+
+def _sweep(spec: SystemSpec, grid: Grid, plan: TransportPlan, order, f,
+           w: np.ndarray) -> None:
+    """w_g <- f_g - K_{g<-h} w_h for each group g of order in turn, h the
+    group g reads, in place on the (B, n, nx+1, ny, nt) stack w. f is a
+    stack that broadcasts against w, or None for f = 0."""
+    groups = [sl for sl, _ in spec.blocks()]
+    reads = dict(spec.coupling_pattern())
+    for g in order:
+        h = reads[g]
+        kw = _group_block(spec, grid, plan, g, h, w[:, groups[h]])
+        if f is None:
+            np.negative(kw, out=w[:, groups[g]])
+        else:
+            np.subtract(f[:, groups[g]], kw, out=w[:, groups[g]])
 
 
 def solve_neumann(spec: SystemSpec, f: GridFunction, tol: float = 1e-10,
@@ -283,14 +338,14 @@ def solve_neumann(spec: SystemSpec, f: GridFunction, tol: float = 1e-10,
     K is block 3-cyclic: each row group reads one other group. Starting
     from w = f, a sweep updates group 1, then the group that reads group
     1, then the last one (1, 2, 3 forward, 1, 3, 2 mirrored), each by
-    w_g <- f_g - (K w_h)_g, h the group g reads: one apply_k of the field
-    that group h alone holds. The last two updates solve their groups
-    exactly from the new group 1, so a sweep is one Neumann step on the
-    group-1 system (I + S) w_1 = f_1 - K_13 f_3 + K_13 K_32 f_2 (forward
-    numbering) that eliminating them gives, S = K_13 K_32 K_21 the
-    group-1 block of K^3. The updates shrink at rho(K)^3 per sweep
-    (Varga, Matrix Iterative Analysis, 1962, ch. 4); iterations counts
-    sweeps.
+    w_g <- f_g - (K w_h)_g, h the group g reads: the one-group block
+    K_{g<-h} (_group_block), one group's transport. The last two updates
+    solve their groups exactly from the new group 1, so a sweep is one
+    Neumann step on the group-1 system (I + S) w_1 = f_1 - K_13 f_3 +
+    K_13 K_32 f_2 (forward numbering) that eliminating them gives,
+    S = K_13 K_32 K_21 the group-1 block of K^3. The updates shrink at
+    rho(K)^3 per sweep (Varga, Matrix Iterative Analysis, 1962, ch. 4);
+    iterations counts sweeps.
 
     A sweep's update is the largest sup norm of its three group updates.
     Stops when it drops to tol * sup_norm(f); raises NonConvergence when
@@ -299,33 +354,19 @@ def solve_neumann(spec: SystemSpec, f: GridFunction, tol: float = 1e-10,
     """
     plan = TransportPlan.build(spec, f.grid)
     target = tol * sup_norm(f)
-    groups = [sl for sl, _ in spec.blocks()]
-    reads = dict(spec.coupling_pattern())  # row group -> the group it reads
-    reader = {h: g for g, h in reads.items()}
-    order = [0, reader[0], reader[reader[0]]]
-    w = f.values.copy()
+    order = _cycle(spec, 0)
+    w = f.values[None].copy()
     iterations = 0
     smallest = float("inf")
     while True:
         iterations += 1
-        diff = 0.0
-        try:
-            # an overflow surfaces as NonFiniteError, not as a warning
-            with np.errstate(over="ignore", invalid="ignore"):
-                for g in order:
-                    rows, source = groups[g], groups[reads[g]]
-                    held = np.zeros_like(w)
-                    held[source] = w[source]
-                    kw = apply_k(spec, GridFunction(f.grid, held), plan)
-                    post = f.values[rows] - kw.values[rows]
-                    step = float(np.max(np.abs(post - w[rows])))
-                    if not math.isfinite(step):
-                        raise NonFiniteError
-                    diff = max(diff, step)
-                    w[rows] = post
-        except NonFiniteError:
-            raise NonConvergence(iterations, float("inf"),
-                                 diverged=True) from None
+        before = w.copy()
+        # an overflow surfaces as a non-finite update, not as a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            _sweep(spec, f.grid, plan, order, f.values[None], w)
+            diff = float(np.max(np.abs(w - before)))
+        if not math.isfinite(diff):
+            raise NonConvergence(iterations, float("inf"), diverged=True)
         if diff <= target:
             break
         smallest = min(smallest, diff)
@@ -333,19 +374,22 @@ def solve_neumann(spec: SystemSpec, f: GridFunction, tol: float = 1e-10,
             raise NonConvergence(iterations, diff, diverged=True)
         if iterations >= max_iter:
             raise NonConvergence(iterations, diff)
-    return _outcome("neumann", spec, f, GridFunction(f.grid, w), plan,
-                    iterations)
+    return _outcome("neumann", spec, f, w[0], plan, iterations)
 
 
-def _outcome(method: str, spec: SystemSpec, f: GridFunction,
-             w: GridFunction, plan: TransportPlan, iterations: int,
-             kdim: int | None = None,
+def _outcome(method: str, spec: SystemSpec, f: GridFunction, w: np.ndarray,
+             plan: TransportPlan, iterations: int, kdim: int | None = None,
+             u: np.ndarray | None = None, refinements: int = 0,
              stalled: float | None = None) -> SolveOutcome:
-    """The shared tail of both solvers: u = C^{-1} w and the residual of
-    (I + K) w = f, with K w = D u taken from that one transport solve."""
-    u = solve_transport(spec, w, plan)
+    """The shared tail of both solvers: u = C^{-1} w, unless the caller
+    already has it, and the residual of (I + K) w = f, with K w = D u
+    taken from that one transport solve."""
+    w = GridFunction(f.grid, w)
+    u = (solve_transport(spec, w, plan) if u is None
+         else GridFunction(f.grid, u))
     residual = sup_norm(w + apply_coupling(spec, u, plan) - f)
-    return SolveOutcome(method, iterations, residual, kdim, u, w, stalled)
+    return SolveOutcome(method, iterations, residual, kdim, u, w,
+                        refinements, stalled)
 
 
 def _impulse_images(spec, grid, plan, start, stop):
@@ -354,7 +398,7 @@ def _impulse_images(spec, grid, plan, start, stop):
     stack = np.zeros((stop - start, spec.n, grid.nx + 1, grid.ny, grid.nt))
     flat = stack.reshape(stop - start, size)
     flat[np.arange(stop - start), np.arange(start, stop)] = 1.0
-    ku = solve_transport_stack(spec, grid, stack, plan)
+    ku = characteristics.solve_transport_stack(spec, grid, stack, plan)
     ke = apply_coupling_stack(spec, grid, ku, plan)
     return ke.reshape(stop - start, size)
 
@@ -376,6 +420,118 @@ def assemble_dense(spec: SystemSpec, grid: Grid,
         mat[:, start:stop] = _impulse_images(spec, grid, plan, start, stop).T
     mat[np.diag_indices(size)] += 1.0
     return mat
+
+
+@dataclass(frozen=True)
+class _Reduction:
+    """(I + K) w = f eliminated onto one row group, the pivot p.
+
+    K is block 3-cyclic. With b the group that reads p and c the group
+    that reads b, a sweep w_b <- f_b - K_bp w_p, w_c <- f_c - K_cb w_b,
+    w_p <- f_p - K_pc w_c (_sweep) leaves (I + S) w_p = r, where
+    S = K_pc K_cb K_bp is the group-p block of K^3 and r the group-p
+    result of a sweep from w_p = 0. I + S is singular exactly when I + K
+    is, with the same kernel dimension. Every product runs through the
+    one-group block K_{g<-h}, and S costs about one apply_k.
+    """
+
+    spec: SystemSpec
+    grid: Grid
+    plan: TransportPlan
+    order: tuple  # (b, c, p)
+
+    @classmethod
+    def build(cls, spec: SystemSpec, grid: Grid,
+              plan: TransportPlan) -> "_Reduction":
+        """Pivot on the smallest group, on a tie the lowest-numbered."""
+        sizes = [sl.stop - sl.start for sl, _ in spec.blocks()]
+        pivot = sizes.index(min(sizes))
+        return cls(spec, grid, plan, tuple(_cycle(spec, pivot)[1:]) + (pivot,))
+
+    @property
+    def rows(self) -> slice:
+        return self.spec.blocks()[self.order[2]][0]
+
+    def _sweep(self, order, f, w):
+        _sweep(self.spec, self.grid, self.plan, order, f, w)
+
+    def _stack(self, batch: int) -> np.ndarray:
+        g = self.grid
+        return np.zeros((batch, self.spec.n, g.nx + 1, g.ny, g.nt))
+
+    def rhs(self, f: np.ndarray) -> np.ndarray:
+        """r of (I + S) w_p = r, flat, for the (n, nx+1, ny, nt) array f;
+        the sweep's first step reads w_p = 0 and gives w_b = f_b."""
+        b = self.spec.blocks()[self.order[0]][0]
+        w = self._stack(1)
+        w[0, b] = f[b]
+        self._sweep(self.order[1:], f[None], w)
+        return w[0, self.rows].reshape(-1)
+
+    def expand(self, f: np.ndarray, w_p: np.ndarray) -> np.ndarray:
+        """The whole w, (n, nx+1, ny, nt), from its flat group-p part."""
+        w = self._stack(1)
+        w[0, self.rows] = w_p.reshape(w[0, self.rows].shape)
+        self._sweep(self.order[:2], f[None], w)
+        return w[0]
+
+    def _images(self, v: np.ndarray) -> np.ndarray:
+        """The (B, n, nx+1, ny, nt) stack swept from w_p = v, f = 0, for
+        the (B, size) array v of flat group-p parts: its group-p rows are
+        -S v and its other rows the back-substituted groups of v."""
+        w = self._stack(v.shape[0])
+        w[:, self.rows] = v.reshape(w[:, self.rows].shape)
+        self._sweep(self.order, None, w)
+        return w
+
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        """v + S v for each flat group-p row of the (B, size) array v."""
+        return v - self._images(v)[:, self.rows].reshape(v.shape)
+
+    def section(self):
+        """Dense I + S in the node basis of group p (N/3 rows with three
+        equal groups), and the other groups' rows of E, the map from w_p
+        to the w it back-substitutes to, built ASSEMBLY_BATCH impulse
+        columns at a time."""
+        rows = self.rows
+        size = (rows.stop - rows.start) * self.grid.node_count
+        mat = np.empty((size, size))
+        others = np.empty((self.spec.n * self.grid.node_count - size, size))
+        keep = np.ones(self.spec.n, dtype=bool)
+        keep[rows] = False
+        for start in range(0, size, ASSEMBLY_BATCH):
+            stop = min(start + ASSEMBLY_BATCH, size)
+            impulses = np.zeros((stop - start, size))
+            impulses[np.arange(stop - start), np.arange(start, stop)] = 1.0
+            w = self._images(impulses)
+            mat[:, start:stop] = (impulses - w[:, rows].reshape(
+                impulses.shape)).T
+            others[:, start:stop] = w[:, keep].reshape(stop - start, -1).T
+        return mat, others
+
+
+def _reduced_kernel_dimension(mat: np.ndarray, others: np.ndarray) -> int:
+    """The kernel count of I + K from the section of I + S.
+
+    A kernel vector w of I + K is E w_p, E the map from w_p to the w it
+    back-substitutes to (the identity on group p, others elsewhere), and
+    (I + K) E is I + S over zero rows. So with E = Q R, Q orthonormal,
+    (I + K) Q has the singular values of (I + S) R^{-1}, and those are
+    counted. The singular values of I + S itself sit much further apart:
+    on the x1e3 coupling at 4 nodes the smallest is 6.7e-9 of the
+    largest, a kernel by KERNEL_SV_RTOL, against 2.0e-6 here and 1.4e-6
+    for I + K. R is the Cholesky factor of E^T E = I + others^T others,
+    nonsingular because of the identity, so it moves no singular value
+    to or from zero.
+    """
+    import scipy.linalg
+
+    gram = others.T @ others
+    gram[np.diag_indices_from(gram)] += 1.0
+    r = scipy.linalg.cholesky(gram, lower=False, overwrite_a=True)
+    # R^{-T} (I + S)^T, the transpose of (I + S) R^{-1}
+    return kernel_dimension(scipy.linalg.solve_triangular(r, mat.T,
+                                                          trans="T"))
 
 
 def _section_power_norms(spec: SystemSpec, grid: Grid, plan: TransportPlan):
@@ -408,23 +564,17 @@ def _section_power_norms(spec: SystemSpec, grid: Grid, plan: TransportPlan):
         yield a
 
 
-def _gmres(spec: SystemSpec, grid: Grid, rhs: np.ndarray,
-           plan: TransportPlan):
-    """Restarted GMRES on v -> v + K v, K applied by apply_k.
+def _gmres(matvec, rhs: np.ndarray):
+    """Restarted GMRES on x -> matvec(x) for one flat right-hand side.
 
-    Returns the solution, the iteration count and, when the budget ran
-    out first, the relative residual reached (else None).
+    Returns the solution, the iteration count and whether the relative
+    residual reached GMRES_RTOL within GMRES_MAX_ITER iterations.
     """
     import scipy.sparse.linalg
 
-    shape = (spec.n, grid.nx + 1, grid.ny, grid.nt)
-
-    def matvec(v):
-        kv = apply_k(spec, GridFunction(grid, v.reshape(shape)), plan)
-        return v + kv.values.reshape(v.shape)
-
-    op = scipy.sparse.linalg.LinearOperator((rhs.size, rhs.size),
-                                            matvec=matvec, dtype=float)
+    op = scipy.sparse.linalg.LinearOperator(
+        (rhs.size, rhs.size), matvec=lambda x: matvec(x[None])[0],
+        dtype=float)
     iterations = 0
 
     def count(_):
@@ -435,10 +585,7 @@ def _gmres(spec: SystemSpec, grid: Grid, rhs: np.ndarray,
         op, rhs, rtol=GMRES_RTOL, restart=GMRES_RESTART,
         maxiter=GMRES_MAX_ITER // GMRES_RESTART, callback=count,
         callback_type="pr_norm")
-    if info == 0:
-        return sol, iterations, None
-    gap = np.linalg.norm(rhs - op.matvec(sol)) / np.linalg.norm(rhs)
-    return sol, iterations, float(gap)
+    return sol, iterations, info == 0
 
 
 def _least_squares(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
@@ -449,13 +596,59 @@ def _least_squares(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     return sol
 
 
+def _refine(red: _Reduction, f: np.ndarray, solve):
+    """w with (I + K) w = f from reduced solves, refined while the full
+    relative residual is above GMRES_RTOL and falling.
+
+    solve(r) returns x with (I + S) x = r (approximately), its iteration
+    count and whether it converged. Each step solves for the reduced
+    correction of the full residual, from w = 0 (relative residual 1) on,
+    and back-substitutes it. A step that does not lower the residual is
+    dropped, and none follows a solve that did not converge. Returns w,
+    u = C^{-1} w (None for w = 0), the relative residual of w, the
+    iterations and the refinements: the steps kept after the first.
+    """
+    spec, grid, plan = red.spec, red.grid, red.plan
+    norm = float(np.linalg.norm(f))
+    w, u, res = np.zeros_like(f), None, f
+    gap, iterations, steps = 1.0, 0, 0
+    converged = True
+    while gap > GMRES_RTOL and converged:
+        x, its, converged = solve(red.rhs(res))
+        iterations += its
+        trial = w + red.expand(res, x)
+        with np.errstate(over="ignore", invalid="ignore"):
+            ut = characteristics.solve_transport_stack(spec, grid, trial[None],
+                                                       plan)
+            rt = f - (trial + apply_coupling_stack(spec, grid, ut, plan)[0])
+            trial_gap = float(np.linalg.norm(rt)) / norm
+        # written so that NaN fails it too
+        if not trial_gap < gap:
+            break
+        w, u, res, gap, steps = trial, ut[0], rt, trial_gap, steps + 1
+    return w, u, gap, iterations, max(steps - 1, 0)
+
+
 def solve_discrete(spec: SystemSpec, f: GridFunction,
                    kernel_estimate: bool = True) -> SolveOutcome:
-    """Finite-section solve of (I + K) w = f, matrix-free by GMRES.
+    """Finite-section solve of (I + K) w = f, matrix-free by GMRES on the
+    one-group system I + S.
+
+    K is block 3-cyclic, so eliminating two row groups is exact:
+    (I + S) w_p = r on the smallest group p (on a tie, the
+    lowest-numbered), S the group-p block of K^3, and the other two
+    groups follow by back-substitution (_Reduction). Restarted GMRES
+    solves the reduced system; S smooths like K^3, and GMRES converges
+    fast on the identity plus a compact operator (Campbell, Ipsen,
+    Kelley & Meyer, BIT 1996). An answer is accepted on the relative
+    residual of the full system, at most GMRES_RTOL. While it is above
+    that and still falling, a refinement step solves for the reduced
+    correction of the full residual and back-substitutes it
+    (_refine). A zero f gives w = 0.
 
     The kernel dimension estimate (kernel_estimate=True) counts singular
-    values of the section I + K at or below KERNEL_SV_RTOL of the largest.
-    A structural certificate that the count is 0 is tried before any SVD.
+    values at or below KERNEL_SV_RTOL of the largest. A structural
+    certificate that the count is 0, on I + K, is tried before any SVD.
 
     K = M R, where R holds each row's line integrals of its own component
     and M(node) = B P A^{-1} (coupling, face zeroing, inverse blocks) is
@@ -471,23 +664,29 @@ def solve_discrete(spec: SystemSpec, f: GridFunction,
     sums and the SVD's backward error, and the count is 0. Powers
     p = 1, 2, 3 are tried in turn, three being the number of row groups
     the coupling cycles through; a NaN or infinite a_p declines. When all
-    three decline, the section is assembled and its values-only SVD gives
-    the count; pass kernel_estimate=False to skip the estimate.
+    three decline, the dense section of I + S (N/3 rows with three equal
+    groups) is assembled through the one-group block and its values-only
+    SVD gives the count; pass kernel_estimate=False to skip the estimate.
 
-    The certificate runs at any size. The O(n^2) steps (the dense
-    section and its SVD or least-squares solve) run only up to
-    DISCRETE_UNKNOWN_CAP unknowns. Above it, an estimate the certificate
-    declines is None, and a stalled GMRES is a NonConvergence. Below it,
-    the dense section is assembled only when it is needed:
+    The certificate runs at any size. The O(N^2) steps (the dense
+    section of I + S and its SVD or least-squares solve) run only up to
+    DISCRETE_UNKNOWN_CAP unknowns of the full system. Above it, an
+    estimate the certificate declines is None, and a stalled solve is a
+    NonConvergence. Below it, the dense section is assembled only when
+    it is needed:
     - for the SVD count, when the certificate declines;
-    - for a rank-revealing least-squares solve when that count finds a
-      kernel, or when GMRES stalls after GMRES_MAX_ITER iterations.
+    - for a rank-revealing least-squares solve (gelsy), then
+      back-substitution and refinement, when that count finds a kernel,
+      or when the GMRES route stalls: its full relative residual stays
+      above GMRES_RTOL and stops falling, or a GMRES solve runs
+      GMRES_MAX_ITER iterations without converging. stalled_residual is
+      then that residual. The full section of I + K is never assembled.
     """
     grid = f.grid
     size = spec.n * grid.node_count
     dense_ok = size <= DISCRETE_UNKNOWN_CAP
     plan = TransportPlan.build(spec, grid)
-    rhs = f.values.reshape(size)
+    red = _Reduction.build(spec, grid, plan)
     mat = kdim = stalled = None
     iterations = 0
     if kernel_estimate:
@@ -504,22 +703,29 @@ def solve_discrete(spec: SystemSpec, f: GridFunction,
             head += a_p
         else:
             if dense_ok:
-                mat = assemble_dense(spec, grid, plan)
-                kdim = kernel_dimension(mat)
-    if kdim:
-        # no unique solution for GMRES to converge to
-        sol = _least_squares(mat, rhs)
-    else:
-        sol, iterations, stalled = _gmres(spec, grid, rhs, plan)
-        if stalled is not None:
+                mat, others = red.section()
+                kdim = _reduced_kernel_dimension(mat, others)
+                del others
+    if not f.values.any():
+        return _outcome("discrete", spec, f, np.zeros_like(f.values), plan,
+                        0, kdim)
+    if not kdim:
+        w, u, gap, iterations, refinements = _refine(
+            red, f.values, lambda r: _gmres(red.apply, r))
+        if gap > GMRES_RTOL:
             if not dense_ok:
-                raise NonConvergence(iterations, stalled,
+                raise NonConvergence(iterations, gap,
                                      measure="relative residual")
+            stalled = gap
             if mat is None:
-                mat = assemble_dense(spec, grid, plan)
-            sol = _least_squares(mat, rhs)
-    w = GridFunction(grid, sol.reshape(f.values.shape))
-    return _outcome("discrete", spec, f, w, plan, iterations, kdim, stalled)
+                mat = red.section()[0]
+    if kdim or stalled is not None:
+        # a kernel leaves GMRES no unique solution to converge to, and a
+        # stall no answer to accept
+        w, u, _, _, refinements = _refine(
+            red, f.values, lambda r: (_least_squares(mat, r), 0, True))
+    return _outcome("discrete", spec, f, w, plan, iterations, kdim, u,
+                    refinements, stalled)
 
 
 def kernel_dimension(mat: np.ndarray) -> int:

@@ -5,6 +5,7 @@ import json
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -228,23 +229,36 @@ def test_timing_phases_sum_to_the_total_after_a_fallback(tmp_path):
     assert phases == pytest.approx(timings["total_seconds"], abs=1e-9)
 
 
+def direct_discrete(path: str):
+    """solve_discrete on a config, as the CLI runs it."""
+    cfg = load_config(path)
+    return fredholm.solve_discrete(cfg.spec, charfred.sample(cfg.rhs,
+                                                             cfg.grid))
+
+
 def test_solve_reports_a_gmres_stall(tmp_path, capsys):
-    # gelsy solves the section once GMRES stalls
+    # refinement of GMRES on I + S stops short of GMRES_RTOL on the full
+    # residual, and gelsy solves the section of I + S
     doc = base_config()
     doc["grid"] = {"nx": 4, "ny": 4, "nt": 4}
     doc["system"]["b"] = THOUSANDFOLD
+    cfg = write_config(tmp_path, doc)
+    expect = direct_discrete(cfg)
+    assert 0 < expect.iterations
+    assert expect.stalled_residual > fredholm.GMRES_RTOL
     out = tmp_path / "run"
-    rc = main(["solve", "--config", write_config(tmp_path, doc),
-               "--out", str(out), "--method", "discrete"])
+    rc = main(["solve", "--config", cfg, "--out", str(out),
+               "--method", "discrete"])
     captured = capsys.readouterr()
     assert rc == 0
-    lines = captured.err.splitlines()
-    assert len(lines) == 1
-    assert lines[0].startswith(f"solve: GMRES stalled after {GMRES_MAX_ITER} "
-                               f"iterations (relative residual ")
-    assert lines[0].endswith("), solved the dense section by least squares")
+    assert captured.err == (
+        f"solve: GMRES stalled after {expect.iterations} iterations "
+        f"(relative residual {expect.stalled_residual:.3e}), solved the "
+        f"dense section by least squares\n")
     outcome = json.loads((out / "outcome.json").read_text(encoding="utf-8"))
-    assert outcome["iterations"] == GMRES_MAX_ITER
+    assert outcome["iterations"] == expect.iterations
+    assert outcome["stalled_residual"] == expect.stalled_residual
+    assert outcome["refinements"] == expect.refinements
     assert outcome["kernel_dimension_estimate"] == 0
     assert outcome["residual_sup"] < 1e-10
 
@@ -288,7 +302,10 @@ def test_auto_fallback_runs_above_the_cap(coupling, tmp_path, capsys,
         assert outcome["residual_sup"] < 1e-10
     else:
         assert rc == 3
-        assert f"no convergence after {GMRES_MAX_ITER} iterations" in err
+        with pytest.raises(charfred.NonConvergence) as stall:
+            direct_discrete(str(tmp_path / "cfg.json"))
+        assert err.endswith(f"solve: {stall.value}\n")
+        assert "relative residual" in str(stall.value)
         assert not (out / "solution.csv").exists()
 
 
@@ -298,12 +315,47 @@ def test_gmres_stall_above_the_cap_names_its_residual(tmp_path, capsys,
     doc = base_config()
     doc["grid"] = {"nx": 4, "ny": 4, "nt": 4}
     doc["system"]["b"] = THOUSANDFOLD
-    rc = main(["solve", "--config", write_config(tmp_path, doc),
-               "--out", str(tmp_path / "run"), "--method", "discrete"])
+    cfg = write_config(tmp_path, doc)
+    with pytest.raises(charfred.NonConvergence) as stall:
+        direct_discrete(cfg)
+    rc = main(["solve", "--config", cfg, "--out", str(tmp_path / "run"),
+               "--method", "discrete"])
     assert rc == 3
-    line = (rf"solve: no convergence after {GMRES_MAX_ITER} iterations "
-            r"\(relative residual \d\.\d{3}e[+-]\d\d\)\n")
-    assert re.fullmatch(line, capsys.readouterr().err)
+    line = (rf"solve: no convergence after {stall.value.iterations} "
+            r"iterations \(relative residual \d\.\d{3}e[+-]\d\d\)\n")
+    err = capsys.readouterr().err
+    assert re.fullmatch(line, err)
+    assert err.endswith(f"residual {stall.value.last_diff:.3e})\n")
+
+
+@pytest.mark.parametrize("nodes", [13, 25])
+def test_discrete_solves_the_x30_coupling_without_the_full_section(
+        nodes, tmp_path, capsys, monkeypatch):
+    # every coupling x30: the certificate declines. At 13 nodes (6,591
+    # unknowns) the kernel count and any least squares run on the
+    # 2,197-row section of I + S; 25 nodes (46,875 unknowns) are above
+    # the dense cap, where a stall would exit 3
+    def no_full_section(*args, **kwargs):
+        raise AssertionError("full dense section assembled")
+
+    monkeypatch.setattr(fredholm, "assemble_dense", no_full_section)
+    doc = base_config()
+    doc["grid"] = {"nx": nodes - 1, "ny": nodes, "nt": nodes}
+    doc["system"]["b"] = [[e if e == "0" else f"30*({e})" for e in row]
+                          for row in doc["system"]["b"]]
+    out = tmp_path / "run"
+    start = time.perf_counter()
+    rc = main(["solve", "--config", write_config(tmp_path, doc),
+               "--out", str(out), "--method", "discrete"])
+    assert time.perf_counter() - start < 30.0
+    assert rc == 0
+    assert capsys.readouterr().err == ""
+    outcome = json.loads((out / "outcome.json").read_text(encoding="utf-8"))
+    assert outcome["kernel_dimension_estimate"] == (0 if nodes == 13
+                                                    else None)
+    assert outcome["stalled_residual"] is None
+    # sup |f| is 1 for cyclic.json's right-hand side
+    assert outcome["residual_sup"] <= 1e-9
 
 
 def test_import_loads_no_scipy():

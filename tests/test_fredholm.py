@@ -153,10 +153,11 @@ def test_neumann_raises_on_divergence():
     assert err.value.last_diff > 1.0
 
 
-def overflow_config(tmp_path):
-    """The x1e3 coupling of the CLI overflow test on a 4-node grid."""
+def overflow_config(tmp_path, ny=4):
+    """The x1e3 coupling of the CLI overflow test on a grid of nx = 4
+    and ny = nt."""
     doc = json.loads((CONFIGS / "cyclic.json").read_text(encoding="utf-8"))
-    doc["grid"] = {"nx": 4, "ny": 4, "nt": 4}
+    doc["grid"] = {"nx": 4, "ny": ny, "nt": ny}
     doc["system"]["b"] = [["0", "0", "400*cos(2*pi*y)"], ["300", "0", "0"],
                           ["0", "200*sin(2*pi*t)", "0"]]
     path = tmp_path / "cfg.json"
@@ -232,12 +233,14 @@ def test_discrete_agrees_with_neumann():
 
 
 def forbid_quadratic_steps(monkeypatch):
-    # the impulse columns, the dense section and its SVD
+    # the impulse columns, the dense sections of I + K and I + S and the
+    # SVD
     def no_section(*args, **kwargs):
         raise AssertionError("O(n^2) step run")
 
     for name in ("assemble_dense", "_impulse_images", "kernel_dimension"):
         monkeypatch.setattr(fredholm, name, no_section)
+    monkeypatch.setattr(fredholm._Reduction, "section", no_section)
 
 
 def test_kernel_estimate_above_the_cap_is_structural(monkeypatch):
@@ -282,6 +285,19 @@ def test_gmres_matches_gelsy():
         1e-10 * np.abs(expect).max()
 
 
+def recording_least_squares(monkeypatch):
+    """The shapes of the matrices _least_squares solves with."""
+    shapes = []
+    least_squares = fredholm._least_squares
+
+    def recorded(mat, rhs):
+        shapes.append(mat.shape)
+        return least_squares(mat, rhs)
+
+    monkeypatch.setattr(fredholm, "_least_squares", recorded)
+    return shapes
+
+
 def test_kernel_routes_the_solve_to_gelsy(monkeypatch):
     spec = coupled_spec()
     grid = cf.Grid(nx=4, ny=4, nt=4)
@@ -295,10 +311,16 @@ def test_kernel_routes_the_solve_to_gelsy(monkeypatch):
         raise AssertionError("GMRES ran on a section with a kernel")
 
     monkeypatch.setattr(fredholm, "_gmres", no_gmres)
+    shapes = recording_least_squares(monkeypatch)
     out = cf.solve_discrete(spec, f)
     assert out.kernel_dimension_estimate == 1
     assert out.iterations == 0 and out.stalled_residual is None
-    np.testing.assert_array_equal(out.w.values, gelsy(spec, f))
+    # gelsy on the 80-row section of I + S, not on the 240-row one of
+    # I + K, then back-substitution and refinement
+    assert shapes and set(shapes) == {(80, 80)}
+    expect = gelsy(spec, f)
+    assert np.abs(out.w.values - expect).max() <= \
+        1e-10 * np.abs(expect).max()
 
 
 def fused_spec():
@@ -460,9 +482,12 @@ def test_kernel_estimate_matches_the_dense_count(make_spec, nx, nyt):
         cf.kernel_dimension(cf.assemble_dense(spec, grid))
 
 
-def test_kernel_estimate_finds_a_crafted_kernel():
-    # K is linear in b: scaling b by -1/lam, for a real eigenvalue lam of
-    # K, makes I + K singular, and the certificate must decline there
+def crafted_kernel_spec():
+    """coupled_spec with b scaled so that I + K has a kernel at 4 nodes.
+
+    K is linear in b: scaling b by -1/lam, for a real eigenvalue lam of
+    K, makes I + K singular.
+    """
     spec = coupled_spec()
     grid = cf.Grid(nx=4, ny=4, nt=4)
     eig = np.linalg.eigvals(cf.assemble_dense(spec, grid) - np.eye(240))
@@ -471,13 +496,152 @@ def test_kernel_estimate_finds_a_crafted_kernel():
     b = [[e if is_literal_zero(e) else
           cf.parse(f"({scale!r})*({cf.pretty(e)})") for e in row]
          for row in spec.b]
-    crafted = identity_spec(alpha=spec.alpha, beta=spec.beta,
-                            gamma=spec.gamma,
-                            b=tuple(tuple(row) for row in b))
+    return identity_spec(alpha=spec.alpha, beta=spec.beta, gamma=spec.gamma,
+                         b=tuple(tuple(row) for row in b))
+
+
+def test_kernel_estimate_finds_a_crafted_kernel():
+    # the certificate must decline on a singular section
+    crafted = crafted_kernel_spec()
+    grid = cf.Grid(nx=4, ny=4, nt=4)
     f = cf.sample(EXPRS, grid)
     out = cf.solve_discrete(crafted, f)
     assert out.kernel_dimension_estimate == 1
     assert cf.kernel_dimension(cf.assemble_dense(crafted, grid)) == 1
+
+
+def coupled_x1e3_spec():
+    """The x1e3 coupling of overflow_config: cond(I + K) near 7e5."""
+    return scaled_coupled_spec(1000)
+
+
+# 5 x nodes and 4 y and t nodes, then 5 and 6, then 7 of each
+@pytest.mark.parametrize("nx,nyt", ((4, 4), (4, 5), (6, 7)))
+@pytest.mark.parametrize("make_spec",
+                         (coupled_spec, fused_spec, transversal_spec,
+                          coupled_x4_spec, coupled_x30_spec,
+                          coupled_x1e3_spec, mirrored_spec,
+                          block_coupled_spec))
+def test_reduced_kernel_count_equals_the_full_count(monkeypatch, make_spec,
+                                                    nx, nyt):
+    # with the certificate declined, the count comes from the section of
+    # I + S; the x1e3 spec is the one where the singular values of I + S
+    # itself would count a kernel that I + K does not have
+    spec = make_spec()
+    grid = cf.Grid(nx=nx, ny=nyt, nt=nyt)
+    monkeypatch.setattr(fredholm, "_section_power_norms",
+                        lambda *args: itertools.repeat(math.inf))
+    rng = np.random.default_rng(nx + nyt)
+    f = cf.GridFunction(grid, rng.standard_normal(
+        (spec.n, nx + 1, nyt, nyt)))
+    out = cf.solve_discrete(spec, f)
+    assert out.kernel_dimension_estimate == \
+        cf.kernel_dimension(cf.assemble_dense(spec, grid))
+
+
+def test_reduced_kernel_count_finds_the_crafted_kernel(monkeypatch):
+    spec = crafted_kernel_spec()
+    grid = cf.Grid(nx=4, ny=4, nt=4)
+    sizes = []
+    count = fredholm.kernel_dimension
+
+    def counted(mat):
+        sizes.append(mat.shape)
+        return count(mat)
+
+    monkeypatch.setattr(fredholm, "kernel_dimension", counted)
+    out = cf.solve_discrete(spec, cf.sample(EXPRS, grid))
+    assert sizes == [(80, 80)]
+    assert out.kernel_dimension_estimate == 1 == \
+        cf.kernel_dimension(cf.assemble_dense(spec, grid))
+
+
+# 4 to 7 nodes per axis; x has at least 5 (nx >= 4)
+@pytest.mark.parametrize("nx,nyt", ((4, 4), (5, 6), (6, 7)))
+@pytest.mark.parametrize("make_spec",
+                         (coupled_spec, fused_spec, transversal_spec,
+                          coupled_x4_spec, coupled_x30_spec, mirrored_spec,
+                          block_coupled_spec))
+def test_reduced_solve_matches_gelsy(make_spec, nx, nyt):
+    spec = make_spec()
+    grid = cf.Grid(nx=nx, ny=nyt, nt=nyt)
+    rng = np.random.default_rng(nx + nyt)
+    f = cf.GridFunction(grid, rng.standard_normal(
+        (spec.n, nx + 1, nyt, nyt)))
+    out = cf.solve_discrete(spec, f)
+    assert out.stalled_residual is None and out.iterations > 0
+    expect = gelsy(spec, f)
+    assert np.abs(out.w.values - expect).max() <= \
+        1e-10 * np.abs(expect).max()
+
+
+@pytest.mark.parametrize("make_spec", (block_coupled_spec, mirrored_spec))
+def test_reduction_pivots_on_the_smallest_group(make_spec):
+    # block_coupled_spec has groups of 2, 1 and 1 rows: the pivot is
+    # group 2, the lowest-numbered of the smallest; GMRES then runs on
+    # one row's nodes
+    spec = make_spec()
+    grid = cf.Grid(nx=4, ny=4, nt=4)
+    plan = cf.TransportPlan.build(spec, grid)
+    red = fredholm._Reduction.build(spec, grid, plan)
+    pivot = red.order[2]
+    assert pivot == (1 if spec.n == 4 else 0)
+    reads = dict(spec.coupling_pattern())
+    # the sweep runs b, c, p: b reads p, c reads b and p reads c
+    b, c, p = red.order
+    assert reads[b] == p and reads[c] == b and reads[p] == c
+    # (I + S) applied to v matches I + K eliminated through the dense
+    # full section: for w = E v, (I + K) w is (I + S) v on group p, 0
+    # elsewhere
+    rng = np.random.default_rng(3)
+    v = rng.standard_normal(grid.node_count)[None]
+    zero = np.zeros((spec.n, grid.nx + 1, grid.ny, grid.nt))
+    w = red.expand(zero, v[0])
+    image = (cf.assemble_dense(spec, grid, plan) @ w.reshape(-1)).reshape(
+        w.shape)
+    np.testing.assert_allclose(image[red.rows].reshape(-1),
+                               red.apply(v)[0], rtol=0, atol=1e-13)
+    others = np.ones(spec.n, dtype=bool)
+    others[red.rows] = False
+    assert np.abs(image[others]).max() <= 1e-13
+
+
+def test_discrete_zero_rhs_gives_zero(monkeypatch):
+    # no GMRES and no division by |f| = 0
+    def no_gmres(*args):
+        raise AssertionError("GMRES ran on f = 0")
+
+    monkeypatch.setattr(fredholm, "_gmres", no_gmres)
+    grid = cf.Grid(nx=4, ny=4, nt=4)
+    with np.errstate(all="raise"):
+        out = cf.solve_discrete(coupled_spec(), cf.zeros(grid, 3))
+    assert not out.w.values.any() and out.residual_sup == 0.0
+    assert out.iterations == 0 and out.refinements == 0
+
+
+def test_neumann_steps_are_one_group_blocks(monkeypatch):
+    # each group step multiplies only the coupling entries into its group,
+    # and K is never applied to a whole field
+    spec = coupled_spec()
+    grid = cf.Grid(nx=6, ny=6, nt=6)
+    f = cf.sample(EXPRS, grid)
+
+    def no_apply_k(*args):
+        raise AssertionError("apply_k ran inside the sweep")
+
+    expect = cf.solve_neumann(spec, f)
+    monkeypatch.setattr(fredholm, "apply_k", no_apply_k)
+    out = cf.solve_neumann(spec, f)
+    np.testing.assert_array_equal(out.u.values, expect.u.values)
+    # one group block matches apply_k's group rows bit for bit
+    plan = cf.TransportPlan.build(spec, grid)
+    for g, h in spec.coupling_pattern():
+        held = np.zeros_like(f.values)
+        held[h] = f.values[h]
+        whole = cf.apply_k(spec, cf.GridFunction(grid, held), plan)
+        block = fredholm._group_block(spec, grid, plan, g, h,
+                                      f.values[None, h:h + 1])
+        np.testing.assert_array_equal(block[0], whole.values[g:g + 1])
 
 
 def test_kernel_estimate_holds_no_dense_section(monkeypatch):
@@ -502,16 +666,51 @@ def test_kernel_estimate_holds_no_dense_section(monkeypatch):
     assert peak < size * size * 8
 
 
-def test_gmres_stall_falls_back_to_the_dense_section(tmp_path):
-    # condition number 7.3e5: restarted GMRES makes no headway
+def counting_gmres(monkeypatch):
+    """The iteration counts _gmres reports, one per call."""
+    counts = []
+    gmres = fredholm._gmres
+
+    def counted(matvec, rhs):
+        sol, iterations, converged = gmres(matvec, rhs)
+        counts.append(iterations)
+        return sol, iterations, converged
+
+    monkeypatch.setattr(fredholm, "_gmres", counted)
+    return counts
+
+
+def test_gmres_stall_falls_back_to_the_dense_section(tmp_path, monkeypatch):
+    # condition number 7.3e5 for I + K and 1.5e8 for I + S: refinement
+    # stops short of GMRES_RTOL on the full residual
     cfg = overflow_config(tmp_path)
     f = cf.sample(cfg.rhs, cfg.grid)
+    counts = counting_gmres(monkeypatch)
+    shapes = recording_least_squares(monkeypatch)
     out = cf.solve_discrete(cfg.spec, f, kernel_estimate=False)
-    assert out.iterations == GMRES_MAX_ITER
+    assert len(counts) > 1 and out.iterations == sum(counts)
     assert out.stalled_residual > GMRES_RTOL
     assert out.kernel_dimension_estimate is None
-    np.testing.assert_array_equal(out.w.values, gelsy(cfg.spec, f))
+    assert shapes and set(shapes) == {(80, 80)}
+    expect = gelsy(cfg.spec, f)
+    assert np.abs(out.w.values - expect).max() <= \
+        1e-10 * np.abs(expect).max()
     assert out.residual_sup < 1e-9 * cf.sup_norm(f)
+
+
+def test_gmres_that_never_converges_falls_back_to_the_dense_section(
+        tmp_path, monkeypatch):
+    # at nx = 4, ny = nt = 5 GMRES on I + S runs out of iterations with
+    # a full relative residual near 1e3, worse than w = 0; gelsy on the
+    # full section of I + K left a residual_sup of 2.25e-11 here
+    cfg = overflow_config(tmp_path, ny=5)
+    f = cf.sample(cfg.rhs, cfg.grid)
+    counts = counting_gmres(monkeypatch)
+    out = cf.solve_discrete(cfg.spec, f)
+    assert counts == [GMRES_MAX_ITER] and out.iterations == GMRES_MAX_ITER
+    assert out.stalled_residual == 1.0
+    assert out.kernel_dimension_estimate == 0
+    assert out.residual_sup <= 2.2e-11 * cf.sup_norm(f)
 
 
 def test_discrete_above_the_cap_stays_matrix_free(monkeypatch):
@@ -539,15 +738,19 @@ def test_discrete_above_the_cap_stays_matrix_free(monkeypatch):
 
 
 def test_gmres_stall_above_the_cap_is_a_nonconvergence(monkeypatch):
+    # f lies in group 1, the pivot: a GMRES that returns 0 unconverged
+    # back-substitutes to w = 0, whose relative residual is exactly 1
     spec = coupled_spec()
     grid = cf.Grid(nx=30, ny=16, nt=16)
-    f = cf.zeros(grid, 3)
-    monkeypatch.setattr(fredholm, "_gmres", lambda spec, grid, rhs, *rest:
-                        (rhs, GMRES_MAX_ITER, 0.5))
+    values = np.zeros((3, 31, 16, 16))
+    values[0] = 1.0
+    f = cf.GridFunction(grid, values)
+    monkeypatch.setattr(fredholm, "_gmres", lambda matvec, rhs:
+                        (np.zeros_like(rhs), GMRES_MAX_ITER, False))
     with pytest.raises(cf.NonConvergence) as err:
         cf.solve_discrete(spec, f, kernel_estimate=False)
     assert err.value.iterations == GMRES_MAX_ITER
-    assert err.value.last_diff == 0.5
+    assert err.value.last_diff == 1.0
 
 
 def test_discrete_kernel_estimate_can_be_skipped():
@@ -567,8 +770,10 @@ def test_outcome_json_dict_is_timing_free():
     assert "timing_seconds" not in d
     assert d["method"] == "neumann"
     assert set(d) == {"method", "iterations", "residual_sup",
-                      "kernel_dimension_estimate", "solution_sup_norm",
+                      "kernel_dimension_estimate", "refinements",
+                      "stalled_residual", "solution_sup_norm",
                       "solution_sum_sup_norm"}
+    assert d["refinements"] == 0 and d["stalled_residual"] is None
 
 
 def test_fused_cube_matches_grid_composition():
