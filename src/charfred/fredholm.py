@@ -18,10 +18,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# the sweeps and the refinement look solve_transport_stack up on the
+# module, as solve_transport does, so a replacement installed there
+# (a test's counting wrapper) sees every transport of a solve
 from . import characteristics
 from .characteristics import (TransportPlan, _apply_blocks, _row_integrals,
                               apply_coupling, apply_coupling_stack,
-                              solve_transport)
+                              solve_transport, solve_transport_stack)
 from .expressions import evaluate_on
 from .gridfield import (Grid, GridDomainError, GridFunction, _require_finite,
                         interpolate_many, sup_norm, sum_sup_norm)
@@ -398,7 +401,7 @@ def _impulse_images(spec, grid, plan, start, stop):
     stack = np.zeros((stop - start, spec.n, grid.nx + 1, grid.ny, grid.nt))
     flat = stack.reshape(stop - start, size)
     flat[np.arange(stop - start), np.arange(start, stop)] = 1.0
-    ku = characteristics.solve_transport_stack(spec, grid, stack, plan)
+    ku = solve_transport_stack(spec, grid, stack, plan)
     ke = apply_coupling_stack(spec, grid, ku, plan)
     return ke.reshape(stop - start, size)
 
@@ -452,9 +455,6 @@ class _Reduction:
     def rows(self) -> slice:
         return self.spec.blocks()[self.order[2]][0]
 
-    def _sweep(self, order, f, w):
-        _sweep(self.spec, self.grid, self.plan, order, f, w)
-
     def _stack(self, batch: int) -> np.ndarray:
         g = self.grid
         return np.zeros((batch, self.spec.n, g.nx + 1, g.ny, g.nt))
@@ -465,14 +465,14 @@ class _Reduction:
         b = self.spec.blocks()[self.order[0]][0]
         w = self._stack(1)
         w[0, b] = f[b]
-        self._sweep(self.order[1:], f[None], w)
+        _sweep(self.spec, self.grid, self.plan, self.order[1:], f[None], w)
         return w[0, self.rows].reshape(-1)
 
     def expand(self, f: np.ndarray, w_p: np.ndarray) -> np.ndarray:
         """The whole w, (n, nx+1, ny, nt), from its flat group-p part."""
         w = self._stack(1)
         w[0, self.rows] = w_p.reshape(w[0, self.rows].shape)
-        self._sweep(self.order[:2], f[None], w)
+        _sweep(self.spec, self.grid, self.plan, self.order[:2], f[None], w)
         return w[0]
 
     def _images(self, v: np.ndarray) -> np.ndarray:
@@ -481,24 +481,30 @@ class _Reduction:
         -S v and its other rows the back-substituted groups of v."""
         w = self._stack(v.shape[0])
         w[:, self.rows] = v.reshape(w[:, self.rows].shape)
-        self._sweep(self.order, None, w)
+        _sweep(self.spec, self.grid, self.plan, self.order, None, w)
         return w
 
     def apply(self, v: np.ndarray) -> np.ndarray:
         """v + S v for each flat group-p row of the (B, size) array v."""
         return v - self._images(v)[:, self.rows].reshape(v.shape)
 
-    def section(self):
+    def section(self, with_map: bool = False):
         """Dense I + S in the node basis of group p (N/3 rows with three
-        equal groups), and the other groups' rows of E, the map from w_p
-        to the w it back-substitutes to, built ASSEMBLY_BATCH impulse
-        columns at a time."""
+        equal groups), built ASSEMBLY_BATCH impulse columns at a time.
+
+        with_map=True also returns the other groups' rows of E, the map
+        from w_p to the w it back-substitutes to, which the kernel count
+        needs; they come from the same sweeps and hold twice as many
+        rows as I + S with three equal groups.
+        """
         rows = self.rows
         size = (rows.stop - rows.start) * self.grid.node_count
         mat = np.empty((size, size))
-        others = np.empty((self.spec.n * self.grid.node_count - size, size))
-        keep = np.ones(self.spec.n, dtype=bool)
-        keep[rows] = False
+        if with_map:
+            others = np.empty((self.spec.n * self.grid.node_count - size,
+                               size))
+            keep = np.ones(self.spec.n, dtype=bool)
+            keep[rows] = False
         for start in range(0, size, ASSEMBLY_BATCH):
             stop = min(start + ASSEMBLY_BATCH, size)
             impulses = np.zeros((stop - start, size))
@@ -506,8 +512,10 @@ class _Reduction:
             w = self._images(impulses)
             mat[:, start:stop] = (impulses - w[:, rows].reshape(
                 impulses.shape)).T
-            others[:, start:stop] = w[:, keep].reshape(stop - start, -1).T
-        return mat, others
+            if with_map:
+                others[:, start:stop] = w[:, keep].reshape(stop - start,
+                                                           -1).T
+        return (mat, others) if with_map else mat
 
 
 def _reduced_kernel_dimension(mat: np.ndarray, others: np.ndarray) -> int:
@@ -588,12 +596,42 @@ def _gmres(matvec, rhs: np.ndarray):
     return sol, iterations, info == 0
 
 
-def _least_squares(mat: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Rank-revealing least-squares solve (LAPACK gelsy)."""
-    import scipy.linalg
+def _least_squares(mat: np.ndarray):
+    """Rank-revealing least squares on the square mat (LAPACK gelsy),
+    factored once: returns the solver rhs -> x.
 
-    sol, _, _, _ = scipy.linalg.lstsq(mat, rhs, lapack_driver="gelsy")
-    return sol
+    gelsy is split into its factorisation and its steps per right-hand
+    side, so the refinement's solves share one O(m^3) factorisation:
+    mat P = Q R by QR with column pivoting (geqp3), and each solve
+    applies Q^T (ormqr), R^{-1} (trsm) and P, with the workspace gelsy
+    gives these routines. Where gelsy finds full rank, a solve equals
+    scipy.linalg.lstsq(mat, rhs, lapack_driver="gelsy") bit for bit.
+    When an entry of R's diagonal is at most eps times the first, or not
+    finite, mat is numerically rank-deficient and each solve is a whole
+    gelsy call: the minimum-norm least-squares solution at the rank
+    gelsy estimates.
+    """
+    import scipy.linalg
+    from scipy.linalg import blas, lapack
+
+    eps = np.finfo(float).eps
+    size = mat.shape[0]
+    lwork = int(lapack.dgelsy_lwork(size, size, 1, eps)[0])
+    qr, perm, tau, _, info = lapack.dgeqp3(mat, lwork=lwork - size)
+    diag = np.abs(np.diagonal(qr))
+    # written so that NaN fails it too
+    if info or not np.all(diag > eps * diag[0]):
+        return lambda rhs: scipy.linalg.lstsq(mat, rhs,
+                                              lapack_driver="gelsy")[0]
+
+    def solve(rhs: np.ndarray) -> np.ndarray:
+        qtb, _, _ = lapack.dormqr("L", "T", qr, tau, rhs[:, None],
+                                  lwork - 2 * size)
+        x = np.empty(size)
+        x[perm - 1] = blas.dtrsm(1.0, qr, qtb)[:, 0]
+        return x
+
+    return solve
 
 
 def _refine(red: _Reduction, f: np.ndarray, solve):
@@ -675,12 +713,21 @@ def solve_discrete(spec: SystemSpec, f: GridFunction,
     NonConvergence. Below it, the dense section is assembled only when
     it is needed:
     - for the SVD count, when the certificate declines;
-    - for a rank-revealing least-squares solve (gelsy), then
-      back-substitution and refinement, when that count finds a kernel,
-      or when the GMRES route stalls: its full relative residual stays
-      above GMRES_RTOL and stops falling, or a GMRES solve runs
-      GMRES_MAX_ITER iterations without converging. stalled_residual is
-      then that residual. The full section of I + K is never assembled.
+    - for a rank-revealing least-squares solve (gelsy, factored once
+      for all refinement steps, _least_squares), then back-substitution
+      and refinement, when that count finds a kernel, or when the GMRES
+      route stalls: its full relative residual stays above GMRES_RTOL
+      and stops falling, or a GMRES solve ends unconverged (its
+      GMRES_MAX_ITER // GMRES_RESTART restart cycles, at most
+      GMRES_MAX_ITER iterations, run out). stalled_residual is then that
+      residual. The full section of I + K is never assembled.
+
+    With a kernel, the answer is not the minimum-norm least-squares w of
+    I + K: it is gelsy's minimum-norm least-squares w_p of I + S,
+    back-substituted and refined. The two differ by a kernel vector of
+    I + K, and only where gelsy truncates the rank of I + S (a singular
+    value within about eps of the largest); where it does not, both are
+    the one solution of the full-rank section, to rounding.
     """
     grid = f.grid
     size = spec.n * grid.node_count
@@ -703,7 +750,7 @@ def solve_discrete(spec: SystemSpec, f: GridFunction,
             head += a_p
         else:
             if dense_ok:
-                mat, others = red.section()
+                mat, others = red.section(with_map=True)
                 kdim = _reduced_kernel_dimension(mat, others)
                 del others
     if not f.values.any():
@@ -718,12 +765,13 @@ def solve_discrete(spec: SystemSpec, f: GridFunction,
                                      measure="relative residual")
             stalled = gap
             if mat is None:
-                mat = red.section()[0]
+                mat = red.section()
     if kdim or stalled is not None:
         # a kernel leaves GMRES no unique solution to converge to, and a
         # stall no answer to accept
+        solve = _least_squares(mat)
         w, u, _, _, refinements = _refine(
-            red, f.values, lambda r: (_least_squares(mat, r), 0, True))
+            red, f.values, lambda r: (solve(r), 0, True))
     return _outcome("discrete", spec, f, w, plan, iterations, kdim, u,
                     refinements, stalled)
 

@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import json
-import re
 import subprocess
 import sys
 import time
@@ -34,6 +33,10 @@ def write_config(tmp_path: Path, doc: dict, name: str = "cfg.json") -> str:
 CYCLIC_FOURS = [["0", "0", "4"], ["4", "0", "0"], ["0", "4", "0"]]
 THOUSANDFOLD = [["0", "0", "400*cos(2*pi*y)"], ["300", "0", "0"],
                 ["0", "200*sin(2*pi*t)", "0"]]
+# THOUSANDFOLD at 4 nodes: GMRES on I + S converges in 33 iterations,
+# the refinement's GMRES solve ends unconverged after 132 more, and the
+# full relative residual stays at 1.411e-13, above GMRES_RTOL
+THOUSANDFOLD_STALL = "165 iterations (relative residual 1.411e-13)"
 
 
 def test_validate_ok_writes_report(tmp_path, capsys):
@@ -229,36 +232,23 @@ def test_timing_phases_sum_to_the_total_after_a_fallback(tmp_path):
     assert phases == pytest.approx(timings["total_seconds"], abs=1e-9)
 
 
-def direct_discrete(path: str):
-    """solve_discrete on a config, as the CLI runs it."""
-    cfg = load_config(path)
-    return fredholm.solve_discrete(cfg.spec, charfred.sample(cfg.rhs,
-                                                             cfg.grid))
-
-
 def test_solve_reports_a_gmres_stall(tmp_path, capsys):
     # refinement of GMRES on I + S stops short of GMRES_RTOL on the full
     # residual, and gelsy solves the section of I + S
     doc = base_config()
     doc["grid"] = {"nx": 4, "ny": 4, "nt": 4}
     doc["system"]["b"] = THOUSANDFOLD
-    cfg = write_config(tmp_path, doc)
-    expect = direct_discrete(cfg)
-    assert 0 < expect.iterations
-    assert expect.stalled_residual > fredholm.GMRES_RTOL
     out = tmp_path / "run"
-    rc = main(["solve", "--config", cfg, "--out", str(out),
-               "--method", "discrete"])
+    rc = main(["solve", "--config", write_config(tmp_path, doc),
+               "--out", str(out), "--method", "discrete"])
     captured = capsys.readouterr()
     assert rc == 0
-    assert captured.err == (
-        f"solve: GMRES stalled after {expect.iterations} iterations "
-        f"(relative residual {expect.stalled_residual:.3e}), solved the "
-        f"dense section by least squares\n")
+    assert captured.err == (f"solve: GMRES stalled after {THOUSANDFOLD_STALL}"
+                            f", solved the dense section by least squares\n")
     outcome = json.loads((out / "outcome.json").read_text(encoding="utf-8"))
-    assert outcome["iterations"] == expect.iterations
-    assert outcome["stalled_residual"] == expect.stalled_residual
-    assert outcome["refinements"] == expect.refinements
+    assert outcome["iterations"] == 165
+    assert f"{outcome['stalled_residual']:.3e}" == "1.411e-13"
+    assert outcome["refinements"] == 2
     assert outcome["kernel_dimension_estimate"] == 0
     assert outcome["residual_sup"] < 1e-10
 
@@ -302,10 +292,8 @@ def test_auto_fallback_runs_above_the_cap(coupling, tmp_path, capsys,
         assert outcome["residual_sup"] < 1e-10
     else:
         assert rc == 3
-        with pytest.raises(charfred.NonConvergence) as stall:
-            direct_discrete(str(tmp_path / "cfg.json"))
-        assert err.endswith(f"solve: {stall.value}\n")
-        assert "relative residual" in str(stall.value)
+        assert err.endswith(
+            f"solve: no convergence after {THOUSANDFOLD_STALL}\n")
         assert not (out / "solution.csv").exists()
 
 
@@ -315,17 +303,11 @@ def test_gmres_stall_above_the_cap_names_its_residual(tmp_path, capsys,
     doc = base_config()
     doc["grid"] = {"nx": 4, "ny": 4, "nt": 4}
     doc["system"]["b"] = THOUSANDFOLD
-    cfg = write_config(tmp_path, doc)
-    with pytest.raises(charfred.NonConvergence) as stall:
-        direct_discrete(cfg)
-    rc = main(["solve", "--config", cfg, "--out", str(tmp_path / "run"),
-               "--method", "discrete"])
+    rc = main(["solve", "--config", write_config(tmp_path, doc),
+               "--out", str(tmp_path / "run"), "--method", "discrete"])
     assert rc == 3
-    line = (rf"solve: no convergence after {stall.value.iterations} "
-            r"iterations \(relative residual \d\.\d{3}e[+-]\d\d\)\n")
-    err = capsys.readouterr().err
-    assert re.fullmatch(line, err)
-    assert err.endswith(f"residual {stall.value.last_diff:.3e})\n")
+    assert capsys.readouterr().err == (
+        f"solve: no convergence after {THOUSANDFOLD_STALL}\n")
 
 
 @pytest.mark.parametrize("nodes", [13, 25])

@@ -286,16 +286,83 @@ def test_gmres_matches_gelsy():
 
 
 def recording_least_squares(monkeypatch):
-    """The shapes of the matrices _least_squares solves with."""
-    shapes = []
+    """The shapes of the matrices _least_squares factors, and one entry
+    per solve run with those factors."""
+    shapes, solves = [], []
     least_squares = fredholm._least_squares
 
-    def recorded(mat, rhs):
+    def recorded(mat):
         shapes.append(mat.shape)
-        return least_squares(mat, rhs)
+        solve = least_squares(mat)
+
+        def counted(rhs):
+            solves.append(rhs.shape)
+            return solve(rhs)
+
+        return counted
 
     monkeypatch.setattr(fredholm, "_least_squares", recorded)
-    return shapes
+    return shapes, solves
+
+
+def reduced_gelsy(spec, f):
+    """w from gelsy on the section of I + S, built from apply_k alone.
+
+    The pivot p is the smallest row group (on a tie the lowest-numbered),
+    b the group that reads p and c the group that reads b. K_{g<-h} x is
+    group g of apply_k on the field that holds x in group h alone, and
+    the section's columns are impulses swept b, c, p one at a time.
+    gelsy solves each reduced system; w_b and w_c are back-substituted,
+    and the correction of the full residual is solved for and added while
+    that residual is above GMRES_RTOL and falling.
+    """
+    grid = f.grid
+    plan = cf.TransportPlan.build(spec, grid)
+    groups = [sl for sl, _ in spec.blocks()]
+    reads = dict(spec.coupling_pattern())
+    sizes = [sl.stop - sl.start for sl in groups]
+    p = sizes.index(min(sizes))
+    b = next(g for g, h in reads.items() if h == p)
+    c = next(g for g, h in reads.items() if h == b)
+
+    def k(g, h, x):
+        held = np.zeros_like(f.values)
+        held[groups[h]] = x
+        image = cf.apply_k(spec, cf.GridFunction(grid, held), plan)
+        return image.values[groups[g]]
+
+    shape = f.values[groups[p]].shape
+    size = math.prod(shape)
+    section = np.empty((size, size))
+    for j in range(size):
+        v = np.zeros(size)
+        v[j] = 1.0
+        w_b = -k(b, p, v.reshape(shape))
+        w_c = -k(c, b, w_b)
+        section[:, j] = v - (-k(p, c, w_c)).reshape(size)
+
+    def back_substituted(res, x):
+        w = np.zeros_like(res)
+        w[groups[p]] = x.reshape(shape)
+        w[groups[b]] = res[groups[b]] - k(b, p, w[groups[p]])
+        w[groups[c]] = res[groups[c]] - k(c, b, w[groups[b]])
+        return w
+
+    norm = np.linalg.norm(f.values)
+    w, res, gap = np.zeros_like(f.values), f.values, 1.0
+    while gap > GMRES_RTOL:
+        r = res[groups[p]] - k(p, c, res[groups[c]] - k(c, b,
+                                                          res[groups[b]]))
+        x = scipy.linalg.lstsq(section, r.reshape(size),
+                               lapack_driver="gelsy")[0]
+        trial = w + back_substituted(res, x)
+        trial_res = f.values - (trial + cf.apply_k(
+            spec, cf.GridFunction(grid, trial), plan).values)
+        trial_gap = np.linalg.norm(trial_res) / norm
+        if not trial_gap < gap:
+            break
+        w, res, gap = trial, trial_res, trial_gap
+    return w
 
 
 def test_kernel_routes_the_solve_to_gelsy(monkeypatch):
@@ -311,13 +378,16 @@ def test_kernel_routes_the_solve_to_gelsy(monkeypatch):
         raise AssertionError("GMRES ran on a section with a kernel")
 
     monkeypatch.setattr(fredholm, "_gmres", no_gmres)
-    shapes = recording_least_squares(monkeypatch)
+    shapes, solves = recording_least_squares(monkeypatch)
     out = cf.solve_discrete(spec, f)
     assert out.kernel_dimension_estimate == 1
     assert out.iterations == 0 and out.stalled_residual is None
     # gelsy on the 80-row section of I + S, not on the 240-row one of
-    # I + K, then back-substitution and refinement
-    assert shapes and set(shapes) == {(80, 80)}
+    # I + K, factored once for every step of back-substitution and
+    # refinement
+    assert shapes == [(80, 80)]
+    assert out.refinements + 1 <= len(solves) <= out.refinements + 2
+    np.testing.assert_array_equal(out.w.values, reduced_gelsy(spec, f))
     expect = gelsy(spec, f)
     assert np.abs(out.w.values - expect).max() <= \
         1e-10 * np.abs(expect).max()
@@ -667,13 +737,14 @@ def test_kernel_estimate_holds_no_dense_section(monkeypatch):
 
 
 def counting_gmres(monkeypatch):
-    """The iteration counts _gmres reports, one per call."""
+    """The iteration count and convergence _gmres reports, one pair
+    per call."""
     counts = []
     gmres = fredholm._gmres
 
     def counted(matvec, rhs):
         sol, iterations, converged = gmres(matvec, rhs)
-        counts.append(iterations)
+        counts.append((iterations, converged))
         return sol, iterations, converged
 
     monkeypatch.setattr(fredholm, "_gmres", counted)
@@ -686,12 +757,18 @@ def test_gmres_stall_falls_back_to_the_dense_section(tmp_path, monkeypatch):
     cfg = overflow_config(tmp_path)
     f = cf.sample(cfg.rhs, cfg.grid)
     counts = counting_gmres(monkeypatch)
-    shapes = recording_least_squares(monkeypatch)
+    shapes, solves = recording_least_squares(monkeypatch)
     out = cf.solve_discrete(cfg.spec, f, kernel_estimate=False)
-    assert len(counts) > 1 and out.iterations == sum(counts)
-    assert out.stalled_residual > GMRES_RTOL
+    # GMRES converges on I + S in 33 iterations; the first refinement's
+    # GMRES solve spends its restart cycles in 132 and ends unconverged
+    assert counts == [(33, True), (132, False)] and out.iterations == 165
+    assert f"{out.stalled_residual:.3e}" == "1.411e-13"
     assert out.kernel_dimension_estimate is None
-    assert shapes and set(shapes) == {(80, 80)}
+    # one factorisation of the 80-row section of I + S serves the three
+    # kept steps and the one dropped for not lowering the residual
+    assert shapes == [(80, 80)] and len(solves) == 4
+    assert out.refinements == 2
+    np.testing.assert_array_equal(out.w.values, reduced_gelsy(cfg.spec, f))
     expect = gelsy(cfg.spec, f)
     assert np.abs(out.w.values - expect).max() <= \
         1e-10 * np.abs(expect).max()
@@ -707,10 +784,47 @@ def test_gmres_that_never_converges_falls_back_to_the_dense_section(
     f = cf.sample(cfg.rhs, cfg.grid)
     counts = counting_gmres(monkeypatch)
     out = cf.solve_discrete(cfg.spec, f)
-    assert counts == [GMRES_MAX_ITER] and out.iterations == GMRES_MAX_ITER
+    assert counts == [(GMRES_MAX_ITER, False)]
+    assert out.iterations == GMRES_MAX_ITER
     assert out.stalled_residual == 1.0
     assert out.kernel_dimension_estimate == 0
     assert out.residual_sup <= 2.2e-11 * cf.sup_norm(f)
+    np.testing.assert_array_equal(out.w.values, reduced_gelsy(cfg.spec, f))
+
+
+def x1e3_section():
+    """The 80-row section of I + S of the x1e3 coupling at 4 nodes."""
+    spec, grid = coupled_x1e3_spec(), cf.Grid(nx=4, ny=4, nt=4)
+    plan = cf.TransportPlan.build(spec, grid)
+    return fredholm._Reduction.build(spec, grid, plan).section()
+
+
+@pytest.mark.parametrize("size", (1, 7, 300, "x1e3"))
+def test_least_squares_factors_once_and_matches_gelsy(size):
+    rng = np.random.default_rng(5)
+    mat = (x1e3_section() if size == "x1e3" else
+           rng.standard_normal((size, size)))
+    solve = fredholm._least_squares(mat)
+    for _ in range(3):
+        rhs = rng.standard_normal(mat.shape[0])
+        np.testing.assert_array_equal(
+            solve(rhs),
+            scipy.linalg.lstsq(mat, rhs, lapack_driver="gelsy")[0])
+
+
+def test_least_squares_is_minimum_norm_on_a_rank_deficient_matrix():
+    # a zero column makes the last diagonal entry of R exactly 0: the
+    # answer is gelsy's minimum-norm solution, 0 in that column
+    rng = np.random.default_rng(6)
+    mat = rng.standard_normal((6, 6))
+    mat[:, 2] = 0.0
+    rhs = rng.standard_normal(6)
+    x = fredholm._least_squares(mat)(rhs)
+    np.testing.assert_array_equal(
+        x, scipy.linalg.lstsq(mat, rhs, lapack_driver="gelsy")[0])
+    assert x[2] == 0.0
+    np.testing.assert_allclose(x, np.linalg.pinv(mat) @ rhs, rtol=0,
+                               atol=1e-12)
 
 
 def test_discrete_above_the_cap_stays_matrix_free(monkeypatch):
