@@ -13,16 +13,18 @@ group's block of K^3) by restarted GMRES, back-substitutes, refines
 while the full residual is above its target and falling, and estimates
 the kernel dimension. fredholm.solve_discrete alone decides how: the
 structural certificate from powers of |K| runs at every size, and the
-dense steps (the N/3-row section of I + S, its SVD, least squares after
-a stall; O(N^2) memory, O(N^3) time) only up to its dense-section cap,
-so the estimate is null only above that cap when the certificate
-declines. auto runs neumann and, when it stalls or diverges, falls back
-to discrete at any size. A stall is reported on stderr with its full
-relative residual and GMRES iteration count, and outcome.json carries
-refinements and stalled_residual. solve and diagnose run the same
-validate_config as validate, and make the --out directory, before any
-work, so a coefficient or right-hand side undefined at a grid node fails
-all three alike. Each solve and each diagnose run builds one
+dense steps (the N/3-row section of I + S, its SVD, a direct solve by
+LU when the count is 0 or by gelsy least squares when it finds a kernel;
+O(N^2) memory, O(N^3) time) only up to its dense-section cap, so the
+estimate is null only above that cap when the certificate declines.
+auto runs neumann and, when it stalls or diverges, falls back to
+discrete at any size. A GMRES stall is reported on stderr with its full
+relative residual and GMRES iteration count. Below the cap the count is
+always known, and GMRES runs only when it is 0, so a stall is solved by
+LU. outcome.json carries refinements and stalled_residual. solve and
+diagnose run the same validate_config as validate, and make the --out
+directory, before any work, so a coefficient or right-hand side
+undefined at a grid node fails all three alike. Each solve and each diagnose run builds one
 TransportPlan for its grid and applies K through it; everything runs on
 one thread, and no environment variable changes what is computed.
 
@@ -126,7 +128,7 @@ def cmd_solve(args) -> int:
         print(f"solve: GMRES stalled after {outcome.iterations} "
               f"iterations (relative residual "
               f"{outcome.stalled_residual:.3e}), solved the dense "
-              f"section by least squares", file=sys.stderr)
+              f"section directly", file=sys.stderr)
     solved = time.perf_counter()
     to_csv(outcome.u, os.path.join(args.out, "solution.csv"))
     _write_json(outcome.to_json_dict(), os.path.join(args.out, "outcome.json"))

@@ -18,10 +18,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# the sweeps and the refinement look solve_transport_stack up on the
-# module, as solve_transport does, so a replacement installed there
-# (a test's counting wrapper) sees every transport of a solve
-from . import characteristics
 from .characteristics import (TransportPlan, _apply_blocks, _row_integrals,
                               apply_coupling, apply_coupling_stack,
                               solve_transport, solve_transport_stack)
@@ -84,7 +80,8 @@ def apply_k(spec: SystemSpec, f: GridFunction,
 
 def apply_k_power(spec: SystemSpec, f: GridFunction,
                   power: int) -> GridFunction:
-    """K^power f with node resampling between applications."""
+    """K^power f: power applications of apply_k, node values to node
+    values, through one TransportPlan."""
     if power < 1:
         raise ValueError("power must be a positive integer")
     plan = TransportPlan.build(spec, f.grid)
@@ -265,7 +262,8 @@ class SolveOutcome:
     w: GridFunction
     # discrete only: the iterative-refinement steps applied to the
     # returned w, and the full relative residual at which the GMRES route
-    # stalled, when a dense least-squares solve replaced its answer
+    # stalled, when a direct solve of the dense section (LU, or gelsy
+    # without a count of 0) replaced its answer
     refinements: int = 0
     stalled_residual: float | None = None
 
@@ -299,7 +297,7 @@ def _group_block(spec: SystemSpec, grid: Grid, plan: TransportPlan, g: int,
     batch, space = held.shape[0], held.shape[2:]
     stack = np.zeros((batch, spec.n) + space)
     stack[:, cols] = held
-    u = characteristics.solve_transport_stack(spec, grid, stack, plan)
+    u = solve_transport_stack(spec, grid, stack, plan)
     out = np.zeros((batch, rows.stop - rows.start) + space)
     for i, j, vals in plan.coupling:
         if rows.start <= i < rows.stop and cols.start <= j < cols.stop:
@@ -596,44 +594,6 @@ def _gmres(matvec, rhs: np.ndarray):
     return sol, iterations, info == 0
 
 
-def _least_squares(mat: np.ndarray):
-    """Rank-revealing least squares on the square mat (LAPACK gelsy),
-    factored once: returns the solver rhs -> x.
-
-    gelsy is split into its factorisation and its steps per right-hand
-    side, so the refinement's solves share one O(m^3) factorisation:
-    mat P = Q R by QR with column pivoting (geqp3), and each solve
-    applies Q^T (ormqr), R^{-1} (trsm) and P, with the workspace gelsy
-    gives these routines. Where gelsy finds full rank, a solve equals
-    scipy.linalg.lstsq(mat, rhs, lapack_driver="gelsy") bit for bit.
-    When an entry of R's diagonal is at most eps times the first, or not
-    finite, mat is numerically rank-deficient and each solve is a whole
-    gelsy call: the minimum-norm least-squares solution at the rank
-    gelsy estimates.
-    """
-    import scipy.linalg
-    from scipy.linalg import blas, lapack
-
-    eps = np.finfo(float).eps
-    size = mat.shape[0]
-    lwork = int(lapack.dgelsy_lwork(size, size, 1, eps)[0])
-    qr, perm, tau, _, info = lapack.dgeqp3(mat, lwork=lwork - size)
-    diag = np.abs(np.diagonal(qr))
-    # written so that NaN fails it too
-    if info or not np.all(diag > eps * diag[0]):
-        return lambda rhs: scipy.linalg.lstsq(mat, rhs,
-                                              lapack_driver="gelsy")[0]
-
-    def solve(rhs: np.ndarray) -> np.ndarray:
-        qtb, _, _ = lapack.dormqr("L", "T", qr, tau, rhs[:, None],
-                                  lwork - 2 * size)
-        x = np.empty(size)
-        x[perm - 1] = blas.dtrsm(1.0, qr, qtb)[:, 0]
-        return x
-
-    return solve
-
-
 def _refine(red: _Reduction, f: np.ndarray, solve):
     """w with (I + K) w = f from reduced solves, refined while the full
     relative residual is above GMRES_RTOL and falling.
@@ -656,8 +616,7 @@ def _refine(red: _Reduction, f: np.ndarray, solve):
         iterations += its
         trial = w + red.expand(res, x)
         with np.errstate(over="ignore", invalid="ignore"):
-            ut = characteristics.solve_transport_stack(spec, grid, trial[None],
-                                                       plan)
+            ut = solve_transport_stack(spec, grid, trial[None], plan)
             rt = f - (trial + apply_coupling_stack(spec, grid, ut, plan)[0])
             trial_gap = float(np.linalg.norm(rt)) / norm
         # written so that NaN fails it too
@@ -707,27 +666,31 @@ def solve_discrete(spec: SystemSpec, f: GridFunction,
     SVD gives the count; pass kernel_estimate=False to skip the estimate.
 
     The certificate runs at any size. The O(N^2) steps (the dense
-    section of I + S and its SVD or least-squares solve) run only up to
+    section of I + S, its SVD and its direct solve) run only up to
     DISCRETE_UNKNOWN_CAP unknowns of the full system. Above it, an
     estimate the certificate declines is None, and a stalled solve is a
     NonConvergence. Below it, the dense section is assembled only when
     it is needed:
     - for the SVD count, when the certificate declines;
-    - for a rank-revealing least-squares solve (gelsy, factored once
-      for all refinement steps, _least_squares), then back-substitution
-      and refinement, when that count finds a kernel, or when the GMRES
-      route stalls: its full relative residual stays above GMRES_RTOL
-      and stops falling, or a GMRES solve ends unconverged (its
-      GMRES_MAX_ITER // GMRES_RESTART restart cycles, at most
-      GMRES_MAX_ITER iterations, run out). stalled_residual is then that
-      residual. The full section of I + K is never assembled.
+    - for a direct solve, then back-substitution and refinement, when
+      that count finds a kernel, or when the GMRES route stalls: its
+      full relative residual stays above GMRES_RTOL and stops falling,
+      or a GMRES solve ends unconverged (its GMRES_MAX_ITER //
+      GMRES_RESTART restart cycles, at most GMRES_MAX_ITER iterations,
+      run out). stalled_residual is then that residual. The full
+      section of I + K is never assembled.
 
-    With a kernel, the answer is not the minimum-norm least-squares w of
-    I + K: it is gelsy's minimum-norm least-squares w_p of I + S,
-    back-substituted and refined. The two differ by a kernel vector of
-    I + K, and only where gelsy truncates the rank of I + S (a singular
-    value within about eps of the largest); where it does not, both are
-    the one solution of the full-rank section, to rounding.
+    The direct solve follows the count. I + S is singular exactly when
+    I + K is, so a count of 0 makes it invertible: one LU factorisation
+    serves every refinement step. A counted kernel, or no count
+    (kernel_estimate=False), gets a rank-revealing least-squares solve,
+    one LAPACK gelsy call per step. With a kernel, the answer is not the
+    minimum-norm least-squares w of I + K: it is gelsy's minimum-norm
+    least-squares w_p of I + S, back-substituted and refined. The two
+    differ by a kernel vector of I + K, and only where gelsy truncates
+    the rank of I + S (a singular value within about eps of the
+    largest); where it does not, both are the one solution of the
+    full-rank section, to rounding.
     """
     grid = f.grid
     size = spec.n * grid.node_count
@@ -769,9 +732,19 @@ def solve_discrete(spec: SystemSpec, f: GridFunction,
     if kdim or stalled is not None:
         # a kernel leaves GMRES no unique solution to converge to, and a
         # stall no answer to accept
-        solve = _least_squares(mat)
-        w, u, _, _, refinements = _refine(
-            red, f.values, lambda r: (solve(r), 0, True))
+        import scipy.linalg
+
+        if kdim == 0:
+            # no kernel: I + S is invertible, factored once for every step
+            lu = scipy.linalg.lu_factor(mat, overwrite_a=True)
+
+            def solve(r):
+                return scipy.linalg.lu_solve(lu, r), 0, True
+        else:
+            def solve(r):
+                x = scipy.linalg.lstsq(mat, r, lapack_driver="gelsy")[0]
+                return x, 0, True
+        w, u, _, _, refinements = _refine(red, f.values, solve)
     return _outcome("discrete", spec, f, w, plan, iterations, kdim, u,
                     refinements, stalled)
 

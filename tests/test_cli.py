@@ -234,7 +234,7 @@ def test_timing_phases_sum_to_the_total_after_a_fallback(tmp_path):
 
 def test_solve_reports_a_gmres_stall(tmp_path, capsys):
     # refinement of GMRES on I + S stops short of GMRES_RTOL on the full
-    # residual, and gelsy solves the section of I + S
+    # residual; the kernel count is 0, so LU solves the section of I + S
     doc = base_config()
     doc["grid"] = {"nx": 4, "ny": 4, "nt": 4}
     doc["system"]["b"] = THOUSANDFOLD
@@ -244,11 +244,11 @@ def test_solve_reports_a_gmres_stall(tmp_path, capsys):
     captured = capsys.readouterr()
     assert rc == 0
     assert captured.err == (f"solve: GMRES stalled after {THOUSANDFOLD_STALL}"
-                            f", solved the dense section by least squares\n")
+                            f", solved the dense section directly\n")
     outcome = json.loads((out / "outcome.json").read_text(encoding="utf-8"))
     assert outcome["iterations"] == 165
     assert f"{outcome['stalled_residual']:.3e}" == "1.411e-13"
-    assert outcome["refinements"] == 2
+    assert outcome["refinements"] == 1
     assert outcome["kernel_dimension_estimate"] == 0
     assert outcome["residual_sup"] < 1e-10
 
@@ -314,7 +314,7 @@ def test_gmres_stall_above_the_cap_names_its_residual(tmp_path, capsys,
 def test_discrete_solves_the_x30_coupling_without_the_full_section(
         nodes, tmp_path, capsys, monkeypatch):
     # every coupling x30: the certificate declines. At 13 nodes (6,591
-    # unknowns) the kernel count and any least squares run on the
+    # unknowns) the kernel count and any direct solve run on the
     # 2,197-row section of I + S; 25 nodes (46,875 unknowns) are above
     # the dense cap, where a stall would exit 3
     def no_full_section(*args, **kwargs):

@@ -82,7 +82,9 @@ def test_neumann_converges_on_contraction():
 
 def test_neumann_transports_the_final_iterate_once(monkeypatch):
     # one transport solve inside each of a sweep's three K applications,
-    # and one for u = C^{-1} w, whose coupling also gives the residual
+    # and one for u = C^{-1} w, whose coupling also gives the residual.
+    # The sweeps call fredholm's import of solve_transport_stack and
+    # solve_transport calls characteristics' own, so both are wrapped
     spec = coupled_spec()
     grid = cf.Grid(nx=6, ny=6, nt=6)
     f = cf.sample(EXPRS, grid)
@@ -93,6 +95,7 @@ def test_neumann_transports_the_final_iterate_once(monkeypatch):
         calls.append(args[2].shape[0])
         return stack(*args, **kwargs)
 
+    monkeypatch.setattr(fredholm, "solve_transport_stack", counting)
     monkeypatch.setattr(characteristics, "solve_transport_stack", counting)
     out = cf.solve_neumann(spec, f)
     assert out.iterations > 1
@@ -285,36 +288,52 @@ def test_gmres_matches_gelsy():
         1e-10 * np.abs(expect).max()
 
 
-def recording_least_squares(monkeypatch):
-    """The shapes of the matrices _least_squares factors, and one entry
-    per solve run with those factors."""
-    shapes, solves = [], []
-    least_squares = fredholm._least_squares
+def recording_dense_solves(monkeypatch):
+    """The shapes of the matrices scipy's LU factors, one entry per
+    lu_solve, and the shapes of the matrices gelsy solves, one per call."""
+    factored, lu_solves, gelsy_calls = [], [], []
+    lu_factor, lu_solve, lstsq = (scipy.linalg.lu_factor,
+                                  scipy.linalg.lu_solve, scipy.linalg.lstsq)
 
-    def recorded(mat):
-        shapes.append(mat.shape)
-        solve = least_squares(mat)
+    def recorded_lu_factor(a, *args, **kwargs):
+        factored.append(a.shape)
+        return lu_factor(a, *args, **kwargs)
 
-        def counted(rhs):
-            solves.append(rhs.shape)
-            return solve(rhs)
+    def recorded_lu_solve(lu, b, *args, **kwargs):
+        lu_solves.append(b.shape)
+        return lu_solve(lu, b, *args, **kwargs)
 
-        return counted
+    def recorded_lstsq(a, b, *args, **kwargs):
+        assert kwargs.get("lapack_driver") == "gelsy"
+        gelsy_calls.append(a.shape)
+        return lstsq(a, b, *args, **kwargs)
 
-    monkeypatch.setattr(fredholm, "_least_squares", recorded)
-    return shapes, solves
+    monkeypatch.setattr(scipy.linalg, "lu_factor", recorded_lu_factor)
+    monkeypatch.setattr(scipy.linalg, "lu_solve", recorded_lu_solve)
+    monkeypatch.setattr(scipy.linalg, "lstsq", recorded_lstsq)
+    return factored, lu_solves, gelsy_calls
 
 
-def reduced_gelsy(spec, f):
-    """w from gelsy on the section of I + S, built from apply_k alone.
+def gelsy_solver(section, r):
+    return scipy.linalg.lstsq(section, r, lapack_driver="gelsy")[0]
+
+
+def lu_solver(section, r):
+    return scipy.linalg.lu_solve(scipy.linalg.lu_factor(section), r)
+
+
+def reduced_direct(spec, f, solver):
+    """w from a direct solve of the section of I + S, built from apply_k
+    alone.
 
     The pivot p is the smallest row group (on a tie the lowest-numbered),
     b the group that reads p and c the group that reads b. K_{g<-h} x is
     group g of apply_k on the field that holds x in group h alone, and
     the section's columns are impulses swept b, c, p one at a time.
-    gelsy solves each reduced system; w_b and w_c are back-substituted,
-    and the correction of the full residual is solved for and added while
-    that residual is above GMRES_RTOL and falling.
+    solver(section, r) solves each reduced system (gelsy_solver or
+    lu_solver); w_b and w_c are back-substituted, and the correction of
+    the full residual is solved for and added while that residual is
+    above GMRES_RTOL and falling.
     """
     grid = f.grid
     plan = cf.TransportPlan.build(spec, grid)
@@ -353,8 +372,7 @@ def reduced_gelsy(spec, f):
     while gap > GMRES_RTOL:
         r = res[groups[p]] - k(p, c, res[groups[c]] - k(c, b,
                                                           res[groups[b]]))
-        x = scipy.linalg.lstsq(section, r.reshape(size),
-                               lapack_driver="gelsy")[0]
+        x = solver(section, r.reshape(size))
         trial = w + back_substituted(res, x)
         trial_res = f.values - (trial + cf.apply_k(
             spec, cf.GridFunction(grid, trial), plan).values)
@@ -378,16 +396,18 @@ def test_kernel_routes_the_solve_to_gelsy(monkeypatch):
         raise AssertionError("GMRES ran on a section with a kernel")
 
     monkeypatch.setattr(fredholm, "_gmres", no_gmres)
-    shapes, solves = recording_least_squares(monkeypatch)
+    factored, _, gelsy_calls = recording_dense_solves(monkeypatch)
     out = cf.solve_discrete(spec, f)
     assert out.kernel_dimension_estimate == 1
     assert out.iterations == 0 and out.stalled_residual is None
-    # gelsy on the 80-row section of I + S, not on the 240-row one of
-    # I + K, factored once for every step of back-substitution and
-    # refinement
-    assert shapes == [(80, 80)]
-    assert out.refinements + 1 <= len(solves) <= out.refinements + 2
-    np.testing.assert_array_equal(out.w.values, reduced_gelsy(spec, f))
+    # one gelsy call on the 80-row section of I + S, not on the 240-row
+    # one of I + K, for each step of back-substitution and refinement,
+    # and no LU
+    assert factored == []
+    assert set(gelsy_calls) == {(80, 80)}
+    assert out.refinements + 1 <= len(gelsy_calls) <= out.refinements + 2
+    np.testing.assert_array_equal(out.w.values,
+                                  reduced_direct(spec, f, gelsy_solver))
     expect = gelsy(spec, f)
     assert np.abs(out.w.values - expect).max() <= \
         1e-10 * np.abs(expect).max()
@@ -757,18 +777,43 @@ def test_gmres_stall_falls_back_to_the_dense_section(tmp_path, monkeypatch):
     cfg = overflow_config(tmp_path)
     f = cf.sample(cfg.rhs, cfg.grid)
     counts = counting_gmres(monkeypatch)
-    shapes, solves = recording_least_squares(monkeypatch)
+    factored, _, gelsy_calls = recording_dense_solves(monkeypatch)
     out = cf.solve_discrete(cfg.spec, f, kernel_estimate=False)
     # GMRES converges on I + S in 33 iterations; the first refinement's
     # GMRES solve spends its restart cycles in 132 and ends unconverged
     assert counts == [(33, True), (132, False)] and out.iterations == 165
     assert f"{out.stalled_residual:.3e}" == "1.411e-13"
     assert out.kernel_dimension_estimate is None
-    # one factorisation of the 80-row section of I + S serves the three
-    # kept steps and the one dropped for not lowering the residual
-    assert shapes == [(80, 80)] and len(solves) == 4
+    # no count, so no LU: one gelsy call on the 80-row section of I + S
+    # for each of the three kept steps and the one dropped for not
+    # lowering the residual
+    assert factored == [] and gelsy_calls == [(80, 80)] * 4
     assert out.refinements == 2
-    np.testing.assert_array_equal(out.w.values, reduced_gelsy(cfg.spec, f))
+    np.testing.assert_array_equal(out.w.values,
+                                  reduced_direct(cfg.spec, f, gelsy_solver))
+    expect = gelsy(cfg.spec, f)
+    assert np.abs(out.w.values - expect).max() <= \
+        1e-10 * np.abs(expect).max()
+    assert out.residual_sup < 1e-9 * cf.sup_norm(f)
+
+
+def test_counted_stall_factors_the_section_once(tmp_path, monkeypatch):
+    # the stall above with the kernel count on: the count is 0, so I + S
+    # is invertible and one LU factorisation serves every step
+    cfg = overflow_config(tmp_path)
+    f = cf.sample(cfg.rhs, cfg.grid)
+    counts = counting_gmres(monkeypatch)
+    factored, lu_solves, gelsy_calls = recording_dense_solves(monkeypatch)
+    out = cf.solve_discrete(cfg.spec, f)
+    assert counts == [(33, True), (132, False)] and out.iterations == 165
+    assert f"{out.stalled_residual:.3e}" == "1.411e-13"
+    assert out.kernel_dimension_estimate == 0
+    # two steps, the second a refinement that brings the full relative
+    # residual to GMRES_RTOL, where gelsy above took three and dropped one
+    assert factored == [(80, 80)] and gelsy_calls == []
+    assert out.refinements == 1 and len(lu_solves) == 2
+    np.testing.assert_array_equal(out.w.values,
+                                  reduced_direct(cfg.spec, f, lu_solver))
     expect = gelsy(cfg.spec, f)
     assert np.abs(out.w.values - expect).max() <= \
         1e-10 * np.abs(expect).max()
@@ -783,48 +828,71 @@ def test_gmres_that_never_converges_falls_back_to_the_dense_section(
     cfg = overflow_config(tmp_path, ny=5)
     f = cf.sample(cfg.rhs, cfg.grid)
     counts = counting_gmres(monkeypatch)
+    factored, _, gelsy_calls = recording_dense_solves(monkeypatch)
     out = cf.solve_discrete(cfg.spec, f)
     assert counts == [(GMRES_MAX_ITER, False)]
     assert out.iterations == GMRES_MAX_ITER
     assert out.stalled_residual == 1.0
     assert out.kernel_dimension_estimate == 0
+    # LU on the 125-row section of I + S, factored once
+    assert factored == [(125, 125)] and gelsy_calls == []
     assert out.residual_sup <= 2.2e-11 * cf.sup_norm(f)
-    np.testing.assert_array_equal(out.w.values, reduced_gelsy(cfg.spec, f))
+    np.testing.assert_array_equal(out.w.values,
+                                  reduced_direct(cfg.spec, f, lu_solver))
 
 
-def x1e3_section():
-    """The 80-row section of I + S of the x1e3 coupling at 4 nodes."""
-    spec, grid = coupled_x1e3_spec(), cf.Grid(nx=4, ny=4, nt=4)
-    plan = cf.TransportPlan.build(spec, grid)
-    return fredholm._Reduction.build(spec, grid, plan).section()
+def never_converging_gmres(matvec, rhs):
+    return np.zeros_like(rhs), GMRES_MAX_ITER, False
 
 
-@pytest.mark.parametrize("size", (1, 7, 300, "x1e3"))
-def test_least_squares_factors_once_and_matches_gelsy(size):
-    rng = np.random.default_rng(5)
-    mat = (x1e3_section() if size == "x1e3" else
-           rng.standard_normal((size, size)))
-    solve = fredholm._least_squares(mat)
-    for _ in range(3):
-        rhs = rng.standard_normal(mat.shape[0])
-        np.testing.assert_array_equal(
-            solve(rhs),
-            scipy.linalg.lstsq(mat, rhs, lapack_driver="gelsy")[0])
+# 4 to 7 nodes per axis; x has at least 5 (nx >= 4)
+@pytest.mark.parametrize("nx,nyt", ((4, 4), (5, 6), (6, 7)))
+@pytest.mark.parametrize("make_spec",
+                         (coupled_spec, fused_spec, transversal_spec,
+                          coupled_x4_spec, coupled_x30_spec, mirrored_spec,
+                          block_coupled_spec))
+def test_forced_stall_is_solved_by_lu(monkeypatch, make_spec, nx, nyt):
+    # every count here is 0: a GMRES that returns 0 unconverged leaves
+    # the whole solve to one LU factorisation of the section of I + S
+    spec = make_spec()
+    grid = cf.Grid(nx=nx, ny=nyt, nt=nyt)
+    rng = np.random.default_rng(nx + nyt)
+    f = cf.GridFunction(grid, rng.standard_normal(
+        (spec.n, nx + 1, nyt, nyt)))
+    monkeypatch.setattr(fredholm, "_gmres", never_converging_gmres)
+    factored, _, gelsy_calls = recording_dense_solves(monkeypatch)
+    out = cf.solve_discrete(spec, f)
+    assert out.kernel_dimension_estimate == 0
+    assert out.iterations == GMRES_MAX_ITER
+    assert out.stalled_residual is not None
+    # the section has the nodes of the smallest row group
+    size = min(sl.stop - sl.start for sl, _ in spec.blocks()) * \
+        grid.node_count
+    assert factored == [(size, size)] and gelsy_calls == []
+    expect = gelsy(spec, f)
+    assert np.abs(out.w.values - expect).max() <= \
+        1e-10 * np.abs(expect).max()
+    assert out.residual_sup <= 1e-9 * cf.sup_norm(f)
 
 
-def test_least_squares_is_minimum_norm_on_a_rank_deficient_matrix():
-    # a zero column makes the last diagonal entry of R exactly 0: the
-    # answer is gelsy's minimum-norm solution, 0 in that column
-    rng = np.random.default_rng(6)
-    mat = rng.standard_normal((6, 6))
-    mat[:, 2] = 0.0
-    rhs = rng.standard_normal(6)
-    x = fredholm._least_squares(mat)(rhs)
-    np.testing.assert_array_equal(
-        x, scipy.linalg.lstsq(mat, rhs, lapack_driver="gelsy")[0])
-    assert x[2] == 0.0
-    np.testing.assert_allclose(x, np.linalg.pinv(mat) @ rhs, rtol=0,
-                               atol=1e-12)
+@pytest.mark.parametrize("kernel_estimate", (True, False),
+                         ids=("lu", "gelsy"))
+def test_non_finite_section_raises(monkeypatch, kernel_estimate):
+    # a stall sends the solve to the dense section; a NaN in it is
+    # rejected by the solver's finiteness check, not solved around
+    spec = coupled_spec()
+    grid = cf.Grid(nx=4, ny=4, nt=4)
+    section = fredholm._Reduction.section
+
+    def poisoned(self, with_map=False):
+        mat = section(self, with_map)
+        mat[0, 0] = math.nan
+        return mat
+
+    monkeypatch.setattr(fredholm, "_gmres", never_converging_gmres)
+    monkeypatch.setattr(fredholm._Reduction, "section", poisoned)
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        cf.solve_discrete(spec, cf.sample(EXPRS, grid), kernel_estimate)
 
 
 def test_discrete_above_the_cap_stays_matrix_free(monkeypatch):
