@@ -23,7 +23,7 @@ grid apply the same operator one (y, t) Fourier mode at a time.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -41,23 +41,39 @@ class SingularBlockError(ValueError):
     """A coefficient block is numerically singular."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TransportPlan:
     """What every transport solve and coupling product on one grid shares.
 
-    blocks holds (rows, adjugate, determinant) for the three diagonal
-    blocks, rows a slice of components; coupling holds (i, j, node
-    values) for each nonzero entry b[i][j]; rows holds (forward, beta,
-    alpha, gamma, c, multipliers) per component, forward meaning inflow
-    at x = 0, c = constant_value(gamma) (None when gamma reads x, y or
-    t) and, for a constant c, multipliers the (H, E) pair of
-    _spectral_multipliers. Build one per solve and pass it down; the
+    spec and grid are the system and grid the plan was built for; below
+    the field level a plan is the whole context, and a field-level call
+    given a plan refuses one built for another spec object or another
+    grid (resolve). blocks holds (rows, adjugate, determinant) for the
+    three diagonal blocks, rows a slice of components; coupling holds
+    (i, j, node values) for each nonzero entry b[i][j]; rows holds
+    (forward, beta, alpha, gamma, c, multipliers) per component, forward
+    meaning inflow at x = 0, c = constant_value(gamma) (None when gamma
+    reads x, y or t) and, for a constant c, multipliers the (H, E) pair
+    of _spectral_multipliers. Build one per solve and pass it down; the
     spec's periods must equal the grid's.
     """
 
+    spec: SystemSpec = field(repr=False)
+    grid: Grid = field(repr=False)
     blocks: tuple
     coupling: tuple
     rows: tuple
+
+    @classmethod
+    def resolve(cls, spec: SystemSpec, grid: Grid,
+                plan: "TransportPlan | None") -> "TransportPlan":
+        """plan, checked to be built for this spec object and grid, or a
+        new plan when it is None."""
+        if plan is None:
+            return cls.build(spec, grid)
+        if plan.spec is not spec or plan.grid != grid:
+            raise ValueError("the plan was built for another spec or grid")
+        return plan
 
     @classmethod
     def build(cls, spec: SystemSpec, grid: Grid) -> "TransportPlan":
@@ -89,7 +105,7 @@ class TransportPlan:
                 evaluate_at_nodes(gam, grid, f"gamma[{i + 1}]")
             mult = None if c is None else _spectral_multipliers(grid, *line, c)
             rows.append(line + (gam, c, mult))
-        return cls(tuple(blocks), coupling, tuple(rows))
+        return cls(spec, grid, tuple(blocks), coupling, tuple(rows))
 
 
 def default_step(spec: SystemSpec, grid: Grid) -> float:
@@ -251,7 +267,7 @@ def _integrate_grid_row(grid: Grid, beta: float, alpha: float,
         np.negative(out, out=out)
 
 
-def _row_integrals(grid: Grid, stack: np.ndarray, plan: TransportPlan,
+def _row_integrals(plan: TransportPlan, stack: np.ndarray,
                    rhs_exprs=None) -> np.ndarray:
     """Each row's line integrals of its own component, before the blocks.
 
@@ -266,6 +282,7 @@ def _row_integrals(grid: Grid, stack: np.ndarray, plan: TransportPlan,
     rows, and that is what the row is set to. So K applied to a field
     held by one row group costs one group's transport.
     """
+    grid = plan.grid
     w = np.zeros_like(stack)
     for i, (forward, beta, alpha, gam, _, mult) in enumerate(plan.rows):
         if rhs_exprs is None and not stack[:, i].any():
@@ -280,32 +297,28 @@ def _row_integrals(grid: Grid, stack: np.ndarray, plan: TransportPlan,
     return w
 
 
-def _apply_blocks(spec: SystemSpec, grid: Grid, w: np.ndarray,
-                  plan: TransportPlan) -> np.ndarray:
+def _apply_blocks(plan: TransportPlan, w: np.ndarray) -> np.ndarray:
     """u = A^{-1} w block by block, then the inflow faces zeroed; in place
     on the (B, n, nx+1, ny, nt) stack w, which is returned."""
     for sl, adj, det in plan.blocks:
         w[:, sl] = np.einsum("ij,bj...->bi...", adj, w[:, sl]) / det
-    w[:, :spec.k, 0] = 0.0
-    w[:, spec.k:, grid.nx] = 0.0
+    w[:, :plan.spec.k, 0] = 0.0
+    w[:, plan.spec.k:, plan.grid.nx] = 0.0
     return w
 
 
-def solve_transport_stack(spec: SystemSpec, grid: Grid, stack: np.ndarray,
-                          plan: TransportPlan | None = None,
+def solve_transport_stack(plan: TransportPlan, stack: np.ndarray,
                           rhs_exprs=None) -> np.ndarray:
-    """Batched explicit inverse; stack is (B, n, nx+1, ny, nt).
+    """Batched explicit inverse on the plan's grid; stack is
+    (B, n, nx+1, ny, nt).
 
     With rhs_exprs given (closed forms of the single field in the batch),
     every row takes the half-cell walk and reads exact expression samples
     instead of interpolated grid values; the batch must then have size 1.
     """
-    if plan is None:
-        plan = TransportPlan.build(spec, grid)
     if rhs_exprs is not None and stack.shape[0] != 1:
         raise ValueError("closed-form right-hand sides need a batch of one")
-    return _apply_blocks(spec, grid, _row_integrals(grid, stack, plan,
-                                                    rhs_exprs), plan)
+    return _apply_blocks(plan, _row_integrals(plan, stack, rhs_exprs))
 
 
 def solve_transport(spec: SystemSpec, f: GridFunction,
@@ -314,9 +327,11 @@ def solve_transport(spec: SystemSpec, f: GridFunction,
     """Solve the uncoupled system row by row along characteristics.
 
     Returns u with (A u)_i the integrated right-hand side of row i and
-    the inflow rows zeroed exactly on their faces.
+    the inflow rows zeroed exactly on their faces. A given plan must be
+    one built for spec and f.grid (TransportPlan.resolve).
     """
-    out = solve_transport_stack(spec, f.grid, f.values[None], plan, rhs_exprs)
+    plan = TransportPlan.resolve(spec, f.grid, plan)
+    out = solve_transport_stack(plan, f.values[None], rhs_exprs)
     return GridFunction(f.grid, out[0])
 
 
@@ -355,10 +370,7 @@ def apply_transport(spec: SystemSpec, u: GridFunction) -> GridFunction:
     return GridFunction(grid, out)
 
 
-def apply_coupling_stack(spec: SystemSpec, grid: Grid, stack: np.ndarray,
-                         plan: TransportPlan | None = None) -> np.ndarray:
-    if plan is None:
-        plan = TransportPlan.build(spec, grid)
+def apply_coupling_stack(plan: TransportPlan, stack: np.ndarray) -> np.ndarray:
     out = np.zeros_like(stack)
     for i, j, vals in plan.coupling:
         out[:, i] += vals * stack[:, j]
@@ -367,8 +379,10 @@ def apply_coupling_stack(spec: SystemSpec, grid: Grid, stack: np.ndarray,
 
 def apply_coupling(spec: SystemSpec, u: GridFunction,
                    plan: TransportPlan | None = None) -> GridFunction:
-    """Multiply pointwise by the coupling matrix b."""
-    out = apply_coupling_stack(spec, u.grid, u.values[None], plan)
+    """Multiply pointwise by the coupling matrix b, through a plan built
+    for spec and u.grid (TransportPlan.resolve)."""
+    plan = TransportPlan.resolve(spec, u.grid, plan)
+    out = apply_coupling_stack(plan, u.values[None])
     return GridFunction(u.grid, out[0])
 
 

@@ -72,9 +72,9 @@ class NonConvergence(RuntimeError):
 
 def apply_k(spec: SystemSpec, f: GridFunction,
             plan: TransportPlan | None = None) -> GridFunction:
-    """One application: coupling of the transport solution of f."""
-    if plan is None:
-        plan = TransportPlan.build(spec, f.grid)
+    """One application: coupling of the transport solution of f, through
+    a plan built for spec and f.grid (TransportPlan.resolve)."""
+    plan = TransportPlan.resolve(spec, f.grid, plan)
     return apply_coupling(spec, solve_transport(spec, f, plan), plan)
 
 
@@ -187,11 +187,11 @@ def _transport_at_points(plan, inner, X, Y, T, glx, glw, S, rows):
     return u
 
 
-def _coupling_at_points(spec, plan, X, Y, T, values: dict, rows):
+def _coupling_at_points(plan, X, Y, T, values: dict, rows):
     out = {i: np.zeros(np.shape(X)) for i in rows}
     for i, j, _ in plan.coupling:
         if i in out:
-            out[i] = out[i] + evaluate_on(spec.b[i][j], X, Y, T) * values[j]
+            out[i] += evaluate_on(plan.spec.b[i][j], X, Y, T) * values[j]
     return out
 
 
@@ -239,7 +239,7 @@ def apply_k_cubed_fused(spec: SystemSpec, f: GridFunction,
             needed = {j for i, j, _ in plan.coupling if i in rows}
             u = _transport_at_points(plan, inner, X, Y, T, glx, glw, S,
                                      needed)
-            return _coupling_at_points(spec, plan, X, Y, T, u, rows)
+            return _coupling_at_points(plan, X, Y, T, u, rows)
         return level
 
     k3 = chain(chain(chain(read_f)))
@@ -280,8 +280,8 @@ class SolveOutcome:
         }
 
 
-def _group_block(spec: SystemSpec, grid: Grid, plan: TransportPlan, g: int,
-                 h: int, held: np.ndarray) -> np.ndarray:
+def _group_block(plan: TransportPlan, g: int, h: int,
+                 held: np.ndarray) -> np.ndarray:
     """K_{g<-h}: the group-g rows of K applied to a field that row group
     h alone holds.
 
@@ -293,11 +293,11 @@ def _group_block(spec: SystemSpec, grid: Grid, plan: TransportPlan, g: int,
     group g, so the result is apply_k's group-g rows bit for bit, at one
     group's transport and one group's coupling.
     """
-    rows, cols = spec.blocks()[g][0], spec.blocks()[h][0]
+    rows, cols = plan.spec.blocks()[g][0], plan.spec.blocks()[h][0]
     batch, space = held.shape[0], held.shape[2:]
-    stack = np.zeros((batch, spec.n) + space)
+    stack = np.zeros((batch, plan.spec.n) + space)
     stack[:, cols] = held
-    u = solve_transport_stack(spec, grid, stack, plan)
+    u = solve_transport_stack(plan, stack)
     out = np.zeros((batch, rows.stop - rows.start) + space)
     for i, j, vals in plan.coupling:
         if rows.start <= i < rows.stop and cols.start <= j < cols.stop:
@@ -315,16 +315,15 @@ def _cycle(spec: SystemSpec, first: int) -> list:
     return order
 
 
-def _sweep(spec: SystemSpec, grid: Grid, plan: TransportPlan, order, f,
-           w: np.ndarray) -> None:
+def _sweep(plan: TransportPlan, order, f, w: np.ndarray) -> None:
     """w_g <- f_g - K_{g<-h} w_h for each group g of order in turn, h the
     group g reads, in place on the (B, n, nx+1, ny, nt) stack w. f is a
     stack that broadcasts against w, or None for f = 0."""
-    groups = [sl for sl, _ in spec.blocks()]
-    reads = dict(spec.coupling_pattern())
+    groups = [sl for sl, _ in plan.spec.blocks()]
+    reads = dict(plan.spec.coupling_pattern())
     for g in order:
         h = reads[g]
-        kw = _group_block(spec, grid, plan, g, h, w[:, groups[h]])
+        kw = _group_block(plan, g, h, w[:, groups[h]])
         if f is None:
             np.negative(kw, out=w[:, groups[g]])
         else:
@@ -364,7 +363,7 @@ def solve_neumann(spec: SystemSpec, f: GridFunction, tol: float = 1e-10,
         before = w.copy()
         # an overflow surfaces as a non-finite update, not as a warning
         with np.errstate(over="ignore", invalid="ignore"):
-            _sweep(spec, f.grid, plan, order, f.values[None], w)
+            _sweep(plan, order, f.values[None], w)
             diff = float(np.max(np.abs(w - before)))
         if not math.isfinite(diff):
             raise NonConvergence(iterations, float("inf"), diverged=True)
@@ -375,10 +374,10 @@ def solve_neumann(spec: SystemSpec, f: GridFunction, tol: float = 1e-10,
             raise NonConvergence(iterations, diff, diverged=True)
         if iterations >= max_iter:
             raise NonConvergence(iterations, diff)
-    return _outcome("neumann", spec, f, w[0], plan, iterations)
+    return _outcome("neumann", f, w[0], plan, iterations)
 
 
-def _outcome(method: str, spec: SystemSpec, f: GridFunction, w: np.ndarray,
+def _outcome(method: str, f: GridFunction, w: np.ndarray,
              plan: TransportPlan, iterations: int, kdim: int | None = None,
              u: np.ndarray | None = None, refinements: int = 0,
              stalled: float | None = None) -> SolveOutcome:
@@ -386,39 +385,41 @@ def _outcome(method: str, spec: SystemSpec, f: GridFunction, w: np.ndarray,
     already has it, and the residual of (I + K) w = f, with K w = D u
     taken from that one transport solve."""
     w = GridFunction(f.grid, w)
-    u = (solve_transport(spec, w, plan) if u is None
+    u = (solve_transport(plan.spec, w, plan) if u is None
          else GridFunction(f.grid, u))
-    residual = sup_norm(w + apply_coupling(spec, u, plan) - f)
+    residual = sup_norm(w + apply_coupling(plan.spec, u, plan) - f)
     return SolveOutcome(method, iterations, residual, kdim, u, w,
                         refinements, stalled)
 
 
-def _impulse_images(spec, grid, plan, start, stop):
-    # one batch's temporaries die with this call
-    size = spec.n * grid.node_count
-    stack = np.zeros((stop - start, spec.n, grid.nx + 1, grid.ny, grid.nt))
-    flat = stack.reshape(stop - start, size)
-    flat[np.arange(stop - start), np.arange(start, stop)] = 1.0
-    ku = solve_transport_stack(spec, grid, stack, plan)
-    ke = apply_coupling_stack(spec, grid, ku, plan)
-    return ke.reshape(stop - start, size)
+def _impulse_batches(size: int):
+    """(columns, impulses) for the columns of the size-square identity,
+    ASSEMBLY_BATCH at a time: columns a slice, impulses the (batch, size)
+    array whose rows are those unit columns."""
+    for start in range(0, size, ASSEMBLY_BATCH):
+        stop = min(start + ASSEMBLY_BATCH, size)
+        impulses = np.zeros((stop - start, size))
+        impulses[np.arange(stop - start), np.arange(start, stop)] = 1.0
+        yield slice(start, stop), impulses
 
 
 def assemble_dense(spec: SystemSpec, grid: Grid,
                    plan: TransportPlan | None = None) -> np.ndarray:
-    """Dense matrix of I + K in the node basis.
+    """Dense matrix of I + K in the node basis, through a plan built for
+    spec and grid (TransportPlan.resolve).
 
     Columns are impulse responses at grid nodes, ordered like the
     flattened (component, ix, iy, it) value array, computed
     ASSEMBLY_BATCH at a time.
     """
-    if plan is None:
-        plan = TransportPlan.build(spec, grid)
+    plan = TransportPlan.resolve(spec, grid, plan)
     size = spec.n * grid.node_count
     mat = np.empty((size, size))
-    for start in range(0, size, ASSEMBLY_BATCH):
-        stop = min(start + ASSEMBLY_BATCH, size)
-        mat[:, start:stop] = _impulse_images(spec, grid, plan, start, stop).T
+    shape = (-1, spec.n, grid.nx + 1, grid.ny, grid.nt)
+    for cols, impulses in _impulse_batches(size):
+        # one statement, so no batch's temporaries outlive it
+        mat[:, cols] = apply_coupling_stack(plan, solve_transport_stack(
+            plan, impulses.reshape(shape))).reshape(impulses.shape).T
     mat[np.diag_indices(size)] += 1.0
     return mat
 
@@ -436,41 +437,38 @@ class _Reduction:
     one-group block K_{g<-h}, and S costs about one apply_k.
     """
 
-    spec: SystemSpec
-    grid: Grid
     plan: TransportPlan
     order: tuple  # (b, c, p)
 
     @classmethod
-    def build(cls, spec: SystemSpec, grid: Grid,
-              plan: TransportPlan) -> "_Reduction":
+    def build(cls, plan: TransportPlan) -> "_Reduction":
         """Pivot on the smallest group, on a tie the lowest-numbered."""
-        sizes = [sl.stop - sl.start for sl, _ in spec.blocks()]
+        sizes = [sl.stop - sl.start for sl, _ in plan.spec.blocks()]
         pivot = sizes.index(min(sizes))
-        return cls(spec, grid, plan, tuple(_cycle(spec, pivot)[1:]) + (pivot,))
+        return cls(plan, tuple(_cycle(plan.spec, pivot)[1:]) + (pivot,))
 
     @property
     def rows(self) -> slice:
-        return self.spec.blocks()[self.order[2]][0]
+        return self.plan.spec.blocks()[self.order[2]][0]
 
     def _stack(self, batch: int) -> np.ndarray:
-        g = self.grid
-        return np.zeros((batch, self.spec.n, g.nx + 1, g.ny, g.nt))
+        g = self.plan.grid
+        return np.zeros((batch, self.plan.spec.n, g.nx + 1, g.ny, g.nt))
 
     def rhs(self, f: np.ndarray) -> np.ndarray:
         """r of (I + S) w_p = r, flat, for the (n, nx+1, ny, nt) array f;
         the sweep's first step reads w_p = 0 and gives w_b = f_b."""
-        b = self.spec.blocks()[self.order[0]][0]
+        b = self.plan.spec.blocks()[self.order[0]][0]
         w = self._stack(1)
         w[0, b] = f[b]
-        _sweep(self.spec, self.grid, self.plan, self.order[1:], f[None], w)
+        _sweep(self.plan, self.order[1:], f[None], w)
         return w[0, self.rows].reshape(-1)
 
     def expand(self, f: np.ndarray, w_p: np.ndarray) -> np.ndarray:
         """The whole w, (n, nx+1, ny, nt), from its flat group-p part."""
         w = self._stack(1)
         w[0, self.rows] = w_p.reshape(w[0, self.rows].shape)
-        _sweep(self.spec, self.grid, self.plan, self.order[:2], f[None], w)
+        _sweep(self.plan, self.order[:2], f[None], w)
         return w[0]
 
     def _images(self, v: np.ndarray) -> np.ndarray:
@@ -479,7 +477,7 @@ class _Reduction:
         -S v and its other rows the back-substituted groups of v."""
         w = self._stack(v.shape[0])
         w[:, self.rows] = v.reshape(w[:, self.rows].shape)
-        _sweep(self.spec, self.grid, self.plan, self.order, None, w)
+        _sweep(self.plan, self.order, None, w)
         return w
 
     def apply(self, v: np.ndarray) -> np.ndarray:
@@ -495,24 +493,18 @@ class _Reduction:
         needs; they come from the same sweeps and hold twice as many
         rows as I + S with three equal groups.
         """
-        rows = self.rows
-        size = (rows.stop - rows.start) * self.grid.node_count
+        rows, n, nodes = self.rows, self.plan.spec.n, self.plan.grid.node_count
+        size = (rows.stop - rows.start) * nodes
         mat = np.empty((size, size))
         if with_map:
-            others = np.empty((self.spec.n * self.grid.node_count - size,
-                               size))
-            keep = np.ones(self.spec.n, dtype=bool)
+            others = np.empty((n * nodes - size, size))
+            keep = np.ones(n, dtype=bool)
             keep[rows] = False
-        for start in range(0, size, ASSEMBLY_BATCH):
-            stop = min(start + ASSEMBLY_BATCH, size)
-            impulses = np.zeros((stop - start, size))
-            impulses[np.arange(stop - start), np.arange(start, stop)] = 1.0
+        for cols, impulses in _impulse_batches(size):
             w = self._images(impulses)
-            mat[:, start:stop] = (impulses - w[:, rows].reshape(
-                impulses.shape)).T
+            mat[:, cols] = (impulses - w[:, rows].reshape(impulses.shape)).T
             if with_map:
-                others[:, start:stop] = w[:, keep].reshape(stop - start,
-                                                           -1).T
+                others[:, cols] = w[:, keep].reshape(len(impulses), -1).T
         return (mat, others) if with_map else mat
 
 
@@ -540,7 +532,7 @@ def _reduced_kernel_dimension(mat: np.ndarray, others: np.ndarray) -> int:
                                                           trans="T"))
 
 
-def _section_power_norms(spec: SystemSpec, grid: Grid, plan: TransportPlan):
+def _section_power_norms(plan: TransportPlan):
     """a_p = max(|K|^p 1) for p = 1, 2, ..., one transport per power.
 
     K = M R: R holds each row's line integrals of its own component
@@ -553,18 +545,18 @@ def _section_power_norms(spec: SystemSpec, grid: Grid, plan: TransportPlan):
     is built once. a_1 is ||K||_inf exactly, and a_p >= ||K^p||_inf. The
     generator stops after the first NaN or infinite a_p.
     """
-    shape = (spec.n, grid.nx + 1, grid.ny, grid.nt)
-    unit = np.zeros((spec.n,) + shape)
-    unit[np.arange(spec.n), np.arange(spec.n)] = 1.0
-    m = apply_coupling_stack(spec, grid, _apply_blocks(spec, grid, unit, plan),
-                             plan)
+    n, grid = plan.spec.n, plan.grid
+    shape = (n, grid.nx + 1, grid.ny, grid.nt)
+    unit = np.zeros((n,) + shape)
+    unit[np.arange(n), np.arange(n)] = 1.0
+    m = apply_coupling_stack(plan, _apply_blocks(plan, unit))
     np.abs(m, out=m)
     v = np.ones((1,) + shape)
     a = 0.0
     while math.isfinite(a):
         # an overflow shows as an infinite a_p
         with np.errstate(over="ignore", invalid="ignore"):
-            r = np.abs(_row_integrals(grid, v, plan)[0])
+            r = np.abs(_row_integrals(plan, v)[0])
             v[0] = np.einsum("ji...,j...->i...", m, r)
         a = float(v.max())
         yield a
@@ -606,7 +598,6 @@ def _refine(red: _Reduction, f: np.ndarray, solve):
     u = C^{-1} w (None for w = 0), the relative residual of w, the
     iterations and the refinements: the steps kept after the first.
     """
-    spec, grid, plan = red.spec, red.grid, red.plan
     norm = float(np.linalg.norm(f))
     w, u, res = np.zeros_like(f), None, f
     gap, iterations, steps = 1.0, 0, 0
@@ -616,8 +607,8 @@ def _refine(red: _Reduction, f: np.ndarray, solve):
         iterations += its
         trial = w + red.expand(res, x)
         with np.errstate(over="ignore", invalid="ignore"):
-            ut = solve_transport_stack(spec, grid, trial[None], plan)
-            rt = f - (trial + apply_coupling_stack(spec, grid, ut, plan)[0])
+            ut = solve_transport_stack(red.plan, trial[None])
+            rt = f - (trial + apply_coupling_stack(red.plan, ut)[0])
             trial_gap = float(np.linalg.norm(rt)) / norm
         # written so that NaN fails it too
         if not trial_gap < gap:
@@ -696,12 +687,12 @@ def solve_discrete(spec: SystemSpec, f: GridFunction,
     size = spec.n * grid.node_count
     dense_ok = size <= DISCRETE_UNKNOWN_CAP
     plan = TransportPlan.build(spec, grid)
-    red = _Reduction.build(spec, grid, plan)
+    red = _Reduction.build(plan)
     mat = kdim = stalled = None
     iterations = 0
     if kernel_estimate:
         root = math.sqrt(size)
-        norms = _section_power_norms(spec, grid, plan)
+        norms = _section_power_norms(plan)
         a_1 = next(norms)
         floor = 2.0 * KERNEL_SV_RTOL * (1.0 + root * a_1)
         head = 1.0  # 1 + a_1 + ... + a_{p-1}
@@ -717,8 +708,8 @@ def solve_discrete(spec: SystemSpec, f: GridFunction,
                 kdim = _reduced_kernel_dimension(mat, others)
                 del others
     if not f.values.any():
-        return _outcome("discrete", spec, f, np.zeros_like(f.values), plan,
-                        0, kdim)
+        return _outcome("discrete", f, np.zeros_like(f.values), plan, 0,
+                        kdim)
     if not kdim:
         w, u, gap, iterations, refinements = _refine(
             red, f.values, lambda r: _gmres(red.apply, r))
@@ -736,16 +727,17 @@ def solve_discrete(spec: SystemSpec, f: GridFunction,
 
         if kdim == 0:
             # no kernel: I + S is invertible, factored once for every step
-            lu = scipy.linalg.lu_factor(mat, overwrite_a=True)
+            # factored as its Fortran-ordered transpose, in place
+            lu = scipy.linalg.lu_factor(mat.T, overwrite_a=True)
 
             def solve(r):
-                return scipy.linalg.lu_solve(lu, r), 0, True
+                return scipy.linalg.lu_solve(lu, r, trans=1), 0, True
         else:
             def solve(r):
                 x = scipy.linalg.lstsq(mat, r, lapack_driver="gelsy")[0]
                 return x, 0, True
         w, u, _, _, refinements = _refine(red, f.values, solve)
-    return _outcome("discrete", spec, f, w, plan, iterations, kdim, u,
+    return _outcome("discrete", f, w, plan, iterations, kdim, u,
                     refinements, stalled)
 
 

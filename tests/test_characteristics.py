@@ -168,7 +168,7 @@ def test_stack_solve_matches_single_solves():
     grid = cf.Grid(nx=6, ny=6, nt=6)
     rng = np.random.default_rng(9)
     stack = rng.standard_normal((3, 3, 7, 6, 6))
-    batched = solve_transport_stack(spec, grid, stack)
+    batched = solve_transport_stack(TransportPlan.build(spec, grid), stack)
     for idx in range(3):
         single = cf.solve_transport(
             spec, cf.GridFunction(grid, stack[idx]))

@@ -92,7 +92,7 @@ def test_neumann_transports_the_final_iterate_once(monkeypatch):
     calls = []
 
     def counting(*args, **kwargs):
-        calls.append(args[2].shape[0])
+        calls.append(args[1].shape[0])
         return stack(*args, **kwargs)
 
     monkeypatch.setattr(fredholm, "solve_transport_stack", counting)
@@ -223,6 +223,39 @@ def test_each_entry_point_builds_one_plan(monkeypatch):
         assert len(built) == 1, name
 
 
+# the field-level entry points that take a plan, as (spec, f, plan) ->
+# array
+FIELD_LEVEL = {
+    "apply_k": lambda spec, f, plan: cf.apply_k(spec, f, plan).values,
+    "solve_transport": lambda spec, f, plan: cf.solve_transport(
+        spec, f, plan).values,
+    "apply_coupling": lambda spec, f, plan: cf.apply_coupling(
+        spec, f, plan).values,
+    "assemble_dense": lambda spec, f, plan: cf.assemble_dense(
+        spec, f.grid, plan),
+}
+
+
+@pytest.mark.parametrize("name", FIELD_LEVEL)
+def test_field_level_calls_refuse_a_foreign_plan(name):
+    # a plan is taken only for the spec object and the grid it was built
+    # for; the foreign plans below once gave fields off by 21% to 86%
+    call = FIELD_LEVEL[name]
+    spec = coupled_spec()
+    grid = cf.Grid(nx=4, ny=4, nt=4)
+    f = cf.sample(EXPRS, grid)
+    np.testing.assert_array_equal(
+        call(spec, f, cf.TransportPlan.build(spec, grid)),
+        call(spec, f, None))
+    wide = cf.Grid(nx=4, ny=4, nt=4, period_y=2.0)
+    foreign = [cf.TransportPlan.build(replace(spec, period_y=2.0), wide),
+               cf.TransportPlan.build(replace(spec, a1=2.0 * spec.a1), grid),
+               cf.TransportPlan.build(replace(spec), grid)]
+    for plan in foreign:
+        with pytest.raises(ValueError, match="another spec or grid"):
+            call(spec, f, plan)
+
+
 def test_discrete_agrees_with_neumann():
     spec = coupled_spec()
     grid = cf.Grid(nx=8, ny=8, nt=8)
@@ -241,7 +274,7 @@ def forbid_quadratic_steps(monkeypatch):
     def no_section(*args, **kwargs):
         raise AssertionError("O(n^2) step run")
 
-    for name in ("assemble_dense", "_impulse_images", "kernel_dimension"):
+    for name in ("assemble_dense", "_impulse_batches", "kernel_dimension"):
         monkeypatch.setattr(fredholm, name, no_section)
     monkeypatch.setattr(fredholm._Reduction, "section", no_section)
 
@@ -314,12 +347,34 @@ def recording_dense_solves(monkeypatch):
     return factored, lu_solves, gelsy_calls
 
 
+def recording_factors(monkeypatch):
+    """Each section of I + S that _Reduction.section returns and the LU
+    factors scipy makes, one entry per call."""
+    sections, factors = [], []
+    section, lu_factor = fredholm._Reduction.section, scipy.linalg.lu_factor
+
+    def recorded_section(self, with_map=False):
+        mat = section(self, with_map)
+        sections.append(mat[0] if with_map else mat)
+        return mat
+
+    def recorded_lu_factor(a, *args, **kwargs):
+        factors.append(lu_factor(a, *args, **kwargs))
+        return factors[-1]
+
+    monkeypatch.setattr(fredholm._Reduction, "section", recorded_section)
+    monkeypatch.setattr(scipy.linalg, "lu_factor", recorded_lu_factor)
+    return sections, factors
+
+
 def gelsy_solver(section, r):
     return scipy.linalg.lstsq(section, r, lapack_driver="gelsy")[0]
 
 
 def lu_solver(section, r):
-    return scipy.linalg.lu_solve(scipy.linalg.lu_factor(section), r)
+    # the program's factorisation: the transpose, solved with trans=1
+    return scipy.linalg.lu_solve(scipy.linalg.lu_factor(section.T), r,
+                                 trans=1)
 
 
 def reduced_direct(spec, f, solver):
@@ -495,8 +550,7 @@ def test_structural_norm_equals_the_dense_row_sums(make_spec, nx, nyt):
     plan = cf.TransportPlan.build(spec, grid)
     size = spec.n * grid.node_count
     k = cf.assemble_dense(spec, grid, plan) - np.eye(size)
-    a = list(itertools.islice(
-        fredholm._section_power_norms(spec, grid, plan), 3))
+    a = list(itertools.islice(fredholm._section_power_norms(plan), 3))
     # a_1 equals ||K||_inf up to rounding, on either side; a_2 and a_3
     # bound ||K^p||_inf, which they reach on transversal_spec
     assert a[0] == pytest.approx(np.abs(k).sum(1).max(), rel=1e-12)
@@ -513,7 +567,7 @@ def test_power_norms_stop_after_an_overflow():
     spec = scaled_coupled_spec(1e200)
     grid = cf.Grid(nx=4, ny=4, nt=4)
     plan = cf.TransportPlan.build(spec, grid)
-    a = list(fredholm._section_power_norms(spec, grid, plan))
+    a = list(fredholm._section_power_norms(plan))
     assert len(a) == 2 and math.isfinite(a[0]) and a[1] == math.inf
 
 
@@ -673,7 +727,7 @@ def test_reduction_pivots_on_the_smallest_group(make_spec):
     spec = make_spec()
     grid = cf.Grid(nx=4, ny=4, nt=4)
     plan = cf.TransportPlan.build(spec, grid)
-    red = fredholm._Reduction.build(spec, grid, plan)
+    red = fredholm._Reduction.build(plan)
     pivot = red.order[2]
     assert pivot == (1 if spec.n == 4 else 0)
     reads = dict(spec.coupling_pattern())
@@ -729,8 +783,7 @@ def test_neumann_steps_are_one_group_blocks(monkeypatch):
         held = np.zeros_like(f.values)
         held[h] = f.values[h]
         whole = cf.apply_k(spec, cf.GridFunction(grid, held), plan)
-        block = fredholm._group_block(spec, grid, plan, g, h,
-                                      f.values[None, h:h + 1])
+        block = fredholm._group_block(plan, g, h, f.values[None, h:h + 1])
         np.testing.assert_array_equal(block[0], whole.values[g:g + 1])
 
 
@@ -804,14 +857,18 @@ def test_counted_stall_factors_the_section_once(tmp_path, monkeypatch):
     f = cf.sample(cfg.rhs, cfg.grid)
     counts = counting_gmres(monkeypatch)
     factored, lu_solves, gelsy_calls = recording_dense_solves(monkeypatch)
+    sections, factors = recording_factors(monkeypatch)
     out = cf.solve_discrete(cfg.spec, f)
     assert counts == [(33, True), (132, False)] and out.iterations == 165
     assert f"{out.stalled_residual:.3e}" == "1.411e-13"
     assert out.kernel_dimension_estimate == 0
-    # two steps, the second a refinement that brings the full relative
-    # residual to GMRES_RTOL, where gelsy above took three and dropped one
+    # one factorisation, made in place in the assembled section; as with
+    # gelsy above, three steps are kept and a fourth is dropped for not
+    # lowering the residual
     assert factored == [(80, 80)] and gelsy_calls == []
-    assert out.refinements == 1 and len(lu_solves) == 2
+    assert len(sections) == len(factors) == 1
+    assert np.shares_memory(factors[0][0], sections[0])
+    assert out.refinements == 2 and len(lu_solves) == 4
     np.testing.assert_array_equal(out.w.values,
                                   reduced_direct(cfg.spec, f, lu_solver))
     expect = gelsy(cfg.spec, f)
@@ -829,13 +886,16 @@ def test_gmres_that_never_converges_falls_back_to_the_dense_section(
     f = cf.sample(cfg.rhs, cfg.grid)
     counts = counting_gmres(monkeypatch)
     factored, _, gelsy_calls = recording_dense_solves(monkeypatch)
+    sections, factors = recording_factors(monkeypatch)
     out = cf.solve_discrete(cfg.spec, f)
     assert counts == [(GMRES_MAX_ITER, False)]
     assert out.iterations == GMRES_MAX_ITER
     assert out.stalled_residual == 1.0
     assert out.kernel_dimension_estimate == 0
-    # LU on the 125-row section of I + S, factored once
+    # LU on the 125-row section of I + S, factored once and in place
     assert factored == [(125, 125)] and gelsy_calls == []
+    assert len(sections) == len(factors) == 1
+    assert np.shares_memory(factors[0][0], sections[0])
     assert out.residual_sup <= 2.2e-11 * cf.sup_norm(f)
     np.testing.assert_array_equal(out.w.values,
                                   reduced_direct(cfg.spec, f, lu_solver))

@@ -121,9 +121,10 @@ def test_closed_form_transport_matches_pointwise_reference(problem, rhs):
 def test_stacked_solve_equals_single_solves(problem):
     spec, grid, rng = problem
     stack = random_stack(grid, rng, 3)
-    batched = solve_transport_stack(spec, grid, stack)
+    plan = TransportPlan.build(spec, grid)
+    batched = solve_transport_stack(plan, stack)
     for col in range(stack.shape[0]):
-        single = solve_transport_stack(spec, grid, stack[col:col + 1])
+        single = solve_transport_stack(plan, stack[col:col + 1])
         np.testing.assert_allclose(batched[col], single[0], rtol=0,
                                    atol=1e-14 * np.abs(single).max())
 
@@ -133,7 +134,8 @@ def test_stacked_solve_equals_single_solves(problem):
 def test_transport_is_linear(problem, a, b):
     spec, grid, rng = problem
     f, g = random_stack(grid, rng, 2)
-    tf, tg, tfg = (solve_transport_stack(spec, grid, v[None])[0]
+    plan = TransportPlan.build(spec, grid)
+    tf, tg, tfg = (solve_transport_stack(plan, v[None])[0]
                    for v in (f, g, a * f + b * g))
     scale = abs(a) * np.abs(tf).max() + abs(b) * np.abs(tg).max()
     np.testing.assert_allclose(tfg, a * tf + b * tg, rtol=0,
@@ -152,8 +154,8 @@ def test_spectral_rows_match_the_walk(problem, batch):
     spec, grid, rng = problem
     walk = replace(spec, gamma=tuple(unfolded(g) for g in spec.gamma))
     stack = random_stack(grid, rng, batch)
-    expect = solve_transport_stack(walk, grid, stack)
-    got = solve_transport_stack(spec, grid, stack)
+    expect = solve_transport_stack(TransportPlan.build(walk, grid), stack)
+    got = solve_transport_stack(TransportPlan.build(spec, grid), stack)
     np.testing.assert_allclose(got, expect, rtol=0,
                                atol=1e-13 * np.abs(expect).max())
 
@@ -165,14 +167,15 @@ def test_constant_expression_gammas_take_the_spectral_path(problem, batch):
     stack = random_stack(grid, rng, batch)
     with mock.patch.object(characteristics, "_integrate_grid_row",
                            side_effect=AssertionError("walked")):
-        got = solve_transport_stack(spec, grid, stack)
+        got = solve_transport_stack(TransportPlan.build(spec, grid),
+                                    stack)
     # the same as the literal each gamma folds to, bit for bit
     literal = replace(spec, gamma=tuple(Num(constant_value(g))
                                         for g in spec.gamma))
-    np.testing.assert_array_equal(got,
-                                  solve_transport_stack(literal, grid, stack))
+    np.testing.assert_array_equal(got, solve_transport_stack(
+        TransportPlan.build(literal, grid), stack))
     walk = replace(spec, gamma=tuple(unfolded(g) for g in spec.gamma))
-    expect = solve_transport_stack(walk, grid, stack)
+    expect = solve_transport_stack(TransportPlan.build(walk, grid), stack)
     np.testing.assert_allclose(got, expect, rtol=0,
                                atol=1e-13 * np.abs(expect).max())
 
@@ -183,7 +186,7 @@ def test_transport_leaves_its_input_unmodified(problem, batch):
     spec, grid, rng = problem
     stack = random_stack(grid, rng, batch)
     before = stack.copy()
-    solve_transport_stack(spec, grid, stack)
+    solve_transport_stack(TransportPlan.build(spec, grid), stack)
     np.testing.assert_array_equal(stack, before)
 
 
@@ -197,15 +200,16 @@ def test_row_integrals_of_a_nonnegative_field_keep_the_row_sign(
     shape = (batch, 3, grid.nx + 1, grid.ny, grid.nt)
     stack = np.ones(shape) if ones else rng.random(shape)
     plan = TransportPlan.build(spec, grid)
-    w = _row_integrals(grid, stack, plan)
+    w = _row_integrals(plan, stack)
     for i, (forward, *_) in enumerate(plan.rows):
         row = w[:, i] if forward else -w[:, i]
         assert row.min() >= -1e-14 * np.abs(row).max()
 
 
-def integrated_rows(grid, stack, plan, rhs_exprs=None):
+def integrated_rows(plan, stack, rhs_exprs=None):
     """_row_integrals with every row run through its kernel, zero or not."""
     assert rhs_exprs is None
+    grid = plan.grid
     w = np.zeros_like(stack)
     for i, (forward, beta, alpha, gam, _, mult) in enumerate(plan.rows):
         if mult is not None:
@@ -238,8 +242,8 @@ def test_zero_rows_skip_their_kernel_bit_for_bit(problem, batch, rows):
         elif kind == "mixed":
             stack[:, i] = np.copysign(0.0, stack[:, i])
     plan = TransportPlan.build(spec, grid)
-    assert_same_bits(_row_integrals(grid, stack, plan),
-                     integrated_rows(grid, stack, plan))
+    assert_same_bits(_row_integrals(plan, stack),
+                     integrated_rows(plan, stack))
 
 
 # 100 nodes per component: a batch of 40 holds data in one or two
