@@ -55,7 +55,9 @@ class TransportPlan:
     meaning inflow at x = 0, c = constant_value(gamma) (None when gamma
     reads x, y or t) and, for a constant c, multipliers the (H, E) pair
     of _spectral_multipliers. Build one per solve and pass it down; the
-    spec's periods must equal the grid's.
+    spec's periods must equal the grid's, and a nonzero b entry outside
+    the cyclic pattern is refused, since the one-group blocks of K
+    multiply only the entries that the pattern admits.
     """
 
     spec: SystemSpec = field(repr=False)
@@ -92,10 +94,15 @@ class TransportPlan:
             if np.abs(a @ adj - det * np.eye(a.shape[0])).max() > 1e-12 * scale:
                 raise SingularBlockError(f"adjugate identity failed for {name}")
             blocks.append((sl, adj, det))
+        entries = [(i, j) for i in range(spec.n) for j in range(spec.n)
+                   if not is_literal_zero(spec.b[i][j])]
+        for i, j in entries:
+            if not spec.cell_allowed(i, j):
+                raise ValueError(f"b[{i + 1}][{j + 1}] lies outside the "
+                                 f"{spec.orientation} coupling pattern")
         coupling = tuple((i, j, evaluate_at_nodes(spec.b[i][j], grid,
                                                   f"b[{i + 1}][{j + 1}]"))
-                         for i in range(spec.n) for j in range(spec.n)
-                         if not is_literal_zero(spec.b[i][j]))
+                         for i, j in entries)
         rows = []
         for i, gam in enumerate(spec.gamma):
             line = (i < spec.k, float(spec.beta[i]), float(spec.alpha[i]))

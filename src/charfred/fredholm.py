@@ -146,18 +146,20 @@ def _transport_at_points(plan, inner, X, Y, T, glx, glw, S, rows):
     """Requested components of (C^{-1} h) at scattered points.
 
     inner(X, Y, T, rows) returns the needed components of h as a dict.
-    Only the blocks containing requested rows are integrated, which keeps
-    the nested chain linear in the coupling width. A variable gamma is
-    read once per panel node, where h is read, and its line integral
-    from X to each node comes from those samples through the
-    integration matrix S (_gl_integration_matrix).
+    Only the blocks containing requested rows are integrated, each row by
+    row and then through its adjugate in the same pass, which keeps the
+    nested chain linear in the coupling width. A variable gamma is read
+    once per panel node, where h is read, and its line integral from X
+    to each node comes from those samples through the integration matrix
+    S (_gl_integration_matrix).
     """
     wanted = set(rows)
-    w = {}
-    for sl, _, _ in plan.blocks:
+    u = {}
+    for sl, adj, det in plan.blocks:
         block = range(sl.start, sl.stop)
         if not wanted.intersection(block):
             continue
+        w = []
         for i in block:
             forward, beta, alpha, gam, c, _ = plan.rows[i]
             x0 = 0.0 if forward else 1.0
@@ -173,14 +175,8 @@ def _transport_at_points(plan, inner, X, Y, T, glx, glw, S, rows):
             else:
                 ew = wts * np.exp(_gamma_integrals(gam, x0, X, xi, Yl, Tl,
                                                    glw, S))
-            w[i] = np.einsum("q...,q...->...", ew, hv)
-    u = {}
-    for sl, adj, det in plan.blocks:
-        block = range(sl.start, sl.stop)
-        if not wanted.intersection(block):
-            continue
-        wb = np.stack([w[i] for i in block])
-        ub = np.einsum("ij,j...->i...", adj, wb) / det
+            w.append(np.einsum("q...,q...->...", ew, hv))
+        ub = np.einsum("ij,j...->i...", adj, np.stack(w)) / det
         for pos, i in enumerate(block):
             if i in wanted:
                 u[i] = ub[pos]
@@ -288,10 +284,11 @@ def _group_block(plan: TransportPlan, g: int, h: int,
     held is the (B, |h|, nx+1, ny, nt) stack of group h's rows, and the
     result the (B, |g|, nx+1, ny, nt) stack of group g's. The transport
     runs on a stack whose other rows are zero, which _row_integrals does
-    not integrate, and only the plan.coupling entries from group h into
-    group g are multiplied. The cyclic pattern admits no other entry into
-    group g, so the result is apply_k's group-g rows bit for bit, at one
-    group's transport and one group's coupling.
+    not integrate, and only the plan.coupling entries into group g are
+    multiplied. The plan refuses any entry outside the cyclic pattern, so
+    each of them reads the one group h that g reads, and the result is
+    apply_k's group-g rows bit for bit, at one group's transport and one
+    group's coupling.
     """
     rows, cols = plan.spec.blocks()[g][0], plan.spec.blocks()[h][0]
     batch, space = held.shape[0], held.shape[2:]
@@ -300,34 +297,114 @@ def _group_block(plan: TransportPlan, g: int, h: int,
     u = solve_transport_stack(plan, stack)
     out = np.zeros((batch, rows.stop - rows.start) + space)
     for i, j, vals in plan.coupling:
-        if rows.start <= i < rows.stop and cols.start <= j < cols.stop:
+        if rows.start <= i < rows.stop:
             out[:, i - rows.start] += vals * u[:, j]
     return out
 
 
-def _cycle(spec: SystemSpec, first: int) -> list:
-    """The three row groups from first on, each followed by the group
-    that reads it: the order of a Gauss-Seidel sweep."""
-    reader = {h: g for g, h in spec.coupling_pattern()}
-    order = [first]
-    while len(order) < 3:
-        order.append(reader[order[-1]])
-    return order
+def _sweep_order(spec: SystemSpec, pivot: int) -> tuple:
+    """The row groups of a sweep that ends at pivot p, (reads[reads[p]],
+    reads[p], p) with reads[g] the group g reads: each group reads the
+    one before it, and the first reads p."""
+    reads = dict(spec.coupling_pattern())
+    return (reads[reads[pivot]], reads[pivot], pivot)
 
 
-def _sweep(plan: TransportPlan, order, f, w: np.ndarray) -> None:
-    """w_g <- f_g - K_{g<-h} w_h for each group g of order in turn, h the
-    group g reads, in place on the (B, n, nx+1, ny, nt) stack w. f is a
-    stack that broadcasts against w, or None for f = 0."""
-    groups = [sl for sl, _ in plan.spec.blocks()]
-    reads = dict(plan.spec.coupling_pattern())
-    for g in order:
-        h = reads[g]
-        kw = _group_block(plan, g, h, w[:, groups[h]])
-        if f is None:
-            np.negative(kw, out=w[:, groups[g]])
-        else:
-            np.subtract(f[:, groups[g]], kw, out=w[:, groups[g]])
+@dataclass(frozen=True)
+class _Reduction:
+    """(I + K) w = f eliminated onto one row group, the pivot p, by the
+    block Gauss-Seidel sweep that both solvers run.
+
+    K is block 3-cyclic. With order = (b, c, p) (_sweep_order), b reads p,
+    c reads b and p reads c, and a sweep w_b <- f_b - K_bp w_p,
+    w_c <- f_c - K_cb w_b, w_p <- f_p - K_pc w_c (sweep) leaves
+    (I + S) w_p = r, where S = K_pc K_cb K_bp is the group-p block of K^3
+    and r the group-p result of a sweep from w_p = 0. I + S is singular
+    exactly when I + K is, with the same kernel dimension. Every product
+    runs through the one-group block K_{g<-h}, and S costs about one
+    apply_k. solve_neumann pivots on the feeding group, so its sweeps
+    start at group 1; solve_discrete pivots on the smallest group
+    (build).
+    """
+
+    plan: TransportPlan
+    order: tuple  # (b, c, p)
+
+    @classmethod
+    def build(cls, plan: TransportPlan) -> "_Reduction":
+        """Pivot on the smallest group, on a tie the lowest-numbered."""
+        sizes = [sl.stop - sl.start for sl, _ in plan.spec.blocks()]
+        return cls(plan, _sweep_order(plan.spec, sizes.index(min(sizes))))
+
+    @property
+    def rows(self) -> slice:
+        return self.plan.spec.blocks()[self.order[2]][0]
+
+    def sweep(self, w: np.ndarray, f, steps) -> None:
+        """w_g <- f_g - K_{g<-h} w_h for g = order[k], k in steps in turn,
+        and h = order[k - 1] the group g reads, in place on the
+        (B, n, nx+1, ny, nt) stack w. f is a stack that broadcasts
+        against w, or None for f = 0."""
+        groups = [sl for sl, _ in self.plan.spec.blocks()]
+        for k in steps:
+            g, h = self.order[k], self.order[k - 1]
+            kw = _group_block(self.plan, g, h, w[:, groups[h]])
+            if f is None:
+                np.negative(kw, out=w[:, groups[g]])
+            else:
+                np.subtract(f[:, groups[g]], kw, out=w[:, groups[g]])
+
+    def _swept(self, v: np.ndarray, f, steps) -> np.ndarray:
+        """The (B, n, nx+1, ny, nt) stack that holds the (B, size) flat
+        group-p parts v in group p and zeros elsewhere, swept over steps."""
+        g = self.plan.grid
+        w = np.zeros((len(v), self.plan.spec.n, g.nx + 1, g.ny, g.nt))
+        w[:, self.rows] = v.reshape(w[:, self.rows].shape)
+        self.sweep(w, f, steps)
+        return w
+
+    def rhs(self, f: np.ndarray) -> np.ndarray:
+        """r of (I + S) w_p = r, flat, for the (n, nx+1, ny, nt) array f;
+        the sweep's first step reads w_p = 0 and gives w_b = f_b."""
+        b = self.plan.spec.blocks()[self.order[0]][0]
+        w = np.zeros((1,) + f.shape)
+        w[0, b] = f[b]
+        self.sweep(w, f[None], range(1, 3))
+        return w[0, self.rows].reshape(-1)
+
+    def expand(self, f: np.ndarray, w_p: np.ndarray) -> np.ndarray:
+        """The whole w, (n, nx+1, ny, nt), from its flat group-p part."""
+        return self._swept(w_p[None], f[None], range(2))[0]
+
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        """v + S v for each flat group-p row of the (B, size) array v; a
+        sweep from w_p = v with f = 0 leaves -S v in group p."""
+        w = self._swept(v, None, range(3))
+        return v - w[:, self.rows].reshape(v.shape)
+
+    def section(self, with_map: bool = False):
+        """Dense I + S in the node basis of group p (N/3 rows with three
+        equal groups), built ASSEMBLY_BATCH impulse columns at a time.
+
+        with_map=True also returns the other groups' rows of E, the map
+        from w_p to the w it back-substitutes to, which the kernel count
+        needs; they come from the same sweeps, whose other rows are the
+        back-substituted groups, and hold twice as many rows as I + S
+        with three equal groups.
+        """
+        rows, n, nodes = self.rows, self.plan.spec.n, self.plan.grid.node_count
+        size = (rows.stop - rows.start) * nodes
+        mat = np.empty((size, size))
+        if with_map:
+            others = np.empty((n * nodes - size, size))
+            keep = np.ones(n, dtype=bool)
+            keep[rows] = False
+        for cols, impulses in _impulse_batches(size):
+            w = self._swept(impulses, None, range(3))
+            mat[:, cols] = (impulses - w[:, rows].reshape(impulses.shape)).T
+            if with_map:
+                others[:, cols] = w[:, keep].reshape(len(impulses), -1).T
+        return (mat, others) if with_map else mat
 
 
 def solve_neumann(spec: SystemSpec, f: GridFunction, tol: float = 1e-10,
@@ -335,15 +412,15 @@ def solve_neumann(spec: SystemSpec, f: GridFunction, tol: float = 1e-10,
     """Block Gauss-Seidel sweeps over the row groups, then one transport
     solve.
 
-    K is block 3-cyclic: each row group reads one other group. Starting
-    from w = f, a sweep updates group 1, then the group that reads group
-    1, then the last one (1, 2, 3 forward, 1, 3, 2 mirrored), each by
-    w_g <- f_g - (K w_h)_g, h the group g reads: the one-group block
-    K_{g<-h} (_group_block), one group's transport. The last two updates
-    solve their groups exactly from the new group 1, so a sweep is one
-    Neumann step on the group-1 system (I + S) w_1 = f_1 - K_13 f_3 +
-    K_13 K_32 f_2 (forward numbering) that eliminating them gives,
-    S = K_13 K_32 K_21 the group-1 block of K^3. The updates shrink at
+    K is block 3-cyclic: each row group reads one other group. The
+    sweeps are those of the _Reduction pivoted on the feeding group p,
+    the group that group 1 reads. Starting from w = f, a sweep updates
+    group 1, then the group that reads group 1, then p (1, 2, 3 forward,
+    1, 3, 2 mirrored), each by w_g <- f_g - (K w_h)_g, h the group g
+    reads: the one-group block K_{g<-h} (_group_block), one group's
+    transport. The first two updates follow exactly from the last w_p,
+    so a sweep is one Neumann step w_p <- r - S w_p on the reduced system
+    (I + S) w_p = r, S the group-p block of K^3. The updates shrink at
     rho(K)^3 per sweep (Varga, Matrix Iterative Analysis, 1962, ch. 4);
     iterations counts sweeps.
 
@@ -354,7 +431,7 @@ def solve_neumann(spec: SystemSpec, f: GridFunction, tol: float = 1e-10,
     """
     plan = TransportPlan.build(spec, f.grid)
     target = tol * sup_norm(f)
-    order = _cycle(spec, 0)
+    red = _Reduction(plan, _sweep_order(spec, spec.feeding_group()))
     w = f.values[None].copy()
     iterations = 0
     smallest = float("inf")
@@ -363,7 +440,7 @@ def solve_neumann(spec: SystemSpec, f: GridFunction, tol: float = 1e-10,
         before = w.copy()
         # an overflow surfaces as a non-finite update, not as a warning
         with np.errstate(over="ignore", invalid="ignore"):
-            _sweep(plan, order, f.values[None], w)
+            red.sweep(w, f.values[None], range(3))
             diff = float(np.max(np.abs(w - before)))
         if not math.isfinite(diff):
             raise NonConvergence(iterations, float("inf"), diverged=True)
@@ -422,90 +499,6 @@ def assemble_dense(spec: SystemSpec, grid: Grid,
             plan, impulses.reshape(shape))).reshape(impulses.shape).T
     mat[np.diag_indices(size)] += 1.0
     return mat
-
-
-@dataclass(frozen=True)
-class _Reduction:
-    """(I + K) w = f eliminated onto one row group, the pivot p.
-
-    K is block 3-cyclic. With b the group that reads p and c the group
-    that reads b, a sweep w_b <- f_b - K_bp w_p, w_c <- f_c - K_cb w_b,
-    w_p <- f_p - K_pc w_c (_sweep) leaves (I + S) w_p = r, where
-    S = K_pc K_cb K_bp is the group-p block of K^3 and r the group-p
-    result of a sweep from w_p = 0. I + S is singular exactly when I + K
-    is, with the same kernel dimension. Every product runs through the
-    one-group block K_{g<-h}, and S costs about one apply_k.
-    """
-
-    plan: TransportPlan
-    order: tuple  # (b, c, p)
-
-    @classmethod
-    def build(cls, plan: TransportPlan) -> "_Reduction":
-        """Pivot on the smallest group, on a tie the lowest-numbered."""
-        sizes = [sl.stop - sl.start for sl, _ in plan.spec.blocks()]
-        pivot = sizes.index(min(sizes))
-        return cls(plan, tuple(_cycle(plan.spec, pivot)[1:]) + (pivot,))
-
-    @property
-    def rows(self) -> slice:
-        return self.plan.spec.blocks()[self.order[2]][0]
-
-    def _stack(self, batch: int) -> np.ndarray:
-        g = self.plan.grid
-        return np.zeros((batch, self.plan.spec.n, g.nx + 1, g.ny, g.nt))
-
-    def rhs(self, f: np.ndarray) -> np.ndarray:
-        """r of (I + S) w_p = r, flat, for the (n, nx+1, ny, nt) array f;
-        the sweep's first step reads w_p = 0 and gives w_b = f_b."""
-        b = self.plan.spec.blocks()[self.order[0]][0]
-        w = self._stack(1)
-        w[0, b] = f[b]
-        _sweep(self.plan, self.order[1:], f[None], w)
-        return w[0, self.rows].reshape(-1)
-
-    def expand(self, f: np.ndarray, w_p: np.ndarray) -> np.ndarray:
-        """The whole w, (n, nx+1, ny, nt), from its flat group-p part."""
-        w = self._stack(1)
-        w[0, self.rows] = w_p.reshape(w[0, self.rows].shape)
-        _sweep(self.plan, self.order[:2], f[None], w)
-        return w[0]
-
-    def _images(self, v: np.ndarray) -> np.ndarray:
-        """The (B, n, nx+1, ny, nt) stack swept from w_p = v, f = 0, for
-        the (B, size) array v of flat group-p parts: its group-p rows are
-        -S v and its other rows the back-substituted groups of v."""
-        w = self._stack(v.shape[0])
-        w[:, self.rows] = v.reshape(w[:, self.rows].shape)
-        _sweep(self.plan, self.order, None, w)
-        return w
-
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        """v + S v for each flat group-p row of the (B, size) array v."""
-        return v - self._images(v)[:, self.rows].reshape(v.shape)
-
-    def section(self, with_map: bool = False):
-        """Dense I + S in the node basis of group p (N/3 rows with three
-        equal groups), built ASSEMBLY_BATCH impulse columns at a time.
-
-        with_map=True also returns the other groups' rows of E, the map
-        from w_p to the w it back-substitutes to, which the kernel count
-        needs; they come from the same sweeps and hold twice as many
-        rows as I + S with three equal groups.
-        """
-        rows, n, nodes = self.rows, self.plan.spec.n, self.plan.grid.node_count
-        size = (rows.stop - rows.start) * nodes
-        mat = np.empty((size, size))
-        if with_map:
-            others = np.empty((n * nodes - size, size))
-            keep = np.ones(n, dtype=bool)
-            keep[rows] = False
-        for cols, impulses in _impulse_batches(size):
-            w = self._images(impulses)
-            mat[:, cols] = (impulses - w[:, rows].reshape(impulses.shape)).T
-            if with_map:
-                others[:, cols] = w[:, keep].reshape(len(impulses), -1).T
-        return (mat, others) if with_map else mat
 
 
 def _reduced_kernel_dimension(mat: np.ndarray, others: np.ndarray) -> int:

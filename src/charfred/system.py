@@ -11,6 +11,10 @@ over the groups, in one of two orientations:
     mirrored: rows of group 1 read group 2, group 2 reads group 3,
               group 3 reads group 1
 
+coupling_pattern() is the one table of these pairs: feeding_group() and
+every sweep order of the solvers are read from it, and a transport plan
+refuses a nonzero b entry outside it.
+
 Rows 1..k carry zero data on x = 0, rows k+1..n on x = 1.
 """
 from __future__ import annotations
@@ -88,7 +92,7 @@ class SystemSpec:
 
     def feeding_group(self) -> int:
         """Group whose content the coupling reads into group 1 rows."""
-        return 1 if self.orientation == MIRRORED else 2
+        return dict(self.coupling_pattern())[0]
 
     def row_is_uncoupled(self, i: int) -> bool:
         return all(is_literal_zero(e) for e in self.b[i])

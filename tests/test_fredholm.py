@@ -719,8 +719,9 @@ def test_reduced_solve_matches_gelsy(make_spec, nx, nyt):
         1e-10 * np.abs(expect).max()
 
 
-@pytest.mark.parametrize("make_spec", (block_coupled_spec, mirrored_spec))
-def test_reduction_pivots_on_the_smallest_group(make_spec):
+@pytest.mark.parametrize("make_spec",
+                         (block_coupled_spec, mirrored_spec, coupled_spec))
+def test_reduction_pivots_on_the_smallest_group(monkeypatch, make_spec):
     # block_coupled_spec has groups of 2, 1 and 1 rows: the pivot is
     # group 2, the lowest-numbered of the smallest; GMRES then runs on
     # one row's nodes
@@ -730,10 +731,25 @@ def test_reduction_pivots_on_the_smallest_group(make_spec):
     red = fredholm._Reduction.build(plan)
     pivot = red.order[2]
     assert pivot == (1 if spec.n == 4 else 0)
+    # the Neumann sweeps start at group 1 and end at the group it reads
+    swept = set()
+    sweep = fredholm._Reduction.sweep
+
+    def recorded(self, *args):
+        swept.add(self.order)
+        return sweep(self, *args)
+
+    monkeypatch.setattr(fredholm._Reduction, "sweep", recorded)
+    rng = np.random.default_rng(3)
+    cf.solve_neumann(spec, cf.GridFunction(grid, rng.standard_normal(
+        (spec.n, grid.nx + 1, grid.ny, grid.nt))))
+    monkeypatch.undo()
+    assert swept == {(0, 2, 1) if spec.orientation == cf.MIRRORED
+                     else (0, 1, 2)}
     reads = dict(spec.coupling_pattern())
-    # the sweep runs b, c, p: b reads p, c reads b and p reads c
-    b, c, p = red.order
-    assert reads[b] == p and reads[c] == b and reads[p] == c
+    # each sweep runs b, c, p: b reads p, c reads b and p reads c
+    for b, c, p in (red.order, swept.pop()):
+        assert reads[b] == p and reads[c] == b and reads[p] == c
     # (I + S) applied to v matches I + K eliminated through the dense
     # full section: for w = E v, (I + K) w is (I + S) v on group p, 0
     # elsewhere
@@ -748,6 +764,25 @@ def test_reduction_pivots_on_the_smallest_group(make_spec):
     others = np.ones(spec.n, dtype=bool)
     others[red.rows] = False
     assert np.abs(image[others]).max() <= 1e-13
+
+
+@pytest.mark.parametrize("solve", (cf.solve_neumann, cf.solve_discrete,
+                                   cf.apply_k))
+@pytest.mark.parametrize("make_spec", (coupled_spec, mirrored_spec))
+def test_couplings_outside_the_cycle_are_refused(make_spec, solve):
+    # group 1 may read only the feeding group; an entry from the third
+    # group once left the Neumann sweeps at a residual of 0.2, with no
+    # error, and GMRES's refinement absorbed it
+    spec = make_spec()
+    b = [list(row) for row in spec.b]
+    j = 3 - spec.feeding_group()
+    b[0][j] = cf.parse("0.2")
+    spec = replace(spec, b=tuple(map(tuple, b)))
+    f = cf.sample(EXPRS, cf.Grid(nx=4, ny=4, nt=4))
+    message = (f"b[1][{j + 1}] lies outside the {spec.orientation} "
+               f"coupling pattern")
+    with pytest.raises(ValueError, match=re.escape(message)):
+        solve(spec, f)
 
 
 def test_discrete_zero_rhs_gives_zero(monkeypatch):
