@@ -32,7 +32,7 @@ from .expressions import (Expression, constant_value, evaluate_on,
 from .gridfield import (Grid, GridFunction, evaluate_at_nodes,
                         interpolate_many, sup_norm)
 from .gridfield import _split_index  # shared node snapping
-from .system import DET_FLOOR, SystemSpec
+from .system import DET_FLOOR, FORWARD, MIRRORED, SystemSpec
 
 _DEFAULT_STEP_EPS = 1e-12
 
@@ -55,9 +55,11 @@ class TransportPlan:
     meaning inflow at x = 0, c = constant_value(gamma) (None when gamma
     reads x, y or t) and, for a constant c, multipliers the (H, E) pair
     of _spectral_multipliers. Build one per solve and pass it down; the
-    spec's periods must equal the grid's, and a nonzero b entry outside
-    the cyclic pattern is refused, since the one-group blocks of K
-    multiply only the entries that the pattern admits.
+    spec's periods must equal the grid's. An orientation other than
+    forward or mirrored, and a nonzero b entry outside the cyclic
+    pattern, are refused, since the one-group blocks of K multiply only
+    the entries that the pattern admits, and coupling_pattern() reads any
+    orientation but mirrored as forward.
     """
 
     spec: SystemSpec = field(repr=False)
@@ -94,6 +96,8 @@ class TransportPlan:
             if np.abs(a @ adj - det * np.eye(a.shape[0])).max() > 1e-12 * scale:
                 raise SingularBlockError(f"adjugate identity failed for {name}")
             blocks.append((sl, adj, det))
+        if spec.orientation not in (FORWARD, MIRRORED):
+            raise ValueError(f"unknown orientation {spec.orientation!r}")
         entries = [(i, j) for i in range(spec.n) for j in range(spec.n)
                    if not is_literal_zero(spec.b[i][j])]
         for i, j in entries:
@@ -275,27 +279,21 @@ def _integrate_grid_row(grid: Grid, beta: float, alpha: float,
 
 
 def _row_integrals(plan: TransportPlan, stack: np.ndarray,
-                   rhs_exprs=None) -> np.ndarray:
+                   rows: slice = slice(None), rhs_exprs=None) -> np.ndarray:
     """Each row's line integrals of its own component, before the blocks.
 
-    Row i of the result depends on row i of stack alone. Every weight of
+    stack holds the plan's rows `rows` (all of them by default), and so
+    do rhs_exprs, when given, and the result. Row i of the result depends
+    on row i of stack alone, and every row is integrated. Every weight of
     both row kernels (Simpson weights, exp factors, two-point blends, the
     midpoint refinement) is nonnegative and backward rows are negated as a
     whole, so for a nonnegative stack each row has the sign of its
     direction: >= 0 forward, <= 0 backward.
-
-    A row whose slice of stack is all zero (of either sign) is not
-    integrated: both kernels give +0.0 there, negated to -0.0 on backward
-    rows, and that is what the row is set to. So K applied to a field
-    held by one row group costs one group's transport.
     """
     grid = plan.grid
     w = np.zeros_like(stack)
-    for i, (forward, beta, alpha, gam, _, mult) in enumerate(plan.rows):
-        if rhs_exprs is None and not stack[:, i].any():
-            if not forward:
-                w[:, i] = -0.0
-        elif mult is not None and rhs_exprs is None:
+    for i, (forward, beta, alpha, gam, _, mult) in enumerate(plan.rows[rows]):
+        if mult is not None and rhs_exprs is None:
             _integrate_spectral_row(grid, forward, *mult, stack[:, i], w[:, i])
         else:
             _integrate_grid_row(grid, beta, alpha, gam, forward,
@@ -304,20 +302,33 @@ def _row_integrals(plan: TransportPlan, stack: np.ndarray,
     return w
 
 
-def _apply_blocks(plan: TransportPlan, w: np.ndarray) -> np.ndarray:
-    """u = A^{-1} w block by block, then the inflow faces zeroed; in place
-    on the (B, n, nx+1, ny, nt) stack w, which is returned."""
-    for sl, adj, det in plan.blocks:
-        w[:, sl] = np.einsum("ij,bj...->bi...", adj, w[:, sl]) / det
-    w[:, :plan.spec.k, 0] = 0.0
-    w[:, plan.spec.k:, plan.grid.nx] = 0.0
+def _apply_blocks(plan: TransportPlan, g: int, w: np.ndarray) -> np.ndarray:
+    """u = A_g^{-1} w, then group g's inflow face zeroed; in place on the
+    (B, |g|, nx+1, ny, nt) stack w of group g's rows, which is returned."""
+    sl, adj, det = plan.blocks[g]
+    w[...] = np.einsum("ij,bj...->bi...", adj, w) / det
+    w[:, :, 0 if sl.start < plan.spec.k else plan.grid.nx] = 0.0
     return w
+
+
+def solve_transport_group(plan: TransportPlan, g: int,
+                          held: np.ndarray) -> np.ndarray:
+    """The explicit inverse on row group g alone: the line integrals of
+    its rows, its one adjugate and its one inflow face.
+
+    held is the (B, |g|, nx+1, ny, nt) stack of group g's rows, and so is
+    the result. The transport inverse keeps each group on itself, so this
+    is the group-g part of solve_transport_stack bit for bit.
+    """
+    return _apply_blocks(plan, g, _row_integrals(plan, held, plan.blocks[g][0]))
 
 
 def solve_transport_stack(plan: TransportPlan, stack: np.ndarray,
                           rhs_exprs=None) -> np.ndarray:
     """Batched explicit inverse on the plan's grid; stack is
-    (B, n, nx+1, ny, nt).
+    (B, n, nx+1, ny, nt). Every row is integrated, then each group's
+    block step applied in place, as solve_transport_group does for one
+    group.
 
     With rhs_exprs given (closed forms of the single field in the batch),
     every row takes the half-cell walk and reads exact expression samples
@@ -325,7 +336,10 @@ def solve_transport_stack(plan: TransportPlan, stack: np.ndarray,
     """
     if rhs_exprs is not None and stack.shape[0] != 1:
         raise ValueError("closed-form right-hand sides need a batch of one")
-    return _apply_blocks(plan, _row_integrals(plan, stack, rhs_exprs))
+    w = _row_integrals(plan, stack, rhs_exprs=rhs_exprs)
+    for g, (sl, _, _) in enumerate(plan.blocks):
+        _apply_blocks(plan, g, w[:, sl])
+    return w
 
 
 def solve_transport(spec: SystemSpec, f: GridFunction,

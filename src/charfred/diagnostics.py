@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .characteristics import TransportPlan
-from .fredholm import apply_k
+from .fredholm import _group_block, _sweep_order
 from .gridfield import (Grid, GridFunction, shift_diff_norm, sup_norm,
                         text_target)
 from .system import EffectiveSlopes, SystemSpec, effective_slopes, nondegeneracy_value
@@ -127,6 +127,14 @@ def smoothing_profile(spec: SystemSpec, grid: Grid, powers=(0, 1, 2, 3),
     below 1e-12 report 0 there. The power-0 moduli are measured once per
     frequency, in the same pass as the powers, also when 0 is not among
     them (then only its rows are left out).
+
+    The probe lives in the feeding group p alone, and each K^m of it in
+    one row group too: K maps a field held by group h to one held by the
+    group that reads h. So K^m is walked by the one-group block
+    K_{g<-h} (_group_block), one group's transport each, along the sweep
+    order (b, c, p) that ends at p: K^m lies in group order[(m - 1) % 3].
+    Its moduli are those of the n-row field, whose other groups are
+    zero.
     """
     powers = sorted(set(int(p) for p in powers))
     if powers and powers[0] < 0:
@@ -141,6 +149,7 @@ def smoothing_profile(spec: SystemSpec, grid: Grid, powers=(0, 1, 2, 3),
         raise ValueError(f"omega = {too_fine[0]} leaves fewer than 4 nodes "
                          f"per wavelength on ny = {grid.ny}")
     plan = TransportPlan.build(spec, grid)
+    order = _sweep_order(spec, spec.feeding_group())
     rows = []
     for omega in frequencies:
         probe = oscillatory_probe(spec, grid, omega)
@@ -149,10 +158,12 @@ def smoothing_profile(spec: SystemSpec, grid: Grid, powers=(0, 1, 2, 3),
         hs += [float(fr) * grid.period_y for fr in shifts]
         hs = sorted(set(hs), reverse=True)
         # K^m f is measured as it is produced; only the latest stays alive
-        field = probe
+        field = GridFunction(grid, probe.values[spec.blocks()[order[2]][0]])
         for m in range(max(powers, default=0) + 1):
             if m:
-                field = apply_k(spec, field, plan)
+                dst, src = order[(m - 1) % 3], order[(m - 2) % 3]
+                field = GridFunction(grid, _group_block(
+                    plan, dst, src, field.values[None])[0])
                 if m not in powers:
                     continue
             moduli = [shift_diff_norm(field, h) / sup0 for h in hs]

@@ -20,7 +20,8 @@ import numpy as np
 
 from .characteristics import (TransportPlan, _apply_blocks, _row_integrals,
                               apply_coupling, apply_coupling_stack,
-                              solve_transport, solve_transport_stack)
+                              solve_transport, solve_transport_group,
+                              solve_transport_stack)
 from .expressions import evaluate_on
 from .gridfield import (Grid, GridDomainError, GridFunction, _require_finite,
                         interpolate_many, sup_norm, sum_sup_norm)
@@ -30,8 +31,9 @@ DISCRETE_UNKNOWN_CAP = 20_000
 KERNEL_SV_RTOL = 1e-8
 # an update norm this many times the smallest one so far means divergence
 DIVERGENCE_GROWTH = 1e6
-# restarted GMRES on I + K: relative residual target, Krylov vectors kept
-# between restarts, and the iterations spent before it counts as stalled
+# restarted GMRES on the one-group system I + S: relative residual target,
+# Krylov vectors kept between restarts, and the iterations spent before it
+# counts as stalled
 GMRES_RTOL = 1e-13
 GMRES_RESTART = 50
 GMRES_MAX_ITER = 200
@@ -282,23 +284,20 @@ def _group_block(plan: TransportPlan, g: int, h: int,
     h alone holds.
 
     held is the (B, |h|, nx+1, ny, nt) stack of group h's rows, and the
-    result the (B, |g|, nx+1, ny, nt) stack of group g's. The transport
-    runs on a stack whose other rows are zero, which _row_integrals does
-    not integrate, and only the plan.coupling entries into group g are
-    multiplied. The plan refuses any entry outside the cyclic pattern, so
-    each of them reads the one group h that g reads, and the result is
-    apply_k's group-g rows bit for bit, at one group's transport and one
-    group's coupling.
+    result the (B, |g|, nx+1, ny, nt) stack of group g's. held is
+    transported as it is (solve_transport_group: group h's row integrals,
+    its adjugate and its inflow face), and only the plan.coupling entries
+    into group g are multiplied. The plan refuses any entry outside the
+    cyclic pattern, so each of them reads the one group h that g reads,
+    and the result is apply_k's group-g rows bit for bit, at one group's
+    transport and one group's coupling.
     """
     rows, cols = plan.spec.blocks()[g][0], plan.spec.blocks()[h][0]
-    batch, space = held.shape[0], held.shape[2:]
-    stack = np.zeros((batch, plan.spec.n) + space)
-    stack[:, cols] = held
-    u = solve_transport_stack(plan, stack)
-    out = np.zeros((batch, rows.stop - rows.start) + space)
+    u = solve_transport_group(plan, h, held)
+    out = np.zeros((held.shape[0], rows.stop - rows.start) + held.shape[2:])
     for i, j, vals in plan.coupling:
         if rows.start <= i < rows.stop:
-            out[:, i - rows.start] += vals * u[:, j]
+            out[:, i - rows.start] += vals * u[:, j - cols.start]
     return out
 
 
@@ -533,17 +532,19 @@ def _section_power_norms(plan: TransportPlan):
     of K in row (i, node) and column (j, node') is the one product
     M_ij(node) R_j(node, node'). Each row of R has one sign, so for
     v >= 0, |R_j| v_j = |R_j v_j| and
-    (|K| v)_i = sum_j |M_ij| |R_j v_j|. The columns of M are the blocks
-    and face zeroing applied to the unit fields, then the coupling; |M|
-    is built once. a_1 is ||K||_inf exactly, and a_p >= ||K^p||_inf. The
-    generator stops after the first NaN or infinite a_p.
+    (|K| v)_i = sum_j |M_ij| |R_j v_j|. The columns of M are each group's
+    block and face zeroing applied to the unit fields, then the coupling;
+    |M| is built once. a_1 is ||K||_inf exactly, and
+    a_p >= ||K^p||_inf. The generator stops after the first NaN or
+    infinite a_p.
     """
     n, grid = plan.spec.n, plan.grid
     shape = (n, grid.nx + 1, grid.ny, grid.nt)
     unit = np.zeros((n,) + shape)
     unit[np.arange(n), np.arange(n)] = 1.0
-    m = apply_coupling_stack(plan, _apply_blocks(plan, unit))
-    np.abs(m, out=m)
+    for g, (sl, _, _) in enumerate(plan.blocks):
+        _apply_blocks(plan, g, unit[:, sl])
+    m = np.abs(apply_coupling_stack(plan, unit))
     v = np.ones((1,) + shape)
     a = 0.0
     while math.isfinite(a):

@@ -1,6 +1,8 @@
 """Shared spec builders for the test suite."""
 from __future__ import annotations
 
+from dataclasses import replace
+
 import charfred as cf
 
 ZERO = cf.parse("0")
@@ -35,6 +37,15 @@ def coupled_spec():
         gamma=(cf.parse("0.3"), ZERO, cf.parse("-0.2")),
         b=cyclic_b(cf.parse("0.4*cos(2*pi*y)"), cf.parse("0.3"),
                    cf.parse("0.2*sin(2*pi*t)")))
+
+
+def mirrored_spec():
+    """coupled_spec's couplings in the mirrored cycle: group 1 reads
+    group 2, group 2 reads group 3 and group 3 reads group 1."""
+    spec = coupled_spec()
+    b = [[ZERO] * 3 for _ in range(3)]
+    b[0][1], b[1][2], b[2][0] = spec.b[0][2], spec.b[1][0], spec.b[2][1]
+    return replace(spec, b=tuple(map(tuple, b)), orientation=cf.MIRRORED)
 
 
 def block_coupled_spec():

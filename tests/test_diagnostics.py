@@ -9,7 +9,8 @@ import pytest
 
 import charfred as cf
 from charfred import characteristics, diagnostics
-from conftest import ONE, ZERO, cyclic_b, identity_spec
+from conftest import (ONE, ZERO, block_coupled_spec, coupled_spec, cyclic_b,
+                      identity_spec, mirrored_spec)
 
 
 def degenerate_control():
@@ -180,13 +181,13 @@ def test_smoothing_profile_profiles_a_repeated_frequency_once(monkeypatch):
     kw = dict(powers=(0, 1), shifts=(0.125,))
     once = cf.smoothing_profile(spec, grid, frequencies=(2,), **kw)
     calls = []
-    apply_k = diagnostics.apply_k
+    group_block = diagnostics._group_block
 
     def counting(*args):
         calls.append(None)
-        return apply_k(*args)
+        return group_block(*args)
 
-    monkeypatch.setattr(diagnostics, "apply_k", counting)
+    monkeypatch.setattr(diagnostics, "_group_block", counting)
     twice = cf.smoothing_profile(spec, grid, frequencies=(2, 2), **kw)
     assert twice.rows == once.rows
     assert len(calls) == 1
@@ -196,7 +197,7 @@ def test_smoothing_profile_checks_every_frequency_first(monkeypatch):
     def refuse(*args):
         raise AssertionError("K applied before the frequencies were checked")
 
-    monkeypatch.setattr(diagnostics, "apply_k", refuse)
+    monkeypatch.setattr(diagnostics, "_group_block", refuse)
     grid = cf.Grid(nx=4, ny=16, nt=4)
     with pytest.raises(ValueError, match="omega = 99 leaves fewer"):
         cf.smoothing_profile(transversal_control(), grid,
@@ -234,7 +235,7 @@ def test_report_json_dict():
 
 def test_smoothing_profile_transports_one_group_per_k(monkeypatch):
     # the probe and every K^m of it live in one row group, of one row
-    # here, so each K application integrates that row and skips the rest
+    # here, so each K application transports that row alone
     spec = transversal_control()
     grid = cf.Grid(nx=4, ny=8, nt=4)
     applied, integrated = [], []
@@ -245,8 +246,8 @@ def test_smoothing_profile_transports_one_group_per_k(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    monkeypatch.setattr(diagnostics, "apply_k",
-                        counting(diagnostics.apply_k, applied))
+    monkeypatch.setattr(diagnostics, "_group_block",
+                        counting(diagnostics._group_block, applied))
     for name in ("_integrate_spectral_row", "_integrate_grid_row"):
         monkeypatch.setattr(characteristics, name, counting(
             getattr(characteristics, name), integrated))
@@ -254,3 +255,46 @@ def test_smoothing_profile_transports_one_group_per_k(monkeypatch):
     # powers 0 to 3 at two frequencies: three K applications each
     assert len(applied) == 6
     assert len(integrated) == len(applied)
+
+
+def apply_k_profile(spec, grid, powers, frequencies,
+                    shifts=(0.25, 0.125, 0.0625)):
+    """smoothing_profile's report from a chain of apply_k on whole fields,
+    every power measured."""
+    plan = cf.TransportPlan.build(spec, grid)
+    rows = []
+    for omega in frequencies:
+        probe = cf.oscillatory_probe(spec, grid, omega)
+        hs = sorted({grid.period_y / (2 * omega)}
+                    | {fr * grid.period_y for fr in shifts}, reverse=True)
+        field = probe
+        for m in range(max(powers) + 1):
+            if m:
+                field = cf.apply_k(spec, field, plan)
+            moduli = [cf.shift_diff_norm(field, h) / cf.sup_norm(probe)
+                      for h in hs]
+            if not m:
+                base = moduli
+            if m in powers:
+                rows += [diagnostics.ModulusRow(
+                    m, omega, h, mod,
+                    mod / ref if ref > diagnostics.MODULUS_FLOOR else 0.0)
+                    for h, mod, ref in zip(hs, moduli, base)]
+    comp = spec.group_ranges()[spec.feeding_group()][0]
+    return diagnostics.DiagnosticsReport(comp + 1, tuple(rows),
+                                         cf.jacobian_table(spec))
+
+
+@pytest.mark.parametrize("make_spec", (coupled_spec, block_coupled_spec,
+                                       mirrored_spec))
+def test_smoothing_profile_walks_the_groups_like_apply_k(make_spec):
+    # K^m of the probe lies in group order[(m - 1) % 3] of the sweep order
+    # that ends at the feeding group; powers past one cycle, under both
+    # orientations and with a two-row group, give apply_k's bytes
+    spec = make_spec()
+    grid = cf.Grid(nx=4, ny=16, nt=4)
+    kw = dict(powers=(0, 1, 2, 3, 4, 5, 7), frequencies=(1, 2, 4))
+    got = cf.smoothing_profile(spec, grid, **kw)
+    expect = apply_k_profile(spec, grid, **kw)
+    assert got.feeding_component == expect.feeding_component
+    assert got.csv_text() == expect.csv_text()

@@ -16,7 +16,7 @@ from charfred.expressions import constant_value, is_literal_zero
 from charfred.fredholm import DISCRETE_UNKNOWN_CAP, GMRES_MAX_ITER, GMRES_RTOL
 from charfred.gridfield import GridDomainError
 from conftest import (ONE, ZERO, block_coupled_spec, coupled_spec, cyclic_b,
-                      identity_spec)
+                      identity_spec, mirrored_spec)
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 EXPRS = (cf.parse("sin(2*pi*y)*cos(2*pi*t)"), ONE, cf.parse("cos(2*pi*t)"))
@@ -81,25 +81,35 @@ def test_neumann_converges_on_contraction():
 
 
 def test_neumann_transports_the_final_iterate_once(monkeypatch):
-    # one transport solve inside each of a sweep's three K applications,
-    # and one for u = C^{-1} w, whose coupling also gives the residual.
-    # The sweeps call fredholm's import of solve_transport_stack and
-    # solve_transport calls characteristics' own, so both are wrapped
+    # one group transport inside each of a sweep's three group steps, each
+    # holding the one row of the group it reads, and one n-row transport
+    # for u = C^{-1} w, whose coupling also gives the residual. The sweeps
+    # call fredholm's import of solve_transport_group and solve_transport
+    # calls characteristics' own solve_transport_stack
     spec = coupled_spec()
     grid = cf.Grid(nx=6, ny=6, nt=6)
     f = cf.sample(EXPRS, grid)
-    stack = characteristics.solve_transport_stack
+    group, stack = (characteristics.solve_transport_group,
+                    characteristics.solve_transport_stack)
     calls = []
 
-    def counting(*args, **kwargs):
-        calls.append(args[1].shape[0])
-        return stack(*args, **kwargs)
+    def counting_group(plan, g, held):
+        calls.append((g, held.shape[:2]))
+        return group(plan, g, held)
 
-    monkeypatch.setattr(fredholm, "solve_transport_stack", counting)
-    monkeypatch.setattr(characteristics, "solve_transport_stack", counting)
+    def counting_stack(plan, full, *args):
+        calls.append((None, full.shape[:2]))
+        return stack(plan, full, *args)
+
+    monkeypatch.setattr(fredholm, "solve_transport_group", counting_group)
+    monkeypatch.setattr(characteristics, "solve_transport_stack",
+                        counting_stack)
     out = cf.solve_neumann(spec, f)
     assert out.iterations > 1
-    assert calls == [1] * (3 * out.iterations + 1)
+    # a sweep updates b, c, p from p, b, c in turn
+    b, c, p = fredholm._sweep_order(spec, spec.feeding_group())
+    sweep = [(h, (1, 1)) for h in (p, b, c)]
+    assert calls == sweep * out.iterations + [(None, (1, spec.n))]
 
 
 @pytest.mark.parametrize("name, per_row", [("constant_value", 1),
@@ -513,15 +523,6 @@ def coupled_x30_spec():
     return scaled_coupled_spec(30)
 
 
-def mirrored_spec():
-    """coupled_spec's couplings in the mirrored cycle: group 1 reads
-    group 2, group 2 reads group 3 and group 3 reads group 1."""
-    spec = coupled_spec()
-    b = [[ZERO] * 3 for _ in range(3)]
-    b[0][1], b[1][2], b[2][0] = spec.b[0][2], spec.b[1][0], spec.b[2][1]
-    return replace(spec, b=tuple(map(tuple, b)), orientation=cf.MIRRORED)
-
-
 # 5 x nodes and 4 y and t nodes, then 7 of each
 @pytest.mark.parametrize("nx,nyt", ((4, 4), (6, 7)))
 @pytest.mark.parametrize("make_spec",
@@ -766,21 +767,31 @@ def test_reduction_pivots_on_the_smallest_group(monkeypatch, make_spec):
     assert np.abs(image[others]).max() <= 1e-13
 
 
+def sideways_spec():
+    """coupled_spec under an orientation that names no coupling pattern."""
+    return replace(coupled_spec(), orientation="sideways")
+
+
 @pytest.mark.parametrize("solve", (cf.solve_neumann, cf.solve_discrete,
                                    cf.apply_k))
-@pytest.mark.parametrize("make_spec", (coupled_spec, mirrored_spec))
+@pytest.mark.parametrize("make_spec", (coupled_spec, mirrored_spec,
+                                       sideways_spec))
 def test_couplings_outside_the_cycle_are_refused(make_spec, solve):
     # group 1 may read only the feeding group; an entry from the third
     # group once left the Neumann sweeps at a residual of 0.2, with no
-    # error, and GMRES's refinement absorbed it
+    # error, and GMRES's refinement absorbed it. An unknown orientation
+    # once ran as forward, with feeding_group() 2
     spec = make_spec()
-    b = [list(row) for row in spec.b]
-    j = 3 - spec.feeding_group()
-    b[0][j] = cf.parse("0.2")
-    spec = replace(spec, b=tuple(map(tuple, b)))
+    if spec.orientation in (cf.FORWARD, cf.MIRRORED):
+        b = [list(row) for row in spec.b]
+        j = 3 - spec.feeding_group()
+        b[0][j] = cf.parse("0.2")
+        spec = replace(spec, b=tuple(map(tuple, b)))
+        message = (f"b[1][{j + 1}] lies outside the {spec.orientation} "
+                   f"coupling pattern")
+    else:
+        message = "unknown orientation 'sideways'"
     f = cf.sample(EXPRS, cf.Grid(nx=4, ny=4, nt=4))
-    message = (f"b[1][{j + 1}] lies outside the {spec.orientation} "
-               f"coupling pattern")
     with pytest.raises(ValueError, match=re.escape(message)):
         solve(spec, f)
 

@@ -7,24 +7,22 @@ the line (or the closed-form right-hand side is evaluated there), scipy's
 cumulative trapezoid gives the inner gamma integral and its composite
 Simpson rule the outer one. Rows whose gamma reads none of x, y, t take
 the spectral path, which is also checked against the half-cell walk
-that every other gamma takes. A row with no data is not integrated;
-a reference that runs every row through its kernel holds that skip to
-the same bits, signs of zero included.
+that every other gamma takes. Every row is integrated, whether it holds
+data or not, and each row group is transported on its own rows alone.
 """
 from dataclasses import replace
 from unittest import mock
 
 import numpy as np
-import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import cumulative_trapezoid, simpson
 
 import charfred as cf
-from charfred import characteristics, fredholm
+from charfred import characteristics
 from charfred.characteristics import (TransportPlan, _row_integrals,
                                       solve_transport_stack)
 from charfred.expressions import BinOp, Num, Var, constant_value
-from conftest import block_coupled_spec, coupled_spec, zero_b
+from conftest import zero_b
 
 PROPERTY = settings(max_examples=40, deadline=None, derandomize=True,
                     database=None)
@@ -204,59 +202,3 @@ def test_row_integrals_of_a_nonnegative_field_keep_the_row_sign(
     for i, (forward, *_) in enumerate(plan.rows):
         row = w[:, i] if forward else -w[:, i]
         assert row.min() >= -1e-14 * np.abs(row).max()
-
-
-def integrated_rows(plan, stack, rhs_exprs=None):
-    """_row_integrals with every row run through its kernel, zero or not."""
-    assert rhs_exprs is None
-    grid = plan.grid
-    w = np.zeros_like(stack)
-    for i, (forward, beta, alpha, gam, _, mult) in enumerate(plan.rows):
-        if mult is not None:
-            characteristics._integrate_spectral_row(grid, forward, *mult,
-                                                    stack[:, i], w[:, i])
-        else:
-            characteristics._integrate_grid_row(grid, beta, alpha, gam,
-                                                forward, stack[:, i],
-                                                w[:, i])
-    return w
-
-
-def assert_same_bits(got, expect):
-    np.testing.assert_array_equal(got, expect)
-    np.testing.assert_array_equal(np.signbit(got), np.signbit(expect))
-
-
-@PROPERTY
-@given(problems(st.one_of(CONSTANT_GAMMAS, GAMMAS)), st.integers(1, 3),
-       st.tuples(*[st.sampled_from(("data", "+0", "-0", "mixed"))] * 3))
-def test_zero_rows_skip_their_kernel_bit_for_bit(problem, batch, rows):
-    # rows 1 and 2 are forward, row 3 backward
-    spec, grid, rng = problem
-    stack = random_stack(grid, rng, batch)
-    for i, kind in enumerate(rows):
-        if kind == "+0":
-            stack[:, i] = 0.0
-        elif kind == "-0":
-            stack[:, i] = -0.0
-        elif kind == "mixed":
-            stack[:, i] = np.copysign(0.0, stack[:, i])
-    plan = TransportPlan.build(spec, grid)
-    assert_same_bits(_row_integrals(plan, stack),
-                     integrated_rows(plan, stack))
-
-
-# 100 nodes per component: a batch of 40 holds data in one or two
-# components, one of 256 in up to all of them
-@pytest.mark.parametrize("batch", (40, 256))
-@pytest.mark.parametrize("make_spec", (coupled_spec, block_coupled_spec))
-def test_assembly_skips_untouched_rows_bit_for_bit(monkeypatch, make_spec,
-                                                   batch):
-    monkeypatch.setattr(fredholm, "ASSEMBLY_BATCH", batch)
-    spec = make_spec()
-    grid = cf.Grid(nx=4, ny=5, nt=4)
-    got = cf.assemble_dense(spec, grid)
-    with mock.patch.object(characteristics, "_row_integrals",
-                           integrated_rows):
-        expect = cf.assemble_dense(spec, grid)
-    assert_same_bits(got, expect)
