@@ -19,13 +19,19 @@ expressions exactly at the same line points instead, which makes the
 rule exact on cubics. The inner exponential weight accumulates int gamma
 by trapezoid on the same subdivision, outward from each target. Rows
 whose gamma is a constant and whose right-hand side is read from the
-grid apply the same operator one (y, t) Fourier mode at a time.
+grid apply the same operator one (y, t) Fourier mode at a time, the
+spectral route of Greengard (SIAM J. Numer. Anal., 1991). On a grid of
+at most DENSE_DFT_NODES nodes per component the modes come from one
+dense DFT matrix product over the whole (y, t) plane, and each mode's
+sum over x is one lower-triangular operator; larger grids take rfft2, a
+loop over the x offsets and irfft2. The plan decides the route once.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from .expressions import (Expression, constant_value, evaluate_on,
                           is_literal_zero)
@@ -35,6 +41,15 @@ from .gridfield import _split_index  # shared node snapping
 from .system import DET_FLOOR, FORWARD, MIRRORED, SystemSpec
 
 _DEFAULT_STEP_EPS = 1e-12
+# grids of at most this many nodes per component, (nx+1) ny nt, transport
+# constant-gamma rows by the dense DFT. Per row and call (2-core Xeon,
+# numpy 2.4, one BLAS thread), FFT route -> dense DFT for 1 and 8 fields:
+# (nx, ny, nt) = (6, 7, 7) 63 -> 14 and 159 -> 60 us; (12, 13, 13)
+# 129 -> 91 and 955 -> 829 us; about even at (13, 14, 14), (24, 13, 13)
+# and (48, 7, 7); (16, 17, 17) 226 -> 274 and 2249 -> 2383 us. The x
+# operators' work grows as nx^2, so the count covers nx as well as the
+# plane
+DENSE_DFT_NODES = 13 ** 3
 
 
 class SingularBlockError(ValueError):
@@ -53,10 +68,14 @@ class TransportPlan:
     (i, j, node values) for each nonzero entry b[i][j]; rows holds
     (forward, beta, alpha, gamma, c, multipliers) per component, forward
     meaning inflow at x = 0, c = constant_value(gamma) (None when gamma
-    reads x, y or t) and, for a constant c, multipliers the (H, E) pair
-    of _spectral_multipliers. Build one per solve and pass it down; the
-    spec's periods must equal the grid's. An orientation other than
-    forward or mirrored, and a nonzero b entry outside the cyclic
+    reads x, y or t) and, for a constant c, multipliers what
+    _integrate_spectral_row applies: the (H, E) pair of
+    _spectral_multipliers, or on a grid of at most DENSE_DFT_NODES nodes
+    per component the x operator (T, edge) built from it (_x_operator).
+    dft is then the (y, t) plane's DFT matrix F of _plane_dft, built once
+    per plan, and None on larger grids. Build one per solve and pass it
+    down; the spec's periods must equal the grid's. An orientation other
+    than forward or mirrored, and a nonzero b entry outside the cyclic
     pattern, are refused, since the one-group blocks of K multiply only
     the entries that the pattern admits, and coupling_pattern() reads any
     orientation but mirrored as forward.
@@ -67,6 +86,7 @@ class TransportPlan:
     blocks: tuple
     coupling: tuple
     rows: tuple
+    dft: np.ndarray | None
 
     @classmethod
     def resolve(cls, spec: SystemSpec, grid: Grid,
@@ -107,16 +127,22 @@ class TransportPlan:
         coupling = tuple((i, j, evaluate_at_nodes(spec.b[i][j], grid,
                                                   f"b[{i + 1}][{j + 1}]"))
                          for i, j in entries)
+        dft, weight = (_plane_dft(grid) if grid.node_count <= DENSE_DFT_NODES
+                       else (None, None))
         rows = []
         for i, gam in enumerate(spec.gamma):
             line = (i < spec.k, float(spec.beta[i]), float(spec.alpha[i]))
             c = constant_value(gam)
+            mult = None
             if c is None:
                 # a failure here names gamma; inside the walk it would not
                 evaluate_at_nodes(gam, grid, f"gamma[{i + 1}]")
-            mult = None if c is None else _spectral_multipliers(grid, *line, c)
+            else:
+                mult = _spectral_multipliers(grid, *line, c)
+                if dft is not None:
+                    mult = _x_operator(*mult, line[0], weight)
             rows.append(line + (gam, c, mult))
-        return cls(spec, grid, tuple(blocks), coupling, tuple(rows))
+        return cls(spec, grid, tuple(blocks), coupling, tuple(rows), dft)
 
 
 def default_step(spec: SystemSpec, grid: Grid) -> float:
@@ -197,17 +223,93 @@ def _spectral_multipliers(grid: Grid, forward: bool, beta: float,
     return H, 0.5 * (G[1::2] + G[2::2])
 
 
-def _integrate_spectral_row(grid: Grid, forward: bool, H: np.ndarray,
-                            E: np.ndarray, comp: np.ndarray,
-                            out: np.ndarray) -> None:
+def _plane_dft(grid: Grid):
+    """(F, weight): the real matrix of rfft2 over the (y, t) plane, and
+    the weight of each mode in its inverse.
+
+    A plane flattened to its N = ny nt nodes times F is its P = ny
+    (nt // 2 + 1) modes, mode (ky, kt) at ky (nt // 2 + 1) + kt, as
+    interleaved real and imaginary parts. Modes scaled by weight and
+    multiplied by F's transpose give back the real plane as irfft2 does:
+    the real part of the inverse sum, in which mode kt stands for kt and
+    nt - kt (weight 2 / N) but for kt = 0 and, for an even nt, kt = nt / 2
+    (weight 1 / N). Phases are reduced mod N in integers before the one
+    table of N-th roots is read.
+    """
+    ny, nt = grid.ny, grid.nt
+    n, modes = ny * nt, nt // 2 + 1
+    iy, it = np.divmod(np.arange(n), nt)
+    ky, kt = np.divmod(np.arange(ny * modes), modes)
+    roots = np.exp(2j * np.pi * np.arange(n) / n)
+    e = roots[(np.outer(iy, ky) * nt + np.outer(it, kt) * ny) % n]
+    F = np.empty((n, 2 * e.shape[1]))
+    F[:, 0::2] = e.real
+    F[:, 1::2] = -e.imag
+    return F, np.where((kt == 0) | (2 * kt == nt), 1.0, 2.0) / n
+
+
+def _x_operator(H: np.ndarray, E: np.ndarray, forward: bool,
+                weight: np.ndarray):
+    """(T, edge): the x operator of the dense route for one row.
+
+    Per flattened (y, t) mode, the FFT route's sum is a lower triangular
+    matrix on the x levels, H_o at (ix, ix - o) for o < ix and E_ix at
+    (ix, 0). Its H part is Toeplitz, so T is a read-only (nx+1, nx, P)
+    strided view of one (2 nx, P) array, nx zero rows and then H, which
+    acts on levels 1..nx, and edge is the (nx+1, P) column E, zero in row
+    0, which acts on level 0. A backward row runs that sum x-reversed and
+    negated, so its T is the view of -H reversed along both axes, acting
+    on levels 0..nx-1, and its edge is -E reversed, acting on level nx.
+    Both carry the weight of each mode in F's inverse (_plane_dft).
+    """
+    nx = H.shape[0]
+    scale = weight if forward else -weight
+    padded = np.zeros((2 * nx, weight.size), dtype=complex)
+    padded[nx:] = H.reshape(nx, -1) * scale
+    edge = np.zeros((nx + 1, weight.size), dtype=complex)
+    step, mode = padded.strides
+    if forward:
+        edge[1:] = E.reshape(nx, -1) * scale
+        T = as_strided(padded[nx - 1:], (nx + 1, nx, weight.size),
+                       (step, -step, mode), writeable=False)
+    else:
+        edge[:-1] = E.reshape(nx, -1)[::-1] * scale
+        T = as_strided(padded[nx:], (nx + 1, nx, weight.size),
+                       (-step, step, mode), writeable=False)
+    return T, edge
+
+
+def _integrate_spectral_row(plan: TransportPlan, forward: bool, mult,
+                            comp: np.ndarray, out: np.ndarray) -> None:
     """The line integrals of _integrate_grid_row for a constant gamma.
 
     With v the row's x levels in the frame where the inflow face is level
     0 (x reversed for backward rows), per (y, t) Fourier mode
 
         w[ix] = sum_{o < ix} H_o v[ix - o] + E_ix v[0].
+
+    mult is the row's multipliers in plan.rows. On a plan with a dft
+    matrix F it is the x operator (T, edge) of _x_operator: the modes of
+    the whole (B, nx+1) stack of planes are one matrix product with F, T
+    acts on each mode by one einsum and edge adds the inflow face's
+    term, and F's transpose brings the planes back. The einsum sums over
+    x in the same order for every batch item and forms no
+    (B, nx+1, nx, P) product, so each item is the same bit for bit
+    whatever B is. Otherwise mult is (H, E): one rfft2 of the row, a loop
+    over the offsets o and one irfft2.
     """
-    nx, ny, nt = grid.nx, grid.ny, grid.nt
+    if plan.dft is not None:
+        T, edge = mult
+        levels, face = ((slice(1, None), slice(0, 1)) if forward
+                        else (slice(0, -1), slice(-1, None)))
+        planes = comp.reshape(comp.shape[:2] + (-1,))
+        vhat = (planes @ plan.dft).view(complex)
+        acc = np.einsum("ijq,bjq->biq", T, vhat[:, levels])
+        acc += edge * vhat[:, face]
+        out[...] = (acc.view(float) @ plan.dft.T).reshape(out.shape)
+        return
+    H, E = mult
+    nx, ny, nt = plan.grid.nx, plan.grid.ny, plan.grid.nt
     vhat = np.fft.rfft2(comp if forward else comp[:, ::-1], axes=(2, 3))
     acc = np.zeros_like(vhat)
     for o in range(nx):
@@ -290,13 +392,12 @@ def _row_integrals(plan: TransportPlan, stack: np.ndarray,
     whole, so for a nonnegative stack each row has the sign of its
     direction: >= 0 forward, <= 0 backward.
     """
-    grid = plan.grid
     w = np.zeros_like(stack)
     for i, (forward, beta, alpha, gam, _, mult) in enumerate(plan.rows[rows]):
         if mult is not None and rhs_exprs is None:
-            _integrate_spectral_row(grid, forward, *mult, stack[:, i], w[:, i])
+            _integrate_spectral_row(plan, forward, mult, stack[:, i], w[:, i])
         else:
-            _integrate_grid_row(grid, beta, alpha, gam, forward,
+            _integrate_grid_row(plan.grid, beta, alpha, gam, forward,
                                 stack[:, i], w[:, i],
                                 None if rhs_exprs is None else rhs_exprs[i])
     return w

@@ -485,17 +485,26 @@ def assemble_dense(spec: SystemSpec, grid: Grid,
     spec and grid (TransportPlan.resolve).
 
     Columns are impulse responses at grid nodes, ordered like the
-    flattened (component, ix, iy, it) value array, computed
-    ASSEMBLY_BATCH at a time.
+    flattened (component, ix, iy, it) value array. An impulse in row
+    group h stays in h under the transport inverse, and the coupling
+    moves it into the one group g that reads h. So group h's columns are
+    built through the one-group block K_{g<-h} (_group_block),
+    ASSEMBLY_BATCH at a time, and are zero outside group g's rows.
     """
     plan = TransportPlan.resolve(spec, grid, plan)
-    size = spec.n * grid.node_count
-    mat = np.empty((size, size))
-    shape = (-1, spec.n, grid.nx + 1, grid.ny, grid.nt)
-    for cols, impulses in _impulse_batches(size):
-        # one statement, so no batch's temporaries outlive it
-        mat[:, cols] = apply_coupling_stack(plan, solve_transport_stack(
-            plan, impulses.reshape(shape))).reshape(impulses.shape).T
+    nodes = grid.node_count
+    size = spec.n * nodes
+    mat = np.zeros((size, size))
+    groups = [sl for sl, _ in spec.blocks()]
+    for g, h in spec.coupling_pattern():
+        rows = slice(groups[g].start * nodes, groups[g].stop * nodes)
+        count = groups[h].stop - groups[h].start
+        first = groups[h].start * nodes
+        for cols, impulses in _impulse_batches(count * nodes):
+            held = impulses.reshape(-1, count, grid.nx + 1, grid.ny, grid.nt)
+            # one statement, so no batch's temporaries outlive it
+            mat[rows, first + cols.start:first + cols.stop] = _group_block(
+                plan, g, h, held).reshape(len(impulses), -1).T
     mat[np.diag_indices(size)] += 1.0
     return mat
 

@@ -112,26 +112,46 @@ def test_neumann_transports_the_final_iterate_once(monkeypatch):
     assert calls == sweep * out.iterations + [(None, (1, spec.n))]
 
 
+def counted_calls(monkeypatch, owner, name):
+    """The argument tuples of every call to owner.name from now on."""
+    inner = getattr(owner, name)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
 @pytest.mark.parametrize("name, per_row", [("constant_value", 1),
                                            ("_shift_multipliers", 2)])
 def test_plan_decides_each_row_once(monkeypatch, name, per_row):
     # gamma is classified and a constant-gamma row's spectral multipliers
-    # (one y and one t factor) are built once, when the plan is; every
-    # gamma of coupled_spec is a constant
+    # (one y and one t factor) are built once, when the plan is, and so
+    # is a small grid's dense DFT pair, once per plan; every gamma of
+    # coupled_spec is a constant
     spec = coupled_spec()
     grid = cf.Grid(nx=6, ny=6, nt=6)
     f = cf.sample(EXPRS, grid)
-    inner = getattr(characteristics, name)
-    calls = []
-
-    def counting(*args):
-        calls.append(args)
-        return inner(*args)
-
-    monkeypatch.setattr(characteristics, name, counting)
+    calls = counted_calls(monkeypatch, characteristics, name)
+    dfts = counted_calls(monkeypatch, characteristics, "_plane_dft")
     out = cf.solve_neumann(spec, f)
     assert out.iterations > 1
-    assert len(calls) == per_row * spec.n
+    assert len(calls) == per_row * spec.n and len(dfts) == 1
+    # 2,197 nodes per component, DENSE_DFT_NODES, take the dense DFT; one
+    # x level more takes one rfft2 per row
+    ffts = counted_calls(monkeypatch, np.fft, "rfft2")
+    for nx, dense in ((12, True), (13, False)):
+        grid = cf.Grid(nx=nx, ny=13, nt=13)
+        assert (grid.node_count <= characteristics.DENSE_DFT_NODES) is dense
+        for counted in (calls, dfts, ffts):
+            counted.clear()
+        plan = cf.TransportPlan.build(spec, grid)
+        assert len(calls) == per_row * spec.n and len(dfts) == int(dense)
+        cf.solve_transport(spec, cf.sample(EXPRS, grid), plan)
+        assert len(ffts) == (0 if dense else spec.n)
 
 
 @pytest.mark.parametrize("solve", [cf.solve_neumann, cf.solve_discrete])
@@ -879,15 +899,15 @@ def test_gmres_stall_falls_back_to_the_dense_section(tmp_path, monkeypatch):
     factored, _, gelsy_calls = recording_dense_solves(monkeypatch)
     out = cf.solve_discrete(cfg.spec, f, kernel_estimate=False)
     # GMRES converges on I + S in 33 iterations; the first refinement's
-    # GMRES solve spends its restart cycles in 132 and ends unconverged
-    assert counts == [(33, True), (132, False)] and out.iterations == 165
-    assert f"{out.stalled_residual:.3e}" == "1.411e-13"
+    # GMRES solve spends its restart cycles in 143 and ends unconverged
+    assert counts == [(33, True), (143, False)] and out.iterations == 176
+    assert f"{out.stalled_residual:.3e}" == "1.729e-13"
     assert out.kernel_dimension_estimate is None
     # no count, so no LU: one gelsy call on the 80-row section of I + S
-    # for each of the three kept steps and the one dropped for not
-    # lowering the residual
-    assert factored == [] and gelsy_calls == [(80, 80)] * 4
-    assert out.refinements == 2
+    # for each of the two kept steps and the one dropped for not lowering
+    # the residual
+    assert factored == [] and gelsy_calls == [(80, 80)] * 3
+    assert out.refinements == 1
     np.testing.assert_array_equal(out.w.values,
                                   reduced_direct(cfg.spec, f, gelsy_solver))
     expect = gelsy(cfg.spec, f)
@@ -905,12 +925,12 @@ def test_counted_stall_factors_the_section_once(tmp_path, monkeypatch):
     factored, lu_solves, gelsy_calls = recording_dense_solves(monkeypatch)
     sections, factors = recording_factors(monkeypatch)
     out = cf.solve_discrete(cfg.spec, f)
-    assert counts == [(33, True), (132, False)] and out.iterations == 165
-    assert f"{out.stalled_residual:.3e}" == "1.411e-13"
+    assert counts == [(33, True), (143, False)] and out.iterations == 176
+    assert f"{out.stalled_residual:.3e}" == "1.729e-13"
     assert out.kernel_dimension_estimate == 0
-    # one factorisation, made in place in the assembled section; as with
-    # gelsy above, three steps are kept and a fourth is dropped for not
-    # lowering the residual
+    # one factorisation, made in place in the assembled section; three
+    # steps are kept and a fourth is dropped for not lowering the
+    # residual
     assert factored == [(80, 80)] and gelsy_calls == []
     assert len(sections) == len(factors) == 1
     assert np.shares_memory(factors[0][0], sections[0])

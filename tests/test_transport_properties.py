@@ -7,8 +7,10 @@ the line (or the closed-form right-hand side is evaluated there), scipy's
 cumulative trapezoid gives the inner gamma integral and its composite
 Simpson rule the outer one. Rows whose gamma reads none of x, y, t take
 the spectral path, which is also checked against the half-cell walk
-that every other gamma takes. Every row is integrated, whether it holds
-data or not, and each row group is transported on its own rows alone.
+that every other gamma takes, and on these small grids its dense DFT
+against the FFT route of larger grids. Every row is integrated, whether
+it holds data or not, and each row group is transported on its own rows
+alone.
 """
 from dataclasses import replace
 from unittest import mock
@@ -53,6 +55,21 @@ def problems(draw, gammas=GAMMAS):
         gamma=tuple(cf.parse(draw(gammas)) for _ in range(3)), b=zero_b())
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     return spec, grid, rng
+
+
+PERIODS = st.sampled_from((0.5, 2.0, 3.7))
+
+
+@st.composite
+def small_planes(draw):
+    """problems(CONSTANT_GAMMAS) on a (y, t) plane with ny != nt, nt odd
+    or even, and both periods other than 1; the grid is small, so every
+    row takes the dense DFT."""
+    spec, grid, rng = draw(problems(CONSTANT_GAMMAS))
+    ny = draw(st.integers(4, 9).filter(lambda v: v != grid.nt))
+    period_y, period_t = draw(PERIODS), draw(PERIODS)
+    return (replace(spec, period_y=period_y, period_t=period_t),
+            replace(grid, ny=ny, period_y=period_y, period_t=period_t), rng)
 
 
 def random_stack(grid, rng, batch):
@@ -115,16 +132,32 @@ def test_closed_form_transport_matches_pointwise_reference(problem, rhs):
 
 
 @PROPERTY
-@given(problems())
-def test_stacked_solve_equals_single_solves(problem):
+@given(problems(), st.integers(2, 4))
+def test_stacked_solve_equals_single_solves(problem, batch):
+    # bit for bit, on the dense DFT of these small grids as on the walk
     spec, grid, rng = problem
-    stack = random_stack(grid, rng, 3)
+    stack = random_stack(grid, rng, batch)
     plan = TransportPlan.build(spec, grid)
     batched = solve_transport_stack(plan, stack)
     for col in range(stack.shape[0]):
         single = solve_transport_stack(plan, stack[col:col + 1])
-        np.testing.assert_allclose(batched[col], single[0], rtol=0,
-                                   atol=1e-14 * np.abs(single).max())
+        np.testing.assert_array_equal(batched[col], single[0])
+
+
+@PROPERTY
+@given(small_planes(), st.integers(1, 4))
+def test_dense_dft_matches_the_fft_route(problem, batch):
+    # forward rows 1 and 2 and backward row 3 of each spec
+    spec, grid, rng = problem
+    plan = TransportPlan.build(spec, grid)
+    assert plan.dft is not None
+    with mock.patch.object(characteristics, "DENSE_DFT_NODES", 0):
+        fft = TransportPlan.build(spec, grid)
+    assert fft.dft is None
+    stack = random_stack(grid, rng, batch)
+    expect = _row_integrals(fft, stack)
+    np.testing.assert_allclose(_row_integrals(plan, stack), expect, rtol=0,
+                               atol=1e-13 * np.abs(expect).max())
 
 
 @PROPERTY
