@@ -22,16 +22,15 @@ whose gamma is a constant and whose right-hand side is read from the
 grid apply the same operator one (y, t) Fourier mode at a time, the
 spectral route of Greengard (SIAM J. Numer. Anal., 1991). On a grid of
 at most DENSE_DFT_NODES nodes per component the modes come from one
-dense DFT matrix product over the whole (y, t) plane, and each mode's
-sum over x is one lower-triangular operator; larger grids take rfft2, a
-loop over the x offsets and irfft2. The plan decides the route once.
+dense DFT matrix product over the whole (y, t) plane, and one x operator
+per mode sums over x; larger grids take rfft2, a loop over the x
+offsets and irfft2. The plan decides the route once.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .expressions import (Expression, constant_value, evaluate_on,
                           is_literal_zero)
@@ -63,15 +62,15 @@ class TransportPlan:
     spec and grid are the system and grid the plan was built for; below
     the field level a plan is the whole context, and a field-level call
     given a plan refuses one built for another spec object or another
-    grid (resolve). blocks holds (rows, adjugate, determinant) for the
-    three diagonal blocks, rows a slice of components; coupling holds
+    grid (resolve). blocks holds (rows, inverse) for the three diagonal
+    blocks, rows a slice of components; coupling holds
     (i, j, node values) for each nonzero entry b[i][j]; rows holds
     (forward, beta, alpha, gamma, c, multipliers) per component, forward
     meaning inflow at x = 0, c = constant_value(gamma) (None when gamma
     reads x, y or t) and, for a constant c, multipliers what
     _integrate_spectral_row applies: the (H, E) pair of
     _spectral_multipliers, or on a grid of at most DENSE_DFT_NODES nodes
-    per component the x operator (T, edge) built from it (_x_operator).
+    per component the x operator L built from it (_x_operator).
     dft is then the (y, t) plane's DFT matrix F of _plane_dft, built once
     per plan, and None on larger grids. Build one per solve and pass it
     down; the spec's periods must equal the grid's. An orientation other
@@ -111,11 +110,12 @@ class TransportPlan:
             det = float(np.linalg.det(a))
             if abs(det) <= DET_FLOOR:
                 raise SingularBlockError(f"|det {name}| = {abs(det):.3e}")
-            adj = det * np.linalg.inv(a)
+            inv = np.linalg.inv(a)
             scale = max(1.0, abs(det)) * max(1.0, float(np.abs(a).max()))
-            if np.abs(a @ adj - det * np.eye(a.shape[0])).max() > 1e-12 * scale:
+            gap = abs(det) * np.abs(a @ inv - np.eye(a.shape[0])).max()
+            if gap > 1e-12 * scale:
                 raise SingularBlockError(f"adjugate identity failed for {name}")
-            blocks.append((sl, adj, det))
+            blocks.append((sl, inv))
         if spec.orientation not in (FORWARD, MIRRORED):
             raise ValueError(f"unknown orientation {spec.orientation!r}")
         entries = [(i, j) for i in range(spec.n) for j in range(spec.n)
@@ -174,8 +174,9 @@ def _shift_axis(a: np.ndarray, j: int, f: float, axis: int) -> np.ndarray:
 def _line_shifts(grid: Grid, beta: float, alpha: float, forward: bool):
     """Offsets d_m of the half-cell points m = 0..2 nx from a target, their
     Simpson weights s_m = (1, 4, 2, 4, ..., 2) h2 / 3 (halved where m is
-    the endpoint of the target's line), and the whole (j) and fractional
-    (f) y and t index shifts they cause."""
+    the endpoint of the target's line), negated for a backward row, whose
+    w is minus the integral, and the whole (j) and fractional (f) y and t
+    index shifts they cause."""
     h2 = 1.0 / (2 * grid.nx)
     d = (-h2 if forward else h2) * np.arange(2 * grid.nx + 1)
     simpson = np.full(2 * grid.nx + 1, 2.0)
@@ -185,7 +186,7 @@ def _line_shifts(grid: Grid, beta: float, alpha: float, forward: bool):
               for a in _split_index(beta * d * grid.ny / grid.period_y))
     jt, ft = (a.tolist()
               for a in _split_index(alpha * d * grid.nt / grid.period_t))
-    return d, (h2 / 3.0) * simpson, jy, fy, jt, ft
+    return d, (h2 if forward else -h2) / 3.0 * simpson, jy, fy, jt, ft
 
 
 def _shift_multipliers(j, f, n: int, modes: int) -> np.ndarray:
@@ -212,7 +213,9 @@ def _spectral_multipliers(grid: Grid, forward: bool, beta: float,
     are midpoints of whole cells, so the offsets pair into the whole-cell
     Toeplitz multiplier H_o = G_2o + (G_2o-1 + G_2o+1) / 2 and the
     inflow-face endpoint multiplier E_ix = (G_2ix-1 + G_2ix) / 2, which
-    carries the halved Simpson weight of the endpoint.
+    carries the halved Simpson weight of the endpoint. A backward row's
+    weights are negated (_line_shifts), so its pair is (-H, -E) and no
+    route negates it again.
     """
     d, s, jy, fy, jt, ft = _line_shifts(grid, beta, alpha, forward)
     G = ((s * np.exp(c * d))[:, None, None]
@@ -249,34 +252,22 @@ def _plane_dft(grid: Grid):
 
 
 def _x_operator(H: np.ndarray, E: np.ndarray, forward: bool,
-                weight: np.ndarray):
-    """(T, edge): the x operator of the dense route for one row.
+                weight: np.ndarray) -> np.ndarray:
+    """The (nx+1, nx+1, P) x operator L of the dense route for one row.
 
     Per flattened (y, t) mode, the FFT route's sum is a lower triangular
-    matrix on the x levels, H_o at (ix, ix - o) for o < ix and E_ix at
-    (ix, 0). Its H part is Toeplitz, so T is a read-only (nx+1, nx, P)
-    strided view of one (2 nx, P) array, nx zero rows and then H, which
-    acts on levels 1..nx, and edge is the (nx+1, P) column E, zero in row
-    0, which acts on level 0. A backward row runs that sum x-reversed and
-    negated, so its T is the view of -H reversed along both axes, acting
-    on levels 0..nx-1, and its edge is -E reversed, acting on level nx.
-    Both carry the weight of each mode in F's inverse (_plane_dft).
+    matrix on the x levels: H_o at (ix, ix - o) for o < ix, E_ix at
+    (ix, 0) and zero in row 0, times the weight of the mode in F's
+    inverse (_plane_dft). A backward row's L is that matrix reversed
+    along both x axes.
     """
     nx = H.shape[0]
-    scale = weight if forward else -weight
-    padded = np.zeros((2 * nx, weight.size), dtype=complex)
-    padded[nx:] = H.reshape(nx, -1) * scale
-    edge = np.zeros((nx + 1, weight.size), dtype=complex)
-    step, mode = padded.strides
-    if forward:
-        edge[1:] = E.reshape(nx, -1) * scale
-        T = as_strided(padded[nx - 1:], (nx + 1, nx, weight.size),
-                       (step, -step, mode), writeable=False)
-    else:
-        edge[:-1] = E.reshape(nx, -1)[::-1] * scale
-        T = as_strided(padded[nx:], (nx + 1, nx, weight.size),
-                       (-step, step, mode), writeable=False)
-    return T, edge
+    L = np.zeros((nx + 1, nx + 1, weight.size), dtype=complex)
+    i, j = np.tril_indices(nx)
+    L[i + 1, j + 1] = H.reshape(nx, -1)[i - j]
+    L[1:, 0] = E.reshape(nx, -1)
+    L *= weight
+    return L if forward else L[::-1, ::-1].copy()
 
 
 def _integrate_spectral_row(plan: TransportPlan, forward: bool, mult,
@@ -289,23 +280,17 @@ def _integrate_spectral_row(plan: TransportPlan, forward: bool, mult,
         w[ix] = sum_{o < ix} H_o v[ix - o] + E_ix v[0].
 
     mult is the row's multipliers in plan.rows. On a plan with a dft
-    matrix F it is the x operator (T, edge) of _x_operator: the modes of
-    the whole (B, nx+1) stack of planes are one matrix product with F, T
-    acts on each mode by one einsum and edge adds the inflow face's
-    term, and F's transpose brings the planes back. The einsum sums over
-    x in the same order for every batch item and forms no
-    (B, nx+1, nx, P) product, so each item is the same bit for bit
-    whatever B is. Otherwise mult is (H, E): one rfft2 of the row, a loop
-    over the offsets o and one irfft2.
+    matrix F it is the x operator L of _x_operator: the modes of the
+    whole (B, nx+1) stack of planes are one matrix product with F, L
+    acts on each mode by one einsum, and F's transpose brings the planes
+    back. The einsum sums over x in the same order for every batch item,
+    so each item is the same bit for bit whatever B is. Otherwise mult is
+    (H, E): one rfft2 of the row, a loop over the offsets o and one
+    irfft2.
     """
     if plan.dft is not None:
-        T, edge = mult
-        levels, face = ((slice(1, None), slice(0, 1)) if forward
-                        else (slice(0, -1), slice(-1, None)))
-        planes = comp.reshape(comp.shape[:2] + (-1,))
-        vhat = (planes @ plan.dft).view(complex)
-        acc = np.einsum("ijq,bjq->biq", T, vhat[:, levels])
-        acc += edge * vhat[:, face]
+        vhat = (comp.reshape(comp.shape[:2] + (-1,)) @ plan.dft).view(complex)
+        acc = np.einsum("ijq,bjq->biq", mult, vhat)
         out[...] = (acc.view(float) @ plan.dft.T).reshape(out.shape)
         return
     H, E = mult
@@ -316,10 +301,7 @@ def _integrate_spectral_row(plan: TransportPlan, forward: bool, mult,
         acc[:, o + 1:] += H[o] * vhat[:, 1:nx + 1 - o]
     acc[:, 1:] += E * vhat[:, :1]
     w = np.fft.irfft2(acc, s=(ny, nt), axes=(2, 3))
-    if forward:
-        out[...] = w
-    else:
-        np.negative(w[:, ::-1], out=out)
+    out[...] = w if forward else w[:, ::-1]
 
 
 def _integrate_grid_row(grid: Grid, beta: float, alpha: float,
@@ -376,8 +358,6 @@ def _integrate_grid_row(grid: Grid, beta: float, alpha: float,
         ew = wts[:, None, None] * np.exp(-G[lo:hi + 1] if forward
                                           else G[lo:hi + 1])
         out[:, lo:hi + 1] += ew[None] * F
-    if not forward:
-        np.negative(out, out=out)
 
 
 def _row_integrals(plan: TransportPlan, stack: np.ndarray,
@@ -388,9 +368,9 @@ def _row_integrals(plan: TransportPlan, stack: np.ndarray,
     do rhs_exprs, when given, and the result. Row i of the result depends
     on row i of stack alone, and every row is integrated. Every weight of
     both row kernels (Simpson weights, exp factors, two-point blends, the
-    midpoint refinement) is nonnegative and backward rows are negated as a
-    whole, so for a nonnegative stack each row has the sign of its
-    direction: >= 0 forward, <= 0 backward.
+    midpoint refinement) is nonnegative but a backward row's Simpson
+    weights, which are nonpositive, so for a nonnegative stack each row
+    has the sign of its direction: >= 0 forward, <= 0 backward.
     """
     w = np.zeros_like(stack)
     for i, (forward, beta, alpha, gam, _, mult) in enumerate(plan.rows[rows]):
@@ -406,8 +386,8 @@ def _row_integrals(plan: TransportPlan, stack: np.ndarray,
 def _apply_blocks(plan: TransportPlan, g: int, w: np.ndarray) -> np.ndarray:
     """u = A_g^{-1} w, then group g's inflow face zeroed; in place on the
     (B, |g|, nx+1, ny, nt) stack w of group g's rows, which is returned."""
-    sl, adj, det = plan.blocks[g]
-    w[...] = np.einsum("ij,bj...->bi...", adj, w) / det
+    sl, inv = plan.blocks[g]
+    w[...] = np.einsum("ij,bj...->bi...", inv, w)
     w[:, :, 0 if sl.start < plan.spec.k else plan.grid.nx] = 0.0
     return w
 
@@ -415,7 +395,7 @@ def _apply_blocks(plan: TransportPlan, g: int, w: np.ndarray) -> np.ndarray:
 def solve_transport_group(plan: TransportPlan, g: int,
                           held: np.ndarray) -> np.ndarray:
     """The explicit inverse on row group g alone: the line integrals of
-    its rows, its one adjugate and its one inflow face.
+    its rows, its one block inverse and its one inflow face.
 
     held is the (B, |g|, nx+1, ny, nt) stack of group g's rows, and so is
     the result. The transport inverse keeps each group on itself, so this
@@ -438,7 +418,7 @@ def solve_transport_stack(plan: TransportPlan, stack: np.ndarray,
     if rhs_exprs is not None and stack.shape[0] != 1:
         raise ValueError("closed-form right-hand sides need a batch of one")
     w = _row_integrals(plan, stack, rhs_exprs=rhs_exprs)
-    for g, (sl, _, _) in enumerate(plan.blocks):
+    for g, (sl, _) in enumerate(plan.blocks):
         _apply_blocks(plan, g, w[:, sl])
     return w
 

@@ -149,15 +149,15 @@ def _transport_at_points(plan, inner, X, Y, T, glx, glw, S, rows):
 
     inner(X, Y, T, rows) returns the needed components of h as a dict.
     Only the blocks containing requested rows are integrated, each row by
-    row and then through its adjugate in the same pass, which keeps the
-    nested chain linear in the coupling width. A variable gamma is read
+    row and then through its block inverse in the same pass, which keeps
+    the nested chain linear in the coupling width. A variable gamma is read
     once per panel node, where h is read, and its line integral from X
     to each node comes from those samples through the integration matrix
     S (_gl_integration_matrix).
     """
     wanted = set(rows)
     u = {}
-    for sl, adj, det in plan.blocks:
+    for sl, inv in plan.blocks:
         block = range(sl.start, sl.stop)
         if not wanted.intersection(block):
             continue
@@ -178,7 +178,7 @@ def _transport_at_points(plan, inner, X, Y, T, glx, glw, S, rows):
                 ew = wts * np.exp(_gamma_integrals(gam, x0, X, xi, Yl, Tl,
                                                    glw, S))
             w.append(np.einsum("q...,q...->...", ew, hv))
-        ub = np.einsum("ij,j...->i...", adj, np.stack(w)) / det
+        ub = np.einsum("ij,j...->i...", inv, np.stack(w))
         for pos, i in enumerate(block):
             if i in wanted:
                 u[i] = ub[pos]
@@ -286,7 +286,7 @@ def _group_block(plan: TransportPlan, g: int, h: int,
     held is the (B, |h|, nx+1, ny, nt) stack of group h's rows, and the
     result the (B, |g|, nx+1, ny, nt) stack of group g's. held is
     transported as it is (solve_transport_group: group h's row integrals,
-    its adjugate and its inflow face), and only the plan.coupling entries
+    its block inverse and its inflow face), and only the plan.coupling entries
     into group g are multiplied. The plan refuses any entry outside the
     cyclic pattern, so each of them reads the one group h that g reads,
     and the result is apply_k's group-g rows bit for bit, at one group's
@@ -551,7 +551,7 @@ def _section_power_norms(plan: TransportPlan):
     shape = (n, grid.nx + 1, grid.ny, grid.nt)
     unit = np.zeros((n,) + shape)
     unit[np.arange(n), np.arange(n)] = 1.0
-    for g, (sl, _, _) in enumerate(plan.blocks):
+    for g, (sl, _) in enumerate(plan.blocks):
         _apply_blocks(plan, g, unit[:, sl])
     m = np.abs(apply_coupling_stack(plan, unit))
     v = np.ones((1,) + shape)

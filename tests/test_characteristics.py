@@ -138,12 +138,16 @@ def test_adjugates_match_inverses():
         n=4, k=3, l=1, a1=[[3.0]], a2=a2, a3=[[-1.0]],
         alpha=(0.0,) * 4, beta=(0.0,) * 4, gamma=(ZERO,) * 4,
         b=tuple(tuple(ZERO for _ in range(4)) for _ in range(4)))
-    (_, _, det1), (rows2, adj2, det2), (_, _, det3) = TransportPlan.build(
+    # the plan holds each block's inverse, which the transport applies
+    # without dividing by a determinant
+    (rows1, inv1), (rows2, inv2), (rows3, inv3) = TransportPlan.build(
         spec, cf.Grid(nx=4, ny=4, nt=4)).blocks
-    assert rows2 == slice(1, 3)
-    np.testing.assert_allclose(adj2 / det2, np.linalg.inv(a2), rtol=1e-14)
-    assert det1 == pytest.approx(3.0)
-    assert det3 == pytest.approx(-1.0)
+    assert (rows1, rows2, rows3) == (slice(0, 1), slice(1, 3), slice(3, 4))
+    np.testing.assert_allclose(inv2, np.linalg.inv(a2), rtol=1e-14)
+    np.testing.assert_allclose(a2 @ inv2, np.eye(2), rtol=0, atol=1e-15)
+    assert inv1.shape == inv3.shape == (1, 1)
+    assert inv1[0, 0] == pytest.approx(1 / 3)
+    assert inv3[0, 0] == -1.0
 
 
 def test_singular_block_raises():

@@ -898,10 +898,12 @@ def test_gmres_stall_falls_back_to_the_dense_section(tmp_path, monkeypatch):
     counts = counting_gmres(monkeypatch)
     factored, _, gelsy_calls = recording_dense_solves(monkeypatch)
     out = cf.solve_discrete(cfg.spec, f, kernel_estimate=False)
-    # GMRES converges on I + S in 33 iterations; the first refinement's
-    # GMRES solve spends its restart cycles in 143 and ends unconverged
-    assert counts == [(33, True), (143, False)] and out.iterations == 176
-    assert f"{out.stalled_residual:.3e}" == "1.729e-13"
+    # GMRES converges on I + S in 33 iterations and on the two
+    # refinement steps in 65 and 33; the second step does not lower the
+    # full relative residual, which stays above GMRES_RTOL
+    assert counts == [(33, True), (65, True), (33, True)]
+    assert out.iterations == 131
+    assert f"{out.stalled_residual:.3e}" == "1.836e-13"
     assert out.kernel_dimension_estimate is None
     # no count, so no LU: one gelsy call on the 80-row section of I + S
     # for each of the two kept steps and the one dropped for not lowering
@@ -925,16 +927,17 @@ def test_counted_stall_factors_the_section_once(tmp_path, monkeypatch):
     factored, lu_solves, gelsy_calls = recording_dense_solves(monkeypatch)
     sections, factors = recording_factors(monkeypatch)
     out = cf.solve_discrete(cfg.spec, f)
-    assert counts == [(33, True), (143, False)] and out.iterations == 176
-    assert f"{out.stalled_residual:.3e}" == "1.729e-13"
+    assert counts == [(33, True), (65, True), (33, True)]
+    assert out.iterations == 131
+    assert f"{out.stalled_residual:.3e}" == "1.836e-13"
     assert out.kernel_dimension_estimate == 0
-    # one factorisation, made in place in the assembled section; three
-    # steps are kept and a fourth is dropped for not lowering the
+    # one factorisation, made in place in the assembled section; two
+    # steps are kept and a third is dropped for not lowering the
     # residual
     assert factored == [(80, 80)] and gelsy_calls == []
     assert len(sections) == len(factors) == 1
     assert np.shares_memory(factors[0][0], sections[0])
-    assert out.refinements == 2 and len(lu_solves) == 4
+    assert out.refinements == 1 and len(lu_solves) == 3
     np.testing.assert_array_equal(out.w.values,
                                   reduced_direct(cfg.spec, f, lu_solver))
     expect = gelsy(cfg.spec, f)
@@ -965,6 +968,28 @@ def test_gmres_that_never_converges_falls_back_to_the_dense_section(
     assert out.residual_sup <= 2.2e-11 * cf.sup_norm(f)
     np.testing.assert_array_equal(out.w.values,
                                   reduced_direct(cfg.spec, f, lu_solver))
+
+
+def test_unconverged_gmres_without_a_count_falls_back_to_gelsy(
+        tmp_path, monkeypatch):
+    # the copy above with no kernel count: GMRES on I + S ends
+    # unconverged after all its restart cycles, so gelsy solves the
+    # section of I + S, two steps kept and a third dropped for not
+    # lowering the residual
+    cfg = overflow_config(tmp_path, ny=5)
+    f = cf.sample(cfg.rhs, cfg.grid)
+    counts = counting_gmres(monkeypatch)
+    factored, _, gelsy_calls = recording_dense_solves(monkeypatch)
+    out = cf.solve_discrete(cfg.spec, f, kernel_estimate=False)
+    assert counts == [(GMRES_MAX_ITER, False)]
+    assert out.iterations == GMRES_MAX_ITER
+    assert out.stalled_residual == 1.0
+    assert out.kernel_dimension_estimate is None
+    assert factored == [] and gelsy_calls == [(125, 125)] * 3
+    assert out.refinements == 1
+    np.testing.assert_array_equal(out.w.values,
+                                  reduced_direct(cfg.spec, f, gelsy_solver))
+    assert out.residual_sup <= 2.2e-11 * cf.sup_norm(f)
 
 
 def never_converging_gmres(matvec, rhs):

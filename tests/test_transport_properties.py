@@ -161,6 +161,55 @@ def test_dense_dft_matches_the_fft_route(problem, batch):
 
 
 @PROPERTY
+@given(small_planes(), st.integers(1, 4), st.booleans())
+def test_backward_rows_mirror_forward_rows(problem, batch, dense):
+    # row 3 runs backward from x = 1; row 1 runs forward with row 3's
+    # slopes and gamma negated. On the x-mirrored field it integrates the
+    # same line, so its integral is row 3's mirrored and negated
+    spec, grid, rng = problem
+    c = constant_value(spec.gamma[2])
+    spec = replace(spec, beta=(-spec.beta[2],) + tuple(spec.beta[1:]),
+                   alpha=(-spec.alpha[2],) + tuple(spec.alpha[1:]),
+                   gamma=(Num(-c),) + tuple(spec.gamma[1:]))
+    with mock.patch.object(characteristics, "DENSE_DFT_NODES",
+                           characteristics.DENSE_DFT_NODES if dense else 0):
+        plan = TransportPlan.build(spec, grid)
+    assert (plan.dft is not None) == dense
+    stack = random_stack(grid, rng, batch)
+    stack[:, 0] = stack[:, 2, ::-1]
+    w = _row_integrals(plan, stack)
+    np.testing.assert_allclose(w[:, 0, ::-1], -w[:, 2], rtol=0,
+                               atol=1e-14 * np.abs(w[:, 2]).max())
+
+
+@PROPERTY
+@given(small_planes())
+def test_dense_x_operators_are_owned_triangles(problem):
+    # each small-grid row holds one dense operator per (y, t) mode: H_o
+    # on the o-th subdiagonal, E in the inflow column and zeros elsewhere,
+    # in the frame where the inflow face is level 0
+    spec, grid, _ = problem
+    plan = TransportPlan.build(spec, grid)
+    _, weight = characteristics._plane_dft(grid)
+    nx = grid.nx
+    for forward, beta, alpha, _, c, op in plan.rows:
+        assert op.shape == (nx + 1, nx + 1, weight.size)
+        assert op.flags.c_contiguous and op.flags.owndata
+        H, E = characteristics._spectral_multipliers(grid, forward, beta,
+                                                     alpha, c)
+        layout = op if forward else op[::-1, ::-1]
+        assert not layout[0].any()
+        assert not layout[np.triu_indices(nx + 1, 1)].any()
+        np.testing.assert_array_equal(layout[1:, 0],
+                                      E.reshape(nx, -1) * weight)
+        for o, h in enumerate(H.reshape(nx, -1) * weight):
+            ix = np.arange(o + 1, nx + 1)
+            np.testing.assert_array_equal(layout[ix, ix - o],
+                                          np.broadcast_to(h, (ix.size,
+                                                              h.size)))
+
+
+@PROPERTY
 @given(problems(), st.floats(-3.0, 3.0), st.floats(-3.0, 3.0))
 def test_transport_is_linear(problem, a, b):
     spec, grid, rng = problem
