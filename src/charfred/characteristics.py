@@ -114,7 +114,7 @@ class TransportPlan:
             scale = max(1.0, abs(det)) * max(1.0, float(np.abs(a).max()))
             gap = abs(det) * np.abs(a @ inv - np.eye(a.shape[0])).max()
             if gap > 1e-12 * scale:
-                raise SingularBlockError(f"adjugate identity failed for {name}")
+                raise SingularBlockError(f"inverse identity failed for {name}")
             blocks.append((sl, inv))
         if spec.orientation not in (FORWARD, MIRRORED):
             raise ValueError(f"unknown orientation {spec.orientation!r}")

@@ -7,8 +7,10 @@ through one more transport solve. Powers of K smooth: the coupling
 pattern cycles support through the three row groups, and after three
 applications every term has crossed transversal characteristic pairs.
 
-scipy is imported inside the functions that use it, so importing the
-package loads none of it.
+The Krylov solver is a restarted GMRES in numpy (_gmres). scipy serves
+only the dense fallback and the kernel count of the dense section, and
+is imported inside them: importing the package, or a discrete solve
+whose kernel count the certificate decides, loads none of it.
 """
 from __future__ import annotations
 
@@ -565,38 +567,76 @@ def _section_power_norms(plan: TransportPlan):
         yield a
 
 
-def _gmres(matvec, rhs: np.ndarray):
-    """Restarted GMRES on x -> matvec(x) for one flat right-hand side.
+@dataclass(frozen=True)
+class _Krylov:
+    """Unpacks as (x, iterations, converged); estimates holds each
+    iteration's Givens residual estimate relative to |rhs|."""
 
-    Returns the solution, the iteration count and whether the relative
-    residual reached GMRES_RTOL within GMRES_MAX_ITER iterations.
+    x: np.ndarray
+    converged: bool
+    estimates: list
+
+    def __iter__(self):
+        return iter((self.x, len(self.estimates), self.converged))
+
+
+def _gmres(matvec, rhs: np.ndarray, rtol: float = GMRES_RTOL) -> _Krylov:
+    """Restarted GMRES (Saad & Schultz 1986) on x -> matvec(x[None])[0]
+    for one flat right-hand side, from x = 0.
+
+    Each cycle orthogonalises at most GMRES_RESTART Arnoldi vectors by
+    modified Gram-Schmidt, and Givens rotations give each iterate's
+    residual norm without forming it. The call converges when that drops
+    to rtol * |rhs|, unchecked: the caller's full residual decides
+    (_refine). Only a restart forms the true residual, and
+    GMRES_MAX_ITER iterations end the call unconverged.
     """
-    import scipy.sparse.linalg
-
-    op = scipy.sparse.linalg.LinearOperator(
-        (rhs.size, rhs.size), matvec=lambda x: matvec(x[None])[0],
-        dtype=float)
-    iterations = 0
-
-    def count(_):
-        nonlocal iterations
-        iterations += 1
-
-    sol, info = scipy.sparse.linalg.gmres(
-        op, rhs, rtol=GMRES_RTOL, restart=GMRES_RESTART,
-        maxiter=GMRES_MAX_ITER // GMRES_RESTART, callback=count,
-        callback_type="pr_norm")
-    return sol, iterations, info == 0
+    norm = float(np.linalg.norm(rhs))
+    target = rtol * norm
+    x, estimates = np.zeros_like(rhs), []
+    r, beta = rhs, norm
+    while beta > target and len(estimates) < GMRES_MAX_ITER:
+        m = min(GMRES_RESTART, GMRES_MAX_ITER - len(estimates))
+        v = np.empty((m + 1, rhs.size))
+        h = np.zeros((m, m))  # R of the Hessenberg matrix's QR
+        cs, sn, g = np.zeros(m), np.zeros(m), np.zeros(m + 1)
+        v[0], g[0] = r / beta, beta
+        for j in range(m):
+            w = matvec(v[j][None])[0]
+            for i in range(j + 1):
+                h[i, j] = v[i] @ w
+                w -= h[i, j] * v[i]
+            below = float(np.linalg.norm(w))
+            for i in range(j):
+                h[i, j], h[i + 1, j] = (cs[i] * h[i, j] + sn[i] * h[i + 1, j],
+                                        cs[i] * h[i + 1, j] - sn[i] * h[i, j])
+            rho = math.hypot(h[j, j], below)
+            cs[j], sn[j], h[j, j] = h[j, j] / rho, below / rho, rho
+            g[j], g[j + 1] = cs[j] * g[j], -sn[j] * g[j]
+            estimates.append(float(abs(g[j + 1])) / norm)
+            if abs(g[j + 1]) <= target:
+                break
+            v[j + 1] = w / below
+        k = j + 1
+        x = x + np.linalg.solve(h[:k, :k], g[:k]) @ v[:k]
+        beta = float(abs(g[k]))
+        if beta > target and len(estimates) < GMRES_MAX_ITER:
+            r = rhs - matvec(x[None])[0]
+            beta = float(np.linalg.norm(r))
+    return _Krylov(x, beta <= target, estimates)
 
 
 def _refine(red: _Reduction, f: np.ndarray, solve):
     """w with (I + K) w = f from reduced solves, refined while the full
     relative residual is above GMRES_RTOL and falling.
 
-    solve(r) returns x with (I + S) x = r (approximately), its iteration
-    count and whether it converged. Each step solves for the reduced
-    correction of the full residual, from w = 0 (relative residual 1) on,
-    and back-substitutes it. A step that does not lower the residual is
+    solve(r, rtol) returns x with (I + S) x = r to a relative residual of
+    about rtol, its iteration count and whether it converged. Each step
+    solves for the reduced correction of the full residual r_k, from
+    w = 0 (relative residual 1) on, and back-substitutes it. A correction
+    needs only the accuracy that the first solve reached on r_0 = f, so it
+    asks for max(GMRES_RTOL, min(1e-2, GMRES_RTOL |r_0| / |r_k|)) (Carson
+    & Higham, SISC 2017). A step that does not lower the residual is
     dropped, and none follows a solve that did not converge. Returns w,
     u = C^{-1} w (None for w = 0), the relative residual of w, the
     iterations and the refinements: the steps kept after the first.
@@ -606,7 +646,8 @@ def _refine(red: _Reduction, f: np.ndarray, solve):
     gap, iterations, steps = 1.0, 0, 0
     converged = True
     while gap > GMRES_RTOL and converged:
-        x, its, converged = solve(red.rhs(res))
+        rtol = max(GMRES_RTOL, min(1e-2, GMRES_RTOL / gap))
+        x, its, converged = solve(red.rhs(res), rtol)
         iterations += its
         trial = w + red.expand(res, x)
         with np.errstate(over="ignore", invalid="ignore"):
@@ -629,13 +670,13 @@ def solve_discrete(spec: SystemSpec, f: GridFunction,
     (I + S) w_p = r on the smallest group p (on a tie, the
     lowest-numbered), S the group-p block of K^3, and the other two
     groups follow by back-substitution (_Reduction). Restarted GMRES
-    solves the reduced system; S smooths like K^3, and GMRES converges
-    fast on the identity plus a compact operator (Campbell, Ipsen,
-    Kelley & Meyer, BIT 1996). An answer is accepted on the relative
-    residual of the full system, at most GMRES_RTOL. While it is above
-    that and still falling, a refinement step solves for the reduced
-    correction of the full residual and back-substitutes it
-    (_refine). A zero f gives w = 0.
+    (_gmres) solves the reduced system; S smooths like K^3, and GMRES
+    converges fast on the identity plus a compact operator (Campbell,
+    Ipsen, Kelley & Meyer, BIT 1996). An answer is accepted on the
+    relative residual of the full system, at most GMRES_RTOL. While it
+    is above that and still falling, a refinement step solves, to a
+    looser tolerance, for the reduced correction of the full residual
+    and back-substitutes it (_refine). A zero f gives w = 0.
 
     The kernel dimension estimate (kernel_estimate=True) counts singular
     values at or below KERNEL_SV_RTOL of the largest. A structural
@@ -669,10 +710,10 @@ def solve_discrete(spec: SystemSpec, f: GridFunction,
     - for a direct solve, then back-substitution and refinement, when
       that count finds a kernel, or when the GMRES route stalls: its
       full relative residual stays above GMRES_RTOL and stops falling,
-      or a GMRES solve ends unconverged (its GMRES_MAX_ITER //
-      GMRES_RESTART restart cycles, at most GMRES_MAX_ITER iterations,
-      run out). stalled_residual is then that residual. The full
-      section of I + K is never assembled.
+      or a GMRES solve ends unconverged (its GMRES_MAX_ITER iterations,
+      in restart cycles of at most GMRES_RESTART, run out).
+      stalled_residual is then that residual. The full section of I + K
+      is never assembled.
 
     The direct solve follows the count. I + S is singular exactly when
     I + K is, so a count of 0 makes it invertible: one LU factorisation
@@ -715,7 +756,7 @@ def solve_discrete(spec: SystemSpec, f: GridFunction,
                         kdim)
     if not kdim:
         w, u, gap, iterations, refinements = _refine(
-            red, f.values, lambda r: _gmres(red.apply, r))
+            red, f.values, lambda r, rtol: _gmres(red.apply, r, rtol))
         if gap > GMRES_RTOL:
             if not dense_ok:
                 raise NonConvergence(iterations, gap,
@@ -733,10 +774,10 @@ def solve_discrete(spec: SystemSpec, f: GridFunction,
             # factored as its Fortran-ordered transpose, in place
             lu = scipy.linalg.lu_factor(mat.T, overwrite_a=True)
 
-            def solve(r):
+            def solve(r, _):
                 return scipy.linalg.lu_solve(lu, r, trans=1), 0, True
         else:
-            def solve(r):
+            def solve(r, _):
                 x = scipy.linalg.lstsq(mat, r, lapack_driver="gelsy")[0]
                 return x, 0, True
         w, u, _, _, refinements = _refine(red, f.values, solve)

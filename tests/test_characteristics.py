@@ -153,7 +153,20 @@ def test_adjugates_match_inverses():
 def test_singular_block_raises():
     spec = identity_spec()
     object.__setattr__(spec, "a3", np.array([[1e-14]]))
-    with pytest.raises(SingularBlockError):
+    with pytest.raises(SingularBlockError, match=r"\|det a3\| = 1\.000e-14"):
+        TransportPlan.build(spec, cf.Grid(nx=4, ny=4, nt=4))
+
+
+def test_ill_conditioned_block_fails_the_inverse_identity():
+    # det 1.0 clears the floor, but |det| max|a inv - I| is about 1.7e-10
+    # of the scale, above 1e-12
+    a2 = 1e6 * np.array([[1.0, 1.0], [1.0, 1.0 + 1e-12]])
+    spec = cf.SystemSpec(
+        n=4, k=3, l=1, a1=[[3.0]], a2=a2, a3=[[-1.0]],
+        alpha=(0.0,) * 4, beta=(0.0,) * 4, gamma=(ZERO,) * 4,
+        b=tuple(tuple(ZERO for _ in range(4)) for _ in range(4)))
+    with pytest.raises(SingularBlockError,
+                       match="^inverse identity failed for a2$"):
         TransportPlan.build(spec, cf.Grid(nx=4, ny=4, nt=4))
 
 

@@ -34,10 +34,10 @@ CYCLIC_FOURS = [["0", "0", "4"], ["4", "0", "0"], ["0", "4", "0"]]
 THOUSANDFOLD = [["0", "0", "400*cos(2*pi*y)"], ["300", "0", "0"],
                 ["0", "200*sin(2*pi*t)", "0"]]
 # THOUSANDFOLD at 4 nodes: GMRES on I + S converges in 33 iterations and
-# on two refinement steps in 65 and 33 more; the second step does not
-# lower the full relative residual, which stays at 1.836e-13, above
+# on two refinement steps in 32 more each; the second step does not
+# lower the full relative residual, which stays at 1.586e-13, above
 # GMRES_RTOL
-THOUSANDFOLD_STALL = "131 iterations (relative residual 1.836e-13)"
+THOUSANDFOLD_STALL = "97 iterations (relative residual 1.586e-13)"
 
 
 def test_validate_ok_writes_report(tmp_path, capsys):
@@ -247,8 +247,8 @@ def test_solve_reports_a_gmres_stall(tmp_path, capsys):
     assert captured.err == (f"solve: GMRES stalled after {THOUSANDFOLD_STALL}"
                             f", solved the dense section directly\n")
     outcome = json.loads((out / "outcome.json").read_text(encoding="utf-8"))
-    assert outcome["iterations"] == 131
-    assert f"{outcome['stalled_residual']:.3e}" == "1.836e-13"
+    assert outcome["iterations"] == 97
+    assert f"{outcome['stalled_residual']:.3e}" == "1.586e-13"
     assert outcome["refinements"] == 1
     assert outcome["kernel_dimension_estimate"] == 0
     assert outcome["residual_sup"] < 1e-10
@@ -349,6 +349,33 @@ def test_import_loads_no_scipy():
     done = subprocess.run([sys.executable, "-c", code], cwd=src,
                           capture_output=True, text=True, check=True)
     assert done.stdout == "[]\n"
+
+
+def test_certified_discrete_solve_loads_no_scipy(tmp_path):
+    # the certificate decides the kernel count and GMRES converges, so
+    # neither solve_discrete nor the CLI's discrete solve needs scipy
+    doc = base_config()
+    doc["grid"] = {"nx": 6, "ny": 7, "nt": 7}
+    cfg = write_config(tmp_path, doc)
+    code = (
+        "import sys\n"
+        "import charfred as cf\n"
+        "from charfred.cli import main\n"
+        f"c = cf.load_config({cfg!r})\n"
+        "out = cf.solve_discrete(c.spec, cf.sample(c.rhs, c.grid),\n"
+        "                        kernel_estimate=True)\n"
+        "assert out.kernel_dimension_estimate == 0, out\n"
+        "print([m for m in sys.modules if m.startswith('scipy')])\n"
+        f"rc = main(['solve', '--config', {cfg!r}, '--out',\n"
+        f"           {str(tmp_path / 'run')!r}, '--method', 'discrete'])\n"
+        "assert rc == 0, rc\n"
+        "print([m for m in sys.modules if m.startswith('scipy')])\n")
+    src = str(Path(charfred.__file__).resolve().parent.parent)
+    done = subprocess.run([sys.executable, "-c", code], cwd=src,
+                          capture_output=True, text=True, check=True)
+    # the CLI prints its summary line between the two
+    lines = done.stdout.splitlines()
+    assert lines[0] == lines[-1] == "[]" and len(lines) == 3
 
 
 @pytest.mark.parametrize("key,size", [

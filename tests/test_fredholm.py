@@ -875,14 +875,76 @@ def test_kernel_estimate_holds_no_dense_section(monkeypatch):
     assert peak < size * size * 8
 
 
+def well_conditioned(seed, size=40):
+    """A seeded I + E with |E|_2 about 0.4, and a right-hand side."""
+    rng = np.random.default_rng(seed)
+    e = rng.standard_normal((size, size)) * (0.2 / math.sqrt(size))
+    return np.eye(size) + e, rng.standard_normal(size)
+
+
+def counted_matvec(a):
+    """x -> a x on (1, size) rows, and the list that counts its calls."""
+    calls = []
+
+    def matvec(x):
+        calls.append(1)
+        return x @ a.T
+
+    return matvec, calls
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("restart", (fredholm.GMRES_RESTART, 3),
+                         ids=("one-cycle", "restarted"))
+def test_gmres_matches_a_direct_solve(monkeypatch, seed, restart):
+    monkeypatch.setattr(fredholm, "GMRES_RESTART", restart)
+    a, rhs = well_conditioned(seed)
+    matvec, calls = counted_matvec(a)
+    krylov = fredholm._gmres(matvec, rhs)
+    x, iterations, converged = krylov
+    assert converged and iterations == len(krylov.estimates)
+    expect = np.linalg.solve(a, rhs)
+    assert np.linalg.norm(x - expect) <= 1e-10 * np.linalg.norm(expect)
+    # one matvec per iteration, and one true residual per restart
+    cycles = -(-iterations // restart)
+    assert (cycles > 1) == (restart == 3)
+    assert len(calls) == iterations + cycles - 1
+    assert krylov.estimates[-1] <= GMRES_RTOL
+    # the Givens estimates never increase within a cycle
+    for start in range(0, iterations, restart):
+        cycle = krylov.estimates[start:start + restart]
+        assert all(later <= earlier
+                   for earlier, later in zip(cycle, cycle[1:]))
+
+
+def test_gmres_on_a_zero_rhs_runs_no_matvec():
+    matvec, calls = counted_matvec(np.eye(4))
+    x, iterations, converged = fredholm._gmres(matvec, np.zeros(4))
+    assert not x.any() and iterations == 0 and converged and calls == []
+
+
+def test_gmres_stagnates_on_a_cyclic_shift(monkeypatch):
+    # the shift maps the Krylov space of e_1 past e_1, so no restarted
+    # cycle of 3 vectors lowers the residual below |e_1|
+    monkeypatch.setattr(fredholm, "GMRES_RESTART", 3)
+    size = 40
+    matvec, calls = counted_matvec(np.roll(np.eye(size), 1, axis=0))
+    krylov = fredholm._gmres(matvec, np.eye(size)[0])
+    x, iterations, converged = krylov
+    assert not converged and iterations == GMRES_MAX_ITER
+    assert not x.any() and krylov.estimates == [1.0] * GMRES_MAX_ITER
+    # no true residual after the last cycle
+    assert len(calls) == GMRES_MAX_ITER + GMRES_MAX_ITER // 3
+
+
 def counting_gmres(monkeypatch):
     """The iteration count and convergence _gmres reports, one pair
     per call."""
     counts = []
     gmres = fredholm._gmres
 
-    def counted(matvec, rhs):
-        sol, iterations, converged = gmres(matvec, rhs)
+    def counted(matvec, rhs, rtol):
+        sol, iterations, converged = gmres(matvec, rhs, rtol)
         counts.append((iterations, converged))
         return sol, iterations, converged
 
@@ -899,11 +961,11 @@ def test_gmres_stall_falls_back_to_the_dense_section(tmp_path, monkeypatch):
     factored, _, gelsy_calls = recording_dense_solves(monkeypatch)
     out = cf.solve_discrete(cfg.spec, f, kernel_estimate=False)
     # GMRES converges on I + S in 33 iterations and on the two
-    # refinement steps in 65 and 33; the second step does not lower the
+    # refinement steps in 32 each; the second step does not lower the
     # full relative residual, which stays above GMRES_RTOL
-    assert counts == [(33, True), (65, True), (33, True)]
-    assert out.iterations == 131
-    assert f"{out.stalled_residual:.3e}" == "1.836e-13"
+    assert counts == [(33, True), (32, True), (32, True)]
+    assert out.iterations == 97
+    assert f"{out.stalled_residual:.3e}" == "1.586e-13"
     assert out.kernel_dimension_estimate is None
     # no count, so no LU: one gelsy call on the 80-row section of I + S
     # for each of the two kept steps and the one dropped for not lowering
@@ -927,9 +989,9 @@ def test_counted_stall_factors_the_section_once(tmp_path, monkeypatch):
     factored, lu_solves, gelsy_calls = recording_dense_solves(monkeypatch)
     sections, factors = recording_factors(monkeypatch)
     out = cf.solve_discrete(cfg.spec, f)
-    assert counts == [(33, True), (65, True), (33, True)]
-    assert out.iterations == 131
-    assert f"{out.stalled_residual:.3e}" == "1.836e-13"
+    assert counts == [(33, True), (32, True), (32, True)]
+    assert out.iterations == 97
+    assert f"{out.stalled_residual:.3e}" == "1.586e-13"
     assert out.kernel_dimension_estimate == 0
     # one factorisation, made in place in the assembled section; two
     # steps are kept and a third is dropped for not lowering the
@@ -992,7 +1054,7 @@ def test_unconverged_gmres_without_a_count_falls_back_to_gelsy(
     assert out.residual_sup <= 2.2e-11 * cf.sup_norm(f)
 
 
-def never_converging_gmres(matvec, rhs):
+def never_converging_gmres(matvec, rhs, rtol):
     return np.zeros_like(rhs), GMRES_MAX_ITER, False
 
 
@@ -1078,8 +1140,7 @@ def test_gmres_stall_above_the_cap_is_a_nonconvergence(monkeypatch):
     values = np.zeros((3, 31, 16, 16))
     values[0] = 1.0
     f = cf.GridFunction(grid, values)
-    monkeypatch.setattr(fredholm, "_gmres", lambda matvec, rhs:
-                        (np.zeros_like(rhs), GMRES_MAX_ITER, False))
+    monkeypatch.setattr(fredholm, "_gmres", never_converging_gmres)
     with pytest.raises(cf.NonConvergence) as err:
         cf.solve_discrete(spec, f, kernel_estimate=False)
     assert err.value.iterations == GMRES_MAX_ITER
