@@ -47,12 +47,17 @@ FUSED_PANELS = 2
 FUSED_NODES = 8
 # probes per block of the fused K^3 route. The largest temporaries are
 # the innermost level's arrays of (FUSED_PANELS * FUSED_NODES)^3 points
-# per probe, 256 KiB each at 8 probes; tracemalloc puts a block's peak at
-# 7.0 MiB on a 33-node grid. In a sweep on a 2-core Xeon, 100 probes took
-# about as long in blocks of 4 or 8 and 1.5 times as long in blocks of
-# 16 or 32. At 8 every block of a longer call holds 4 probes or more,
-# and such blocks give results bit-identical to one unblocked call
-FUSED_BLOCK = 8
+# per probe, 64 KiB each at 2 probes. A block's working set must stay
+# under glibc's dynamic trim threshold, or the allocator hands it back to
+# the OS after every block and page-faults it in again for the next one.
+# One 100-probe call on a 33-node grid (2-core Xeon, one BLAS thread):
+#   block  wall        minor faults  system time  traced peak of a block
+#   1      204-222 ms  454           ~1 ms        1.9 MiB
+#   2      151-175 ms  623           <= 2.4 ms    2.6 MiB
+#   3      202-206 ms  36.8k         ~60 ms       3.3 MiB
+#   4      209-221 ms  41.2k         54-68 ms     4.0 MiB
+#   8      213-219 ms  46.6k         70-76 ms     7.0 MiB
+FUSED_BLOCK = 2
 
 
 class NonConvergence(RuntimeError):
@@ -95,21 +100,25 @@ def apply_k_power(spec: SystemSpec, f: GridFunction,
     return out
 
 
-def _gl_panels(x0, X, glx, glw, panels):
-    """Gauss nodes and signed weights for int from x0 to X, per point."""
+def _gl_panels(x0, X, tau, omega):
+    """Gauss nodes and signed weights for int from x0 to X, per point:
+    x0 + (X - x0) tau and (X - x0) omega, one broadcast each, with tau
+    and omega the panel rule on [0, 1] of _fused_rule."""
     length = X - x0
-    q = glx.size
-    shape = (panels * q,) + X.shape
-    xi = np.empty(shape)
-    wts = np.empty(shape)
-    for p in range(panels):
-        a = x0 + (p / panels) * length
-        half = length / (2 * panels)
-        mid = a + half
-        sl = slice(p * q, (p + 1) * q)
-        xi[sl] = mid[None] + half[None] * glx.reshape((q,) + (1,) * X.ndim)
-        wts[sl] = half[None] * glw.reshape((q,) + (1,) * X.ndim)
-    return xi, wts
+    shape = (tau.size,) + (1,) * X.ndim
+    return x0 + length * tau.reshape(shape), length * omega.reshape(shape)
+
+
+def _fused_rule():
+    """The line rule of the fused route: FUSED_PANELS Gauss panels of
+    FUSED_NODES nodes on [0, 1], as nodes tau and weights omega for
+    _gl_panels, with the Gauss weights glw on [-1, 1] and the
+    integration matrix S for _gamma_integrals."""
+    glx, glw = np.polynomial.legendre.leggauss(FUSED_NODES)
+    tau = (((2 * np.arange(FUSED_PANELS) + 1)[:, None] + glx)
+           / (2 * FUSED_PANELS)).reshape(-1)
+    omega = np.tile(glw / (2 * FUSED_PANELS), FUSED_PANELS)
+    return tau, omega, glw, _gl_integration_matrix(glx, glw)
 
 
 def _gl_integration_matrix(glx, glw):
@@ -146,7 +155,7 @@ def _gamma_integrals(gam, x0, X, xi, Yl, Tl, glw, S):
     return G.reshape(xi.shape)
 
 
-def _transport_at_points(plan, inner, X, Y, T, glx, glw, S, rows):
+def _transport_at_points(plan, inner, X, Y, T, rule, rows):
     """Requested components of (C^{-1} h) at scattered points.
 
     inner(X, Y, T, rows) returns the needed components of h as a dict.
@@ -155,8 +164,9 @@ def _transport_at_points(plan, inner, X, Y, T, glx, glw, S, rows):
     the nested chain linear in the coupling width. A variable gamma is read
     once per panel node, where h is read, and its line integral from X
     to each node comes from those samples through the integration matrix
-    S (_gl_integration_matrix).
+    S (_gl_integration_matrix). rule is _fused_rule().
     """
+    tau, omega, glw, S = rule
     wanted = set(rows)
     u = {}
     for sl, inv in plan.blocks:
@@ -167,7 +177,7 @@ def _transport_at_points(plan, inner, X, Y, T, glx, glw, S, rows):
         for i in block:
             forward, beta, alpha, gam, c, _ = plan.rows[i]
             x0 = 0.0 if forward else 1.0
-            xi, wts = _gl_panels(x0, X, glx, glw, FUSED_PANELS)
+            xi, wts = _gl_panels(x0, X, tau, omega)
             d = xi - X[None]
             Yl = Y[None] + beta * d
             Tl = T[None] + alpha * d
@@ -205,14 +215,16 @@ def apply_k_cubed_fused(spec: SystemSpec, f: GridFunction,
     has shape (n, p).
 
     Each line integral has FUSED_PANELS Gauss panels of FUSED_NODES
-    nodes, and a variable gamma is read only at those nodes: its
-    integral along the line comes from the integration matrix S built
-    here beside the Gauss rule (_gamma_integrals).
+    nodes, formed once here on [0, 1] (_fused_rule) and scaled to each
+    line by _gl_panels. A variable gamma is read only at those nodes:
+    its integral along the line comes from the integration matrix S
+    built beside the Gauss rule (_gamma_integrals).
 
     Each probe carries (FUSED_PANELS * FUSED_NODES)^3 innermost points,
     so the probes are evaluated in ceil(p / FUSED_BLOCK) near-equal
-    blocks and peak memory is set by the block, not by p. A probe with x
-    outside [0, 1] or a non-finite y or t raises GridDomainError.
+    blocks: peak memory is set by the block, not by p, and a block's
+    working set is small enough to be reused without page faults. A probe
+    with x outside [0, 1] or a non-finite y or t raises GridDomainError.
     """
     pts = np.asarray(probes, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 3:
@@ -224,8 +236,7 @@ def apply_k_cubed_fused(spec: SystemSpec, f: GridFunction,
         raise GridDomainError(f"probe x = {bad!r} outside [0, 1]")
     _require_finite("probe y", pts[:, 1])
     _require_finite("probe t", pts[:, 2])
-    glx, glw = np.polynomial.legendre.leggauss(FUSED_NODES)
-    S = _gl_integration_matrix(glx, glw)
+    rule = _fused_rule()
     plan = TransportPlan.build(spec, f.grid)
 
     # one single-component view per row, so a read interpolates only it
@@ -237,8 +248,7 @@ def apply_k_cubed_fused(spec: SystemSpec, f: GridFunction,
     def chain(inner):
         def level(X, Y, T, rows):
             needed = {j for i, j, _ in plan.coupling if i in rows}
-            u = _transport_at_points(plan, inner, X, Y, T, glx, glw, S,
-                                     needed)
+            u = _transport_at_points(plan, inner, X, Y, T, rule, needed)
             return _coupling_at_points(plan, X, Y, T, u, rows)
         return level
 

@@ -239,8 +239,8 @@ BLOCK = fredholm.FUSED_BLOCK
 
 
 @settings(max_examples=10, deadline=None, derandomize=True, database=None)
-@given(fields(m=3), st.sampled_from((0, 1, BLOCK - 1, BLOCK + 1,
-                                     2 * BLOCK + 3)))
+@given(fields(m=3), st.sampled_from((0, 1, BLOCK, BLOCK + 1,
+                                     4 * BLOCK + 1)))
 def test_fused_blocks_match_per_probe_evaluation(field, count):
     f, rng = field
     probes = np.column_stack([rng.uniform(0.0, 1.0, count),
