@@ -10,30 +10,33 @@ Rows 1..k integrate from the inflow face x = 0, rows k+1..n from x = 1;
 the sign of the second family follows from the equation and its end
 condition (w vanishes at x = 1, so w(x) = -int_x^1 ...).
 
-Quadrature: composite Simpson on the half-cell subdivision xi_q = q/(2 nx).
-One walk over the half-cell offsets from each target integrates every
-row: grid-sampled integrands are read through trilinear interpolation
-(the half-cell refinement then integrates the stored field exactly);
-when the right-hand side is known in closed form the walk samples its
-expressions exactly at the same line points instead, which makes the
-rule exact on cubics. The inner exponential weight accumulates int gamma
-by trapezoid on the same subdivision, outward from each target. Rows
-whose gamma is a constant and whose right-hand side is read from the
-grid apply the same operator one (y, t) Fourier mode at a time, the
-spectral route of Greengard (SIAM J. Numer. Anal., 1991). On a grid of
-at most DENSE_DFT_NODES nodes per component the modes come from one
-dense DFT matrix product over the whole (y, t) plane, and one x operator
-per mode sums over x; larger grids take rfft2, a loop over the x
-offsets and irfft2. The plan decides the route once.
+On the grid every row is one spectral kernel (Greengard, SIAM J. Numer.
+Anal., 1991): composite Simpson on the half-cell subdivision
+xi_q = q/(2 nx) of the line, the field read by linear interpolation,
+which acts on each (y, t) Fourier mode as a diagonal multiplier. A
+constant gamma c is the weight e^{c (xi - x)} inside the kernel. A
+variable gamma enters through its integrating factor: with Gamma the
+signed integral of gamma from the inflow face to each node along the
+node's line, the row is e^{-Gamma} R_0 e^{Gamma}, R_0 the kernel with
+c = 0. On a grid of at most DENSE_DFT_NODES nodes per component the
+modes come from one dense DFT matrix product over the whole (y, t)
+plane, and one x operator per mode sums over x; larger grids take
+rfft2, a loop over the x offsets and irfft2. The plan decides the route
+and builds every factor once.
+
+Gamma, closed-form right-hand sides and the fused K^3 route integrate
+along a line by Gauss-Legendre panels instead (_gl_panels), reading
+their integrands exactly at the panel nodes (_transport_at_points).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .expressions import (Expression, constant_value, evaluate_on,
-                          is_literal_zero)
+from .expressions import (EvalError, constant_value, evaluate,
+                          evaluate_on, is_literal_zero)
 from .gridfield import (Grid, GridFunction, evaluate_at_nodes,
                         interpolate_many, sup_norm)
 from .gridfield import _split_index  # shared node snapping
@@ -49,6 +52,13 @@ _DEFAULT_STEP_EPS = 1e-12
 # operators' work grows as nx^2, so the count covers nx as well as the
 # plane
 DENSE_DFT_NODES = 13 ** 3
+# Gauss-Legendre panels per line integral, and nodes per panel, of
+# _gl_panels
+FUSED_PANELS = 2
+FUSED_NODES = 8
+# the widest range of a row's Gamma over the nodes: the ratios
+# e^{Gamma(P) - Gamma(Q)} of the integrating factor stay finite up to it
+GAMMA_SPREAD_LIMIT = math.log(np.finfo(float).max)
 
 
 class SingularBlockError(ValueError):
@@ -65,14 +75,17 @@ class TransportPlan:
     grid (resolve). blocks holds (rows, inverse) for the three diagonal
     blocks, rows a slice of components; coupling holds
     (i, j, node values) for each nonzero entry b[i][j]; rows holds
-    (forward, beta, alpha, gamma, c, multipliers) per component, forward
-    meaning inflow at x = 0, c = constant_value(gamma) (None when gamma
-    reads x, y or t) and, for a constant c, multipliers what
-    _integrate_spectral_row applies: the (H, E) pair of
+    (forward, beta, alpha, gamma, c, multipliers, factor) per component,
+    forward meaning inflow at x = 0, c = constant_value(gamma) (None when
+    gamma reads x, y or t), multipliers what _integrate_spectral_row
+    applies for the constant c, or for a varying gamma for the constant
+    part that _integrating_factor splits off: the (H, E) pair of
     _spectral_multipliers, or on a grid of at most DENSE_DFT_NODES nodes
-    per component the x operator L built from it (_x_operator).
-    dft is then the (y, t) plane's DFT matrix F of _plane_dft, built once
-    per plan, and None on larger grids. Build one per solve and pass it
+    per component the x operator L built from it (_x_operator). factor
+    is the e^Gamma of _integrating_factor for a varying gamma and None
+    for a constant one. dft is the (y, t) plane's
+    DFT matrix F of _plane_dft, built once per plan, on the grids of the
+    dense route, and None on larger grids. Build one per solve and pass it
     down; the spec's periods must equal the grid's. An orientation other
     than forward or mirrored, and a nonzero b entry outside the cyclic
     pattern, are refused, since the one-group blocks of K multiply only
@@ -132,16 +145,15 @@ class TransportPlan:
         rows = []
         for i, gam in enumerate(spec.gamma):
             line = (i < spec.k, float(spec.beta[i]), float(spec.alpha[i]))
-            c = constant_value(gam)
-            mult = None
+            c = kernel_c = constant_value(gam)
+            factor = None
             if c is None:
-                # a failure here names gamma; inside the walk it would not
-                evaluate_at_nodes(gam, grid, f"gamma[{i + 1}]")
-            else:
-                mult = _spectral_multipliers(grid, *line, c)
-                if dft is not None:
-                    mult = _x_operator(*mult, line[0], weight)
-            rows.append(line + (gam, c, mult))
+                kernel_c, factor = _integrating_factor(grid, *line, gam,
+                                                       f"gamma[{i + 1}]")
+            mult = _spectral_multipliers(grid, *line, kernel_c)
+            if dft is not None:
+                mult = _x_operator(*mult, line[0], weight)
+            rows.append(line + (gam, c, mult, factor))
         return cls(spec, grid, tuple(blocks), coupling, tuple(rows), dft)
 
 
@@ -154,21 +166,108 @@ def default_step(spec: SystemSpec, grid: Grid) -> float:
                grid.period_t / (4 * grid.nt * ma + _DEFAULT_STEP_EPS))
 
 
-def _shift_axis(a: np.ndarray, j: int, f: float, axis: int) -> np.ndarray:
-    """a read at index + j + f along a periodic axis, by two-point blend.
+def _gl_panels(x0, X, tau, omega):
+    """Gauss nodes and signed weights for int from x0 to X, per point:
+    x0 + (X - x0) tau and (X - x0) omega, one broadcast each, with tau
+    and omega the panel rule on [0, 1] of _fused_rule."""
+    length = X - x0
+    shape = (tau.size,) + (1,) * X.ndim
+    return x0 + length * tau.reshape(shape), length * omega.reshape(shape)
 
-    Returns a itself when the shift is zero, a new array otherwise.
+
+def _fused_rule():
+    """The line rule of _gl_panels: FUSED_PANELS Gauss panels of
+    FUSED_NODES nodes on [0, 1], as nodes tau and weights omega, with the
+    Gauss weights glw on [-1, 1] and the integration matrix S for
+    _gamma_integrals."""
+    glx, glw = np.polynomial.legendre.leggauss(FUSED_NODES)
+    tau = (((2 * np.arange(FUSED_PANELS) + 1)[:, None] + glx)
+           / (2 * FUSED_PANELS)).reshape(-1)
+    omega = np.tile(glw / (2 * FUSED_PANELS), FUSED_PANELS)
+    return tau, omega, glw, _gl_integration_matrix(glx, glw)
+
+
+def _gl_integration_matrix(glx, glw):
+    """S[k, j] = int_{-1}^{glx[k]} l_j, with l_j the Lagrange basis at the
+    Gauss nodes glx.
+
+    S applied to samples of g at glx integrates g's interpolant from -1
+    to each node, exactly when g is a polynomial of degree below glx.size.
     """
-    if j == 0 and f == 0.0:
-        return a
-    r0 = np.roll(a, -j, axis=axis)
-    if f == 0.0:
-        return r0
-    r1 = np.roll(r0, -1, axis=axis)
-    r0 *= 1.0 - f
-    r1 *= f
-    r0 += r1
-    return r0
+    leg = np.polynomial.legendre
+    q = glx.size
+    # l_j = w_j sum_n (n + 1/2) P_n(x_j) P_n, since the rule integrates
+    # every product P_n P_m with n, m < q exactly
+    coef = leg.legvander(glx, q - 1).T * glw * (np.arange(q) + 0.5)[:, None]
+    return leg.legvander(glx, q) @ leg.legint(coef, lbnd=-1)
+
+
+def _gamma_integrals(gam, x0, X, xi, Yl, Tl, glw, S):
+    """int_X^xi gamma along each line, at the panel nodes (xi, Yl, Tl) of
+    _gl_panels(x0, X, ...), from gamma read at those nodes alone.
+
+    S (_gl_integration_matrix) integrates each panel from its start to
+    its nodes, and the whole panels from there to X are subtracted; every
+    panel has the signed half-length (X - x0) / (2 FUSED_PANELS). The
+    result integrates gamma's degree FUSED_NODES - 1 interpolant on each
+    panel exactly.
+    """
+    gv = evaluate_on(gam, xi, Yl, Tl).reshape(FUSED_PANELS, glw.size, X.size)
+    whole = glw @ gv
+    beyond = np.cumsum(whole[::-1], axis=0)[::-1]
+    G = S @ gv
+    G -= beyond[:, None]
+    G *= (X.reshape(-1) - x0) / (2 * FUSED_PANELS)
+    return G.reshape(xi.shape)
+
+
+def _integrating_factor(grid: Grid, forward: bool, beta: float, alpha: float,
+                        gam, label: str):
+    """(c, e^Gamma) for a row with a varying gamma: the kernel's constant
+    c and the integrating factor of the rest, gamma - c, at the nodes.
+
+    c is the midpoint of the range of gamma's samples, so the kernel's
+    exact weights e^{c (xi - x)} carry a large constant part of gamma and
+    the factor, which the kernel reads by linear interpolation, only the
+    variation about it. Gamma(X, Y, T) is the signed integral of gamma - c
+    from the inflow face x0 to X along the node's line, sum wts gamma(xi)
+    over the panel nodes (xi, wts) of _gl_panels(x0, X, ...), built one x
+    level at a time, less c (X - x0). Its shape keeps only the axes that
+    the line points gamma reads vary along: (nx+1, ny, 1) for a gamma of
+    y on lines of any slope, (nx+1, 1, 1) for a gamma of x. Gamma less
+    the midpoint of its range is exponentiated; the row's two factors
+    cancel the shift. gamma failing to evaluate at a panel node, and a
+    range of Gamma wider than GAMMA_SPREAD_LIMIT, raise ValueError naming
+    label.
+    """
+    tau, omega, _, _ = _fused_rule()
+    x0 = 0.0 if forward else 1.0
+    ys, ts = grid.ys()[:, None], grid.ts()[None, :]
+    levels, samples = [], []
+    for ix, X in enumerate(grid.xs()):
+        xi, wts = _gl_panels(x0, X, tau, omega)
+        xi = xi[:, None, None]
+        try:
+            gv = evaluate(gam, xi, ys + beta * (xi - X), ts + alpha * (xi - X))
+        except EvalError as err:
+            raise ValueError(f"{label} at a panel node of x level {ix}: "
+                             f"{err.reason}") from err
+        # x^0 reads x but evaluates to a scalar
+        gv = np.broadcast_to(gv, np.broadcast_shapes(np.shape(gv), xi.shape))
+        samples += (gv.min(), gv.max())
+        levels.append(np.tensordot(wts, gv, 1))
+    c = 0.5 * (float(min(samples)) + float(max(samples)))
+    G = np.stack(levels)
+    G -= c * (grid.xs() - x0).reshape(-1, 1, 1)
+    lo, hi = float(G.min()), float(G.max())
+    # written so that NaN fails it too
+    if not hi - lo <= GAMMA_SPREAD_LIMIT:
+        raise ValueError(f"{label}: its integral along the lines, less "
+                         f"its constant part, spans {hi - lo:.4g} over the "
+                         f"grid, more than the {GAMMA_SPREAD_LIMIT:.2f} "
+                         f"within which e^Gamma stays finite")
+    G -= 0.5 * (lo + hi)
+    return c, np.exp(G, out=G)
 
 
 def _line_shifts(grid: Grid, beta: float, alpha: float, forward: bool):
@@ -190,7 +289,7 @@ def _line_shifts(grid: Grid, beta: float, alpha: float, forward: bool):
 
 
 def _shift_multipliers(j, f, n: int, modes: int) -> np.ndarray:
-    """Fourier multipliers of the two-point reads of _shift_axis.
+    """Fourier multipliers of two-point reads along a periodic axis.
 
     Reading a period-n axis at index + j + f, (1 - f) a[i + j] +
     f a[i + j + 1], multiplies mode k by e^{2 pi i k j / n} ((1 - f) +
@@ -207,10 +306,12 @@ def _spectral_multipliers(grid: Grid, forward: bool, beta: float,
                           alpha: float, c: float):
     """(H, E) of _integrate_spectral_row for a row with constant gamma c.
 
-    Offset m of _integrate_grid_row acts on each (y, t) Fourier mode as
-    the multiplier G_m: Simpson weight s_m = 1, 4, 2, 4, ... times
-    e^{c d_m} times the y and t shift multipliers. The half-cell layers
-    are midpoints of whole cells, so the offsets pair into the whole-cell
+    The row sums, over the half-cell offsets d_m from a target toward the
+    inflow face, Simpson weight s_m = 1, 4, 2, 4, ... times e^{c d_m}
+    times the field at the line point, read by a two-point blend along y
+    and t (_shift_multipliers). Offset m so acts on each (y, t) Fourier
+    mode as the multiplier G_m. A half-cell layer is read as the mean of
+    the two whole levels beside it, so the offsets pair into the whole-cell
     Toeplitz multiplier H_o = G_2o + (G_2o-1 + G_2o+1) / 2 and the
     inflow-face endpoint multiplier E_ix = (G_2ix-1 + G_2ix) / 2, which
     carries the halved Simpson weight of the endpoint. A backward row's
@@ -272,7 +373,8 @@ def _x_operator(H: np.ndarray, E: np.ndarray, forward: bool,
 
 def _integrate_spectral_row(plan: TransportPlan, forward: bool, mult,
                             comp: np.ndarray, out: np.ndarray) -> None:
-    """The line integrals of _integrate_grid_row for a constant gamma.
+    """One row's line integrals: comp is the row's (B, nx+1, ny, nt)
+    field and out receives w for it.
 
     With v the row's x levels in the frame where the inflow face is level
     0 (x reversed for backward rows), per (y, t) Fourier mode
@@ -304,82 +406,26 @@ def _integrate_spectral_row(plan: TransportPlan, forward: bool, mult,
     out[...] = w if forward else w[:, ::-1]
 
 
-def _integrate_grid_row(grid: Grid, beta: float, alpha: float,
-                        gam: Expression, forward: bool, comp: np.ndarray,
-                        out: np.ndarray, rhs: Expression | None = None) -> None:
-    """Line integrals of one row for every target x level.
-
-    comp is the row's (B, nx+1, ny, nt) field and out receives w for it.
-    The sum runs over the half-cell offset m from the target toward the
-    inflow face, so layer q = 2 ix - m (forward) or 2 ix + m. The (y, t)
-    shift and the Simpson weight (but for the one target whose endpoint
-    m is) depend on m alone; the targets still reached at offset m are a
-    contiguous range whose layers form a stride-2 slab, shifted as a
-    whole by rolls and blends. With rhs given (then B = 1) the slab is
-    instead rhs sampled exactly at the line points, the same points at
-    which gamma is read. The variable gamma is summed by trapezoid
-    outward from each target as m grows.
-    """
-    nx, ny, nt = grid.nx, grid.ny, grid.nt
-    h2 = 1.0 / (2 * nx)
-    nq = 2 * nx + 1
-    if rhs is None:
-        refined = np.empty((comp.shape[0], nq, ny, nt))
-        refined[:, 0::2] = comp
-        refined[:, 1::2] = 0.5 * (comp[:, :-1] + comp[:, 1:])
-    d, s, jy, fy, jt, ft = _line_shifts(grid, beta, alpha, forward)
-    xsq = np.arange(nq) * h2
-    ys = grid.ys()[None, :, None]
-    ts = grid.ts()[None, None, :]
-    gprev = np.empty((nx + 1, ny, nt))
-    G = np.zeros((nx + 1, ny, nt))
-    for m in range(nq):
-        if forward:
-            lo, hi = max(1, (m + 1) // 2), nx
-            q0 = 2 * lo - m
-        else:
-            lo, hi = 0, min(nx - 1, nx - (m + 1) // 2)
-            q0 = 2 * lo + m
-        count = hi - lo + 1
-        layers = slice(q0, q0 + 2 * count - 1, 2)
-        X, Y, T = xsq[layers, None, None], ys + beta * d[m], ts + alpha * d[m]
-        if rhs is None:
-            F = _shift_axis(refined[:, layers], jy[m], fy[m], 2)
-            F = _shift_axis(F, jt[m], ft[m], 3)
-        else:
-            F = evaluate_on(rhs, X, Y, T)
-        wts = np.full(count, s[m])
-        if m and m % 2 == 0:
-            wts[0 if forward else -1] = 0.5 * s[m]
-        gv = evaluate_on(gam, X, Y, T)
-        if m:
-            G[lo:hi + 1] += 0.5 * h2 * (gprev[lo:hi + 1] + gv)
-        gprev[lo:hi + 1] = gv
-        ew = wts[:, None, None] * np.exp(-G[lo:hi + 1] if forward
-                                          else G[lo:hi + 1])
-        out[:, lo:hi + 1] += ew[None] * F
-
-
 def _row_integrals(plan: TransportPlan, stack: np.ndarray,
-                   rows: slice = slice(None), rhs_exprs=None) -> np.ndarray:
+                   rows: slice = slice(None)) -> np.ndarray:
     """Each row's line integrals of its own component, before the blocks.
 
     stack holds the plan's rows `rows` (all of them by default), and so
-    do rhs_exprs, when given, and the result. Row i of the result depends
-    on row i of stack alone, and every row is integrated. Every weight of
-    both row kernels (Simpson weights, exp factors, two-point blends, the
-    midpoint refinement) is nonnegative but a backward row's Simpson
-    weights, which are nonpositive, so for a nonnegative stack each row
-    has the sign of its direction: >= 0 forward, <= 0 backward.
+    does the result. Row i of the result depends on row i of stack alone,
+    and every row is integrated by _integrate_spectral_row, a row with a
+    varying gamma between its factor e^Gamma and that factor's inverse.
+    Every weight (Simpson weights, exp factors, integrating factors,
+    two-point blends, the midpoint reads) is nonnegative but a backward
+    row's Simpson weights, which are nonpositive, so for a nonnegative
+    stack each row has the sign of its direction: >= 0 forward, <= 0
+    backward.
     """
     w = np.zeros_like(stack)
-    for i, (forward, beta, alpha, gam, _, mult) in enumerate(plan.rows[rows]):
-        if mult is not None and rhs_exprs is None:
-            _integrate_spectral_row(plan, forward, mult, stack[:, i], w[:, i])
-        else:
-            _integrate_grid_row(plan.grid, beta, alpha, gam, forward,
-                                stack[:, i], w[:, i],
-                                None if rhs_exprs is None else rhs_exprs[i])
+    for i, (forward, *_, mult, factor) in enumerate(plan.rows[rows]):
+        comp = stack[:, i] if factor is None else stack[:, i] * factor
+        _integrate_spectral_row(plan, forward, mult, comp, w[:, i])
+        if factor is not None:
+            w[:, i] /= factor
     return w
 
 
@@ -404,20 +450,14 @@ def solve_transport_group(plan: TransportPlan, g: int,
     return _apply_blocks(plan, g, _row_integrals(plan, held, plan.blocks[g][0]))
 
 
-def solve_transport_stack(plan: TransportPlan, stack: np.ndarray,
-                          rhs_exprs=None) -> np.ndarray:
+def solve_transport_stack(plan: TransportPlan,
+                          stack: np.ndarray) -> np.ndarray:
     """Batched explicit inverse on the plan's grid; stack is
     (B, n, nx+1, ny, nt). Every row is integrated, then each group's
     block step applied in place, as solve_transport_group does for one
     group.
-
-    With rhs_exprs given (closed forms of the single field in the batch),
-    every row takes the half-cell walk and reads exact expression samples
-    instead of interpolated grid values; the batch must then have size 1.
     """
-    if rhs_exprs is not None and stack.shape[0] != 1:
-        raise ValueError("closed-form right-hand sides need a batch of one")
-    w = _row_integrals(plan, stack, rhs_exprs=rhs_exprs)
+    w = _row_integrals(plan, stack)
     for g, (sl, _) in enumerate(plan.blocks):
         _apply_blocks(plan, g, w[:, sl])
     return w
@@ -431,10 +471,66 @@ def solve_transport(spec: SystemSpec, f: GridFunction,
     Returns u with (A u)_i the integrated right-hand side of row i and
     the inflow rows zeroed exactly on their faces. A given plan must be
     one built for spec and f.grid (TransportPlan.resolve).
+
+    With rhs_exprs given, closed forms of f's rows, u is read at the nodes
+    by _transport_at_points instead, each row's integrand evaluated
+    exactly at its Gauss panel nodes; f gives the grid alone then.
     """
     plan = TransportPlan.resolve(spec, f.grid, plan)
-    out = solve_transport_stack(plan, f.values[None], rhs_exprs)
-    return GridFunction(f.grid, out[0])
+    grid = f.grid
+    if rhs_exprs is None:
+        out = solve_transport_stack(plan, f.values[None])
+        return GridFunction(grid, out[0])
+    X, Y, T = np.meshgrid(grid.xs(), grid.ys(), grid.ts(), indexing="ij")
+
+    def read(X, Y, T, rows):
+        return {i: evaluate_on(rhs_exprs[i], X, Y, T) for i in rows}
+
+    u = _transport_at_points(plan, read, X, Y, T, _fused_rule(),
+                             range(spec.n))
+    return GridFunction(grid, np.stack([u[i] for i in range(spec.n)]))
+
+
+def _transport_at_points(plan, inner, X, Y, T, rule, rows):
+    """Requested components of (C^{-1} h) at scattered points.
+
+    inner(X, Y, T, rows) returns the needed components of h as a dict.
+    Only the blocks containing requested rows are integrated, each row by
+    row and then through its block inverse in the same pass, which keeps
+    the nested chain linear in the coupling width. A variable gamma is read
+    once per panel node, where h is read, and its line integral from X
+    to each node comes from those samples through the integration matrix
+    S (_gl_integration_matrix). rule is _fused_rule().
+    """
+    tau, omega, glw, S = rule
+    wanted = set(rows)
+    u = {}
+    for sl, inv in plan.blocks:
+        block = range(sl.start, sl.stop)
+        if not wanted.intersection(block):
+            continue
+        w = []
+        for i in block:
+            forward, beta, alpha, gam, c = plan.rows[i][:5]
+            x0 = 0.0 if forward else 1.0
+            xi, wts = _gl_panels(x0, X, tau, omega)
+            d = xi - X[None]
+            Yl = Y[None] + beta * d
+            Tl = T[None] + alpha * d
+            hv = inner(xi, Yl, Tl, (i,))[i]
+            if c == 0.0:
+                ew = wts
+            elif c is not None:
+                ew = wts * np.exp(c * d)
+            else:
+                ew = wts * np.exp(_gamma_integrals(gam, x0, X, xi, Yl, Tl,
+                                                   glw, S))
+            w.append(np.einsum("q...,q...->...", ew, hv))
+        ub = np.einsum("ij,j...->i...", inv, np.stack(w))
+        for pos, i in enumerate(block):
+            if i in wanted:
+                u[i] = ub[pos]
+    return u
 
 
 def apply_transport(spec: SystemSpec, u: GridFunction) -> GridFunction:

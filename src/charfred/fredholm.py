@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .characteristics import (TransportPlan, _apply_blocks, _row_integrals,
+from .characteristics import (TransportPlan, _apply_blocks, _fused_rule,
+                              _row_integrals, _transport_at_points,
                               apply_coupling, apply_coupling_stack,
                               solve_transport, solve_transport_group,
                               solve_transport_stack)
@@ -41,10 +42,6 @@ GMRES_RESTART = 50
 GMRES_MAX_ITER = 200
 # impulse columns per transport call in assemble_dense
 ASSEMBLY_BATCH = 256
-# Gauss-Legendre panels per line integral, and nodes per panel, of the
-# fused K^3 route
-FUSED_PANELS = 2
-FUSED_NODES = 8
 # probes per block of the fused K^3 route. The largest temporaries are
 # the innermost level's arrays of (FUSED_PANELS * FUSED_NODES)^3 points
 # per probe, 64 KiB each at 2 probes. A block's working set must stay
@@ -100,103 +97,6 @@ def apply_k_power(spec: SystemSpec, f: GridFunction,
     return out
 
 
-def _gl_panels(x0, X, tau, omega):
-    """Gauss nodes and signed weights for int from x0 to X, per point:
-    x0 + (X - x0) tau and (X - x0) omega, one broadcast each, with tau
-    and omega the panel rule on [0, 1] of _fused_rule."""
-    length = X - x0
-    shape = (tau.size,) + (1,) * X.ndim
-    return x0 + length * tau.reshape(shape), length * omega.reshape(shape)
-
-
-def _fused_rule():
-    """The line rule of the fused route: FUSED_PANELS Gauss panels of
-    FUSED_NODES nodes on [0, 1], as nodes tau and weights omega for
-    _gl_panels, with the Gauss weights glw on [-1, 1] and the
-    integration matrix S for _gamma_integrals."""
-    glx, glw = np.polynomial.legendre.leggauss(FUSED_NODES)
-    tau = (((2 * np.arange(FUSED_PANELS) + 1)[:, None] + glx)
-           / (2 * FUSED_PANELS)).reshape(-1)
-    omega = np.tile(glw / (2 * FUSED_PANELS), FUSED_PANELS)
-    return tau, omega, glw, _gl_integration_matrix(glx, glw)
-
-
-def _gl_integration_matrix(glx, glw):
-    """S[k, j] = int_{-1}^{glx[k]} l_j, with l_j the Lagrange basis at the
-    Gauss nodes glx.
-
-    S applied to samples of g at glx integrates g's interpolant from -1
-    to each node, exactly when g is a polynomial of degree below glx.size.
-    """
-    leg = np.polynomial.legendre
-    q = glx.size
-    # l_j = w_j sum_n (n + 1/2) P_n(x_j) P_n, since the rule integrates
-    # every product P_n P_m with n, m < q exactly
-    coef = leg.legvander(glx, q - 1).T * glw * (np.arange(q) + 0.5)[:, None]
-    return leg.legvander(glx, q) @ leg.legint(coef, lbnd=-1)
-
-
-def _gamma_integrals(gam, x0, X, xi, Yl, Tl, glw, S):
-    """int_X^xi gamma along each line, at the panel nodes (xi, Yl, Tl) of
-    _gl_panels(x0, X, ...), from gamma read at those nodes alone.
-
-    S (_gl_integration_matrix) integrates each panel from its start to
-    its nodes, and the whole panels from there to X are subtracted; every
-    panel has the signed half-length (X - x0) / (2 FUSED_PANELS). The
-    result integrates gamma's degree FUSED_NODES - 1 interpolant on each
-    panel exactly.
-    """
-    gv = evaluate_on(gam, xi, Yl, Tl).reshape(FUSED_PANELS, glw.size, X.size)
-    whole = glw @ gv
-    beyond = np.cumsum(whole[::-1], axis=0)[::-1]
-    G = S @ gv
-    G -= beyond[:, None]
-    G *= (X.reshape(-1) - x0) / (2 * FUSED_PANELS)
-    return G.reshape(xi.shape)
-
-
-def _transport_at_points(plan, inner, X, Y, T, rule, rows):
-    """Requested components of (C^{-1} h) at scattered points.
-
-    inner(X, Y, T, rows) returns the needed components of h as a dict.
-    Only the blocks containing requested rows are integrated, each row by
-    row and then through its block inverse in the same pass, which keeps
-    the nested chain linear in the coupling width. A variable gamma is read
-    once per panel node, where h is read, and its line integral from X
-    to each node comes from those samples through the integration matrix
-    S (_gl_integration_matrix). rule is _fused_rule().
-    """
-    tau, omega, glw, S = rule
-    wanted = set(rows)
-    u = {}
-    for sl, inv in plan.blocks:
-        block = range(sl.start, sl.stop)
-        if not wanted.intersection(block):
-            continue
-        w = []
-        for i in block:
-            forward, beta, alpha, gam, c, _ = plan.rows[i]
-            x0 = 0.0 if forward else 1.0
-            xi, wts = _gl_panels(x0, X, tau, omega)
-            d = xi - X[None]
-            Yl = Y[None] + beta * d
-            Tl = T[None] + alpha * d
-            hv = inner(xi, Yl, Tl, (i,))[i]
-            if c == 0.0:
-                ew = wts
-            elif c is not None:
-                ew = wts * np.exp(c * d)
-            else:
-                ew = wts * np.exp(_gamma_integrals(gam, x0, X, xi, Yl, Tl,
-                                                   glw, S))
-            w.append(np.einsum("q...,q...->...", ew, hv))
-        ub = np.einsum("ij,j...->i...", inv, np.stack(w))
-        for pos, i in enumerate(block):
-            if i in wanted:
-                u[i] = ub[pos]
-    return u
-
-
 def _coupling_at_points(plan, X, Y, T, values: dict, rows):
     out = {i: np.zeros(np.shape(X)) for i in rows}
     for i, j, _ in plan.coupling:
@@ -216,9 +116,11 @@ def apply_k_cubed_fused(spec: SystemSpec, f: GridFunction,
 
     Each line integral has FUSED_PANELS Gauss panels of FUSED_NODES
     nodes, formed once here on [0, 1] (_fused_rule) and scaled to each
-    line by _gl_panels. A variable gamma is read only at those nodes:
-    its integral along the line comes from the integration matrix S
-    built beside the Gauss rule (_gamma_integrals).
+    line by _gl_panels: the line rule of characteristics, which closed
+    forms and the plan's integrating factors also use. A variable gamma
+    is read only at those nodes: its integral along the line comes from
+    the integration matrix S built beside the Gauss rule
+    (_gamma_integrals).
 
     Each probe carries (FUSED_PANELS * FUSED_NODES)^3 innermost points,
     so the probes are evaluated in ceil(p / FUSED_BLOCK) near-equal

@@ -1,19 +1,22 @@
 """Transport inversion against closed-form solutions.
 
 The oracles here are hand-integrable cases: constant forcing, a single
-exponential relaxation, cubic polynomials (where the quadrature is
-exact), and a sine forcing along a slanted line with an explicit
-antiderivative.
+exponential relaxation under a constant and a linear gamma, cubic
+polynomials (where the quadrature is exact), and a sine forcing along a
+slanted line with an explicit antiderivative.
 """
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.special import dawsn
 
 import charfred as cf
-from charfred.characteristics import (SingularBlockError, TransportPlan,
-                                      default_step, solve_transport_stack)
+from charfred.characteristics import (GAMMA_SPREAD_LIMIT, SingularBlockError,
+                                      TransportPlan, default_step,
+                                      solve_transport_stack)
 from conftest import ONE, ZERO, coupled_spec, identity_spec, zero_b
+from test_transport_properties import reference_transport
 
 SINE = cf.parse("sin(2*pi*y)")
 
@@ -41,17 +44,26 @@ def test_boundary_values_are_exactly_zero():
 
 
 def test_exponential_relaxation_converges_second_order():
-    spec = identity_spec(gamma=(ONE, ZERO, ZERO))
-    errs = []
-    for nx in (8, 16):
-        grid = cf.Grid(nx=nx, ny=4, nt=4)
-        f = cf.sample((ONE, ZERO, ZERO), grid)
-        u = cf.solve_transport(spec, f)
-        exact = 1.0 - np.exp(-grid.xs())
-        errs.append(np.abs(u.values[0] - exact[:, None, None]).max())
-    assert errs[0] < 2e-7
-    # the inner integral is trapezoidal, so second order at least
-    assert errs[0] / errs[1] > 3.0
+    # u' + gamma u = 1 from u(0) = 0: 1 - e^{-x} for gamma = 1, and
+    # sqrt(2) D(x / sqrt(2)) for gamma = x, D Dawson's integral. x^0 reads
+    # x, so it takes the integrating factor, but it evaluates to 1: the
+    # kernel's exact weights then carry all of it, as they carry gamma = 1
+    cases = ((ONE, lambda x: 1.0 - np.exp(-x), 2e-7),
+             (cf.parse("x"), lambda x: np.sqrt(2.0) * dawsn(x / np.sqrt(2.0)),
+              2e-3),
+             (cf.parse("x^0"), lambda x: 1.0 - np.exp(-x), 2e-7))
+    for gamma, solution, coarse in cases:
+        spec = identity_spec(gamma=(gamma, ZERO, ZERO))
+        errs = []
+        for nx in (8, 16):
+            grid = cf.Grid(nx=nx, ny=4, nt=4)
+            f = cf.sample((ONE, ZERO, ZERO), grid)
+            u = cf.solve_transport(spec, f)
+            exact = solution(grid.xs())
+            errs.append(np.abs(u.values[0] - exact[:, None, None]).max())
+        assert errs[0] < coarse
+        # the line rule on grid values is trapezoidal, so second order
+        assert errs[0] / errs[1] > 3.0
 
 
 def test_cubic_forcing_is_integrated_exactly():
@@ -83,21 +95,22 @@ def test_sine_forcing_matches_antiderivative():
         exact = (np.cos(2 * np.pi * (Y - X)) - np.cos(2 * np.pi * Y)) \
             / (2 * np.pi) + 0 * u.values[0]
         errs.append(np.abs(u.values[0] - exact).max())
-    assert errs[0] < 1e-4
-    # closed-form sampling keeps the full quadrature order
-    assert errs[0] / errs[1] > 12.0
+    # 16 Gauss-Legendre nodes per line leave rounding alone
+    assert max(errs) < 1e-13
 
 
 def test_grid_sampling_agrees_when_lines_hit_nodes():
-    # beta = 1 with ny = 2 nx: every quadrature offset lands on a node,
-    # so interpolated reads must reproduce exact sampling
+    # beta = 1 with ny = 2 nx: every half-cell offset lands on a node, so
+    # the grid kernel's interpolated reads reproduce composite Simpson on
+    # the exact samples of each line
     spec = identity_spec(beta=(1.0, 0.0, 0.0))
     grid = cf.Grid(nx=8, ny=16, nt=4)
     exprs = (SINE, ZERO, ZERO)
     f = cf.sample(exprs, grid)
     via_grid = cf.solve_transport(spec, f)
-    via_expr = cf.solve_transport(spec, f, rhs_exprs=exprs)
-    np.testing.assert_allclose(via_grid.values, via_expr.values, atol=1e-13)
+    np.testing.assert_allclose(via_grid.values,
+                               reference_transport(spec, f, exprs),
+                               rtol=0, atol=1e-13)
 
 
 def test_solver_is_linear():
@@ -203,18 +216,42 @@ def test_apply_transport_exact_on_linear_fields():
 
 
 def test_apply_transport_inverts_solve_transport():
+    # constant gammas, and row 3 of configs/uncoupled.json's varying one
     spec = coupled_spec()
+    varying = replace(spec, gamma=spec.gamma[:2]
+                      + (cf.parse("0.1*cos(2*pi*y)"),))
     exprs = (SINE, cf.parse("cos(2*pi*y)"), cf.parse("sin(2*pi*t)"))
-    resid = []
-    for nx in (8, 16):
-        grid = cf.Grid(nx=nx, ny=2 * nx, nt=2 * nx)
-        f = cf.sample(exprs, grid)
-        u = cf.solve_transport(spec, f)
-        resid.append(cf.residual_sup(spec, u, f))
-    # derivative reads go through the interpolant, so first order is
-    # the honest rate; it must improve under refinement
-    assert resid[0] < 1.0
-    assert resid[0] / resid[1] > 1.6
+    for spec in (spec, varying):
+        resid = []
+        for nx in (8, 16):
+            grid = cf.Grid(nx=nx, ny=2 * nx, nt=2 * nx)
+            f = cf.sample(exprs, grid)
+            u = cf.solve_transport(spec, f)
+            resid.append(cf.residual_sup(spec, u, f))
+        # derivative reads go through the interpolant, so first order is
+        # the honest rate; it must improve under refinement
+        assert resid[0] < 1.0
+        assert resid[0] / resid[1] > 1.6
+
+
+@pytest.mark.parametrize("amplitude, refused", [(300, False), (400, True)])
+def test_gamma_whose_line_integral_overflows_is_refused(amplitude, refused):
+    # Gamma = amplitude (1 - x) cos(2 pi y) along row 3's lines from x = 1,
+    # with no constant part, spans 2 amplitude; e^Gamma must be finite
+    # and nonzero, or refused
+    spec = identity_spec(gamma=(ZERO, ZERO,
+                                cf.parse(f"{amplitude}*cos(2*pi*y)")))
+    grid = cf.Grid(nx=4, ny=4, nt=4)
+    if refused:
+        with pytest.raises(ValueError, match=r"^gamma\[3\]: its integral "
+                                             r"along the lines, less its "
+                                             r"constant part, spans 800 "):
+            TransportPlan.build(spec, grid)
+        return
+    f = cf.GridFunction(grid, np.ones((3, 5, 4, 4)))
+    u = cf.solve_transport(spec, f)
+    assert np.isfinite(u.values).all()
+    assert 2 * amplitude <= GAMMA_SPREAD_LIMIT
 
 
 def test_default_step_respects_grid_and_slopes():

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import charfred
-from charfred import cli, fredholm
+from charfred import characteristics, cli, fredholm
 from charfred.cli import main
 from charfred.config import ConfigError, load_config
 from charfred.fredholm import DISCRETE_UNKNOWN_CAP, GMRES_MAX_ITER
@@ -464,6 +464,37 @@ def test_coefficient_undefined_at_a_node_is_one_line(where, label, tmp_path,
     # solve and diagnose stop before making their --out directory
     assert sorted(p.name for p in tmp_path.iterdir()) == ["cfg.json",
                                                           "validate"]
+
+
+def test_gamma_failing_at_a_panel_node_is_one_line(tmp_path, capsys):
+    # finite at every node and every validation sample, but exp overflows
+    # at the first panel node of row 1's line from (1, 0, t), which sits
+    # at y = tau_0 - 1; the plan's integrating factor reads it there
+    tau0 = float(characteristics._fused_rule()[0][0])
+    doc = base_config()
+    doc["grid"] = {"nx": 4, "ny": 4, "nt": 4}
+    doc["system"]["gamma"][0] = f"exp(800 - 1e8*sin(pi*(y - {tau0!r}))^2)"
+    path = write_config(tmp_path, doc)
+    assert main(["validate", "--config", path]) == 0
+    capsys.readouterr()
+    rc = main(["solve", "--config", path, "--out", str(tmp_path / "run")])
+    assert rc == 1
+    assert capsys.readouterr().err == ("solve: gamma[1] at a panel node of "
+                                       "x level 4: exp out of range\n")
+
+
+def test_gamma_whose_line_integral_overflows_is_one_line(tmp_path, capsys):
+    # row 3's Gamma spans more than log(max float) over the grid, so
+    # e^Gamma or its inverse would overflow; the spec is refused
+    doc = json.loads((CONFIGS / "uncoupled.json").read_text(encoding="utf-8"))
+    doc["system"]["gamma"][2] = "800*cos(2*pi*y)"
+    rc = main(["solve", "--config", write_config(tmp_path, doc),
+               "--out", str(tmp_path / "run")])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "solve: gamma[3]: its integral along the lines, less its constant "
+        "part, spans 1006 over the grid, more than the 709.78 within which "
+        "e^Gamma stays finite\n")
 
 
 @pytest.mark.parametrize("command", ["solve", "diagnose"])

@@ -1230,15 +1230,23 @@ def test_fused_cube_memory_is_bounded_by_the_block():
 def test_one_fused_block_stays_under_the_trim_threshold():
     # probe-fused's 33-node grid. glibc hands a block's freed working set
     # back to the OS once it passes the trim threshold, and the next
-    # block faults it in again: blocks of 3 probes peak at 3.3 MiB and
-    # take about 37k minor faults per 100 probes, blocks of 2 peak at
-    # 2.6 MiB and take about 600
+    # block faults it in again. Beyond the plan, which the call holds
+    # throughout (1.7 MiB), blocks of 3 probes peak at 2.2 MiB and take
+    # about 37k minor faults per 100 probes, blocks of 2 peak at 1.5 MiB
+    # and take about 600
     spec = fused_spec()
     f = cf.sample(EXPRS, cf.Grid(nx=32, ny=33, nt=33))
     probes = np.random.default_rng(4).uniform(0.0, 1.0,
                                               (fredholm.FUSED_BLOCK, 3))
+    tracemalloc.start()
+    try:
+        plan = characteristics.TransportPlan.build(spec, f.grid)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    del plan
     peak = traced_peak(lambda: cf.apply_k_cubed_fused(spec, f, probes))
-    assert peak <= 3.0 * 2 ** 20
+    assert peak - held <= 1.9 * 2 ** 20
 
 
 def oracle_gl_panels(x0, X, glx, glw, panels):
@@ -1262,14 +1270,14 @@ def oracle_gl_panels(x0, X, glx, glw, panels):
 
 @pytest.mark.parametrize("x0", (0.0, 1.0))
 def test_gl_panels_match_the_per_panel_loop(x0):
-    glx, glw = np.polynomial.legendre.leggauss(fredholm.FUSED_NODES)
-    tau, omega, _, _ = fredholm._fused_rule()
+    glx, glw = np.polynomial.legendre.leggauss(characteristics.FUSED_NODES)
+    tau, omega, _, _ = characteristics._fused_rule()
     X = np.random.default_rng(7).uniform(0.0, 1.0, (2, 6))
     # both faces, and a line of length 0
     X[0, :3] = (0.0, 1.0, x0)
-    xi, wts = fredholm._gl_panels(x0, X, tau, omega)
+    xi, wts = characteristics._gl_panels(x0, X, tau, omega)
     want_xi, want_wts = oracle_gl_panels(x0, X, glx, glw,
-                                         fredholm.FUSED_PANELS)
+                                         characteristics.FUSED_PANELS)
     assert xi.shape == wts.shape == want_xi.shape
     # in ulps of the line's larger end: a node close to the other end
     # keeps only the low bits that cancellation leaves it, in either form
@@ -1281,11 +1289,11 @@ def test_gl_panels_match_the_per_panel_loop(x0):
 
 
 def test_integration_matrix_is_exact_on_the_interpolating_degrees():
-    glx, glw = np.polynomial.legendre.leggauss(fredholm.FUSED_NODES)
-    S = fredholm._gl_integration_matrix(glx, glw)
+    glx, glw = np.polynomial.legendre.leggauss(characteristics.FUSED_NODES)
+    S = characteristics._gl_integration_matrix(glx, glw)
     np.testing.assert_allclose(S @ np.ones_like(glx), glx + 1.0,
                                rtol=0, atol=1e-13)
-    for degree in range(fredholm.FUSED_NODES):
+    for degree in range(characteristics.FUSED_NODES):
         exact = (glx ** (degree + 1) - (-1.0) ** (degree + 1)) / (degree + 1)
         np.testing.assert_allclose(S @ glx ** degree, exact, rtol=0,
                                    atol=1e-13)
@@ -1312,17 +1320,17 @@ def gamma_integral_pairs(gam, alpha, beta):
     spec = identity_spec(alpha=alpha, beta=beta, gamma=(gam, gam, gam))
     plan = characteristics.TransportPlan.build(spec, cf.Grid(nx=4, ny=5,
                                                              nt=5))
-    tau, omega, glw, S = fredholm._fused_rule()
-    glx, _ = np.polynomial.legendre.leggauss(fredholm.FUSED_NODES)
+    tau, omega, glw, S = characteristics._fused_rule()
+    glx, _ = np.polynomial.legendre.leggauss(characteristics.FUSED_NODES)
     X, Y, T = np.random.default_rng(5).uniform(0.0, 1.0, (3, 2, 6))
     X[0, :2] = (0.0, 1.0)
-    for forward, beta, alpha, row_gam, c, _ in plan.rows:
+    for forward, beta, alpha, row_gam, c, *_ in plan.rows:
         assert row_gam is gam and c is None
         x0 = 0.0 if forward else 1.0
-        xi, _ = fredholm._gl_panels(x0, X, tau, omega)
+        xi, _ = characteristics._gl_panels(x0, X, tau, omega)
         d = xi - X[None]
-        got = fredholm._gamma_integrals(gam, x0, X, xi, Y[None] + beta * d,
-                                        T[None] + alpha * d, glw, S)
+        got = characteristics._gamma_integrals(
+            gam, x0, X, xi, Y[None] + beta * d, T[None] + alpha * d, glw, S)
         want = oracle_gamma_integrals(gam, X, Y, T, beta, alpha, xi, glx,
                                       glw)
         yield beta, alpha, np.abs(X - x0), got, want
@@ -1347,7 +1355,7 @@ LINE_GAMMAS = (("2*cos(2*pi*(y - 2*t))", 2.0, (0.0, 1.0, -2.0)),
 @pytest.mark.parametrize("text, amplitude, freq", LINE_GAMMAS)
 def test_gamma_integrals_match_the_per_node_rule_within_its_error(
         text, amplitude, freq):
-    q, panels = fredholm.FUSED_NODES, fredholm.FUSED_PANELS
+    q, panels = characteristics.FUSED_NODES, characteristics.FUSED_PANELS
     pairs = gamma_integral_pairs(cf.parse(text), alpha=(0.5, 1.0, -1.0),
                                  beta=(1.0, -1.0, 0.5))
     for beta, alpha, L, got, want in pairs:
@@ -1382,17 +1390,21 @@ def test_fused_reads_gamma_once_per_panel_node(monkeypatch):
             += out.size
         return out
 
+    # gamma is read in characteristics, the couplings in fredholm
+    monkeypatch.setattr(characteristics, "evaluate_on", counting)
     monkeypatch.setattr(fredholm, "evaluate_on", counting)
     cf.apply_k_cubed_fused(spec, f, probes)
     # row 2 alone has a variable gamma, and the cyclic coupling
-    # integrates it once per level: along p, p n and p n^2 lines
-    n = fredholm.FUSED_PANELS * fredholm.FUSED_NODES
-    lines = len(probes) * (1 + n + n * n)
+    # integrates it once per level: along p, p n and p n^2 lines. The
+    # plan's integrating factor reads it along one line per node too
+    n = characteristics.FUSED_PANELS * characteristics.FUSED_NODES
+    lines = len(probes) * (1 + n + n * n) + f.grid.node_count
     assert len(varying) == 1
     assert points["gamma"] <= n * lines
     # a fresh FUSED_NODES-point rule per panel node read gamma
     # FUSED_NODES times as often
-    per_node_rule = fredholm.FUSED_NODES * n * lines + points["coupling"]
+    per_node_rule = (characteristics.FUSED_NODES * n * lines
+                     + points["coupling"])
     assert 5 * (points["gamma"] + points["coupling"]) <= per_node_rule
 
 def test_kernel_dimension_thresholds():
