@@ -56,13 +56,92 @@ DENSE_DFT_NODES = 13 ** 3
 # _gl_panels
 FUSED_PANELS = 2
 FUSED_NODES = 8
-# the widest range of a row's Gamma over the nodes: the ratios
-# e^{Gamma(P) - Gamma(Q)} of the integrating factor stay finite up to it
+# log of the largest float: the widest range of a row's Gamma over the
+# nodes, within which the ratios e^{Gamma(P) - Gamma(Q)} of the
+# integrating factor stay finite, and the largest exponent of a kernel
+# weight e^{c (xi - x)}
 GAMMA_SPREAD_LIMIT = math.log(np.finfo(float).max)
 
 
 class SingularBlockError(ValueError):
     """A coefficient block is numerically singular."""
+
+
+@dataclass(frozen=True, eq=False)
+class LinePlan:
+    """The grid-free part of a spec's transport: what the fused K^3 route
+    reads, and what every TransportPlan is built on.
+
+    blocks holds (rows, inverse) for the three diagonal blocks, rows a
+    slice of components; entries holds the (i, j) of each nonzero entry
+    b[i][j]; rows holds (forward, beta, alpha, gamma, c) per component,
+    forward meaning inflow at x = 0 and c = constant_value(gamma) (None
+    when gamma reads x, y or t). build checks the spec against the grid
+    it will be read on: the spec's periods must equal the grid's, each
+    block must be invertible (SingularBlockError), the orientation must be
+    forward or mirrored, and every nonzero b entry must lie in the cyclic
+    pattern, since the one-group blocks of K multiply only the entries
+    that the pattern admits, and coupling_pattern() reads any orientation
+    but mirrored as forward. A constant gamma whose kernel weight
+    e^{c (xi - x)} overflows on a line of length 1 is refused
+    (_check_kernel_constant).
+    """
+
+    spec: SystemSpec = field(repr=False)
+    blocks: tuple
+    entries: tuple
+    rows: tuple
+
+    @classmethod
+    def build(cls, spec: SystemSpec, grid: Grid) -> "LinePlan":
+        for name in ("period_y", "period_t"):
+            ours, theirs = getattr(spec, name), getattr(grid, name)
+            if ours != theirs:
+                raise ValueError(f"the spec's {name} = {ours!r} differs "
+                                 f"from the grid's {theirs!r}")
+        blocks = []
+        for name, (sl, a) in zip(("a1", "a2", "a3"), spec.blocks()):
+            det = float(np.linalg.det(a))
+            if abs(det) <= DET_FLOOR:
+                raise SingularBlockError(f"|det {name}| = {abs(det):.3e}")
+            inv = np.linalg.inv(a)
+            scale = max(1.0, abs(det)) * max(1.0, float(np.abs(a).max()))
+            gap = abs(det) * np.abs(a @ inv - np.eye(a.shape[0])).max()
+            if gap > 1e-12 * scale:
+                raise SingularBlockError(f"inverse identity failed for {name}")
+            blocks.append((sl, inv))
+        if spec.orientation not in (FORWARD, MIRRORED):
+            raise ValueError(f"unknown orientation {spec.orientation!r}")
+        entries = tuple((i, j) for i in range(spec.n) for j in range(spec.n)
+                        if not is_literal_zero(spec.b[i][j]))
+        for i, j in entries:
+            if not spec.cell_allowed(i, j):
+                raise ValueError(f"b[{i + 1}][{j + 1}] lies outside the "
+                                 f"{spec.orientation} coupling pattern")
+        rows = []
+        for i, gam in enumerate(spec.gamma):
+            forward = i < spec.k
+            c = constant_value(gam)
+            if c is not None:
+                _check_kernel_constant(c, forward, f"gamma[{i + 1}]")
+            rows.append((forward, float(spec.beta[i]), float(spec.alpha[i]),
+                         gam, c))
+        return cls(spec, tuple(blocks), entries, tuple(rows))
+
+
+def _check_kernel_constant(c: float, forward: bool, label: str) -> None:
+    """Refuse a kernel constant c whose weight e^{c (xi - x)} overflows.
+
+    xi - x runs over [-1, 0] on a forward row and [0, 1] on a backward
+    one, so the weight reaches e^{-c} or e^{c}: beyond
+    GAMMA_SPREAD_LIMIT it is no longer finite. The ValueError names label.
+    """
+    reach = -c if forward else c
+    if reach > GAMMA_SPREAD_LIMIT:
+        raise ValueError(f"{label}: its constant part {c:.4g} weighs the "
+                         f"line integrals by up to e^{reach:.4g}, more than "
+                         f"the e^{GAMMA_SPREAD_LIMIT:.2f} within which the "
+                         f"weight stays finite")
 
 
 @dataclass(frozen=True, eq=False)
@@ -72,25 +151,20 @@ class TransportPlan:
     spec and grid are the system and grid the plan was built for; below
     the field level a plan is the whole context, and a field-level call
     given a plan refuses one built for another spec object or another
-    grid (resolve). blocks holds (rows, inverse) for the three diagonal
-    blocks, rows a slice of components; coupling holds
-    (i, j, node values) for each nonzero entry b[i][j]; rows holds
+    grid (resolve). The plan is built on the spec's LinePlan, which makes
+    every check of the spec: blocks is the LinePlan's, and each row
+    extends the LinePlan's (forward, beta, alpha, gamma, c). coupling
+    holds (i, j, node values) for each of its entries; rows holds
     (forward, beta, alpha, gamma, c, multipliers, factor) per component,
-    forward meaning inflow at x = 0, c = constant_value(gamma) (None when
-    gamma reads x, y or t), multipliers what _integrate_spectral_row
-    applies for the constant c, or for a varying gamma for the constant
-    part that _integrating_factor splits off: the (H, E) pair of
-    _spectral_multipliers, or on a grid of at most DENSE_DFT_NODES nodes
-    per component the x operator L built from it (_x_operator). factor
-    is the e^Gamma of _integrating_factor for a varying gamma and None
-    for a constant one. dft is the (y, t) plane's
-    DFT matrix F of _plane_dft, built once per plan, on the grids of the
-    dense route, and None on larger grids. Build one per solve and pass it
-    down; the spec's periods must equal the grid's. An orientation other
-    than forward or mirrored, and a nonzero b entry outside the cyclic
-    pattern, are refused, since the one-group blocks of K multiply only
-    the entries that the pattern admits, and coupling_pattern() reads any
-    orientation but mirrored as forward.
+    multipliers what _integrate_spectral_row applies for the constant c,
+    or for a varying gamma for the constant part that _integrating_factor
+    splits off: the (H, E) pair of _spectral_multipliers, or on a grid of
+    at most DENSE_DFT_NODES nodes per component the x operator L built
+    from it (_x_operator). factor is the e^Gamma of _integrating_factor
+    for a varying gamma and None for a constant one. dft is the (y, t)
+    plane's DFT matrix F of _plane_dft, built once per plan, on the grids
+    of the dense route, and None on larger grids. Build one per solve and
+    pass it down.
     """
 
     spec: SystemSpec = field(repr=False)
@@ -113,48 +187,25 @@ class TransportPlan:
 
     @classmethod
     def build(cls, spec: SystemSpec, grid: Grid) -> "TransportPlan":
-        for name in ("period_y", "period_t"):
-            ours, theirs = getattr(spec, name), getattr(grid, name)
-            if ours != theirs:
-                raise ValueError(f"the spec's {name} = {ours!r} differs "
-                                 f"from the grid's {theirs!r}")
-        blocks = []
-        for name, (sl, a) in zip(("a1", "a2", "a3"), spec.blocks()):
-            det = float(np.linalg.det(a))
-            if abs(det) <= DET_FLOOR:
-                raise SingularBlockError(f"|det {name}| = {abs(det):.3e}")
-            inv = np.linalg.inv(a)
-            scale = max(1.0, abs(det)) * max(1.0, float(np.abs(a).max()))
-            gap = abs(det) * np.abs(a @ inv - np.eye(a.shape[0])).max()
-            if gap > 1e-12 * scale:
-                raise SingularBlockError(f"inverse identity failed for {name}")
-            blocks.append((sl, inv))
-        if spec.orientation not in (FORWARD, MIRRORED):
-            raise ValueError(f"unknown orientation {spec.orientation!r}")
-        entries = [(i, j) for i in range(spec.n) for j in range(spec.n)
-                   if not is_literal_zero(spec.b[i][j])]
-        for i, j in entries:
-            if not spec.cell_allowed(i, j):
-                raise ValueError(f"b[{i + 1}][{j + 1}] lies outside the "
-                                 f"{spec.orientation} coupling pattern")
+        lines = LinePlan.build(spec, grid)
         coupling = tuple((i, j, evaluate_at_nodes(spec.b[i][j], grid,
                                                   f"b[{i + 1}][{j + 1}]"))
-                         for i, j in entries)
+                         for i, j in lines.entries)
         dft, weight = (_plane_dft(grid) if grid.node_count <= DENSE_DFT_NODES
                        else (None, None))
         rows = []
-        for i, gam in enumerate(spec.gamma):
-            line = (i < spec.k, float(spec.beta[i]), float(spec.alpha[i]))
-            c = kernel_c = constant_value(gam)
-            factor = None
+        for i, row in enumerate(lines.rows):
+            forward, c = row[0], row[4]
+            kernel_c, factor = c, None
             if c is None:
-                kernel_c, factor = _integrating_factor(grid, *line, gam,
-                                                       f"gamma[{i + 1}]")
-            mult = _spectral_multipliers(grid, *line, kernel_c)
+                label = f"gamma[{i + 1}]"
+                kernel_c, factor = _integrating_factor(grid, *row[:4], label)
+                _check_kernel_constant(kernel_c, forward, label)
+            mult = _spectral_multipliers(grid, *row[:3], kernel_c)
             if dft is not None:
-                mult = _x_operator(*mult, line[0], weight)
-            rows.append(line + (gam, c, mult, factor))
-        return cls(spec, grid, tuple(blocks), coupling, tuple(rows), dft)
+                mult = _x_operator(*mult, forward, weight)
+            rows.append(row + (mult, factor))
+        return cls(spec, grid, lines.blocks, coupling, tuple(rows), dft)
 
 
 def default_step(spec: SystemSpec, grid: Grid) -> float:
@@ -494,13 +545,15 @@ def solve_transport(spec: SystemSpec, f: GridFunction,
 def _transport_at_points(plan, inner, X, Y, T, rule, rows):
     """Requested components of (C^{-1} h) at scattered points.
 
-    inner(X, Y, T, rows) returns the needed components of h as a dict.
-    Only the blocks containing requested rows are integrated, each row by
-    row and then through its block inverse in the same pass, which keeps
-    the nested chain linear in the coupling width. A variable gamma is read
-    once per panel node, where h is read, and its line integral from X
-    to each node comes from those samples through the integration matrix
-    S (_gl_integration_matrix). rule is _fused_rule().
+    plan is a LinePlan, or a TransportPlan, whose blocks and rows begin
+    with the same fields. inner(X, Y, T, rows) returns the needed
+    components of h as a dict. Only the blocks containing requested rows
+    are integrated, each row by row and then through its block inverse in
+    the same pass, which keeps the nested chain linear in the coupling
+    width. A variable gamma is read once per panel node, where h is read,
+    and its line integral from X to each node comes from those samples
+    through the integration matrix S (_gl_integration_matrix). rule is
+    _fused_rule().
     """
     tau, omega, glw, S = rule
     wanted = set(rows)

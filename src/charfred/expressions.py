@@ -374,19 +374,25 @@ def _halton(index: int, base: int) -> float:
     return r
 
 
+# check_periodicity's sample of the unit cube: the Halton points 1..64
+# in bases 2, 3 and 5, one array per coordinate
+_PERIODICITY_SAMPLE = tuple(np.array([_halton(i, b) for i in range(1, 65)])
+                            for b in (2, 3, 5))
+
+
 def check_periodicity(e: Expression, period_y: float,
                       period_t: float) -> bool:
     """Test e(x, y+Y, t) == e(x, y, t+T) == e(x, y, t) numerically.
 
     Uses a deterministic 64-point low-discrepancy (Halton) sample of the
-    domain; comparisons are relative: |dv| <= PERIODICITY_RTOL*(1 + |v|).
+    domain, _PERIODICITY_SAMPLE scaled to the periods; comparisons are
+    relative: |dv| <= PERIODICITY_RTOL*(1 + |v|).
     """
     if not all(p > 0 and math.isfinite(p) for p in (period_y, period_t)):
         raise ValueError("periods must be positive and finite")
-    points = range(1, 65)
-    xs = np.array([_halton(i, 2) for i in points])
-    ys = np.array([_halton(i, 3) for i in points]) * period_y
-    ts = np.array([_halton(i, 5) for i in points]) * period_t
+    xs, ys, ts = _PERIODICITY_SAMPLE
+    ys = ys * period_y
+    ts = ts * period_t
     base = evaluate_on(e, xs, ys, ts)
     for dy, dt in ((period_y, 0.0), (0.0, period_t), (period_y, period_t)):
         shifted = evaluate_on(e, xs, ys + dy, ts + dt)

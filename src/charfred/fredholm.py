@@ -20,11 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .characteristics import (TransportPlan, _apply_blocks, _fused_rule,
-                              _row_integrals, _transport_at_points,
-                              apply_coupling, apply_coupling_stack,
-                              solve_transport, solve_transport_group,
-                              solve_transport_stack)
+from .characteristics import (LinePlan, TransportPlan, _apply_blocks,
+                              _fused_rule, _row_integrals,
+                              _transport_at_points, apply_coupling,
+                              apply_coupling_stack, solve_transport,
+                              solve_transport_group, solve_transport_stack)
 from .expressions import evaluate_on
 from .gridfield import (Grid, GridDomainError, GridFunction, _require_finite,
                         interpolate_many, sup_norm, sum_sup_norm)
@@ -47,13 +47,18 @@ ASSEMBLY_BATCH = 256
 # per probe, 64 KiB each at 2 probes. A block's working set must stay
 # under glibc's dynamic trim threshold, or the allocator hands it back to
 # the OS after every block and page-faults it in again for the next one.
-# One 100-probe call on a 33-node grid (2-core Xeon, one BLAS thread):
-#   block  wall        minor faults  system time  traced peak of a block
-#   1      204-222 ms  454           ~1 ms        1.9 MiB
-#   2      151-175 ms  623           <= 2.4 ms    2.6 MiB
-#   3      202-206 ms  36.8k         ~60 ms       3.3 MiB
-#   4      209-221 ms  41.2k         54-68 ms     4.0 MiB
-#   8      213-219 ms  46.6k         70-76 ms     7.0 MiB
+# One warmed 100-probe call on a 33-node grid (2-core Xeon, one BLAS
+# thread, calibrated wall time over three fresh interpreters):
+#   block  wall        minor faults  system time  traced peak of a call
+#   1      204-319 ms  313           <= 0.6 ms    1.5 MiB
+#   2      146-221 ms  434           <= 8.2 ms    2.1 MiB
+#   3      132-204 ms  11.2k         17-28 ms     2.7 MiB
+#   4      121-172 ms  12.6k         8-35 ms      3.3 MiB
+#   8      129-144 ms  13.2k         16-44 ms     5.7 MiB
+# (0.9 MiB of each peak is the padded components that interpolate_many
+# keeps with them.) Larger blocks run as fast or faster despite the
+# faults; the block stays at 2, under the 5,000 faults that CI allows a
+# warmed call
 FUSED_BLOCK = 2
 
 
@@ -97,11 +102,11 @@ def apply_k_power(spec: SystemSpec, f: GridFunction,
     return out
 
 
-def _coupling_at_points(plan, X, Y, T, values: dict, rows):
+def _coupling_at_points(lines: LinePlan, X, Y, T, values: dict, rows):
     out = {i: np.zeros(np.shape(X)) for i in rows}
-    for i, j, _ in plan.coupling:
+    for i, j in lines.entries:
         if i in out:
-            out[i] += evaluate_on(plan.spec.b[i][j], X, Y, T) * values[j]
+            out[i] += evaluate_on(lines.spec.b[i][j], X, Y, T) * values[j]
     return out
 
 
@@ -122,6 +127,14 @@ def apply_k_cubed_fused(spec: SystemSpec, f: GridFunction,
     the integration matrix S built beside the Gauss rule
     (_gamma_integrals).
 
+    The route reads the spec through a LinePlan, which makes every check
+    a TransportPlan makes of the spec, and builds no grid operator. So
+    a gamma whose integrating factor a TransportPlan refuses, for the
+    range of its integral over the whole grid, is read here as
+    e^{int gamma} along each line of length at most 1; those weights
+    overflow only where that integral passes GAMMA_SPREAD_LIMIT, and
+    coefficients are evaluated only at the points the route reads.
+
     Each probe carries (FUSED_PANELS * FUSED_NODES)^3 innermost points,
     so the probes are evaluated in ceil(p / FUSED_BLOCK) near-equal
     blocks: peak memory is set by the block, not by p, and a block's
@@ -139,7 +152,7 @@ def apply_k_cubed_fused(spec: SystemSpec, f: GridFunction,
     _require_finite("probe y", pts[:, 1])
     _require_finite("probe t", pts[:, 2])
     rule = _fused_rule()
-    plan = TransportPlan.build(spec, f.grid)
+    lines = LinePlan.build(spec, f.grid)
 
     # one single-component view per row, so a read interpolates only it
     parts = [GridFunction(f.grid, f.values[c:c + 1]) for c in range(f.m)]
@@ -149,9 +162,9 @@ def apply_k_cubed_fused(spec: SystemSpec, f: GridFunction,
 
     def chain(inner):
         def level(X, Y, T, rows):
-            needed = {j for i, j, _ in plan.coupling if i in rows}
-            u = _transport_at_points(plan, inner, X, Y, T, rule, needed)
-            return _coupling_at_points(plan, X, Y, T, u, rows)
+            needed = {j for i, j in lines.entries if i in rows}
+            u = _transport_at_points(lines, inner, X, Y, T, rule, needed)
+            return _coupling_at_points(lines, X, Y, T, u, rows)
         return level
 
     k3 = chain(chain(chain(read_f)))

@@ -11,6 +11,7 @@ import io
 import itertools
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -83,6 +84,26 @@ class GridFunction:
     def m(self) -> int:
         return self.values.shape[0]
 
+    @cached_property
+    def _padded(self) -> np.ndarray:
+        """The values on (m, nx+1, ny+1, nt+1), flattened: the y = 0 and
+        t = 0 planes repeated at the far ends, so that every upper corner
+        along y or t is its lower corner plus a fixed stride, with no wrap.
+
+        interpolate_many reads it. The values are read-only, so it is
+        built at the first read and kept: the fused K^3 route reads each
+        component some 50 times per call. (An array written through a
+        view taken before the field was built would leave it stale.)
+        """
+        g = self.grid
+        v = self.values
+        pad = np.empty((self.m, g.nx + 1, g.ny + 1, g.nt + 1))
+        pad[:, :, :g.ny, :g.nt] = v
+        pad[:, :, :g.ny, g.nt] = v[:, :, :, 0]
+        pad[:, :, g.ny] = pad[:, :, 0]
+        pad.flags.writeable = False
+        return pad.reshape(-1)
+
     def __add__(self, other: "GridFunction") -> "GridFunction":
         return GridFunction(self.grid, self.values + other.values)
 
@@ -135,7 +156,9 @@ def _snap(u: np.ndarray) -> None:
     nearest = np.rint(u)
     gap = np.subtract(u, nearest)
     np.abs(gap, out=gap)
-    np.copyto(u, nearest, where=gap < _SNAP)
+    near = gap < _SNAP
+    if near.any():
+        np.copyto(u, nearest, where=near)
 
 
 def _split_index(u) -> tuple[np.ndarray, np.ndarray]:
@@ -159,44 +182,60 @@ def _require_finite(name: str, a: np.ndarray) -> None:
 
 
 def _periodic_index(pos: np.ndarray, n: int, period: float, stride: int):
-    """Flat offsets of the lower and upper corners, and the fractions."""
+    """Flat offsets of the lower corners, in [0, n) times stride, and the
+    fractions."""
     u = pos * n
-    u /= period
+    if period != 1.0:
+        u /= period
     base, frac = _split_index(u)
-    base %= n
-    base *= stride
-    upper = base + stride
-    upper[upper == n * stride] = 0
-    return base, upper, frac
+    # base mod n as base - n (base // n): numpy divides int64 by a scalar
+    # several times faster than it takes the remainder, and the two agree
+    # on every int64, since the arithmetic wraps mod 2^64 and the
+    # remainder lies in [0, n)
+    wraps = base // n
+    wraps *= -n
+    base += wraps
+    if stride != 1:
+        base *= stride
+    return base, frac
 
 
 def _x_index(pos: np.ndarray, nx: int, stride: int):
-    """Flat offsets of the lower and upper corners, and the fractions."""
+    """Flat offsets of the lower corners, in [0, nx) times stride, and the
+    fractions."""
     u = pos * nx
+    if not u.size:
+        return u.astype(np.int64), u
+    lo, hi = float(u.min()), float(u.max())
     # written so that NaN fails it too
-    inside = (u >= -_X_SLACK * nx) & (u <= nx * (1 + _X_SLACK))
-    if not inside.all():
+    if not (lo >= -_X_SLACK * nx and hi <= nx * (1 + _X_SLACK)):
+        inside = (u >= -_X_SLACK * nx) & (u <= nx * (1 + _X_SLACK))
         bad = pos[~inside].flat[0]
         raise GridDomainError(f"x = {float(bad)!r} outside [0, 1]")
-    np.clip(u, 0.0, float(nx), out=u)
+    if lo < 0.0 or hi > nx:
+        np.clip(u, 0.0, float(nx), out=u)
     base, frac = _split_index(u)
-    # the face x = 1 is the top of the last cell, not a cell of its own
-    top = base == nx
-    base[top] = nx - 1
-    frac[top] = 1.0
+    # the face x = 1 is the top of the last cell, not a cell of its own.
+    # Only a position within _SNAP of nx lands on it, and nx - u is exact
+    # there, so the largest position decides whether any point does
+    if nx - min(hi, nx) < _SNAP:
+        top = base == nx
+        base[top] = nx - 1
+        frac[top] = 1.0
     base *= stride
-    return base, base + stride, frac
+    return base, frac
 
 
-def _corners(lower, upper, frac):
-    """(offset, weight) pairs of one axis.
+def _corners(frac, stride: int):
+    """(offset, weight) pairs of one axis: the lower corner at offset 0,
+    the upper one at stride.
 
     When every point sits on a node the upper corner has weight exactly
     zero and is left out: its terms would add only signed zeros.
     """
     if not np.any(frac):
-        return ((lower, 1.0 - frac),)
-    return ((lower, 1.0 - frac), (upper, frac))
+        return ((0, 1.0 - frac),)
+    return ((0, 1.0 - frac), (stride, frac))
 
 
 def interpolate_many(gf: GridFunction, x, y, t) -> np.ndarray:
@@ -204,9 +243,12 @@ def interpolate_many(gf: GridFunction, x, y, t) -> np.ndarray:
 
     x, y and t broadcast against each other but are indexed as given, so
     grid-shaped inputs like (nx+1, 1, 1), (1, ny, 1), (1, 1, nt) cost one
-    index computation per axis level. Each corner is one flat gather.
-    Coordinates must be finite and x within [0, 1] up to a slack of
-    1e-12; anything else raises GridDomainError.
+    index computation per axis level. The field is read through
+    GridFunction._padded, where a point's eight corners sit at fixed
+    offsets from one base offset: each corner is one gather from the
+    padded values shifted by its offset. Coordinates must be finite and x
+    within [0, 1] up to a slack of 1e-12; anything else raises
+    GridDomainError.
     """
     g = gf.grid
     x, y, t = (np.asarray(a, dtype=float) for a in (x, y, t))
@@ -215,18 +257,24 @@ def interpolate_many(gf: GridFunction, x, y, t) -> np.ndarray:
     x, y, t = np.atleast_1d(x, y, t)
     _require_finite("y", y)
     _require_finite("t", t)
-    # flat offsets into the (m, nodes) view: ix * ny * nt + iy * nt + it
-    xc = _corners(*_x_index(x, g.nx, g.ny * g.nt))
-    yc = _corners(*_periodic_index(y, g.ny, g.period_y, g.nt))
-    tc = _corners(*_periodic_index(t, g.nt, g.period_t, 1))
-    flat = gf.values.reshape(gf.m, -1)
+    # offsets into one component of the padded values:
+    # ix * (ny+1) (nt+1) + iy * (nt+1) + it
+    sy = g.nt + 1
+    sx = (g.ny + 1) * sy
+    ix, fx = _x_index(x, g.nx, sx)
+    iy, fy = _periodic_index(y, g.ny, g.period_y, sy)
+    it, ft = _periodic_index(t, g.nt, g.period_t, 1)
+    base = ix + iy + it
+    # and one more offset per component, into the whole flat array
+    comps = np.arange(gf.m).reshape((-1,) + (1,) * base.ndim)
+    base = base + (g.nx + 1) * sx * comps
+    flat = gf._padded
     out = np.zeros((gf.m,) + (shape or (1,)))
-    for ix, wx in xc:
-        for iy, wy in yc:
+    for ox, wx in _corners(fx, sx):
+        for oy, wy in _corners(fy, sy):
             w2 = wx * wy
-            ixy = ix + iy
-            for it, wt in tc:
-                term = np.take(flat, ixy + it, axis=1)
+            for ot, wt in _corners(ft, 1):
+                term = np.take(flat[ox + oy + ot:], base)
                 term *= w2 * wt
                 out += term
     return out.reshape((gf.m,) + shape)
@@ -256,12 +304,12 @@ def shift_diff_norm(gf: GridFunction, hy: float) -> float:
     g = gf.grid
     # x and t stay on their nodes, where interpolate_many's weights are
     # exactly 1 and 0, so blending two y planes gives its values bit for bit
-    lower, upper, frac = _periodic_index(g.ys() + hy, g.ny, g.period_y, 1)
+    lower, frac = _periodic_index(g.ys() + hy, g.ny, g.period_y, 1)
     diff = np.take(gf.values, lower, axis=2)
     if np.any(frac):
         w = frac[:, None]
         diff *= 1.0 - w
-        top = np.take(gf.values, upper, axis=2)
+        top = np.take(gf.values, lower + 1, axis=2, mode="wrap")
         top *= w
         diff += top
     diff -= gf.values

@@ -12,9 +12,9 @@ import pytest
 from scipy.special import dawsn
 
 import charfred as cf
-from charfred.characteristics import (GAMMA_SPREAD_LIMIT, SingularBlockError,
-                                      TransportPlan, default_step,
-                                      solve_transport_stack)
+from charfred.characteristics import (GAMMA_SPREAD_LIMIT, LinePlan,
+                                      SingularBlockError, TransportPlan,
+                                      default_step, solve_transport_stack)
 from conftest import ONE, ZERO, coupled_spec, identity_spec, zero_b
 from test_transport_properties import reference_transport
 
@@ -252,6 +252,48 @@ def test_gamma_whose_line_integral_overflows_is_refused(amplitude, refused):
     u = cf.solve_transport(spec, f)
     assert np.isfinite(u.values).all()
     assert 2 * amplitude <= GAMMA_SPREAD_LIMIT
+
+
+@pytest.mark.parametrize("row, c, refused", [
+    (0, -800.0, True), (2, 800.0, True), (0, 800.0, False),
+    (2, -800.0, False), (0, -709.0, False), (2, 709.0, False)])
+def test_constant_gamma_whose_kernel_weight_overflows_is_refused(row, c,
+                                                                  refused):
+    # the kernel weight e^{c (xi - x)} reaches e^{-c} on a forward row
+    # (rows 1 and 2) and e^{c} on a backward one (row 3); the fused route
+    # reads the same weight, and refuses the same spec
+    gamma = [ZERO, ZERO, ZERO]
+    gamma[row] = cf.parse(repr(c))
+    spec = identity_spec(gamma=tuple(gamma))
+    grid = cf.Grid(nx=4, ny=4, nt=4)
+    f = cf.GridFunction(grid, np.ones((3, 5, 4, 4)))
+    if refused:
+        message = (rf"^gamma\[{row + 1}\]: its constant part {c:g} weighs "
+                   r"the line integrals by up to e\^800, more than the "
+                   r"e\^709\.78 within which the weight stays finite$")
+        for run in (lambda: LinePlan.build(spec, grid),
+                    lambda: TransportPlan.build(spec, grid),
+                    lambda: cf.apply_k_cubed_fused(spec, f, [[0.5] * 3])):
+            with pytest.raises(ValueError, match=message):
+                run()
+        return
+    assert LinePlan.build(spec, grid).rows[row][4] == c
+    u = cf.solve_transport(spec, f)
+    assert np.isfinite(u.values).all()
+
+
+def test_varying_gamma_whose_kernel_constant_overflows_is_refused():
+    # the integrating factor splits off the midpoint of gamma's samples,
+    # about 800, for the kernel; its weight is refused as a constant
+    # gamma's would be
+    spec = identity_spec(gamma=(ZERO, ZERO,
+                                cf.parse("800 + 0.1*cos(2*pi*y)")))
+    grid = cf.Grid(nx=4, ny=4, nt=4)
+    assert LinePlan.build(spec, grid).rows[2][4] is None
+    with pytest.raises(ValueError, match=r"^gamma\[3\]: its constant part "
+                                         r"800 weighs the line integrals by "
+                                         r"up to e\^800, "):
+        TransportPlan.build(spec, grid)
 
 
 def test_default_step_respects_grid_and_slopes():

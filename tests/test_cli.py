@@ -497,6 +497,21 @@ def test_gamma_whose_line_integral_overflows_is_one_line(tmp_path, capsys):
         "e^Gamma stays finite\n")
 
 
+def test_constant_gamma_whose_kernel_weight_overflows_is_one_line(tmp_path,
+                                                                  capsys):
+    # row 3 is backward, so its weight e^{c (xi - x)} reaches e^800 on a
+    # line of length 1; the spec is refused by name, with no warnings
+    doc = json.loads((CONFIGS / "uncoupled.json").read_text(encoding="utf-8"))
+    doc["system"]["gamma"][2] = "800"
+    rc = main(["solve", "--config", write_config(tmp_path, doc),
+               "--out", str(tmp_path / "run")])
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        "solve: gamma[3]: its constant part 800 weighs the line integrals "
+        "by up to e^800, more than the e^709.78 within which the weight "
+        "stays finite\n")
+
+
 @pytest.mark.parametrize("command", ["solve", "diagnose"])
 def test_out_naming_a_file_stops_before_any_work(command, tmp_path, capsys,
                                                   monkeypatch):

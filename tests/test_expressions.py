@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from charfred import expressions
 from charfred.expressions import (EvalError, ParseError, check_periodicity,
                                   constant_value, evaluate, evaluate_on,
                                   is_literal_zero, parse, pretty)
@@ -151,6 +152,30 @@ def test_periodicity_rejects(text):
 def test_periodicity_respects_periods():
     assert check_periodicity(parse("sin(pi*y)"), 2.0, 1.0)
     assert not check_periodicity(parse("sin(pi*y)"), 1.0, 1.0)
+
+
+def test_periodicity_reads_the_halton_sample_formed_at_import(monkeypatch):
+    # the 64 points of bases 2, 3 and 5, formed once: a check recomputes
+    # none of them, and reads y and t scaled to its periods
+    want = [[expressions._halton(i, b) for i in range(1, 65)]
+            for b in (2, 3, 5)]
+    assert [a.tolist() for a in expressions._PERIODICITY_SAMPLE] == want
+    seen = []
+
+    def recording(e, x, y, t):
+        seen.append((x, y, t))
+        return evaluate_on(e, x, y, t)
+
+    def no_halton(*args):
+        raise AssertionError("the Halton sample was recomputed")
+
+    monkeypatch.setattr(expressions, "_halton", no_halton)
+    monkeypatch.setattr(expressions, "evaluate_on", recording)
+    assert check_periodicity(parse("sin(pi*y)*cos(2*pi*t/3)"), 2.0, 3.0)
+    x, y, t = seen[0]
+    assert x.tolist() == want[0]
+    assert y.tolist() == (np.array(want[1]) * 2.0).tolist()
+    assert t.tolist() == (np.array(want[2]) * 3.0).tolist()
 
 
 @pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf))

@@ -225,18 +225,25 @@ def test_assembled_matrix_acts_like_apply_k():
 
 def test_each_entry_point_builds_one_plan(monkeypatch):
     # every transport solve, coupling product and K application inside
-    # one entry point reuses the plan that entry point built
+    # one entry point reuses the plan that entry point built; the fused
+    # K^3 route reads the spec's lines alone and builds no plan
     spec = coupled_spec()
     grid = cf.Grid(nx=4, ny=4, nt=4)
     f = cf.sample(EXPRS, grid)
-    build = cf.TransportPlan.build.__func__
-    built = []
+    built = {"plan": [], "lines": []}
 
-    def counting(cls, *args):
-        built.append(args)
-        return build(cls, *args)
+    def counting(cls, key):
+        build = cls.build.__func__
 
-    monkeypatch.setattr(cf.TransportPlan, "build", classmethod(counting))
+        def run(cls, *args):
+            built[key].append(args)
+            return build(cls, *args)
+        return classmethod(run)
+
+    monkeypatch.setattr(cf.TransportPlan, "build",
+                        counting(cf.TransportPlan, "plan"))
+    monkeypatch.setattr(characteristics.LinePlan, "build",
+                        counting(characteristics.LinePlan, "lines"))
     runs = {
         "solve_neumann": lambda: cf.solve_neumann(spec, f),
         "solve_discrete": lambda: cf.solve_discrete(spec, f,
@@ -244,13 +251,17 @@ def test_each_entry_point_builds_one_plan(monkeypatch):
         "smoothing_profile": lambda: cf.smoothing_profile(
             spec, grid, frequencies=(1,), shifts=()),
         "apply_k_power": lambda: cf.apply_k_power(spec, f, 3),
-        "apply_k_cubed_fused": lambda: cf.apply_k_cubed_fused(
-            spec, f, np.array([[0.5, 0.25, 0.75]])),
     }
     for name, run in runs.items():
-        built.clear()
+        for calls in built.values():
+            calls.clear()
         run()
-        assert len(built) == 1, name
+        assert len(built["plan"]) == 1, name
+        assert len(built["lines"]) == 1, name
+    for calls in built.values():
+        calls.clear()
+    cf.apply_k_cubed_fused(spec, f, np.array([[0.5, 0.25, 0.75]]))
+    assert built == {"plan": [], "lines": [(spec, grid)]}
 
 
 # the field-level entry points that take a plan, as (spec, f, plan) ->
@@ -1230,23 +1241,38 @@ def test_fused_cube_memory_is_bounded_by_the_block():
 def test_one_fused_block_stays_under_the_trim_threshold():
     # probe-fused's 33-node grid. glibc hands a block's freed working set
     # back to the OS once it passes the trim threshold, and the next
-    # block faults it in again. Beyond the plan, which the call holds
-    # throughout (1.7 MiB), blocks of 3 probes peak at 2.2 MiB and take
-    # about 37k minor faults per 100 probes, blocks of 2 peak at 1.5 MiB
-    # and take about 600
+    # block faults it in again. The call builds no plan; it holds the
+    # padded values of each component it reads (0.9 MiB) throughout.
+    # With them, blocks of 3 probes peak at 2.7 MiB and take about 11k
+    # minor faults per 100 probes, blocks of 2 peak at 2.1 MiB and take
+    # about 430
     spec = fused_spec()
     f = cf.sample(EXPRS, cf.Grid(nx=32, ny=33, nt=33))
     probes = np.random.default_rng(4).uniform(0.0, 1.0,
                                               (fredholm.FUSED_BLOCK, 3))
-    tracemalloc.start()
-    try:
-        plan = characteristics.TransportPlan.build(spec, f.grid)
-        held = tracemalloc.get_traced_memory()[0]
-    finally:
-        tracemalloc.stop()
-    del plan
     peak = traced_peak(lambda: cf.apply_k_cubed_fused(spec, f, probes))
-    assert peak - held <= 1.9 * 2 ** 20
+    assert peak <= 2.4 * 2 ** 20
+
+
+def test_fused_route_reads_a_gamma_whose_grid_factor_is_refused():
+    # 800 cos(2 pi y) integrated along row 3's lines (beta = 0.5) spans
+    # more than GAMMA_SPREAD_LIMIT over the grid, so a TransportPlan
+    # refuses the spec. The fused route builds no integrating factor: its
+    # weights e^{int_X^xi gamma} run along one line each, and there
+    # |int gamma| <= 1600 / pi, so they stay finite and the route answers
+    spec = fused_spec()
+    spec = replace(spec, gamma=spec.gamma[:2]
+                   + (cf.parse("800*cos(2*pi*y)"),))
+    grid = cf.Grid(nx=4, ny=5, nt=5)
+    f = cf.sample(EXPRS, grid)
+    with pytest.raises(ValueError, match=r"^gamma\[3\]: its integral along "
+                                         r"the lines, less its constant "
+                                         r"part, spans "):
+        characteristics.TransportPlan.build(spec, grid)
+    probes = np.random.default_rng(5).uniform(0.0, 1.0, (4, 3))
+    got = cf.apply_k_cubed_fused(spec, f, probes)
+    assert got.shape == (3, 4)
+    assert np.isfinite(got).all() and np.abs(got).max() > 0.0
 
 
 def oracle_gl_panels(x0, X, glx, glw, panels):
@@ -1394,11 +1420,11 @@ def test_fused_reads_gamma_once_per_panel_node(monkeypatch):
     monkeypatch.setattr(characteristics, "evaluate_on", counting)
     monkeypatch.setattr(fredholm, "evaluate_on", counting)
     cf.apply_k_cubed_fused(spec, f, probes)
-    # row 2 alone has a variable gamma, and the cyclic coupling
+    # row 3 alone has a variable gamma, and the cyclic coupling
     # integrates it once per level: along p, p n and p n^2 lines. The
-    # plan's integrating factor reads it along one line per node too
+    # route builds no plan, so no integrating factor reads it at the nodes
     n = characteristics.FUSED_PANELS * characteristics.FUSED_NODES
-    lines = len(probes) * (1 + n + n * n) + f.grid.node_count
+    lines = len(probes) * (1 + n + n * n)
     assert len(varying) == 1
     assert points["gamma"] <= n * lines
     # a fresh FUSED_NODES-point rule per panel node read gamma

@@ -13,6 +13,7 @@ from dataclasses import replace
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import charfred as cf
@@ -103,20 +104,48 @@ def fields(draw, m=None):
 
 
 # coordinate kinds per axis: on nodes (including the x ends and y, t
-# beyond one period), exactly at x = 0 or 1, or anywhere
-KINDS = st.sampled_from(("nodes", "ends", "random"))
+# beyond one period), exactly at x = 0 or 1, anywhere, in the last cell
+# (y and t up to just below a period, where the upper corner wraps to
+# node 0; x up to x = 1 and within its slack), within a few _SNAP of a
+# node on either side of the snap, or far: y and t several periods away,
+# or 1e16 to 1e18 (up to 4e18 index units, where int64 indices still
+# hold)
+KIND_NAMES = ("nodes", "ends", "random", "last", "near", "far")
+KINDS = st.sampled_from(KIND_NAMES)
 # shapes per axis: scattered (all (p,)), separable ((a,1,1), (1,b,1),
-# (1,1,c)), broadcast-only with scalars mixed in
-LAYOUTS = st.sampled_from(("scattered", "separable", "broadcast"))
+# (1,1,c)), broadcast-only with scalars mixed in, or zero-size
+LAYOUTS = st.sampled_from(("scattered", "separable", "broadcast", "empty"))
 
 
 def axis_points(rng, kind, n, period, size, periodic):
-    if kind == "random":
+    if kind == "random" or (kind == "far" and not periodic):
         lo, hi = (-3.0 * period, 3.0 * period) if periodic else (0.0, 1.0)
         return rng.uniform(lo, hi, size)
     if kind == "ends":
         ends = (-period, 0.0, period, 2 * period) if periodic else (0.0, 1.0)
         return rng.choice(ends, size)
+    if kind == "last":
+        if not periodic:
+            edge = (1.0, np.nextafter(1.0, 0.0), 1.0 - 1e-10, 1.0 + 1e-13)
+            inner = (n - 1 + rng.uniform(0.0, 1.0, size)) / n
+            return np.where(rng.random(size) < 0.5, rng.choice(edge, size),
+                            inner)
+        k = rng.integers(-3, 4, size)
+        below = np.nextafter((k + 1) * period, -np.inf)
+        inner = (n - 1 + rng.uniform(0.0, 1.0, size)) * period / n + k * period
+        return np.where(rng.random(size) < 0.5, below, inner)
+    if kind == "near":
+        lo, hi = (-3 * n, 3 * n) if periodic else (0, n)
+        gap = rng.choice((-2.0, -1.0, -0.5, 0.5, 1.0, 2.0), size) * _SNAP
+        pos = (rng.integers(lo, hi + 1, size) + gap) * period / n
+        return pos if periodic else np.clip(pos, 0.0, 1.0)
+    if kind == "far":
+        sign = rng.choice((-1.0, 1.0), size)
+        periods = sign * rng.integers(5, 1000, size) * period \
+            + rng.uniform(0.0, period, size)
+        huge = sign * np.minimum(10.0 ** rng.uniform(16.0, 18.0, size),
+                                 4e18 * period / n)
+        return np.where(rng.random(size) < 0.5, periods, huge)
     lo, hi = (-3 * n, 3 * n) if periodic else (0, n)
     return rng.integers(lo, hi + 1, size) * period / n
 
@@ -133,8 +162,11 @@ def points(draw, grid, rng):
     elif layout == "separable":
         shapes = [tuple(draw(st.integers(1, 6)) if d == k else 1
                         for d in range(3)) for k in range(3)]
+    elif layout == "broadcast":
+        shapes = [draw(st.sampled_from(((), (1,), (3, 1), (1, 4), (3, 4))))
+                  for _ in axes]
     else:
-        shapes = [draw(st.sampled_from(((), (1,), (3, 1), (1, 4), (2, 4))))
+        shapes = [draw(st.sampled_from(((), (0,), (1,), (2, 0), (2, 1))))
                   for _ in axes]
     out = []
     for (n, period, periodic), kind, shape in zip(axes, kinds, shapes):
@@ -158,6 +190,43 @@ def test_interpolate_many_matches_eight_corner_oracle(case):
                      oracle_interpolate(gf, x, y, t))
 
 
+@pytest.mark.parametrize("axis", range(3))
+@pytest.mark.parametrize("kind", KIND_NAMES)
+@pytest.mark.parametrize("periods", [(1.0, 1.0), (0.5, 3.0)])
+def test_every_point_kind_matches_eight_corner_oracle(axis, kind, periods):
+    # each kind on one axis, the other two anywhere, on three components
+    grid = cf.Grid(nx=5, ny=7, nt=4, period_y=periods[0],
+                   period_t=periods[1])
+    rng = np.random.default_rng(axis * 100 + KIND_NAMES.index(kind))
+    gf = cf.GridFunction(grid, rng.standard_normal((3, 6, 7, 4)))
+    axes = ((grid.nx, 1.0, False), (grid.ny, grid.period_y, True),
+            (grid.nt, grid.period_t, True))
+    x, y, t = (axis_points(rng, kind if d == axis else "random", n, period,
+                           200, periodic)
+               for d, (n, period, periodic) in enumerate(axes))
+    assert same_bits(cf.interpolate_many(gf, x, y, t),
+                     oracle_interpolate(gf, x, y, t))
+
+
+@pytest.mark.parametrize("scale", [2.0 ** 62, 2.0 ** 63, 1e19, 1e300])
+def test_indices_past_int64_reduce_as_the_oracle_does(scale):
+    # y and t are floored into int64 and reduced mod n by a floor
+    # division. From 2^63 index units on the cast overflows (numpy warns)
+    # and gives the same int64 to both; the reduction must still agree
+    # with the oracle's remainder there, at either sign
+    grid = cf.Grid(nx=4, ny=7, nt=5)
+    rng = np.random.default_rng(11)
+    gf = cf.GridFunction(grid, rng.standard_normal((2, 5, 7, 5)))
+    index = scale * np.array([-1.0, 1.0, -1.0, 1.0])
+    x = np.array([0.0, 0.5, 1.0, 0.25])
+    y = index * grid.period_y / grid.ny
+    t = index[::-1] * grid.period_t / grid.nt
+    with np.errstate(invalid="ignore"):
+        got = cf.interpolate_many(gf, x, y, t)
+        want = oracle_interpolate(gf, x, y, t)
+    assert same_bits(got, want)
+
+
 @PROPERTY
 @given(interpolation_cases())
 def test_single_component_reads_are_full_reads_sliced(case):
@@ -169,9 +238,10 @@ def test_single_component_reads_are_full_reads_sliced(case):
 
 
 # y shifts, in nodes: on a node, between nodes, within a few _SNAP of a
-# node (either side of the snap), or anywhere; k reaches three periods
-# either way
-SHIFT_KINDS = st.sampled_from(("node", "between", "near-node", "random"))
+# node (either side of the snap), anywhere, or 1e16 to 4e18 nodes away;
+# k reaches three periods either way
+SHIFT_KINDS = st.sampled_from(("node", "between", "near-node", "random",
+                               "far"))
 
 
 @st.composite
@@ -186,6 +256,9 @@ def shift_cases(draw):
         nodes = k + draw(st.floats(0.001, 0.999))
     elif kind == "near-node":
         nodes = k + draw(st.sampled_from((-2.0, -0.5, 0.5, 2.0))) * _SNAP
+    elif kind == "far":
+        nodes = draw(st.sampled_from((-1.0, 1.0))) \
+            * min(10.0 ** draw(st.floats(16.0, 18.0)), 4e18)
     else:
         nodes = draw(st.floats(-3.0 * g.ny, 3.0 * g.ny))
     return gf, nodes * g.period_y / g.ny
