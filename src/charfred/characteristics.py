@@ -21,8 +21,10 @@ node's line, the row is e^{-Gamma} R_0 e^{Gamma}, R_0 the kernel with
 c = 0. On a grid of at most DENSE_DFT_NODES nodes per component the
 modes come from one dense DFT matrix product over the whole (y, t)
 plane, and one x operator per mode sums over x; larger grids take
-rfft2, a loop over the x offsets and irfft2. The plan decides the route
-and builds every factor once.
+rfft2, a loop over the x offsets and irfft2. A row whose slopes are
+both 0 stays on its (y, t) node: its multipliers are the same for every
+mode, so on any grid it is one real x operator with no transform. The
+plan decides the route and builds every factor once.
 
 Gamma, closed-form right-hand sides and the fused K^3 route integrate
 along a line by Gauss-Legendre panels instead (_gl_panels), reading
@@ -158,7 +160,9 @@ class TransportPlan:
     (forward, beta, alpha, gamma, c, multipliers, factor) per component,
     multipliers what _integrate_spectral_row applies for the constant c,
     or for a varying gamma for the constant part that _integrating_factor
-    splits off: the (H, E) pair of _spectral_multipliers, or on a grid of
+    splits off: for a row whose slopes are both exactly 0, the real
+    (nx+1, nx+1) x operator of _zero_slope_operator on any grid;
+    otherwise the (H, E) pair of _spectral_multipliers, or on a grid of
     at most DENSE_DFT_NODES nodes per component the x operator L built
     from it (_x_operator). factor is the e^Gamma of _integrating_factor
     for a varying gamma and None for a constant one. dft is the (y, t)
@@ -201,9 +205,12 @@ class TransportPlan:
                 label = f"gamma[{i + 1}]"
                 kernel_c, factor = _integrating_factor(grid, *row[:4], label)
                 _check_kernel_constant(kernel_c, forward, label)
-            mult = _spectral_multipliers(grid, *row[:3], kernel_c)
-            if dft is not None:
-                mult = _x_operator(*mult, forward, weight)
+            if row[1] == row[2] == 0.0:
+                mult = _zero_slope_operator(grid, forward, kernel_c)
+            else:
+                mult = _spectral_multipliers(grid, *row[:3], kernel_c)
+                if dft is not None:
+                    mult = _x_operator(*mult, forward, weight)
             rows.append(row + (mult, factor))
         return cls(spec, grid, lines.blocks, coupling, tuple(rows), dft)
 
@@ -370,12 +377,32 @@ def _spectral_multipliers(grid: Grid, forward: bool, beta: float,
     route negates it again.
     """
     d, s, jy, fy, jt, ft = _line_shifts(grid, beta, alpha, forward)
-    G = ((s * np.exp(c * d))[:, None, None]
-         * _shift_multipliers(jy, fy, grid.ny, grid.ny)[:, :, None]
-         * _shift_multipliers(jt, ft, grid.nt, grid.nt // 2 + 1)[:, None, :])
+    return _pair_offsets(
+        (s * np.exp(c * d))[:, None, None]
+        * _shift_multipliers(jy, fy, grid.ny, grid.ny)[:, :, None]
+        * _shift_multipliers(jt, ft, grid.nt, grid.nt // 2 + 1)[:, None, :])
+
+
+def _pair_offsets(G: np.ndarray):
+    """(H, E) from the multipliers G_m of the half-cell offsets m = 0..2 nx
+    (first axis): H_o = G_2o + (G_2o-1 + G_2o+1) / 2 for o < nx and
+    E_ix = (G_2ix-1 + G_2ix) / 2 for ix = 1..nx."""
     H = G[0:-1:2] + 0.5 * G[1::2]
     H[1:] += 0.5 * G[1:-2:2]
     return H, 0.5 * (G[1::2] + G[2::2])
+
+
+def _zero_slope_operator(grid: Grid, forward: bool, c: float) -> np.ndarray:
+    """The real (nx+1, nx+1) x operator of a row whose slopes are both 0.
+
+    The row's line stays on its (y, t) node, so every two-point blend of
+    _spectral_multipliers reads the node itself and each G_m is the one
+    real number s_m e^{c d_m} for every mode: H and E are the same for
+    all modes, and the row is one triangle over x (_x_triangle) acting on
+    each (y, t) node alike, with no transform of the plane.
+    """
+    d, s, *_ = _line_shifts(grid, 0.0, 0.0, forward)
+    return _x_triangle(*_pair_offsets(s * np.exp(c * d)), forward)
 
 
 def _plane_dft(grid: Grid):
@@ -403,23 +430,29 @@ def _plane_dft(grid: Grid):
     return F, np.where((kt == 0) | (2 * kt == nt), 1.0, 2.0) / n
 
 
+def _x_triangle(H: np.ndarray, E: np.ndarray, forward: bool) -> np.ndarray:
+    """The lower triangle on the x levels that the FFT route sums per mode:
+    H_o at (ix, ix - o) for o < ix, E_ix at (ix, 0) and zero in row 0,
+    over any trailing mode axes of H and E. A backward row's triangle is
+    reversed along both x axes. The result is C-contiguous and owns its
+    data."""
+    nx = H.shape[0]
+    L = np.zeros((nx + 1, nx + 1) + H.shape[1:], dtype=H.dtype)
+    i, j = np.tril_indices(nx)
+    L[i + 1, j + 1] = H[i - j]
+    L[1:, 0] = E
+    return L if forward else L[::-1, ::-1].copy()
+
+
 def _x_operator(H: np.ndarray, E: np.ndarray, forward: bool,
                 weight: np.ndarray) -> np.ndarray:
-    """The (nx+1, nx+1, P) x operator L of the dense route for one row.
-
-    Per flattened (y, t) mode, the FFT route's sum is a lower triangular
-    matrix on the x levels: H_o at (ix, ix - o) for o < ix, E_ix at
-    (ix, 0) and zero in row 0, times the weight of the mode in F's
-    inverse (_plane_dft). A backward row's L is that matrix reversed
-    along both x axes.
-    """
+    """The (nx+1, nx+1, P) x operator L of the dense route for one row:
+    per flattened (y, t) mode, the triangle of _x_triangle times the
+    weight of the mode in F's inverse (_plane_dft)."""
     nx = H.shape[0]
-    L = np.zeros((nx + 1, nx + 1, weight.size), dtype=complex)
-    i, j = np.tril_indices(nx)
-    L[i + 1, j + 1] = H.reshape(nx, -1)[i - j]
-    L[1:, 0] = E.reshape(nx, -1)
+    L = _x_triangle(H.reshape(nx, -1), E.reshape(nx, -1), forward)
     L *= weight
-    return L if forward else L[::-1, ::-1].copy()
+    return L
 
 
 def _integrate_spectral_row(plan: TransportPlan, forward: bool, mult,
@@ -432,17 +465,24 @@ def _integrate_spectral_row(plan: TransportPlan, forward: bool, mult,
 
         w[ix] = sum_{o < ix} H_o v[ix - o] + E_ix v[0].
 
-    mult is the row's multipliers in plan.rows. On a plan with a dft
-    matrix F it is the x operator L of _x_operator: the modes of the
-    whole (B, nx+1) stack of planes are one matrix product with F, L
-    acts on each mode by one einsum, and F's transpose brings the planes
-    back. The einsum sums over x in the same order for every batch item,
-    so each item is the same bit for bit whatever B is. Otherwise mult is
-    (H, E): one rfft2 of the row, a loop over the offsets o and one
-    irfft2.
+    mult is the row's multipliers in plan.rows, in one of three forms.
+    For a row whose slopes are both 0 it is the real (nx+1, nx+1) x
+    operator of _zero_slope_operator, already in the grid's x order, and
+    one matmul over the x axis of the (B, nx+1, ny nt) view applies it.
+    Otherwise, on a plan with a dft matrix F it is the x operator L of
+    _x_operator: the modes of the whole (B, nx+1) stack of planes are one
+    matrix product with F, L acts on each mode by one einsum, and F's
+    transpose brings the planes back. The matmul and the einsum each sum
+    over x in the same order for every batch item, so each item is the
+    same bit for bit whatever B is. Otherwise mult is (H, E): one rfft2
+    of the row, a loop over the offsets o and one irfft2.
     """
+    lead = comp.shape[:2] + (-1,)
+    if isinstance(mult, np.ndarray) and mult.ndim == 2:
+        out[...] = (mult @ comp.reshape(lead)).reshape(out.shape)
+        return
     if plan.dft is not None:
-        vhat = (comp.reshape(comp.shape[:2] + (-1,)) @ plan.dft).view(complex)
+        vhat = (comp.reshape(lead) @ plan.dft).view(complex)
         acc = np.einsum("ijq,bjq->biq", mult, vhat)
         out[...] = (acc.view(float) @ plan.dft.T).reshape(out.shape)
         return
@@ -552,8 +592,9 @@ def _transport_at_points(plan, inner, X, Y, T, rule, rows):
     the same pass, which keeps the nested chain linear in the coupling
     width. A variable gamma is read once per panel node, where h is read,
     and its line integral from X to each node comes from those samples
-    through the integration matrix S (_gl_integration_matrix). rule is
-    _fused_rule().
+    through the integration matrix S (_gl_integration_matrix); an
+    integral above GAMMA_SPREAD_LIMIT, whose weight e^Gamma would
+    overflow, raises ValueError naming the gamma. rule is _fused_rule().
     """
     tau, omega, glw, S = rule
     wanted = set(rows)
@@ -576,8 +617,15 @@ def _transport_at_points(plan, inner, X, Y, T, rule, rows):
             elif c is not None:
                 ew = wts * np.exp(c * d)
             else:
-                ew = wts * np.exp(_gamma_integrals(gam, x0, X, xi, Yl, Tl,
-                                                   glw, S))
+                G = _gamma_integrals(gam, x0, X, xi, Yl, Tl, glw, S)
+                reach = float(G.max(initial=-np.inf))
+                if reach > GAMMA_SPREAD_LIMIT:
+                    raise ValueError(
+                        f"gamma[{i + 1}]: its integral along the lines "
+                        f"reaches {reach:.4g} at a panel node, more than the "
+                        f"{GAMMA_SPREAD_LIMIT:.2f} within which e^Gamma "
+                        f"stays finite")
+                ew = wts * np.exp(G)
             w.append(np.einsum("q...,q...->...", ew, hv))
         ub = np.einsum("ij,j...->i...", inv, np.stack(w))
         for pos, i in enumerate(block):

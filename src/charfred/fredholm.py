@@ -131,9 +131,10 @@ def apply_k_cubed_fused(spec: SystemSpec, f: GridFunction,
     a TransportPlan makes of the spec, and builds no grid operator. So
     a gamma whose integrating factor a TransportPlan refuses, for the
     range of its integral over the whole grid, is read here as
-    e^{int gamma} along each line of length at most 1; those weights
+    e^{int gamma} along each line of length at most 1. Those weights
     overflow only where that integral passes GAMMA_SPREAD_LIMIT, and
-    coefficients are evaluated only at the points the route reads.
+    there a ValueError names the gamma; coefficients are evaluated only
+    at the points the route reads.
 
     Each probe carries (FUSED_PANELS * FUSED_NODES)^3 innermost points,
     so the probes are evaluated in ceil(p / FUSED_BLOCK) near-equal

@@ -3,6 +3,7 @@ import json
 import math
 import re
 import tracemalloc
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -1273,6 +1274,37 @@ def test_fused_route_reads_a_gamma_whose_grid_factor_is_refused():
     got = cf.apply_k_cubed_fused(spec, f, probes)
     assert got.shape == (3, 4)
     assert np.isfinite(got).all() and np.abs(got).max() > 0.0
+
+
+def test_fused_route_refuses_a_gamma_whose_line_weight_overflows():
+    # 800 + 0.1 cos(2 pi y) on backward row 3 integrates to about 800
+    # from a probe near x = 0 to the inflow face, so e^{int gamma} would
+    # overflow: the route raises, naming the gamma, where it once
+    # answered NaN with overflow warnings. The spec itself passes the
+    # LinePlan, whose checks cover constant gammas alone
+    spec = fused_spec()
+    spec = replace(spec, gamma=spec.gamma[:2]
+                   + (cf.parse("800 + 0.1*cos(2*pi*y)"),))
+    grid = cf.Grid(nx=4, ny=5, nt=5)
+    characteristics.LinePlan.build(spec, grid)
+    f = cf.sample(EXPRS, grid)
+    probes = np.random.default_rng(5).uniform(0.0, 1.0, (4, 3))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^gamma\[3\]: its integral "
+                                             r"along the lines reaches "
+                                             r"7\d\d\.\d at a panel node, "
+                                             r"more than the 709\.78 within "
+                                             r"which e\^Gamma stays finite$"):
+            cf.apply_k_cubed_fused(spec, f, probes)
+    # 700 + 0.1 cos(2 pi y) integrates to at most 700.1: every weight
+    # stays finite, and so does the answer
+    spec = replace(spec, gamma=spec.gamma[:2]
+                   + (cf.parse("700 + 0.1*cos(2*pi*y)"),))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = cf.apply_k_cubed_fused(spec, f, probes)
+    assert np.isfinite(got).all() and np.abs(got).max() > 1e290
 
 
 def oracle_gl_panels(x0, X, glx, glw, panels):

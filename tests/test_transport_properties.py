@@ -9,7 +9,9 @@ Simpson rule the outer one. Rows whose gamma reads none of x, y, t match
 it to rounding; a row with a varying gamma, which the grid kernel
 integrates between the factors e^Gamma and e^-Gamma, matches it to
 second order in the grid spacing. On these small grids the dense DFT is
-also checked against the FFT route of larger grids. Closed-form
+also checked against the FFT route of larger grids, and a row whose
+slopes are both zero, which takes one real x operator on any grid,
+against the (y, t) transform of the other rows. Closed-form
 right-hand sides are checked against the same Gauss panel rule written
 node by node. Every row is integrated, whether it holds data or not,
 and each row group is transported on its own rows alone.
@@ -18,6 +20,7 @@ from dataclasses import replace
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import cumulative_trapezoid, simpson
 
@@ -222,30 +225,113 @@ def test_backward_rows_mirror_forward_rows(problem, batch, dense):
 
 
 @PROPERTY
-@given(small_planes())
-def test_dense_x_operators_are_owned_triangles(problem):
-    # each small-grid row holds one dense operator per (y, t) mode: H_o
-    # on the o-th subdiagonal, E in the inflow column and zeros elsewhere,
-    # in the frame where the inflow face is level 0
+@given(small_planes(), st.integers(0, 3))
+def test_dense_x_operators_are_owned_triangles(problem, flat):
+    # each small-grid row holds one owned x operator: H_o on the o-th
+    # subdiagonal, E in the inflow column and zeros elsewhere, in the
+    # frame where the inflow face is level 0. A row whose slopes are both
+    # 0 (row `flat`, and any the draw left flat) holds one real
+    # (nx+1, nx+1) triangle, its pair being the same real number at every
+    # mode; any other row one complex triangle per (y, t) mode, times the
+    # mode's weight in F's inverse
     spec, grid, _ = problem
+    if flat < 3:
+        spec = replace(spec, beta=tuple(0.0 if i == flat else b
+                                        for i, b in enumerate(spec.beta)),
+                       alpha=tuple(0.0 if i == flat else a
+                                   for i, a in enumerate(spec.alpha)))
     plan = TransportPlan.build(spec, grid)
     _, weight = characteristics._plane_dft(grid)
     nx = grid.nx
-    for forward, beta, alpha, _, c, op, _ in plan.rows:
-        assert op.shape == (nx + 1, nx + 1, weight.size)
+    for i, (forward, beta, alpha, _, c, op, _) in enumerate(plan.rows):
         assert op.flags.c_contiguous and op.flags.owndata
         H, E = characteristics._spectral_multipliers(grid, forward, beta,
                                                      alpha, c)
+        H, E = H.reshape(nx, -1), E.reshape(nx, -1)
+        if beta == alpha == 0.0:
+            assert op.shape == (nx + 1, nx + 1) and op.dtype == np.float64
+            assert not H.imag.any() and not E.imag.any()
+            assert (H == H[:, :1]).all() and (E == E[:, :1]).all()
+            H, E = H[:, 0].real, E[:, 0].real
+        else:
+            assert i != flat
+            assert op.shape == (nx + 1, nx + 1, weight.size)
+            H, E = H * weight, E * weight
         layout = op if forward else op[::-1, ::-1]
         assert not layout[0].any()
         assert not layout[np.triu_indices(nx + 1, 1)].any()
-        np.testing.assert_array_equal(layout[1:, 0],
-                                      E.reshape(nx, -1) * weight)
-        for o, h in enumerate(H.reshape(nx, -1) * weight):
+        np.testing.assert_array_equal(layout[1:, 0], E)
+        for o, h in enumerate(H):
             ix = np.arange(o + 1, nx + 1)
-            np.testing.assert_array_equal(layout[ix, ix - o],
-                                          np.broadcast_to(h, (ix.size,
-                                                              h.size)))
+            np.testing.assert_array_equal(
+                layout[ix, ix - o], np.broadcast_to(h, (ix.size,) + h.shape))
+
+
+def oracle_spectral_row(grid, forward, c, comp):
+    """A zero-slope row's line integrals of the (B, nx+1, ny, nt) comp by
+    the (y, t) transform that every other row takes: the multipliers of
+    _spectral_multipliers, applied per mode by rfft2, the loop over the
+    x offsets and irfft2, or on a grid of at most DENSE_DFT_NODES nodes
+    per component by the dense DFT and the x operator L of _x_operator."""
+    H, E = characteristics._spectral_multipliers(grid, forward, 0.0, 0.0, c)
+    if grid.node_count <= characteristics.DENSE_DFT_NODES:
+        F, weight = characteristics._plane_dft(grid)
+        L = characteristics._x_operator(H, E, forward, weight)
+        vhat = (comp.reshape(comp.shape[:2] + (-1,)) @ F).view(complex)
+        acc = np.einsum("ijq,bjq->biq", L, vhat)
+        return (acc.view(float) @ F.T).reshape(comp.shape)
+    nx = grid.nx
+    vhat = np.fft.rfft2(comp if forward else comp[:, ::-1], axes=(2, 3))
+    acc = np.zeros_like(vhat)
+    for o in range(nx):
+        acc[:, o + 1:] += H[o] * vhat[:, 1:nx + 1 - o]
+    acc[:, 1:] += E * vhat[:, :1]
+    w = np.fft.irfft2(acc, s=(grid.ny, grid.nt), axes=(2, 3))
+    return w if forward else w[:, ::-1]
+
+
+ZERO_SLOPE_GAMMAS = {
+    "zero": st.just("0"),
+    "constant": st.floats(-3.0, 3.0).filter(lambda v: v != 0.0).map(str),
+    "varying": st.sampled_from(("0.1*cos(2*pi*y)", "0.5*x - 0.2",
+                                "0.2*x - 0.1*sin(2*pi*(y + t))")),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(ZERO_SLOPE_GAMMAS))
+@pytest.mark.parametrize("nodes", (7, 17))
+@settings(max_examples=8, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_zero_slope_rows_match_the_spectral_row(nodes, kind, data):
+    # rows 1 (forward) and 3 (backward) have both slopes 0; at 7 nodes
+    # the other rows take the dense DFT, at 17 the FFT route
+    gam = cf.parse(data.draw(ZERO_SLOPE_GAMMAS[kind]))
+    grid = cf.Grid(nx=nodes - 1, ny=nodes, nt=nodes)
+    assert (grid.node_count <= characteristics.DENSE_DFT_NODES) == (nodes == 7)
+    spec = cf.SystemSpec(n=3, k=2, l=1, a1=[[1.0]], a2=[[1.0]], a3=[[1.0]],
+                         alpha=(0.0, 1.0, 0.0), beta=(0.0, -1.0, 0.0),
+                         gamma=(gam, gam, gam), b=zero_b())
+    plan = TransportPlan.build(spec, grid)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    stack = random_stack(grid, rng, 3)
+    w = _row_integrals(plan, stack)
+    for col in range(3):
+        single = _row_integrals(plan, stack[col:col + 1])
+        np.testing.assert_array_equal(w[col], single[0])
+    for i in (0, 2):
+        forward, *_, op, factor = plan.rows[i]
+        assert forward == (i == 0)
+        # the sign structure behind _section_power_norms' |R|
+        assert (op >= 0.0).all() if forward else (op <= 0.0).all()
+        if factor is None:
+            c, factor = constant_value(gam), 1.0
+        else:
+            c, factor = characteristics._integrating_factor(
+                grid, forward, 0.0, 0.0, gam, "gamma")
+        expect = oracle_spectral_row(grid, forward, c,
+                                     stack[:, i] * factor) / factor
+        np.testing.assert_allclose(w[:, i], expect, rtol=0,
+                                   atol=1e-14 * np.abs(expect).max())
 
 
 @PROPERTY
