@@ -58,6 +58,9 @@ DENSE_DFT_NODES = 13 ** 3
 # _gl_panels
 FUSED_PANELS = 2
 FUSED_NODES = 8
+# line nodes per pass of _transport_at_points: the innermost read of two
+# fused K^3 probes (fredholm.FUSED_BLOCK)
+FUSED_PASS_NODES = 2 * (FUSED_PANELS * FUSED_NODES) ** 3
 # log of the largest float: the widest range of a row's Gamma over the
 # nodes, within which the ratios e^{Gamma(P) - Gamma(Q)} of the
 # integrating factor stay finite, and the largest exponent of a kernel
@@ -587,18 +590,31 @@ def _transport_at_points(plan, inner, X, Y, T, rule, rows):
 
     plan is a LinePlan, or a TransportPlan, whose blocks and rows begin
     with the same fields. inner(X, Y, T, rows) returns the needed
-    components of h as a dict. Only the blocks containing requested rows
-    are integrated, each row by row and then through its block inverse in
-    the same pass, which keeps the nested chain linear in the coupling
-    width. A variable gamma is read once per panel node, where h is read,
-    and its line integral from X to each node comes from those samples
-    through the integration matrix S (_gl_integration_matrix); an
-    integral above GAMMA_SPREAD_LIMIT, whose weight e^Gamma would
-    overflow, raises ValueError naming the gamma. rule is _fused_rule().
+    components of h as a dict. The points are flattened and integrated in
+    passes of at most FUSED_PASS_NODES line nodes, so a nested chain
+    holds one pass of its innermost level at a time. Only the blocks
+    with requested rows are integrated, row by row, then through the
+    block inverse. A row's weights are formed before h is read; a
+    variable gamma is read once per panel node and integrated through S
+    (_gl_integration_matrix). An integral above GAMMA_SPREAD_LIMIT raises
+    ValueError naming the gamma. rule is _fused_rule().
     """
-    tau, omega, glw, S = rule
+    shape = np.shape(X)
+    X, Y, T = (np.reshape(a, -1) for a in (X, Y, T))
     wanted = set(rows)
-    u = {}
+    u = {i: np.empty(X.size) for i in wanted}
+    step = max(1, FUSED_PASS_NODES // rule[0].size)
+    for start in range(0, X.size, step):
+        part = slice(start, start + step)
+        for i, v in _transport_pass(plan, inner, X[part], Y[part], T[part],
+                                    rule, wanted):
+            u[i][part] = v
+    return {i: v.reshape(shape) for i, v in u.items()}
+
+
+def _transport_pass(plan, inner, X, Y, T, rule, wanted):
+    """(i, values) of _transport_at_points for one pass of flat points."""
+    tau, omega, glw, S = rule
     for sl, inv in plan.blocks:
         block = range(sl.start, sl.stop)
         if not wanted.intersection(block):
@@ -607,16 +623,11 @@ def _transport_at_points(plan, inner, X, Y, T, rule, rows):
         for i in block:
             forward, beta, alpha, gam, c = plan.rows[i][:5]
             x0 = 0.0 if forward else 1.0
-            xi, wts = _gl_panels(x0, X, tau, omega)
-            d = xi - X[None]
-            Yl = Y[None] + beta * d
-            Tl = T[None] + alpha * d
-            hv = inner(xi, Yl, Tl, (i,))[i]
-            if c == 0.0:
-                ew = wts
-            elif c is not None:
-                ew = wts * np.exp(c * d)
-            else:
+            xi, ew = _gl_panels(x0, X, tau, omega)
+            d = xi - X
+            Yl = Y + beta * d
+            Tl = T + alpha * d
+            if c is None:
                 G = _gamma_integrals(gam, x0, X, xi, Yl, Tl, glw, S)
                 reach = float(G.max(initial=-np.inf))
                 if reach > GAMMA_SPREAD_LIMIT:
@@ -625,13 +636,17 @@ def _transport_at_points(plan, inner, X, Y, T, rule, rows):
                         f"reaches {reach:.4g} at a panel node, more than the "
                         f"{GAMMA_SPREAD_LIMIT:.2f} within which e^Gamma "
                         f"stays finite")
-                ew = wts * np.exp(G)
-            w.append(np.einsum("q...,q...->...", ew, hv))
+                ew *= np.exp(G, out=G)
+                del G
+            elif c != 0.0:
+                ew *= np.exp(c * d)
+            del d
+            w.append(np.einsum("q...,q...->...", ew,
+                               inner(xi, Yl, Tl, (i,))[i]))
         ub = np.einsum("ij,j...->i...", inv, np.stack(w))
         for pos, i in enumerate(block):
             if i in wanted:
-                u[i] = ub[pos]
-    return u
+                yield i, ub[pos]
 
 
 def apply_transport(spec: SystemSpec, u: GridFunction) -> GridFunction:

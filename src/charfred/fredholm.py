@@ -42,24 +42,22 @@ GMRES_RESTART = 50
 GMRES_MAX_ITER = 200
 # impulse columns per transport call in assemble_dense
 ASSEMBLY_BATCH = 256
-# probes per block of the fused K^3 route. The largest temporaries are
-# the innermost level's arrays of (FUSED_PANELS * FUSED_NODES)^3 points
-# per probe, 64 KiB each at 2 probes. A block's working set must stay
-# under glibc's dynamic trim threshold, or the allocator hands it back to
-# the OS after every block and page-faults it in again for the next one.
-# One warmed 100-probe call on a 33-node grid (2-core Xeon, one BLAS
-# thread, calibrated wall time over three fresh interpreters):
-#   block  wall        minor faults  system time  traced peak of a call
-#   1      204-319 ms  313           <= 0.6 ms    1.5 MiB
-#   2      146-221 ms  434           <= 8.2 ms    2.1 MiB
-#   3      132-204 ms  11.2k         17-28 ms     2.7 MiB
-#   4      121-172 ms  12.6k         8-35 ms      3.3 MiB
-#   8      129-144 ms  13.2k         16-44 ms     5.7 MiB
-# (0.9 MiB of each peak is the padded components that interpolate_many
-# keeps with them.) Larger blocks run as fast or faster despite the
-# faults; the block stays at 2, under the 5,000 faults that CI allows a
-# warmed call
-FUSED_BLOCK = 2
+# probes per block of the fused K^3 route, whose levels run in passes of
+# at most FUSED_PASS_NODES line nodes (characteristics). The working set
+# must stay under glibc's dynamic trim threshold, or the allocator hands
+# it back to the OS after every block and faults it in again. A warmed
+# 100-probe call on a 33-node grid (2-core Xeon, one BLAS thread, median
+# of 9 calls, range over three fresh interpreters):
+#   block  pass nodes  wall        minor faults  traced peak
+#   2      8,192       129-134 ms  431           2.05 MiB
+#   8      8,192       106-117 ms  463           2.11 MiB
+#   16     4,096       115-123 ms  335           1.61 MiB
+#   16     8,192       96-100 ms   480           2.18 MiB
+#   16     16,384      108-115 ms  10.7k         3.31 MiB
+#   32     8,192       94-98 ms    502           2.29 MiB
+#   64     8,192       99-100 ms   1.2k          2.37 MiB
+# Passes of 16,384 nodes cross the threshold; larger blocks gain nothing
+FUSED_BLOCK = 16
 
 
 class NonConvergence(RuntimeError):
@@ -120,27 +118,22 @@ def apply_k_cubed_fused(spec: SystemSpec, f: GridFunction,
     has shape (n, p).
 
     Each line integral has FUSED_PANELS Gauss panels of FUSED_NODES
-    nodes, formed once here on [0, 1] (_fused_rule) and scaled to each
-    line by _gl_panels: the line rule of characteristics, which closed
-    forms and the plan's integrating factors also use. A variable gamma
-    is read only at those nodes: its integral along the line comes from
-    the integration matrix S built beside the Gauss rule
-    (_gamma_integrals).
+    nodes, the rule of _fused_rule formed once per call and scaled to
+    each line by _gl_panels. A variable gamma is read only at those nodes
+    and integrated through the matrix S (_gamma_integrals).
 
-    The route reads the spec through a LinePlan, which makes every check
-    a TransportPlan makes of the spec, and builds no grid operator. So
-    a gamma whose integrating factor a TransportPlan refuses, for the
-    range of its integral over the whole grid, is read here as
-    e^{int gamma} along each line of length at most 1. Those weights
-    overflow only where that integral passes GAMMA_SPREAD_LIMIT, and
-    there a ValueError names the gamma; coefficients are evaluated only
-    at the points the route reads.
+    The spec is read through a LinePlan: every check a TransportPlan
+    makes of it, and no grid operator. A gamma whose grid-wide factor a
+    plan refuses is read here as e^{int gamma} along lines of length at
+    most 1; only an integral above GAMMA_SPREAD_LIMIT raises a ValueError
+    naming it. Coefficients are evaluated only where the route reads.
 
-    Each probe carries (FUSED_PANELS * FUSED_NODES)^3 innermost points,
-    so the probes are evaluated in ceil(p / FUSED_BLOCK) near-equal
-    blocks: peak memory is set by the block, not by p, and a block's
-    working set is small enough to be reused without page faults. A probe
-    with x outside [0, 1] or a non-finite y or t raises GridDomainError.
+    Each probe carries (FUSED_PANELS * FUSED_NODES)^3 innermost points.
+    The probes run in ceil(p / FUSED_BLOCK) near-equal blocks, and each
+    level in passes of at most FUSED_PASS_NODES line nodes
+    (_transport_at_points), so peak memory does not grow with p and is
+    reused without page faults. A probe with x outside [0, 1] or a
+    non-finite y or t raises GridDomainError.
     """
     pts = np.asarray(probes, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 3:
@@ -455,10 +448,15 @@ def _reduced_kernel_dimension(mat: np.ndarray, others: np.ndarray) -> int:
 
     gram = others.T @ others
     gram[np.diag_indices_from(gram)] += 1.0
-    r = scipy.linalg.cholesky(gram, lower=False, overwrite_a=True)
-    # R^{-T} (I + S)^T, the transpose of (I + S) R^{-1}
-    return kernel_dimension(scipy.linalg.solve_triangular(r, mat.T,
-                                                          trans="T"))
+    # symmetric, so its Fortran-ordered transpose is factored in place
+    r = scipy.linalg.cholesky(gram.T, lower=False, overwrite_a=True)
+    # R^{-T} (I + S)^T, the transpose of (I + S) R^{-1}, is a fresh
+    # Fortran-ordered array: the SVD consumes it
+    x = scipy.linalg.solve_triangular(r, mat.T, trans="T")
+    del gram, r
+    return _count_kernel(scipy.linalg.svd(x, compute_uv=False,
+                                          overwrite_a=True,
+                                          check_finite=False))
 
 
 def _section_power_norms(plan: TransportPlan):
@@ -711,11 +709,15 @@ def solve_discrete(spec: SystemSpec, f: GridFunction,
                     refinements, stalled)
 
 
+def _count_kernel(s: np.ndarray) -> int:
+    """How many singular values s, largest first, are at most
+    KERNEL_SV_RTOL of the largest."""
+    return int(np.sum(s <= KERNEL_SV_RTOL * s[0])) if s.size else 0
+
+
 def kernel_dimension(mat: np.ndarray) -> int:
-    s = np.linalg.svd(np.asarray(mat, dtype=float), compute_uv=False)
-    if s.size == 0:
-        return 0
-    return int(np.sum(s <= KERNEL_SV_RTOL * s[0]))
+    return _count_kernel(np.linalg.svd(np.asarray(mat, dtype=float),
+                                       compute_uv=False))
 
 
 def finite_section_kernel_check(mat: np.ndarray, power: int) -> tuple[int, int]:

@@ -312,11 +312,12 @@ def test_discrete_agrees_with_neumann():
 
 def forbid_quadratic_steps(monkeypatch):
     # the impulse columns, the dense sections of I + K and I + S and the
-    # SVD
+    # SVD count of either
     def no_section(*args, **kwargs):
         raise AssertionError("O(n^2) step run")
 
-    for name in ("assemble_dense", "_impulse_batches", "kernel_dimension"):
+    for name in ("assemble_dense", "_impulse_batches", "kernel_dimension",
+                 "_count_kernel"):
         monkeypatch.setattr(fredholm, name, no_section)
     monkeypatch.setattr(fredholm._Reduction, "section", no_section)
 
@@ -487,7 +488,7 @@ def test_kernel_routes_the_solve_to_gelsy(monkeypatch):
     # the certificate would prove this section kernel-free first
     monkeypatch.setattr(fredholm, "_section_power_norms",
                         lambda *args: itertools.repeat(1.0))
-    monkeypatch.setattr(fredholm, "kernel_dimension", lambda mat: 1)
+    monkeypatch.setattr(fredholm, "_count_kernel", lambda s: 1)
 
     def no_gmres(*args):
         raise AssertionError("GMRES ran on a section with a kernel")
@@ -614,15 +615,15 @@ def test_declining_power_norms_take_the_dense_count(monkeypatch, norms):
     spec = coupled_spec()
     grid = cf.Grid(nx=4, ny=4, nt=4)
     counts = []
-    kernel_dimension = fredholm.kernel_dimension
+    count = fredholm._count_kernel
 
-    def counted(mat):
-        counts.append(kernel_dimension(mat))
+    def counted(s):
+        counts.append(count(s))
         return counts[-1]
 
     monkeypatch.setattr(fredholm, "_section_power_norms",
                         lambda *args: iter(norms))
-    monkeypatch.setattr(fredholm, "kernel_dimension", counted)
+    monkeypatch.setattr(fredholm, "_count_kernel", counted)
     out = cf.solve_discrete(spec, cf.sample(EXPRS, grid))
     assert counts == [0] and out.kernel_dimension_estimate == 0
 
@@ -720,17 +721,34 @@ def test_reduced_kernel_count_finds_the_crafted_kernel(monkeypatch):
     spec = crafted_kernel_spec()
     grid = cf.Grid(nx=4, ny=4, nt=4)
     sizes = []
-    count = fredholm.kernel_dimension
+    count = fredholm._count_kernel
 
-    def counted(mat):
-        sizes.append(mat.shape)
-        return count(mat)
+    def counted(s):
+        sizes.append(s.shape)
+        return count(s)
 
-    monkeypatch.setattr(fredholm, "kernel_dimension", counted)
+    monkeypatch.setattr(fredholm, "_count_kernel", counted)
     out = cf.solve_discrete(spec, cf.sample(EXPRS, grid))
-    assert sizes == [(80, 80)]
+    # one count, of the 80 singular values of the section of I + S, not
+    # of the 240 of I + K
+    assert sizes == [(80,)]
     assert out.kernel_dimension_estimate == 1 == \
         cf.kernel_dimension(cf.assemble_dense(spec, grid))
+
+
+def test_reduced_kernel_count_holds_two_sections():
+    # beside the caller's section and map: the Gram matrix, factored in
+    # place into R, and (I + S) R^{-1}, which the SVD consumes. A copy of
+    # either would add a third section-sized array
+    rng = np.random.default_rng(6)
+    size = 120
+    mat = np.eye(size) + 0.1 * rng.standard_normal((size, size))
+    others = rng.standard_normal((2 * size, size))
+    mat[:, 0] = 0.0
+    assert traced_peak(
+        lambda: fredholm._reduced_kernel_dimension(mat, others)) \
+        <= 2.25 * mat.nbytes
+    assert fredholm._reduced_kernel_dimension(mat, others) == 1
 
 
 # 4 to 7 nodes per axis; x has at least 5 (nx >= 4)
@@ -876,6 +894,7 @@ def test_kernel_estimate_holds_no_dense_section(monkeypatch):
 
     monkeypatch.setattr(fredholm, "assemble_dense", no_dense)
     monkeypatch.setattr(fredholm, "kernel_dimension", no_dense)
+    monkeypatch.setattr(fredholm, "_count_kernel", no_dense)
     tracemalloc.start()
     try:
         out = cf.solve_discrete(spec, f, kernel_estimate=True)
@@ -1226,11 +1245,15 @@ def traced_peak(run):
 
 
 def test_fused_cube_memory_is_bounded_by_the_block():
+    # a block of FUSED_BLOCK probes reads its innermost level in passes of
+    # FUSED_PASS_NODES line nodes; eight blocks reuse one block's memory
     spec = fused_spec()
     grid = cf.Grid(nx=4, ny=5, nt=5)
     f = cf.sample(EXPRS, grid)
     rng = np.random.default_rng(3)
     block = fredholm.FUSED_BLOCK
+    lines = (characteristics.FUSED_PANELS * characteristics.FUSED_NODES) ** 3
+    assert block * lines > characteristics.FUSED_PASS_NODES
     probes = np.column_stack([rng.uniform(0.0, 1.0, 8 * block),
                               rng.uniform(0.0, 1.0, 8 * block),
                               rng.uniform(0.0, 1.0, 8 * block)])
@@ -1244,15 +1267,45 @@ def test_one_fused_block_stays_under_the_trim_threshold():
     # back to the OS once it passes the trim threshold, and the next
     # block faults it in again. The call builds no plan; it holds the
     # padded values of each component it reads (0.9 MiB) throughout.
-    # With them, blocks of 3 probes peak at 2.7 MiB and take about 11k
-    # minor faults per 100 probes, blocks of 2 peak at 2.1 MiB and take
-    # about 430
+    # With them, blocks of 16 probes in passes of 8,192 line nodes peak at
+    # 2.2 MiB at 16, 100 or 1,000 probes and take about 500 minor faults
+    # per 100 probes; passes of 16,384 nodes peak at 3.3 MiB and take
+    # about 11k
     spec = fused_spec()
     f = cf.sample(EXPRS, cf.Grid(nx=32, ny=33, nt=33))
-    probes = np.random.default_rng(4).uniform(0.0, 1.0,
-                                              (fredholm.FUSED_BLOCK, 3))
-    peak = traced_peak(lambda: cf.apply_k_cubed_fused(spec, f, probes))
-    assert peak <= 2.4 * 2 ** 20
+    for count in (fredholm.FUSED_BLOCK, 100):
+        probes = np.random.default_rng(4).uniform(0.0, 1.0, (count, 3))
+        peak = traced_peak(lambda: cf.apply_k_cubed_fused(spec, f, probes))
+        assert peak <= 2.4 * 2 ** 20, count
+
+
+def test_fused_results_do_not_depend_on_the_pass_split(monkeypatch):
+    # passes of three points: the top level of a 5-probe call splits 3 + 2,
+    # and each level below it splits 48 or 32 points, 3 at a time
+    spec = fused_spec()
+    grid = cf.Grid(nx=4, ny=5, nt=5)
+    f = cf.sample(EXPRS, grid)
+    probes = np.random.default_rng(7).uniform(0.0, 1.0, (5, 3))
+    fused = cf.apply_k_cubed_fused(spec, f, probes)
+    closed = cf.solve_transport(spec, f, rhs_exprs=EXPRS).values
+    sizes = []
+    one_pass = characteristics._transport_pass
+
+    def recorded(plan, inner, X, *args):
+        sizes.append(X.size)
+        return one_pass(plan, inner, X, *args)
+
+    monkeypatch.setattr(characteristics, "_transport_pass", recorded)
+    monkeypatch.setattr(characteristics, "FUSED_PASS_NODES",
+                        3 * characteristics.FUSED_PANELS
+                        * characteristics.FUSED_NODES)
+    split = cf.apply_k_cubed_fused(spec, f, probes)
+    assert set(sizes) == {2, 3}
+    assert np.abs(split - fused).max() <= 1e-15 * np.abs(fused).max()
+    sizes.clear()
+    split = cf.solve_transport(spec, f, rhs_exprs=EXPRS).values
+    assert sizes == [3] * 41 + [2]
+    assert np.abs(split - closed).max() <= 1e-15 * np.abs(closed).max()
 
 
 def test_fused_route_reads_a_gamma_whose_grid_factor_is_refused():

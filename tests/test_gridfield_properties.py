@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import charfred as cf
-from charfred import fredholm
+from charfred import characteristics, fredholm
 from charfred.gridfield import _SNAP, CSV_HEADER, csv_text, from_csv
 from conftest import coupled_spec
 
@@ -309,10 +309,13 @@ def test_fused_reads_one_component_as_a_sliced_full_read(field, count):
 
 
 BLOCK = fredholm.FUSED_BLOCK
+# probes whose innermost nodes fill one pass of _transport_at_points
+PASS = characteristics.FUSED_PASS_NODES // (
+    characteristics.FUSED_PANELS * characteristics.FUSED_NODES) ** 3
 
 
 @settings(max_examples=10, deadline=None, derandomize=True, database=None)
-@given(fields(m=3), st.sampled_from((0, 1, BLOCK, BLOCK + 1,
+@given(fields(m=3), st.sampled_from((0, 1, PASS + 1, BLOCK, BLOCK + 1,
                                      4 * BLOCK + 1)))
 def test_fused_blocks_match_per_probe_evaluation(field, count):
     f, rng = field
