@@ -23,17 +23,23 @@ modes come from one dense DFT matrix product over the whole (y, t)
 plane, and one x operator per mode sums over x; larger grids take
 rfft2, a loop over the x offsets and irfft2. A row whose slopes are
 both 0 stays on its (y, t) node: its multipliers are the same for every
-mode, so on any grid it is one real x operator with no transform. The
-plan decides the route and builds every factor once.
+mode, so on any grid it is one real x operator with no transform.
 
 Gamma, closed-form right-hand sides and the fused K^3 route integrate
 along a line by Gauss-Legendre panels instead (_gl_panels), reading
 their integrands exactly at the panel nodes (_transport_at_points).
+
+Both engines read one TransportPlan per spec and grid. Its build makes
+every check of the spec and holds each row's line and gamma; the grid
+kernel's operators (each row's multipliers and e^Gamma, the dense DFT,
+the coupling's node values) are built once, at the first grid transport
+or coupling product, so the panel route builds none of them.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cache, cached_property
 
 import numpy as np
 
@@ -73,32 +79,63 @@ class SingularBlockError(ValueError):
 
 
 @dataclass(frozen=True, eq=False)
-class LinePlan:
-    """The grid-free part of a spec's transport: what the fused K^3 route
-    reads, and what every TransportPlan is built on.
+class TransportPlan:
+    """What every transport solve and coupling product on one grid shares.
 
-    blocks holds (rows, inverse) for the three diagonal blocks, rows a
-    slice of components; entries holds the (i, j) of each nonzero entry
-    b[i][j]; rows holds (forward, beta, alpha, gamma, c) per component,
-    forward meaning inflow at x = 0 and c = constant_value(gamma) (None
-    when gamma reads x, y or t). build checks the spec against the grid
-    it will be read on: the spec's periods must equal the grid's, each
-    block must be invertible (SingularBlockError), the orientation must be
-    forward or mirrored, and every nonzero b entry must lie in the cyclic
-    pattern, since the one-group blocks of K multiply only the entries
-    that the pattern admits, and coupling_pattern() reads any orientation
-    but mirrored as forward. A constant gamma whose kernel weight
-    e^{c (xi - x)} overflows on a line of length 1 is refused
-    (_check_kernel_constant).
+    spec and grid are the system and grid the plan was built for; below
+    the field level a plan is the whole context, and a field-level call
+    given a plan refuses one built for another spec object or another
+    grid (resolve). Build one per solve and pass it down.
+
+    build checks the spec against the grid: the spec's periods must
+    equal the grid's, each block must be invertible (SingularBlockError),
+    the orientation must be forward or mirrored, and every nonzero b
+    entry must lie in the cyclic pattern, since the one-group blocks of K
+    multiply only the entries that the pattern admits, and
+    coupling_pattern() reads any orientation but mirrored as forward. A
+    constant gamma whose kernel weight e^{c (xi - x)} overflows on a line
+    of length 1 is refused (_check_kernel_constant). blocks holds
+    (rows, inverse) for the three diagonal blocks, rows a slice of
+    components; entries holds the (i, j) of each nonzero entry b[i][j];
+    rows holds (forward, beta, alpha, gamma, c) per component, forward
+    meaning inflow at x = 0 and c = constant_value(gamma) (None when
+    gamma reads x, y or t). These are all that the Gauss panel route
+    (_transport_at_points) reads.
+
+    The grid operators are built once, at the first grid transport or
+    coupling product that reads them. coupling holds (i, j, node values)
+    for each of the entries. dft is (F, weight) of _plane_dft on a grid
+    of at most DENSE_DFT_NODES nodes per component, None on larger
+    grids. ops holds (multipliers, factor) per row: multipliers what
+    _integrate_spectral_row applies for the constant c, or for a varying
+    gamma for the constant part that _integrating_factor splits off: for
+    a row whose slopes are both exactly 0, the real (nx+1, nx+1) x
+    operator of _zero_slope_operator on any grid; otherwise the (H, E)
+    pair of _spectral_multipliers, or with a dft the x operator L built
+    from it (_x_operator). factor is the e^Gamma of _integrating_factor
+    for a varying gamma, whose refusals surface when ops is built, and
+    None for a constant one.
     """
 
     spec: SystemSpec = field(repr=False)
+    grid: Grid = field(repr=False)
     blocks: tuple
     entries: tuple
     rows: tuple
 
     @classmethod
-    def build(cls, spec: SystemSpec, grid: Grid) -> "LinePlan":
+    def resolve(cls, spec: SystemSpec, grid: Grid,
+                plan: "TransportPlan | None") -> "TransportPlan":
+        """plan, checked to be built for this spec object and grid, or a
+        new plan when it is None."""
+        if plan is None:
+            return cls.build(spec, grid)
+        if plan.spec is not spec or plan.grid != grid:
+            raise ValueError("the plan was built for another spec or grid")
+        return plan
+
+    @classmethod
+    def build(cls, spec: SystemSpec, grid: Grid) -> "TransportPlan":
         for name in ("period_y", "period_t"):
             ours, theirs = getattr(spec, name), getattr(grid, name)
             if ours != theirs:
@@ -131,7 +168,35 @@ class LinePlan:
                 _check_kernel_constant(c, forward, f"gamma[{i + 1}]")
             rows.append((forward, float(spec.beta[i]), float(spec.alpha[i]),
                          gam, c))
-        return cls(spec, tuple(blocks), entries, tuple(rows))
+        return cls(spec, grid, tuple(blocks), entries, tuple(rows))
+
+    @cached_property
+    def coupling(self) -> tuple:
+        return tuple((i, j, evaluate_at_nodes(self.spec.b[i][j], self.grid,
+                                              f"b[{i + 1}][{j + 1}]"))
+                     for i, j in self.entries)
+
+    @cached_property
+    def dft(self):
+        return (_plane_dft(self.grid)
+                if self.grid.node_count <= DENSE_DFT_NODES else None)
+
+    @cached_property
+    def ops(self) -> tuple:
+        grid, ops = self.grid, []
+        for i, (forward, beta, alpha, gam, c) in enumerate(self.rows):
+            factor = None
+            if c is None:
+                c, factor = _integrating_factor(grid, forward, beta, alpha,
+                                                gam, f"gamma[{i + 1}]")
+            if beta == alpha == 0.0:
+                mult = _zero_slope_operator(grid, forward, c)
+            else:
+                mult = _spectral_multipliers(grid, forward, beta, alpha, c)
+                if self.dft is not None:
+                    mult = _x_operator(*mult, forward, self.dft[1])
+            ops.append((mult, factor))
+        return tuple(ops)
 
 
 def _check_kernel_constant(c: float, forward: bool, label: str) -> None:
@@ -147,75 +212,6 @@ def _check_kernel_constant(c: float, forward: bool, label: str) -> None:
                          f"line integrals by up to e^{reach:.4g}, more than "
                          f"the e^{GAMMA_SPREAD_LIMIT:.2f} within which the "
                          f"weight stays finite")
-
-
-@dataclass(frozen=True, eq=False)
-class TransportPlan:
-    """What every transport solve and coupling product on one grid shares.
-
-    spec and grid are the system and grid the plan was built for; below
-    the field level a plan is the whole context, and a field-level call
-    given a plan refuses one built for another spec object or another
-    grid (resolve). The plan is built on the spec's LinePlan, which makes
-    every check of the spec: blocks is the LinePlan's, and each row
-    extends the LinePlan's (forward, beta, alpha, gamma, c). coupling
-    holds (i, j, node values) for each of its entries; rows holds
-    (forward, beta, alpha, gamma, c, multipliers, factor) per component,
-    multipliers what _integrate_spectral_row applies for the constant c,
-    or for a varying gamma for the constant part that _integrating_factor
-    splits off: for a row whose slopes are both exactly 0, the real
-    (nx+1, nx+1) x operator of _zero_slope_operator on any grid;
-    otherwise the (H, E) pair of _spectral_multipliers, or on a grid of
-    at most DENSE_DFT_NODES nodes per component the x operator L built
-    from it (_x_operator). factor is the e^Gamma of _integrating_factor
-    for a varying gamma and None for a constant one. dft is the (y, t)
-    plane's DFT matrix F of _plane_dft, built once per plan, on the grids
-    of the dense route, and None on larger grids. Build one per solve and
-    pass it down.
-    """
-
-    spec: SystemSpec = field(repr=False)
-    grid: Grid = field(repr=False)
-    blocks: tuple
-    coupling: tuple
-    rows: tuple
-    dft: np.ndarray | None
-
-    @classmethod
-    def resolve(cls, spec: SystemSpec, grid: Grid,
-                plan: "TransportPlan | None") -> "TransportPlan":
-        """plan, checked to be built for this spec object and grid, or a
-        new plan when it is None."""
-        if plan is None:
-            return cls.build(spec, grid)
-        if plan.spec is not spec or plan.grid != grid:
-            raise ValueError("the plan was built for another spec or grid")
-        return plan
-
-    @classmethod
-    def build(cls, spec: SystemSpec, grid: Grid) -> "TransportPlan":
-        lines = LinePlan.build(spec, grid)
-        coupling = tuple((i, j, evaluate_at_nodes(spec.b[i][j], grid,
-                                                  f"b[{i + 1}][{j + 1}]"))
-                         for i, j in lines.entries)
-        dft, weight = (_plane_dft(grid) if grid.node_count <= DENSE_DFT_NODES
-                       else (None, None))
-        rows = []
-        for i, row in enumerate(lines.rows):
-            forward, c = row[0], row[4]
-            kernel_c, factor = c, None
-            if c is None:
-                label = f"gamma[{i + 1}]"
-                kernel_c, factor = _integrating_factor(grid, *row[:4], label)
-                _check_kernel_constant(kernel_c, forward, label)
-            if row[1] == row[2] == 0.0:
-                mult = _zero_slope_operator(grid, forward, kernel_c)
-            else:
-                mult = _spectral_multipliers(grid, *row[:3], kernel_c)
-                if dft is not None:
-                    mult = _x_operator(*mult, forward, weight)
-            rows.append(row + (mult, factor))
-        return cls(spec, grid, lines.blocks, coupling, tuple(rows), dft)
 
 
 def default_step(spec: SystemSpec, grid: Grid) -> float:
@@ -236,16 +232,20 @@ def _gl_panels(x0, X, tau, omega):
     return x0 + length * tau.reshape(shape), length * omega.reshape(shape)
 
 
+@cache
 def _fused_rule():
     """The line rule of _gl_panels: FUSED_PANELS Gauss panels of
     FUSED_NODES nodes on [0, 1], as nodes tau and weights omega, with the
     Gauss weights glw on [-1, 1] and the integration matrix S for
-    _gamma_integrals."""
+    _gamma_integrals. Formed once, as read-only arrays."""
     glx, glw = np.polynomial.legendre.leggauss(FUSED_NODES)
     tau = (((2 * np.arange(FUSED_PANELS) + 1)[:, None] + glx)
            / (2 * FUSED_PANELS)).reshape(-1)
     omega = np.tile(glw / (2 * FUSED_PANELS), FUSED_PANELS)
-    return tau, omega, glw, _gl_integration_matrix(glx, glw)
+    rule = tau, omega, glw, _gl_integration_matrix(glx, glw)
+    for a in rule:
+        a.flags.writeable = False
+    return rule
 
 
 def _gl_integration_matrix(glx, glw):
@@ -297,9 +297,9 @@ def _integrating_factor(grid: Grid, forward: bool, beta: float, alpha: float,
     the line points gamma reads vary along: (nx+1, ny, 1) for a gamma of
     y on lines of any slope, (nx+1, 1, 1) for a gamma of x. Gamma less
     the midpoint of its range is exponentiated; the row's two factors
-    cancel the shift. gamma failing to evaluate at a panel node, and a
-    range of Gamma wider than GAMMA_SPREAD_LIMIT, raise ValueError naming
-    label.
+    cancel the shift. gamma failing to evaluate at a panel node, a range
+    of Gamma wider than GAMMA_SPREAD_LIMIT, and a c whose kernel weight
+    overflows (_check_kernel_constant) raise ValueError naming label.
     """
     tau, omega, _, _ = _fused_rule()
     x0 = 0.0 if forward else 1.0
@@ -327,6 +327,7 @@ def _integrating_factor(grid: Grid, forward: bool, beta: float, alpha: float,
                          f"its constant part, spans {hi - lo:.4g} over the "
                          f"grid, more than the {GAMMA_SPREAD_LIMIT:.2f} "
                          f"within which e^Gamma stays finite")
+    _check_kernel_constant(c, forward, label)
     G -= 0.5 * (lo + hi)
     return c, np.exp(G, out=G)
 
@@ -468,11 +469,11 @@ def _integrate_spectral_row(plan: TransportPlan, forward: bool, mult,
 
         w[ix] = sum_{o < ix} H_o v[ix - o] + E_ix v[0].
 
-    mult is the row's multipliers in plan.rows, in one of three forms.
+    mult is the row's multipliers in plan.ops, in one of three forms.
     For a row whose slopes are both 0 it is the real (nx+1, nx+1) x
     operator of _zero_slope_operator, already in the grid's x order, and
     one matmul over the x axis of the (B, nx+1, ny nt) view applies it.
-    Otherwise, on a plan with a dft matrix F it is the x operator L of
+    Otherwise, on a plan with a dft (F, weight) it is the x operator L of
     _x_operator: the modes of the whole (B, nx+1) stack of planes are one
     matrix product with F, L acts on each mode by one einsum, and F's
     transpose brings the planes back. The matmul and the einsum each sum
@@ -485,9 +486,9 @@ def _integrate_spectral_row(plan: TransportPlan, forward: bool, mult,
         out[...] = (mult @ comp.reshape(lead)).reshape(out.shape)
         return
     if plan.dft is not None:
-        vhat = (comp.reshape(lead) @ plan.dft).view(complex)
+        vhat = (comp.reshape(lead) @ plan.dft[0]).view(complex)
         acc = np.einsum("ijq,bjq->biq", mult, vhat)
-        out[...] = (acc.view(float) @ plan.dft.T).reshape(out.shape)
+        out[...] = (acc.view(float) @ plan.dft[0].T).reshape(out.shape)
         return
     H, E = mult
     nx, ny, nt = plan.grid.nx, plan.grid.ny, plan.grid.nt
@@ -515,9 +516,10 @@ def _row_integrals(plan: TransportPlan, stack: np.ndarray,
     backward.
     """
     w = np.zeros_like(stack)
-    for i, (forward, *_, mult, factor) in enumerate(plan.rows[rows]):
+    for i, (row, (mult, factor)) in enumerate(zip(plan.rows[rows],
+                                                  plan.ops[rows])):
         comp = stack[:, i] if factor is None else stack[:, i] * factor
-        _integrate_spectral_row(plan, forward, mult, comp, w[:, i])
+        _integrate_spectral_row(plan, row[0], mult, comp, w[:, i])
         if factor is not None:
             w[:, i] /= factor
     return w
@@ -580,48 +582,47 @@ def solve_transport(spec: SystemSpec, f: GridFunction,
     def read(X, Y, T, rows):
         return {i: evaluate_on(rhs_exprs[i], X, Y, T) for i in rows}
 
-    u = _transport_at_points(plan, read, X, Y, T, _fused_rule(),
-                             range(spec.n))
+    u = _transport_at_points(plan, read, X, Y, T, range(spec.n))
     return GridFunction(grid, np.stack([u[i] for i in range(spec.n)]))
 
 
-def _transport_at_points(plan, inner, X, Y, T, rule, rows):
+def _transport_at_points(plan: TransportPlan, inner, X, Y, T, rows):
     """Requested components of (C^{-1} h) at scattered points.
 
-    plan is a LinePlan, or a TransportPlan, whose blocks and rows begin
-    with the same fields. inner(X, Y, T, rows) returns the needed
-    components of h as a dict. The points are flattened and integrated in
-    passes of at most FUSED_PASS_NODES line nodes, so a nested chain
-    holds one pass of its innermost level at a time. Only the blocks
+    The plan's blocks and rows are read, and none of its grid operators.
+    inner(X, Y, T, rows) returns the needed components of h as a dict.
+    The points are flattened and integrated in passes of at most
+    FUSED_PASS_NODES line nodes, so a nested chain holds one pass of its
+    innermost level at a time. Only the blocks
     with requested rows are integrated, row by row, then through the
     block inverse. A row's weights are formed before h is read; a
     variable gamma is read once per panel node and integrated through S
-    (_gl_integration_matrix). An integral above GAMMA_SPREAD_LIMIT raises
-    ValueError naming the gamma. rule is _fused_rule().
+    (_gl_integration_matrix). The line rule is _fused_rule(). An integral
+    above GAMMA_SPREAD_LIMIT raises ValueError naming the gamma.
     """
     shape = np.shape(X)
     X, Y, T = (np.reshape(a, -1) for a in (X, Y, T))
     wanted = set(rows)
     u = {i: np.empty(X.size) for i in wanted}
-    step = max(1, FUSED_PASS_NODES // rule[0].size)
+    step = max(1, FUSED_PASS_NODES // (FUSED_PANELS * FUSED_NODES))
     for start in range(0, X.size, step):
         part = slice(start, start + step)
         for i, v in _transport_pass(plan, inner, X[part], Y[part], T[part],
-                                    rule, wanted):
+                                    wanted):
             u[i][part] = v
     return {i: v.reshape(shape) for i, v in u.items()}
 
 
-def _transport_pass(plan, inner, X, Y, T, rule, wanted):
+def _transport_pass(plan: TransportPlan, inner, X, Y, T, wanted):
     """(i, values) of _transport_at_points for one pass of flat points."""
-    tau, omega, glw, S = rule
+    tau, omega, glw, S = _fused_rule()
     for sl, inv in plan.blocks:
         block = range(sl.start, sl.stop)
         if not wanted.intersection(block):
             continue
         w = []
         for i in block:
-            forward, beta, alpha, gam, c = plan.rows[i][:5]
+            forward, beta, alpha, gam, c = plan.rows[i]
             x0 = 0.0 if forward else 1.0
             xi, ew = _gl_panels(x0, X, tau, omega)
             d = xi - X
@@ -657,10 +658,8 @@ def apply_transport(spec: SystemSpec, u: GridFunction) -> GridFunction:
     """
     grid = u.grid
     s = default_step(spec, grid)
-    nx, ny, nt = grid.nx, grid.ny, grid.nt
-    X = np.broadcast_to(grid.xs()[:, None, None], (nx + 1, ny, nt))
-    Y = np.broadcast_to(grid.ys()[None, :, None], (nx + 1, ny, nt))
-    T = np.broadcast_to(grid.ts()[None, None, :], (nx + 1, ny, nt))
+    nx = grid.nx
+    X, Y, T = np.meshgrid(grid.xs(), grid.ys(), grid.ts(), indexing="ij")
     A = spec.full_matrix()
     Au = np.einsum("ij,j...->i...", A, u.values)
     out = np.empty_like(u.values)

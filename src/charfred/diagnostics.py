@@ -158,7 +158,7 @@ def smoothing_profile(spec: SystemSpec, grid: Grid, powers=(0, 1, 2, 3),
         hs += [float(fr) * grid.period_y for fr in shifts]
         hs = sorted(set(hs), reverse=True)
         # K^m f is measured as it is produced; only the latest stays alive
-        field = GridFunction(grid, probe.values[spec.blocks()[order[2]][0]])
+        field = GridFunction(grid, probe.values[plan.blocks[order[2]][0]])
         for m in range(max(powers, default=0) + 1):
             if m:
                 dst, src = order[(m - 1) % 3], order[(m - 2) % 3]

@@ -20,8 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .characteristics import (LinePlan, TransportPlan, _apply_blocks,
-                              _fused_rule, _row_integrals,
+from .characteristics import (TransportPlan, _apply_blocks, _row_integrals,
                               _transport_at_points, apply_coupling,
                               apply_coupling_stack, solve_transport,
                               solve_transport_group, solve_transport_stack)
@@ -100,11 +99,11 @@ def apply_k_power(spec: SystemSpec, f: GridFunction,
     return out
 
 
-def _coupling_at_points(lines: LinePlan, X, Y, T, values: dict, rows):
+def _coupling_at_points(plan: TransportPlan, X, Y, T, values: dict, rows):
     out = {i: np.zeros(np.shape(X)) for i in rows}
-    for i, j in lines.entries:
+    for i, j in plan.entries:
         if i in out:
-            out[i] += evaluate_on(lines.spec.b[i][j], X, Y, T) * values[j]
+            out[i] += evaluate_on(plan.spec.b[i][j], X, Y, T) * values[j]
     return out
 
 
@@ -118,15 +117,17 @@ def apply_k_cubed_fused(spec: SystemSpec, f: GridFunction,
     has shape (n, p).
 
     Each line integral has FUSED_PANELS Gauss panels of FUSED_NODES
-    nodes, the rule of _fused_rule formed once per call and scaled to
-    each line by _gl_panels. A variable gamma is read only at those nodes
-    and integrated through the matrix S (_gamma_integrals).
+    nodes, the one rule of _fused_rule scaled to each line by _gl_panels.
+    A variable gamma is read only at those nodes and integrated through
+    the matrix S (_gamma_integrals).
 
-    The spec is read through a LinePlan: every check a TransportPlan
-    makes of it, and no grid operator. A gamma whose grid-wide factor a
-    plan refuses is read here as e^{int gamma} along lines of length at
-    most 1; only an integral above GAMMA_SPREAD_LIMIT raises a ValueError
-    naming it. Coefficients are evaluated only where the route reads.
+    The spec is read through a TransportPlan: its build makes every check
+    of the spec, and the route reads the plan's blocks, entries and rows
+    alone, so no grid operator is built. A gamma whose grid-wide factor
+    the grid kernel refuses is read here as e^{int gamma} along lines of
+    length at most 1; only an integral above GAMMA_SPREAD_LIMIT raises a
+    ValueError naming it. Coefficients are evaluated only where the route
+    reads.
 
     Each probe carries (FUSED_PANELS * FUSED_NODES)^3 innermost points.
     The probes run in ceil(p / FUSED_BLOCK) near-equal blocks, and each
@@ -145,8 +146,7 @@ def apply_k_cubed_fused(spec: SystemSpec, f: GridFunction,
         raise GridDomainError(f"probe x = {bad!r} outside [0, 1]")
     _require_finite("probe y", pts[:, 1])
     _require_finite("probe t", pts[:, 2])
-    rule = _fused_rule()
-    lines = LinePlan.build(spec, f.grid)
+    plan = TransportPlan.build(spec, f.grid)
 
     # one single-component view per row, so a read interpolates only it
     parts = [GridFunction(f.grid, f.values[c:c + 1]) for c in range(f.m)]
@@ -156,9 +156,9 @@ def apply_k_cubed_fused(spec: SystemSpec, f: GridFunction,
 
     def chain(inner):
         def level(X, Y, T, rows):
-            needed = {j for i, j in lines.entries if i in rows}
-            u = _transport_at_points(lines, inner, X, Y, T, rule, needed)
-            return _coupling_at_points(lines, X, Y, T, u, rows)
+            needed = {j for i, j in plan.entries if i in rows}
+            u = _transport_at_points(plan, inner, X, Y, T, needed)
+            return _coupling_at_points(plan, X, Y, T, u, rows)
         return level
 
     k3 = chain(chain(chain(read_f)))
@@ -213,7 +213,7 @@ def _group_block(plan: TransportPlan, g: int, h: int,
     and the result is apply_k's group-g rows bit for bit, at one group's
     transport and one group's coupling.
     """
-    rows, cols = plan.spec.blocks()[g][0], plan.spec.blocks()[h][0]
+    rows, cols = plan.blocks[g][0], plan.blocks[h][0]
     u = solve_transport_group(plan, h, held)
     out = np.zeros((held.shape[0], rows.stop - rows.start) + held.shape[2:])
     for i, j, vals in plan.coupling:
@@ -253,19 +253,19 @@ class _Reduction:
     @classmethod
     def build(cls, plan: TransportPlan) -> "_Reduction":
         """Pivot on the smallest group, on a tie the lowest-numbered."""
-        sizes = [sl.stop - sl.start for sl, _ in plan.spec.blocks()]
+        sizes = [sl.stop - sl.start for sl, _ in plan.blocks]
         return cls(plan, _sweep_order(plan.spec, sizes.index(min(sizes))))
 
     @property
     def rows(self) -> slice:
-        return self.plan.spec.blocks()[self.order[2]][0]
+        return self.plan.blocks[self.order[2]][0]
 
     def sweep(self, w: np.ndarray, f, steps) -> None:
         """w_g <- f_g - K_{g<-h} w_h for g = order[k], k in steps in turn,
         and h = order[k - 1] the group g reads, in place on the
         (B, n, nx+1, ny, nt) stack w. f is a stack that broadcasts
         against w, or None for f = 0."""
-        groups = [sl for sl, _ in self.plan.spec.blocks()]
+        groups = [sl for sl, _ in self.plan.blocks]
         for k in steps:
             g, h = self.order[k], self.order[k - 1]
             kw = _group_block(self.plan, g, h, w[:, groups[h]])
@@ -286,7 +286,7 @@ class _Reduction:
     def rhs(self, f: np.ndarray) -> np.ndarray:
         """r of (I + S) w_p = r, flat, for the (n, nx+1, ny, nt) array f;
         the sweep's first step reads w_p = 0 and gives w_b = f_b."""
-        b = self.plan.spec.blocks()[self.order[0]][0]
+        b = self.plan.blocks[self.order[0]][0]
         w = np.zeros((1,) + f.shape)
         w[0, b] = f[b]
         self.sweep(w, f[None], range(1, 3))
@@ -416,7 +416,7 @@ def assemble_dense(spec: SystemSpec, grid: Grid,
     nodes = grid.node_count
     size = spec.n * nodes
     mat = np.zeros((size, size))
-    groups = [sl for sl, _ in spec.blocks()]
+    groups = [sl for sl, _ in plan.blocks]
     for g, h in spec.coupling_pattern():
         rows = slice(groups[g].start * nodes, groups[g].stop * nodes)
         count = groups[h].stop - groups[h].start

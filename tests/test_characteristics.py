@@ -12,9 +12,9 @@ import pytest
 from scipy.special import dawsn
 
 import charfred as cf
-from charfred.characteristics import (GAMMA_SPREAD_LIMIT, LinePlan,
-                                      SingularBlockError, TransportPlan,
-                                      default_step, solve_transport_stack)
+from charfred.characteristics import (GAMMA_SPREAD_LIMIT, SingularBlockError,
+                                      TransportPlan, default_step,
+                                      solve_transport_stack)
 from conftest import ONE, ZERO, coupled_spec, identity_spec, zero_b
 from test_transport_properties import reference_transport
 
@@ -234,19 +234,33 @@ def test_apply_transport_inverts_solve_transport():
         assert resid[0] / resid[1] > 1.6
 
 
+def refused_at_first_grid_transport(spec, grid, message):
+    """The plan of spec builds, with no grid operator, and message is
+    raised at the first grid transport of solve_transport and of
+    solve_neumann alike."""
+    plan = TransportPlan.build(spec, grid)
+    assert "ops" not in plan.__dict__
+    f = cf.GridFunction(grid, np.ones((3, grid.nx + 1, grid.ny, grid.nt)))
+    for run in (lambda: cf.solve_transport(spec, f, plan),
+                lambda: cf.solve_neumann(spec, f)):
+        with pytest.raises(ValueError, match=message):
+            run()
+
+
 @pytest.mark.parametrize("amplitude, refused", [(300, False), (400, True)])
 def test_gamma_whose_line_integral_overflows_is_refused(amplitude, refused):
     # Gamma = amplitude (1 - x) cos(2 pi y) along row 3's lines from x = 1,
     # with no constant part, spans 2 amplitude; e^Gamma must be finite
-    # and nonzero, or refused
+    # and nonzero, or refused when the grid operators are built
     spec = identity_spec(gamma=(ZERO, ZERO,
                                 cf.parse(f"{amplitude}*cos(2*pi*y)")))
     grid = cf.Grid(nx=4, ny=4, nt=4)
     if refused:
-        with pytest.raises(ValueError, match=r"^gamma\[3\]: its integral "
-                                             r"along the lines, less its "
-                                             r"constant part, spans 800 "):
-            TransportPlan.build(spec, grid)
+        refused_at_first_grid_transport(
+            spec, grid, r"^gamma\[3\]: its integral along the lines, less "
+                        r"its constant part, spans 800 over the grid, more "
+                        r"than the 709\.78 within which e\^Gamma stays "
+                        r"finite$")
         return
     f = cf.GridFunction(grid, np.ones((3, 5, 4, 4)))
     u = cf.solve_transport(spec, f)
@@ -271,13 +285,12 @@ def test_constant_gamma_whose_kernel_weight_overflows_is_refused(row, c,
         message = (rf"^gamma\[{row + 1}\]: its constant part {c:g} weighs "
                    r"the line integrals by up to e\^800, more than the "
                    r"e\^709\.78 within which the weight stays finite$")
-        for run in (lambda: LinePlan.build(spec, grid),
-                    lambda: TransportPlan.build(spec, grid),
+        for run in (lambda: TransportPlan.build(spec, grid),
                     lambda: cf.apply_k_cubed_fused(spec, f, [[0.5] * 3])):
             with pytest.raises(ValueError, match=message):
                 run()
         return
-    assert LinePlan.build(spec, grid).rows[row][4] == c
+    assert TransportPlan.build(spec, grid).rows[row][4] == c
     u = cf.solve_transport(spec, f)
     assert np.isfinite(u.values).all()
 
@@ -285,15 +298,15 @@ def test_constant_gamma_whose_kernel_weight_overflows_is_refused(row, c,
 def test_varying_gamma_whose_kernel_constant_overflows_is_refused():
     # the integrating factor splits off the midpoint of gamma's samples,
     # about 800, for the kernel; its weight is refused as a constant
-    # gamma's would be
+    # gamma's would be, when the grid operators are built
     spec = identity_spec(gamma=(ZERO, ZERO,
                                 cf.parse("800 + 0.1*cos(2*pi*y)")))
     grid = cf.Grid(nx=4, ny=4, nt=4)
-    assert LinePlan.build(spec, grid).rows[2][4] is None
-    with pytest.raises(ValueError, match=r"^gamma\[3\]: its constant part "
-                                         r"800 weighs the line integrals by "
-                                         r"up to e\^800, "):
-        TransportPlan.build(spec, grid)
+    assert TransportPlan.build(spec, grid).rows[2][4] is None
+    refused_at_first_grid_transport(
+        spec, grid, r"^gamma\[3\]: its constant part 800 weighs the line "
+                    r"integrals by up to e\^800, more than the e\^709\.78 "
+                    r"within which the weight stays finite$")
 
 
 def test_default_step_respects_grid_and_slopes():

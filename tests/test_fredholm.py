@@ -129,10 +129,11 @@ def counted_calls(monkeypatch, owner, name):
 @pytest.mark.parametrize("name, per_row", [("constant_value", 1),
                                            ("_shift_multipliers", 2)])
 def test_plan_decides_each_row_once(monkeypatch, name, per_row):
-    # gamma is classified and a constant-gamma row's spectral multipliers
-    # (one y and one t factor) are built once, when the plan is, and so
-    # is a small grid's dense DFT pair, once per plan; every gamma of
-    # coupled_spec is a constant
+    # gamma is classified once, when the plan is built; a constant-gamma
+    # row's spectral multipliers (one y and one t factor) are built once,
+    # at the plan's first grid transport, and so is a small grid's dense
+    # DFT pair, once per plan; every gamma of coupled_spec is a constant
+    at_build = per_row if name == "constant_value" else 0
     spec = coupled_spec()
     grid = cf.Grid(nx=6, ny=6, nt=6)
     f = cf.sample(EXPRS, grid)
@@ -147,12 +148,17 @@ def test_plan_decides_each_row_once(monkeypatch, name, per_row):
     for nx, dense in ((12, True), (13, False)):
         grid = cf.Grid(nx=nx, ny=13, nt=13)
         assert (grid.node_count <= characteristics.DENSE_DFT_NODES) is dense
+        f = cf.sample(EXPRS, grid)
         for counted in (calls, dfts, ffts):
             counted.clear()
         plan = cf.TransportPlan.build(spec, grid)
-        assert len(calls) == per_row * spec.n and len(dfts) == int(dense)
-        cf.solve_transport(spec, cf.sample(EXPRS, grid), plan)
-        assert len(ffts) == (0 if dense else spec.n)
+        assert len(calls) == at_build * spec.n and not dfts
+        # the second transport adds no call but its own rfft2s
+        for transports in (1, 2):
+            cf.solve_transport(spec, f, plan)
+            assert len(calls) == per_row * spec.n
+            assert len(dfts) == int(dense)
+            assert len(ffts) == (0 if dense else transports * spec.n)
 
 
 @pytest.mark.parametrize("solve", [cf.solve_neumann, cf.solve_discrete])
@@ -224,27 +230,27 @@ def test_assembled_matrix_acts_like_apply_k():
                                atol=1e-12)
 
 
+def built_plans(monkeypatch):
+    """Each TransportPlan built from now on."""
+    build = cf.TransportPlan.build.__func__
+    plans = []
+
+    def run(cls, *args):
+        plans.append(build(cls, *args))
+        return plans[-1]
+
+    monkeypatch.setattr(cf.TransportPlan, "build", classmethod(run))
+    return plans
+
+
 def test_each_entry_point_builds_one_plan(monkeypatch):
     # every transport solve, coupling product and K application inside
-    # one entry point reuses the plan that entry point built; the fused
-    # K^3 route reads the spec's lines alone and builds no plan
+    # one entry point reuses the plan that entry point built, and so do
+    # both panel routes: the fused K^3 probes and the closed-form solve
     spec = coupled_spec()
     grid = cf.Grid(nx=4, ny=4, nt=4)
     f = cf.sample(EXPRS, grid)
-    built = {"plan": [], "lines": []}
-
-    def counting(cls, key):
-        build = cls.build.__func__
-
-        def run(cls, *args):
-            built[key].append(args)
-            return build(cls, *args)
-        return classmethod(run)
-
-    monkeypatch.setattr(cf.TransportPlan, "build",
-                        counting(cf.TransportPlan, "plan"))
-    monkeypatch.setattr(characteristics.LinePlan, "build",
-                        counting(characteristics.LinePlan, "lines"))
+    plans = built_plans(monkeypatch)
     runs = {
         "solve_neumann": lambda: cf.solve_neumann(spec, f),
         "solve_discrete": lambda: cf.solve_discrete(spec, f,
@@ -252,17 +258,38 @@ def test_each_entry_point_builds_one_plan(monkeypatch):
         "smoothing_profile": lambda: cf.smoothing_profile(
             spec, grid, frequencies=(1,), shifts=()),
         "apply_k_power": lambda: cf.apply_k_power(spec, f, 3),
+        "apply_k_cubed_fused": lambda: cf.apply_k_cubed_fused(
+            spec, f, np.array([[0.5, 0.25, 0.75]])),
+        "solve_transport(rhs_exprs)": lambda: cf.solve_transport(
+            spec, f, rhs_exprs=EXPRS),
     }
     for name, run in runs.items():
-        for calls in built.values():
-            calls.clear()
+        plans.clear()
         run()
-        assert len(built["plan"]) == 1, name
-        assert len(built["lines"]) == 1, name
-    for calls in built.values():
-        calls.clear()
+        assert [(p.spec, p.grid) for p in plans] == [(spec, grid)], name
+
+
+GRID_OPERATORS = ("ops", "coupling", "dft")
+
+
+def test_panel_routes_build_no_grid_operator(monkeypatch):
+    # the fused K^3 route and the closed-form solve read the plan's
+    # blocks, entries and rows alone, so none of its grid operators is
+    # ever built; a grid transport and a coupling product build them
+    spec = fused_spec()
+    grid = cf.Grid(nx=4, ny=5, nt=5)
+    f = cf.sample(EXPRS, grid)
+    plans = built_plans(monkeypatch)
     cf.apply_k_cubed_fused(spec, f, np.array([[0.5, 0.25, 0.75]]))
-    assert built == {"plan": [], "lines": [(spec, grid)]}
+    plan, = plans
+    assert not set(GRID_OPERATORS) & set(vars(plan))
+    plan = cf.TransportPlan.build(spec, grid)
+    cf.solve_transport(spec, f, plan, rhs_exprs=EXPRS)
+    assert not set(GRID_OPERATORS) & set(vars(plan))
+    u = cf.solve_transport(spec, f, plan)
+    assert {"ops", "dft"} <= set(vars(plan)) and "coupling" not in vars(plan)
+    cf.apply_coupling(spec, u, plan)
+    assert set(GRID_OPERATORS) <= set(vars(plan))
 
 
 # the field-level entry points that take a plan, as (spec, f, plan) ->
@@ -1310,19 +1337,21 @@ def test_fused_results_do_not_depend_on_the_pass_split(monkeypatch):
 
 def test_fused_route_reads_a_gamma_whose_grid_factor_is_refused():
     # 800 cos(2 pi y) integrated along row 3's lines (beta = 0.5) spans
-    # more than GAMMA_SPREAD_LIMIT over the grid, so a TransportPlan
-    # refuses the spec. The fused route builds no integrating factor: its
-    # weights e^{int_X^xi gamma} run along one line each, and there
-    # |int gamma| <= 1600 / pi, so they stay finite and the route answers
+    # more than GAMMA_SPREAD_LIMIT over the grid, so the plan's grid
+    # operators refuse the spec at the first grid transport. The fused
+    # route builds no integrating factor: its weights e^{int_X^xi gamma}
+    # run along one line each, and there |int gamma| <= 1600 / pi, so they
+    # stay finite and the route answers
     spec = fused_spec()
     spec = replace(spec, gamma=spec.gamma[:2]
                    + (cf.parse("800*cos(2*pi*y)"),))
     grid = cf.Grid(nx=4, ny=5, nt=5)
     f = cf.sample(EXPRS, grid)
+    plan = characteristics.TransportPlan.build(spec, grid)
     with pytest.raises(ValueError, match=r"^gamma\[3\]: its integral along "
                                          r"the lines, less its constant "
                                          r"part, spans "):
-        characteristics.TransportPlan.build(spec, grid)
+        cf.solve_transport(spec, f, plan)
     probes = np.random.default_rng(5).uniform(0.0, 1.0, (4, 3))
     got = cf.apply_k_cubed_fused(spec, f, probes)
     assert got.shape == (3, 4)
@@ -1333,13 +1362,14 @@ def test_fused_route_refuses_a_gamma_whose_line_weight_overflows():
     # 800 + 0.1 cos(2 pi y) on backward row 3 integrates to about 800
     # from a probe near x = 0 to the inflow face, so e^{int gamma} would
     # overflow: the route raises, naming the gamma, where it once
-    # answered NaN with overflow warnings. The spec itself passes the
-    # LinePlan, whose checks cover constant gammas alone
+    # answered NaN with overflow warnings. The spec itself passes
+    # TransportPlan.build, which refuses constant gammas alone; a varying
+    # one is refused only when the grid operators are built
     spec = fused_spec()
     spec = replace(spec, gamma=spec.gamma[:2]
                    + (cf.parse("800 + 0.1*cos(2*pi*y)"),))
     grid = cf.Grid(nx=4, ny=5, nt=5)
-    characteristics.LinePlan.build(spec, grid)
+    characteristics.TransportPlan.build(spec, grid)
     f = cf.sample(EXPRS, grid)
     probes = np.random.default_rng(5).uniform(0.0, 1.0, (4, 3))
     with warnings.catch_warnings():
@@ -1382,7 +1412,11 @@ def oracle_gl_panels(x0, X, glx, glw, panels):
 @pytest.mark.parametrize("x0", (0.0, 1.0))
 def test_gl_panels_match_the_per_panel_loop(x0):
     glx, glw = np.polynomial.legendre.leggauss(characteristics.FUSED_NODES)
-    tau, omega, _, _ = characteristics._fused_rule()
+    rule = characteristics._fused_rule()
+    # formed once, and read-only, so no caller can change it for another
+    assert rule is characteristics._fused_rule()
+    assert not any(a.flags.writeable for a in rule)
+    tau, omega, _, _ = rule
     X = np.random.default_rng(7).uniform(0.0, 1.0, (2, 6))
     # both faces, and a line of length 0
     X[0, :3] = (0.0, 1.0, x0)
@@ -1435,7 +1469,7 @@ def gamma_integral_pairs(gam, alpha, beta):
     glx, _ = np.polynomial.legendre.leggauss(characteristics.FUSED_NODES)
     X, Y, T = np.random.default_rng(5).uniform(0.0, 1.0, (3, 2, 6))
     X[0, :2] = (0.0, 1.0)
-    for forward, beta, alpha, row_gam, c, *_ in plan.rows:
+    for forward, beta, alpha, row_gam, c in plan.rows:
         assert row_gam is gam and c is None
         x0 = 0.0 if forward else 1.0
         xi, _ = characteristics._gl_panels(x0, X, tau, omega)
