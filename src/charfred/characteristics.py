@@ -82,10 +82,12 @@ class SingularBlockError(ValueError):
 class TransportPlan:
     """What every transport solve and coupling product on one grid shares.
 
-    spec and grid are the system and grid the plan was built for; below
-    the field level a plan is the whole context, and a field-level call
-    given a plan refuses one built for another spec object or another
-    grid (resolve). Build one per solve and pass it down.
+    spec and grid are the system and grid the plan was built for. The
+    stack level takes a plan, which is its whole context, and the field
+    level builds its own. solve_transport and apply_k also take one, so
+    that apply_k_power runs every power on one plan; they refuse a plan
+    built for another spec object or another grid (resolve). Build one
+    per solve and pass it down.
 
     build checks the spec against the grid: the spec's periods must
     equal the grid's, each block must be invertible (SingularBlockError),
@@ -565,8 +567,9 @@ def solve_transport(spec: SystemSpec, f: GridFunction,
     """Solve the uncoupled system row by row along characteristics.
 
     Returns u with (A u)_i the integrated right-hand side of row i and
-    the inflow rows zeroed exactly on their faces. A given plan must be
-    one built for spec and f.grid (TransportPlan.resolve).
+    the inflow rows zeroed exactly on their faces. It builds its own
+    plan unless given one, as apply_k gives it, which must be built for
+    spec and f.grid (TransportPlan.resolve).
 
     With rhs_exprs given, closed forms of f's rows, u is read at the nodes
     by _transport_at_points instead, each row's integrand evaluated
@@ -690,11 +693,10 @@ def apply_coupling_stack(plan: TransportPlan, stack: np.ndarray) -> np.ndarray:
     return out
 
 
-def apply_coupling(spec: SystemSpec, u: GridFunction,
-                   plan: TransportPlan | None = None) -> GridFunction:
-    """Multiply pointwise by the coupling matrix b, through a plan built
-    for spec and u.grid (TransportPlan.resolve)."""
-    plan = TransportPlan.resolve(spec, u.grid, plan)
+def apply_coupling(spec: SystemSpec, u: GridFunction) -> GridFunction:
+    """Multiply pointwise by the coupling matrix b, through a plan of its
+    own."""
+    plan = TransportPlan.build(spec, u.grid)
     out = apply_coupling_stack(plan, u.values[None])
     return GridFunction(u.grid, out[0])
 

@@ -26,6 +26,9 @@ from .gridfield import (Grid, GridFunction, shift_diff_norm, sup_norm,
 from .system import EffectiveSlopes, SystemSpec, effective_slopes, nondegeneracy_value
 
 MODULUS_FLOOR = 1e-12
+# y shifts that every profile measures, as fractions of the y period, on
+# top of each frequency's half wavelength
+SHIFTS = (0.25, 0.125, 0.0625)
 
 
 def transversal_jacobian(slopes: EffectiveSlopes, r: int, p: int, m: int) -> float:
@@ -111,8 +114,7 @@ def jacobian_table(spec: SystemSpec) -> tuple:
 
 
 def smoothing_profile(spec: SystemSpec, grid: Grid, powers=(0, 1, 2, 3),
-                      frequencies=None,
-                      shifts=(0.25, 0.125, 0.0625)) -> DiagnosticsReport:
+                      frequencies=None) -> DiagnosticsReport:
     """Shift-difference moduli of K^m applied to single-frequency probes.
 
     frequencies are integer wave counts per period; each must leave at
@@ -120,8 +122,9 @@ def smoothing_profile(spec: SystemSpec, grid: Grid, powers=(0, 1, 2, 3),
     before any K is applied. Like powers, they are sorted and a repeated
     one is profiled once. None means 2 and 4, less any omega above ny/4;
     when neither is left, omega = 2 is refused as an explicit request
-    would be. shifts are dyadic fractions of the y period; the
-    half-wavelength shift Y/(2 omega) is always measured as well. The
+    would be. Each frequency is measured at its half-wavelength shift
+    Y/(2 omega) and at the dyadic fractions SHIFTS of the period Y, one
+    row per distinct shift h, largest first. The
     normalized column divides each modulus by its power-0 counterpart,
     cancelling interpolation smearing; rows whose reference modulus is
     below 1e-12 report 0 there. The power-0 moduli are measured once per
@@ -155,7 +158,7 @@ def smoothing_profile(spec: SystemSpec, grid: Grid, powers=(0, 1, 2, 3),
         probe = oscillatory_probe(spec, grid, omega)
         sup0 = sup_norm(probe)
         hs = [grid.period_y / (2 * omega)]
-        hs += [float(fr) * grid.period_y for fr in shifts]
+        hs += [fr * grid.period_y for fr in SHIFTS]
         hs = sorted(set(hs), reverse=True)
         # K^m f is measured as it is produced; only the latest stays alive
         field = GridFunction(grid, probe.values[plan.blocks[order[2]][0]])

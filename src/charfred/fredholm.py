@@ -21,9 +21,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .characteristics import (TransportPlan, _apply_blocks, _row_integrals,
-                              _transport_at_points, apply_coupling,
-                              apply_coupling_stack, solve_transport,
-                              solve_transport_group, solve_transport_stack)
+                              _transport_at_points, apply_coupling_stack,
+                              solve_transport, solve_transport_group,
+                              solve_transport_stack)
 from .expressions import evaluate_on
 from .gridfield import (Grid, GridDomainError, GridFunction, _require_finite,
                         interpolate_many, sup_norm, sum_sup_norm)
@@ -80,16 +80,21 @@ class NonConvergence(RuntimeError):
 
 def apply_k(spec: SystemSpec, f: GridFunction,
             plan: TransportPlan | None = None) -> GridFunction:
-    """One application: coupling of the transport solution of f, through
-    a plan built for spec and f.grid (TransportPlan.resolve)."""
+    """One application: coupling of the transport solution of f.
+
+    It builds its own plan unless given one, which must be built for
+    spec and f.grid (TransportPlan.resolve): apply_k_power gives every
+    power's apply_k its one plan, and apply_k hands it on to
+    solve_transport."""
     plan = TransportPlan.resolve(spec, f.grid, plan)
-    return apply_coupling(spec, solve_transport(spec, f, plan), plan)
+    u = solve_transport(spec, f, plan)
+    return GridFunction(f.grid, apply_coupling_stack(plan, u.values[None])[0])
 
 
 def apply_k_power(spec: SystemSpec, f: GridFunction,
                   power: int) -> GridFunction:
     """K^power f: power applications of apply_k, node values to node
-    values, through one TransportPlan."""
+    values, all through the one TransportPlan this call builds."""
     if power < 1:
         raise ValueError("power must be a positive integer")
     plan = TransportPlan.build(spec, f.grid)
@@ -380,12 +385,12 @@ def _outcome(method: str, f: GridFunction, w: np.ndarray,
              stalled: float | None = None) -> SolveOutcome:
     """The shared tail of both solvers: u = C^{-1} w, unless the caller
     already has it, and the residual of (I + K) w = f, with K w = D u
-    taken from that one transport solve."""
+    taken from that one transport solve, both on the solve's plan."""
     w = GridFunction(f.grid, w)
-    u = (solve_transport(plan.spec, w, plan) if u is None
-         else GridFunction(f.grid, u))
-    residual = sup_norm(w + apply_coupling(plan.spec, u, plan) - f)
-    return SolveOutcome(method, iterations, residual, kdim, u, w,
+    u = GridFunction(f.grid, solve_transport_stack(plan, w.values[None])[0]
+                     if u is None else u)
+    du = GridFunction(f.grid, apply_coupling_stack(plan, u.values[None])[0])
+    return SolveOutcome(method, iterations, sup_norm(w + du - f), kdim, u, w,
                         refinements, stalled)
 
 
@@ -400,10 +405,8 @@ def _impulse_batches(size: int):
         yield slice(start, stop), impulses
 
 
-def assemble_dense(spec: SystemSpec, grid: Grid,
-                   plan: TransportPlan | None = None) -> np.ndarray:
-    """Dense matrix of I + K in the node basis, through a plan built for
-    spec and grid (TransportPlan.resolve).
+def assemble_dense(spec: SystemSpec, grid: Grid) -> np.ndarray:
+    """Dense matrix of I + K in the node basis, through a plan of its own.
 
     Columns are impulse responses at grid nodes, ordered like the
     flattened (component, ix, iy, it) value array. An impulse in row
@@ -412,7 +415,7 @@ def assemble_dense(spec: SystemSpec, grid: Grid,
     built through the one-group block K_{g<-h} (_group_block),
     ASSEMBLY_BATCH at a time, and are zero outside group g's rows.
     """
-    plan = TransportPlan.resolve(spec, grid, plan)
+    plan = TransportPlan.build(spec, grid)
     nodes = grid.node_count
     size = spec.n * nodes
     mat = np.zeros((size, size))

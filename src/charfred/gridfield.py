@@ -65,7 +65,17 @@ class Grid:
 
 @dataclass(frozen=True)
 class GridFunction:
-    """Finite vector field sampled on grid nodes, shape (m, nx+1, ny, nt)."""
+    """Finite vector field sampled on grid nodes, shape (m, nx+1, ny, nt).
+
+    The field takes its values without a copy where it can: a
+    C-contiguous float64 array becomes values itself and is made
+    read-only; any other input is copied, and the caller's array stays
+    writable. The flag guards only the array passed in. A view of it
+    taken before the field was built stays writable and writes through
+    to values, but not to the padded copy that interpolate_many keeps
+    (_padded), so reads made after such a write disagree with values.
+    Pass an array that no other view shares.
+    """
 
     grid: Grid
     values: np.ndarray = field(repr=False)
@@ -92,8 +102,7 @@ class GridFunction:
 
         interpolate_many reads it. The values are read-only, so it is
         built at the first read and kept: the fused K^3 route reads each
-        component some 50 times per call. (An array written through a
-        view taken before the field was built would leave it stale.)
+        component some 50 times per call.
         """
         g = self.grid
         v = self.values
@@ -226,18 +235,6 @@ def _x_index(pos: np.ndarray, nx: int, stride: int):
     return base, frac
 
 
-def _corners(frac, stride: int):
-    """(offset, weight) pairs of one axis: the lower corner at offset 0,
-    the upper one at stride.
-
-    When every point sits on a node the upper corner has weight exactly
-    zero and is left out: its terms would add only signed zeros.
-    """
-    if not np.any(frac):
-        return ((0, 1.0 - frac),)
-    return ((0, 1.0 - frac), (stride, frac))
-
-
 def interpolate_many(gf: GridFunction, x, y, t) -> np.ndarray:
     """Trilinear interpolation at arrays of points; returns (m, *shape).
 
@@ -270,10 +267,11 @@ def interpolate_many(gf: GridFunction, x, y, t) -> np.ndarray:
     base = base + (g.nx + 1) * sx * comps
     flat = gf._padded
     out = np.zeros((gf.m,) + (shape or (1,)))
-    for ox, wx in _corners(fx, sx):
-        for oy, wy in _corners(fy, sy):
+    # each axis's lower corner at offset 0 and its upper one at its stride
+    for ox, wx in ((0, 1.0 - fx), (sx, fx)):
+        for oy, wy in ((0, 1.0 - fy), (sy, fy)):
             w2 = wx * wy
-            for ot, wt in _corners(ft, 1):
+            for ot, wt in ((0, 1.0 - ft), (1, ft)):
                 term = np.take(flat[ox + oy + ot:], base)
                 term *= w2 * wt
                 out += term

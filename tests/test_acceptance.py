@@ -153,7 +153,7 @@ def test_criterion_5_smoothing_contrast():
 
     def moduli(spec, power):
         rep = cf.smoothing_profile(spec, grid, powers=(0, 1, 3),
-                                   frequencies=freqs, shifts=())
+                                   frequencies=freqs)
         return [rep.modulus(power, w, grid.period_y / (2 * w))
                 for w in freqs]
 

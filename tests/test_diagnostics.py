@@ -86,7 +86,7 @@ def test_smoothing_profile_flat_for_degenerate_control():
     spec = degenerate_control()
     grid = cf.Grid(nx=8, ny=16, nt=4)
     rep = cf.smoothing_profile(spec, grid, powers=(0, 1, 2, 3),
-                               frequencies=(2,), shifts=())
+                               frequencies=(2,))
     h = 0.25  # half wavelength of omega = 2
     assert rep.feeding_component == 3
     assert rep.modulus(0, 2, h) == 1.0
@@ -105,7 +105,8 @@ def test_smoothing_profile_floors_full_period_shift():
     spec = degenerate_control()
     grid = cf.Grid(nx=8, ny=16, nt=4)
     rep = cf.smoothing_profile(spec, grid, powers=(0, 3),
-                               frequencies=(4,), shifts=(0.25,))
+                               frequencies=(4,))
+    assert 0.25 in diagnostics.SHIFTS
     # h = 0.25 is a full wavelength of omega = 4: the shift difference
     # of the probe itself is zero, so the normalized column floors.
     assert rep.modulus(0, 4, 0.25, normalized=False) < 1e-12
@@ -119,7 +120,7 @@ def test_smoothing_profile_decays_for_transversal_spec():
     spec = transversal_control()
     grid = cf.Grid(nx=16, ny=16, nt=16)
     rep = cf.smoothing_profile(spec, grid, powers=(0, 1, 3),
-                               frequencies=(2, 4), shifts=())
+                               frequencies=(2, 4))
     m3_lo = rep.modulus(3, 2, 0.25)
     m3_hi = rep.modulus(3, 4, 0.125)
     assert m3_lo < 0.05
@@ -133,7 +134,7 @@ def test_smoothing_profile_without_power_zero_keeps_its_rows():
     # the power-0 moduli still normalize every row when 0 is not requested
     spec = transversal_control()
     grid = cf.Grid(nx=8, ny=16, nt=8)
-    kw = dict(frequencies=(2, 4), shifts=(0.125,))
+    kw = dict(frequencies=(2, 4))
     full = cf.smoothing_profile(spec, grid, powers=(0, 1, 3), **kw)
     part = cf.smoothing_profile(spec, grid, powers=(1, 3), **kw)
     assert part.rows == tuple(r for r in full.rows if r.power != 0)
@@ -152,33 +153,33 @@ def test_smoothing_profile_measures_each_power_once(monkeypatch, powers):
         return measure(field, hy)
 
     monkeypatch.setattr(diagnostics, "shift_diff_norm", counting)
-    cf.smoothing_profile(spec, grid, powers=powers, frequencies=(2, 4),
-                         shifts=(0.125,))
-    # omega = 2 shifts by 0.25 (its half wavelength) and 0.125; omega = 4
-    # only by 0.125, which is its half wavelength
-    assert len(calls) == (2 + 1) * len(set(powers) | {0})
+    cf.smoothing_profile(spec, grid, powers=powers, frequencies=(2, 4))
+    # omega shifts by its half wavelength 1/(2 omega) and by SHIFTS, each
+    # distinct shift once: 0.25 and 0.125 are both among SHIFTS
+    per_power = sum(len({0.5 / w} | set(diagnostics.SHIFTS)) for w in (2, 4))
+    assert per_power == 6
+    assert len(calls) == per_power * len(set(powers) | {0})
 
 
 def test_smoothing_profile_rejects_bad_requests():
     spec = degenerate_control()
     grid = cf.Grid(nx=4, ny=16, nt=4)
     with pytest.raises(ValueError, match="fewer than 4 nodes"):
-        cf.smoothing_profile(spec, grid, frequencies=(8,), shifts=())
+        cf.smoothing_profile(spec, grid, frequencies=(8,))
     # the default (2, 4) keeps what ny resolves, and refuses omega = 2
     # when that is nothing
     with pytest.raises(ValueError, match="omega = 2 leaves fewer"):
-        cf.smoothing_profile(spec, cf.Grid(nx=4, ny=7, nt=4), shifts=())
+        cf.smoothing_profile(spec, cf.Grid(nx=4, ny=7, nt=4))
     with pytest.raises(ValueError, match="positive integers"):
-        cf.smoothing_profile(spec, grid, frequencies=(0,), shifts=())
+        cf.smoothing_profile(spec, grid, frequencies=(0,))
     with pytest.raises(ValueError, match="nonnegative"):
-        cf.smoothing_profile(spec, grid, powers=(-1, 2), frequencies=(2,),
-                             shifts=())
+        cf.smoothing_profile(spec, grid, powers=(-1, 2), frequencies=(2,))
 
 
 def test_smoothing_profile_profiles_a_repeated_frequency_once(monkeypatch):
     spec = transversal_control()
     grid = cf.Grid(nx=4, ny=16, nt=4)
-    kw = dict(powers=(0, 1), shifts=(0.125,))
+    kw = dict(powers=(0, 1))
     once = cf.smoothing_profile(spec, grid, frequencies=(2,), **kw)
     calls = []
     group_block = diagnostics._group_block
@@ -201,14 +202,13 @@ def test_smoothing_profile_checks_every_frequency_first(monkeypatch):
     grid = cf.Grid(nx=4, ny=16, nt=4)
     with pytest.raises(ValueError, match="omega = 99 leaves fewer"):
         cf.smoothing_profile(transversal_control(), grid,
-                             frequencies=(2, 99), shifts=())
+                             frequencies=(2, 99))
 
 
 def test_report_csv_and_lookup(tmp_path):
     spec = degenerate_control()
     grid = cf.Grid(nx=4, ny=16, nt=4)
-    rep = cf.smoothing_profile(spec, grid, powers=(0, 1), frequencies=(2,),
-                               shifts=(0.125,))
+    rep = cf.smoothing_profile(spec, grid, powers=(0, 1), frequencies=(2,))
     text = rep.csv_text()
     lines = text.splitlines()
     assert lines[0] == "power,omega,h,modulus,normalized"
@@ -225,8 +225,7 @@ def test_report_csv_and_lookup(tmp_path):
 def test_report_json_dict():
     spec = transversal_control()
     grid = cf.Grid(nx=4, ny=8, nt=4)
-    rep = cf.smoothing_profile(spec, grid, powers=(0,), frequencies=(2,),
-                               shifts=())
+    rep = cf.smoothing_profile(spec, grid, powers=(0,), frequencies=(2,))
     doc = json.loads(json.dumps(dataclasses.asdict(rep)))
     assert set(doc) == {"feeding_component", "rows", "jacobians"}
     assert doc["jacobians"][0]["triple"] == [1, 2, 3]
@@ -256,8 +255,7 @@ def test_smoothing_profile_transports_one_group_per_k(monkeypatch):
     assert len(integrated) == len(applied)
 
 
-def apply_k_profile(spec, grid, powers, frequencies,
-                    shifts=(0.25, 0.125, 0.0625)):
+def apply_k_profile(spec, grid, powers, frequencies):
     """smoothing_profile's report from a chain of apply_k on whole fields,
     every power measured."""
     plan = cf.TransportPlan.build(spec, grid)
@@ -265,7 +263,8 @@ def apply_k_profile(spec, grid, powers, frequencies,
     for omega in frequencies:
         probe = cf.oscillatory_probe(spec, grid, omega)
         hs = sorted({grid.period_y / (2 * omega)}
-                    | {fr * grid.period_y for fr in shifts}, reverse=True)
+                    | {fr * grid.period_y for fr in diagnostics.SHIFTS},
+                    reverse=True)
         field = probe
         for m in range(max(powers) + 1):
             if m:

@@ -58,12 +58,20 @@ def test_apply_k_sup_bound():
 
 
 def test_apply_k_power_is_repeated_application():
-    spec = coupled_spec()
-    grid = cf.Grid(nx=6, ny=6, nt=6)
-    f = cf.sample(EXPRS, grid)
-    twice = cf.apply_k(spec, cf.apply_k(spec, f))
-    np.testing.assert_allclose(cf.apply_k_power(spec, f, 2).values,
-                               twice.values, atol=1e-15)
+    # bit for bit, on the dense DFT route, on the FFT route of a grid
+    # above DENSE_DFT_NODES and with a zero-slope row
+    cases = ((coupled_spec(), cf.Grid(nx=6, ny=6, nt=6)),
+             (coupled_spec(), cf.Grid(nx=13, ny=14, nt=14)),
+             (transversal_spec(), cf.Grid(nx=6, ny=6, nt=6)))
+    assert cases[1][1].node_count > characteristics.DENSE_DFT_NODES
+    assert cases[2][0].alpha[2] == cases[2][0].beta[2] == 0.0
+    for spec, grid in cases:
+        f = cf.sample(EXPRS, grid)
+        chain = f
+        for power in (1, 2, 3):
+            chain = cf.apply_k(spec, chain)
+            np.testing.assert_array_equal(
+                cf.apply_k_power(spec, f, power).values, chain.values)
     with pytest.raises(ValueError):
         cf.apply_k_power(spec, f, 0)
 
@@ -85,13 +93,15 @@ def test_neumann_transports_the_final_iterate_once(monkeypatch):
     # one group transport inside each of a sweep's three group steps, each
     # holding the one row of the group it reads, and one n-row transport
     # for u = C^{-1} w, whose coupling also gives the residual. The sweeps
-    # call fredholm's import of solve_transport_group and solve_transport
-    # calls characteristics' own solve_transport_stack
+    # and that last transport call fredholm's imports of
+    # solve_transport_group and solve_transport_stack; characteristics'
+    # own solve_transport_stack is counted too, so no field-level
+    # transport goes unseen
     spec = coupled_spec()
     grid = cf.Grid(nx=6, ny=6, nt=6)
     f = cf.sample(EXPRS, grid)
-    group, stack = (characteristics.solve_transport_group,
-                    characteristics.solve_transport_stack)
+    group, stack = (fredholm.solve_transport_group,
+                    fredholm.solve_transport_stack)
     calls = []
 
     def counting_group(plan, g, held):
@@ -103,8 +113,8 @@ def test_neumann_transports_the_final_iterate_once(monkeypatch):
         return stack(plan, full, *args)
 
     monkeypatch.setattr(fredholm, "solve_transport_group", counting_group)
-    monkeypatch.setattr(characteristics, "solve_transport_stack",
-                        counting_stack)
+    for owner in (fredholm, characteristics):
+        monkeypatch.setattr(owner, "solve_transport_stack", counting_stack)
     out = cf.solve_neumann(spec, f)
     assert out.iterations > 1
     # a sweep updates b, c, p from p, b, c in turn
@@ -256,7 +266,7 @@ def test_each_entry_point_builds_one_plan(monkeypatch):
         "solve_discrete": lambda: cf.solve_discrete(spec, f,
                                                     kernel_estimate=True),
         "smoothing_profile": lambda: cf.smoothing_profile(
-            spec, grid, frequencies=(1,), shifts=()),
+            spec, grid, frequencies=(1,)),
         "apply_k_power": lambda: cf.apply_k_power(spec, f, 3),
         "apply_k_cubed_fused": lambda: cf.apply_k_cubed_fused(
             spec, f, np.array([[0.5, 0.25, 0.75]])),
@@ -288,7 +298,7 @@ def test_panel_routes_build_no_grid_operator(monkeypatch):
     assert not set(GRID_OPERATORS) & set(vars(plan))
     u = cf.solve_transport(spec, f, plan)
     assert {"ops", "dft"} <= set(vars(plan)) and "coupling" not in vars(plan)
-    cf.apply_coupling(spec, u, plan)
+    characteristics.apply_coupling_stack(plan, u.values[None])
     assert set(GRID_OPERATORS) <= set(vars(plan))
 
 
@@ -298,10 +308,6 @@ FIELD_LEVEL = {
     "apply_k": lambda spec, f, plan: cf.apply_k(spec, f, plan).values,
     "solve_transport": lambda spec, f, plan: cf.solve_transport(
         spec, f, plan).values,
-    "apply_coupling": lambda spec, f, plan: cf.apply_coupling(
-        spec, f, plan).values,
-    "assemble_dense": lambda spec, f, plan: cf.assemble_dense(
-        spec, f.grid, plan),
 }
 
 
@@ -559,10 +565,9 @@ def transversal_spec():
 def test_assembly_batches_give_one_matrix(monkeypatch, batch):
     spec = coupled_spec()
     grid = cf.Grid(nx=4, ny=4, nt=4)
-    plan = cf.TransportPlan.build(spec, grid)
-    whole = cf.assemble_dense(spec, grid, plan)
+    whole = cf.assemble_dense(spec, grid)
     monkeypatch.setattr(fredholm, "ASSEMBLY_BATCH", batch)
-    np.testing.assert_array_equal(cf.assemble_dense(spec, grid, plan), whole)
+    np.testing.assert_array_equal(cf.assemble_dense(spec, grid), whole)
 
 
 def scaled_coupled_spec(factor):
@@ -610,7 +615,7 @@ def test_structural_norm_equals_the_dense_row_sums(make_spec, nx, nyt):
     grid = cf.Grid(nx=nx, ny=nyt, nt=nyt)
     plan = cf.TransportPlan.build(spec, grid)
     size = spec.n * grid.node_count
-    k = cf.assemble_dense(spec, grid, plan) - np.eye(size)
+    k = cf.assemble_dense(spec, grid) - np.eye(size)
     a = list(itertools.islice(fredholm._section_power_norms(plan), 3))
     # a_1 equals ||K||_inf up to rounding, on either side; a_2 and a_3
     # bound ||K^p||_inf, which they reach on transversal_spec
@@ -835,7 +840,7 @@ def test_reduction_pivots_on_the_smallest_group(monkeypatch, make_spec):
     v = rng.standard_normal(grid.node_count)[None]
     zero = np.zeros((spec.n, grid.nx + 1, grid.ny, grid.nt))
     w = red.expand(zero, v[0])
-    image = (cf.assemble_dense(spec, grid, plan) @ w.reshape(-1)).reshape(
+    image = (cf.assemble_dense(spec, grid) @ w.reshape(-1)).reshape(
         w.shape)
     np.testing.assert_allclose(image[red.rows].reshape(-1),
                                red.apply(v)[0], rtol=0, atol=1e-13)

@@ -44,6 +44,24 @@ def test_gridfunction_shape_and_finiteness():
     assert not f.values.flags.writeable
 
 
+def test_gridfunction_takes_a_float64_array_and_copies_any_other():
+    g = cf.Grid(nx=4, ny=4, nt=4)
+    # a C-contiguous float64 array is the field's values, made read-only
+    a = np.zeros((1, 5, 4, 4))
+    f = cf.GridFunction(g, a)
+    assert f.values is a
+    assert not a.flags.writeable
+    # an int array, or a strided float64 view, is copied; the caller's
+    # array stays writable and a write to it leaves the field alone
+    for b in (np.zeros((1, 5, 4, 4), dtype=np.int64),
+              np.zeros((1, 5, 4, 8))[..., ::2]):
+        f = cf.GridFunction(g, b)
+        assert f.values is not b and f.values.dtype == np.float64
+        assert b.flags.writeable and not f.values.flags.writeable
+        b[0, 2, 2, 2] = 1
+        assert f.values[0, 2, 2, 2] == 0.0
+
+
 def test_sample_matches_direct_evaluation():
     g = cf.Grid(nx=4, ny=8, nt=8)
     f = cf.sample((cf.parse("sin(2*pi*y)*cos(2*pi*t)"),), g)
