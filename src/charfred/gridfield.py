@@ -243,9 +243,13 @@ def interpolate_many(gf: GridFunction, x, y, t) -> np.ndarray:
     index computation per axis level. The field is read through
     GridFunction._padded, where a point's eight corners sit at fixed
     offsets from one base offset: each corner is one gather from the
-    padded values shifted by its offset. Coordinates must be finite and x
-    within [0, 1] up to a slack of 1e-12; anything else raises
-    GridDomainError.
+    padded values shifted by its offset. The corners are blended in
+    place by nested two-point steps a (1 - f) + b f: four along t, two
+    along y, one along x. A step is exact at f = 0 and f = 1, so a read
+    on a node returns the node's value, and a point whose x and t sit on
+    nodes gets shift_diff_norm's y blend bit for bit. Coordinates must be
+    finite and x within [0, 1] up to a slack of 1e-12; anything else
+    raises GridDomainError.
     """
     g = gf.grid
     x, y, t = (np.asarray(a, dtype=float) for a in (x, y, t))
@@ -262,20 +266,30 @@ def interpolate_many(gf: GridFunction, x, y, t) -> np.ndarray:
     iy, fy = _periodic_index(y, g.ny, g.period_y, sy)
     it, ft = _periodic_index(t, g.nt, g.period_t, 1)
     base = ix + iy + it
-    # and one more offset per component, into the whole flat array
-    comps = np.arange(gf.m).reshape((-1,) + (1,) * base.ndim)
-    base = base + (g.nx + 1) * sx * comps
+    if gf.m > 1:
+        # and one more offset per component, into the whole flat array
+        comps = np.arange(gf.m).reshape((-1,) + (1,) * base.ndim)
+        base = base + (g.nx + 1) * sx * comps
     flat = gf._padded
-    out = np.zeros((gf.m,) + (shape or (1,)))
-    # each axis's lower corner at offset 0 and its upper one at its stride
-    for ox, wx in ((0, 1.0 - fx), (sx, fx)):
-        for oy, wy in ((0, 1.0 - fy), (sy, fy)):
-            w2 = wx * wy
-            for ot, wt in ((0, 1.0 - ft), (1, ft)):
-                term = np.take(flat[ox + oy + ot:], base)
-                term *= w2 * wt
-                out += term
-    return out.reshape((gf.m,) + shape)
+    # each axis's lower corner at offset 0 and its upper one at its
+    # stride: blend the t pairs, then the y pairs, then the x pair
+    gx, gy, gt = 1.0 - fx, 1.0 - fy, 1.0 - ft
+    planes = []
+    for ox in (0, sx):
+        lines = [_blend(np.take(flat[ox + oy:], base),
+                        np.take(flat[ox + oy + 1:], base), gt, ft)
+                 for oy in (0, sy)]
+        planes.append(_blend(*lines, gy, fy))
+    return _blend(*planes, gx, fx).reshape((gf.m,) + shape)
+
+
+def _blend(lo: np.ndarray, hi: np.ndarray, wlo, whi) -> np.ndarray:
+    """lo wlo + hi whi, written over lo: with weights (1 - f, f) it is
+    exactly lo at f = 0 and hi at f = 1."""
+    lo *= wlo
+    hi *= whi
+    lo += hi
+    return lo
 
 
 def interpolate(gf: GridFunction, x: float, y: float, t: float) -> np.ndarray:
@@ -300,8 +314,9 @@ def shift_diff_norm(gf: GridFunction, hy: float) -> float:
     """
     _require_finite("y shift", np.asarray(hy, dtype=float))
     g = gf.grid
-    # x and t stay on their nodes, where interpolate_many's weights are
-    # exactly 1 and 0, so blending two y planes gives its values bit for bit
+    # x and t stay on their nodes, where interpolate_many's t and x steps
+    # return their lower corner exactly, so its y step, this blend of two
+    # y planes, gives its values bit for bit
     lower, frac = _periodic_index(g.ys() + hy, g.ny, g.period_y, 1)
     diff = np.take(gf.values, lower, axis=2)
     if np.any(frac):

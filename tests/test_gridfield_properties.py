@@ -1,12 +1,13 @@
 """Property tests of grid-field interpolation and the CSV writer.
 
 Each property compares against an in-test oracle bit for bit: the
-eight-corner fancy-index trilinear interpolation (with its own snapping
-and index arithmetic, so the kernel is not compared with itself),
-full-field reads sliced to one component, and a per-row f-string CSV
-writer. The fused K^3 route in probe blocks is compared with per-probe
-evaluation, and the y-shift modulus with the difference read through
-interpolate_many.
+fancy-index trilinear interpolation by nested two-point blends (with its
+own snapping and index arithmetic, so the kernel is not compared with
+itself), the field's values at its nodes, full-field reads sliced to one
+component, and a per-row f-string CSV writer. The plain eight-corner
+sum, the kernel's former formula, bounds its rounding. The fused K^3
+route in probe blocks is compared with per-probe evaluation, and the
+y-shift modulus with the difference read through interpolate_many.
 """
 import io
 from dataclasses import replace
@@ -52,16 +53,39 @@ def oracle_x_index(pos, nx):
     return i0, i0 + 1, frac
 
 
-def oracle_interpolate(gf, x, y, t):
-    """Trilinear interpolation over all eight corners, fully broadcast."""
+def oracle_corners(gf, x, y, t):
+    """Both corner indices and the fraction of each axis, fully
+    broadcast."""
     g = gf.grid
     x, y, t = np.broadcast_arrays(np.asarray(x, float), np.asarray(y, float),
                                   np.asarray(t, float))
-    ix0, ix1, fx = oracle_x_index(x, g.nx)
-    iy0, iy1, fy = oracle_periodic_index(y, g.ny, g.period_y)
-    it0, it1, ft = oracle_periodic_index(t, g.nt, g.period_t)
+    return (oracle_x_index(x, g.nx),
+            oracle_periodic_index(y, g.ny, g.period_y),
+            oracle_periodic_index(t, g.nt, g.period_t))
+
+
+def oracle_interpolate(gf, x, y, t):
+    """Trilinear interpolation by nested two-point blends a (1 - f) + b f:
+    the t pairs of the eight corners, then the y pairs, then x."""
+    (ix0, ix1, fx), (iy0, iy1, fy), (it0, it1, ft) = \
+        oracle_corners(gf, x, y, t)
     v = gf.values
-    out = np.zeros((gf.m,) + x.shape)
+
+    def blend(a, b, frac):
+        return a * (1.0 - frac) + b * frac
+
+    return blend(*(blend(*(blend(v[:, ix, iy, it0], v[:, ix, iy, it1], ft)
+                           for iy in (iy0, iy1)), fy)
+                   for ix in (ix0, ix1)), fx)
+
+
+def oracle_eight_corner_sum(gf, x, y, t):
+    """Trilinear interpolation as the sum of the eight corners, each
+    weighted by (wx wy) wt."""
+    (ix0, ix1, fx), (iy0, iy1, fy), (it0, it1, ft) = \
+        oracle_corners(gf, x, y, t)
+    v = gf.values
+    out = np.zeros((gf.m,) + fx.shape)
     for ix, wx in ((ix0, 1.0 - fx), (ix1, fx)):
         for iy, wy in ((iy0, 1.0 - fy), (iy1, fy)):
             w2 = wx * wy
@@ -206,6 +230,40 @@ def test_every_point_kind_matches_eight_corner_oracle(axis, kind, periods):
                for d, (n, period, periodic) in enumerate(axes))
     assert same_bits(cf.interpolate_many(gf, x, y, t),
                      oracle_interpolate(gf, x, y, t))
+
+
+@PROPERTY
+@given(interpolation_cases())
+def test_interpolate_many_is_within_four_ulps_of_sup_of_the_corner_sum(case):
+    # both are sums of convex weights, rounded in another order
+    gf, (x, y, t) = case
+    gap = np.abs(cf.interpolate_many(gf, x, y, t)
+                 - oracle_eight_corner_sum(gf, x, y, t))
+    assert gap.max(initial=0.0) <= 4 * 2.0 ** -52 * np.abs(gf.values).max()
+
+
+@pytest.mark.parametrize("layout", ["scattered", "separable"])
+@pytest.mark.parametrize("periods", [(1.0, 1.0), (0.5, 3.0)])
+def test_every_node_reads_back_its_value_bit_for_bit(layout, periods):
+    # x from face 0 to face 1; y and t one period either way
+    grid = cf.Grid(nx=5, ny=7, nt=4, period_y=periods[0],
+                   period_t=periods[1])
+    rng = np.random.default_rng(5)
+    full = cf.GridFunction(grid, rng.standard_normal((3, 6, 7, 4)))
+    views = [full] + [cf.GridFunction(grid, full.values[c:c + 1])
+                      for c in range(3)]
+    xs = grid.xs()
+    for k in (-1, 0, 1):
+        ys = grid.ys() + k * grid.period_y
+        ts = grid.ts() + k * grid.period_t
+        if layout == "separable":
+            points = (xs[:, None, None], ys[None, :, None], ts[None, None])
+        else:
+            points = [a.ravel() for a in np.meshgrid(xs, ys, ts,
+                                                     indexing="ij")]
+        for gf in views:
+            got = cf.interpolate_many(gf, *points)
+            assert same_bits(got.reshape(gf.values.shape), gf.values)
 
 
 @pytest.mark.parametrize("scale", [2.0 ** 62, 2.0 ** 63, 1e19, 1e300])
