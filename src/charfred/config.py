@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, replace
 from numbers import Integral
 
@@ -136,14 +137,19 @@ def _get_list(mapping, key, where, problems, rows=False):
 
 
 def load_config(source) -> RunConfig:
-    """Load a RunConfig from a path, a file object, or a parsed dict.
+    """Load a RunConfig from a path (a str, bytes or os.PathLike), a file
+    object, or a parsed dict.
 
     A source that cannot be read, or whose text is not UTF-8 JSON, raises
-    ConfigError like every other problem with the document.
+    ConfigError like every other problem with the document. Its message
+    shows a path as text (os.fsdecode), so a Path, a str and bytes naming
+    one file read the same.
     """
     if isinstance(source, dict):
         doc = source
     else:
+        if isinstance(source, (bytes, os.PathLike)):
+            source = os.fsdecode(source)
         try:
             with text_target(source, "r") as fh:
                 doc = json.load(fh)
@@ -178,7 +184,8 @@ def load_config(source) -> RunConfig:
         problems.append(f"system.n: expected a positive integer, got {n!r}")
         n = 3
     # gamma, b and rhs are measured against n only when n itself was read
-    n_read = len(problems) == reported
+    # from a system section, not taken as the fallback of a missing one
+    n_read = sysnode is not None and len(problems) == reported
     k, l = (_integer(_get(sysnode, key, "system", problems,
                           default=default), f"system.{key}", problems,
                      default)

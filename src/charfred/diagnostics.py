@@ -23,7 +23,8 @@ from .characteristics import TransportPlan
 from .fredholm import _group_block, _sweep_order
 from .gridfield import (Grid, GridFunction, shift_diff_norm, sup_norm,
                         text_target)
-from .system import EffectiveSlopes, SystemSpec, effective_slopes, nondegeneracy_value
+from .system import (EffectiveSlopes, SystemSpec, check_nondegeneracy,
+                     effective_slopes)
 
 MODULUS_FLOOR = 1e-12
 # y shifts that every profile measures, as fractions of the y period, on
@@ -100,16 +101,14 @@ def oscillatory_probe(spec: SystemSpec, grid: Grid, omega: int) -> GridFunction:
 
 
 def jacobian_table(spec: SystemSpec) -> tuple:
+    """One row per triple of check_nondegeneracy, which validation reads:
+    its triple and value, beside transversal_jacobian of the same rows,
+    the independent route, and the two routes' difference."""
     slopes = effective_slopes(spec)
-    g1, g2, g3 = spec.group_ranges()
     out = []
-    for i in g1:
-        for j in g2:
-            for s in g3:
-                jac = transversal_jacobian(slopes, i, j, s)
-                cond = nondegeneracy_value(slopes, i, j, s)
-                out.append(JacobianRow((i + 1, j + 1, s + 1), jac, cond,
-                                       abs(jac - cond)))
+    for tc in check_nondegeneracy(spec):
+        jac = transversal_jacobian(slopes, *(i - 1 for i in tc.triple))
+        out.append(JacobianRow(tc.triple, jac, tc.value, abs(jac - tc.value)))
     return tuple(out)
 
 

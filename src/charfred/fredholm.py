@@ -376,21 +376,26 @@ def solve_neumann(spec: SystemSpec, f: GridFunction, tol: float = 1e-10,
             raise NonConvergence(iterations, diff, diverged=True)
         if iterations >= max_iter:
             raise NonConvergence(iterations, diff)
-    return _outcome("neumann", f, w[0], plan, iterations)
+    return _outcome("neumann", f.grid, w[0],
+                    *_residual(plan, f.values, w[0]), iterations)
 
 
-def _outcome(method: str, f: GridFunction, w: np.ndarray,
-             plan: TransportPlan, iterations: int, kdim: int | None = None,
-             u: np.ndarray | None = None, refinements: int = 0,
-             stalled: float | None = None) -> SolveOutcome:
-    """The shared tail of both solvers: u = C^{-1} w, unless the caller
-    already has it, and the residual of (I + K) w = f, with K w = D u
-    taken from that one transport solve, both on the solve's plan."""
-    w = GridFunction(f.grid, w)
-    u = GridFunction(f.grid, solve_transport_stack(plan, w.values[None])[0]
-                     if u is None else u)
-    du = GridFunction(f.grid, apply_coupling_stack(plan, u.values[None])[0])
-    return SolveOutcome(method, iterations, sup_norm(w + du - f), kdim, u, w,
+def _residual(plan: TransportPlan, f: np.ndarray, w: np.ndarray):
+    """u = C^{-1} w and r = f - (I + K) w for (n, nx+1, ny, nt) arrays f
+    and w, with K w = D u taken from that one transport solve."""
+    u = solve_transport_stack(plan, w[None])
+    return u[0], f - (w + apply_coupling_stack(plan, u)[0])
+
+
+def _outcome(method: str, grid: Grid, w: np.ndarray, u: np.ndarray,
+             r: np.ndarray, iterations: int, kdim: int | None = None,
+             refinements: int = 0, stalled: float | None = None):
+    """The shared tail of both solvers: w, u = C^{-1} w and the residual
+    r = f - (I + K) w, all three formed by the solve (_residual), wrapped
+    into a SolveOutcome whose residual_sup is sup |r|. It transports and
+    couples nothing."""
+    return SolveOutcome(method, iterations, sup_norm(GridFunction(grid, r)),
+                        kdim, GridFunction(grid, u), GridFunction(grid, w),
                         refinements, stalled)
 
 
@@ -564,13 +569,15 @@ def _refine(red: _Reduction, f: np.ndarray, solve):
     needs only the accuracy that the first solve reached on r_0 = f, so it
     asks for max(GMRES_RTOL, min(1e-2, GMRES_RTOL |r_0| / |r_k|)) (Carson
     & Higham, SISC 2017). A step that does not lower the residual is
-    dropped, and none follows a solve that did not converge. Returns w,
-    u = C^{-1} w (None for w = 0), the relative residual of w, the
+    dropped, and none follows a solve that did not converge. Each trial's
+    u = C^{-1} w and full residual r come from one transport and one
+    coupling product (_residual). Returns the accepted w, its u and r
+    (0, 0 and f when no step is kept), the relative residual of w, the
     iterations and the refinements: the steps kept after the first.
     """
     norm = float(np.linalg.norm(f))
-    w, u, res = np.zeros_like(f), None, f
-    gap, iterations, steps = 1.0, 0, 0
+    w = u = np.zeros_like(f)
+    res, gap, iterations, steps = f, 1.0, 0, 0
     converged = True
     while gap > GMRES_RTOL and converged:
         rtol = max(GMRES_RTOL, min(1e-2, GMRES_RTOL / gap))
@@ -578,14 +585,13 @@ def _refine(red: _Reduction, f: np.ndarray, solve):
         iterations += its
         trial = w + red.expand(res, x)
         with np.errstate(over="ignore", invalid="ignore"):
-            ut = solve_transport_stack(red.plan, trial[None])
-            rt = f - (trial + apply_coupling_stack(red.plan, ut)[0])
+            ut, rt = _residual(red.plan, f, trial)
             trial_gap = float(np.linalg.norm(rt)) / norm
         # written so that NaN fails it too
         if not trial_gap < gap:
             break
-        w, u, res, gap, steps = trial, ut[0], rt, trial_gap, steps + 1
-    return w, u, gap, iterations, max(steps - 1, 0)
+        w, u, res, gap, steps = trial, ut, rt, trial_gap, steps + 1
+    return w, u, res, gap, iterations, max(steps - 1, 0)
 
 
 def solve_discrete(spec: SystemSpec, f: GridFunction,
@@ -679,10 +685,10 @@ def solve_discrete(spec: SystemSpec, f: GridFunction,
                 kdim = _reduced_kernel_dimension(mat, others)
                 del others
     if not f.values.any():
-        return _outcome("discrete", f, np.zeros_like(f.values), plan, 0,
-                        kdim)
+        zero = np.zeros_like(f.values)
+        return _outcome("discrete", grid, zero, zero, zero, 0, kdim)
     if not kdim:
-        w, u, gap, iterations, refinements = _refine(
+        w, u, res, gap, iterations, refinements = _refine(
             red, f.values, lambda r, rtol: _gmres(red.apply, r, rtol))
         if gap > GMRES_RTOL:
             if not dense_ok:
@@ -707,8 +713,8 @@ def solve_discrete(spec: SystemSpec, f: GridFunction,
             def solve(r, _):
                 x = scipy.linalg.lstsq(mat, r, lapack_driver="gelsy")[0]
                 return x, 0, True
-        w, u, _, _, refinements = _refine(red, f.values, solve)
-    return _outcome("discrete", f, w, plan, iterations, kdim, u,
+        w, u, res, _, _, refinements = _refine(red, f.values, solve)
+    return _outcome("discrete", grid, w, u, res, iterations, kdim,
                     refinements, stalled)
 
 

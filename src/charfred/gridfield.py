@@ -9,9 +9,11 @@ from __future__ import annotations
 
 import io
 import itertools
+import os
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
+from numbers import Integral
 from typing import Sequence
 
 import numpy as np
@@ -44,7 +46,11 @@ class Grid:
 
     def __post_init__(self):
         for name in ("nx", "ny", "nt"):
-            if getattr(self, name) < 4:
+            size = getattr(self, name)
+            # a float size would pass here and fail at the first allocation
+            if isinstance(size, bool) or not isinstance(size, Integral):
+                raise ValueError(f"{name} must be an integer, got {size!r}")
+            if size < 4:
                 raise ValueError(f"{name} must be at least 4")
         if not (0 < self.period_y < np.inf and 0 < self.period_t < np.inf):
             raise ValueError("periods must be positive and finite")
@@ -315,16 +321,14 @@ def shift_diff_norm(gf: GridFunction, hy: float) -> float:
     _require_finite("y shift", np.asarray(hy, dtype=float))
     g = gf.grid
     # x and t stay on their nodes, where interpolate_many's t and x steps
-    # return their lower corner exactly, so its y step, this blend of two
-    # y planes, gives its values bit for bit
+    # return their lower corner exactly, so its y step, the same _blend of
+    # two y planes, gives its values bit for bit
     lower, frac = _periodic_index(g.ys() + hy, g.ny, g.period_y, 1)
     diff = np.take(gf.values, lower, axis=2)
     if np.any(frac):
         w = frac[:, None]
-        diff *= 1.0 - w
-        top = np.take(gf.values, lower + 1, axis=2, mode="wrap")
-        top *= w
-        diff += top
+        _blend(diff, np.take(gf.values, lower + 1, axis=2, mode="wrap"),
+               1.0 - w, w)
     diff -= gf.values
     np.abs(diff, out=diff)
     return float(diff.max())
@@ -335,9 +339,10 @@ CSV_HEADER = "component,ix,iy,it,x,y,t,value"
 
 @contextmanager
 def text_target(target, mode: str = "w"):
-    """A text stream: target itself, or the file at a path opened in mode
-    "w" (newlines written untranslated) or "r"."""
-    if isinstance(target, (str, bytes)):
+    """A text stream: target itself, or the file at a path (a str, bytes
+    or os.PathLike) opened in mode "w" (newlines written untranslated) or
+    "r"."""
+    if isinstance(target, (str, bytes, os.PathLike)):
         with open(target, mode, encoding="utf-8",
                   newline="" if mode == "w" else None) as fh:
             yield fh

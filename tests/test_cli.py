@@ -109,6 +109,13 @@ def test_config_problems_are_all_reported(tmp_path, capsys):
     pytest.param(lambda doc: doc.update(rhs={}), id="rhs-object"),
     pytest.param(lambda doc: doc.pop("system"), id="no-system"),
     pytest.param(lambda doc: doc.update(system=5), id="system-number"),
+    # an rhs that fits no n is not measured against a fallback n when
+    # the system section is missing or malformed
+    pytest.param(lambda doc: (doc.pop("system"),
+                              doc.update(rhs=doc["rhs"][:2])),
+                 id="no-system-two-rhs"),
+    pytest.param(lambda doc: doc.update(system=5, rhs=doc["rhs"][:2]),
+                 id="system-number-two-rhs"),
     pytest.param(lambda doc: doc.pop("grid"), id="no-grid"),
     pytest.param(lambda doc: doc.update(grid=[4, 4, 4]), id="grid-list"),
 ])
@@ -564,10 +571,21 @@ def test_load_config_reports_an_unreadable_source(tmp_path):
             (str(tmp_path / "absent.json"), "no such file: "),
             (str(tmp_path), "cannot read "),
             (_not_utf8(tmp_path), "invalid JSON: ")]:
-        with pytest.raises(ConfigError) as caught:
-            load_config(source)
-        assert len(caught.value.problems) == 1
-        assert caught.value.problems[0].startswith(problem)
+        messages = []
+        # a pathlib.Path or bytes source is read, and reported, as its str
+        for given in (source, Path(source), source.encode()):
+            with pytest.raises(ConfigError) as caught:
+                load_config(given)
+            assert len(caught.value.problems) == 1
+            assert caught.value.problems[0].startswith(problem)
+            messages.append(caught.value.problems[0])
+        assert len(set(messages)) == 1
+    with pytest.raises(ConfigError) as caught:
+        load_config(Path("absent.json"))
+    assert caught.value.problems == ("no such file: absent.json",)
+    by_path, by_str = (load_config(source) for source in
+                       (CONFIGS / "cyclic.json", str(CONFIGS / "cyclic.json")))
+    assert (by_path.grid, by_path.rhs) == (by_str.grid, by_str.rhs)
 
 
 @pytest.mark.parametrize("entries", [2, 4])

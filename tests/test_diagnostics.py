@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 
 import numpy as np
@@ -60,6 +61,27 @@ def test_jacobian_table_zeroes_uncoupled_rows():
     table = cf.jacobian_table(spec)
     assert table[0].jacobian == 0.0
     assert table[0].condition == 0.0
+
+
+@pytest.mark.parametrize("make_spec", (coupled_spec, block_coupled_spec,
+                                       mirrored_spec))
+def test_jacobian_table_reads_the_validation_triples(make_spec):
+    # one row per check_nondegeneracy triple, in its order, with its value
+    # as the condition; the jacobian route stays independent of it, and
+    # both equal a loop over the row groups bit for bit
+    spec = make_spec()
+    slopes = cf.effective_slopes(spec)
+    expect = []
+    for i, j, s in itertools.product(*spec.group_ranges()):
+        jac = cf.transversal_jacobian(slopes, i, j, s)
+        cond = cf.nondegeneracy_value(slopes, i, j, s)
+        expect.append(diagnostics.JacobianRow((i + 1, j + 1, s + 1), jac,
+                                              cond, abs(jac - cond)))
+    table = cf.jacobian_table(spec)
+    assert table == tuple(expect)
+    checks = cf.check_nondegeneracy(spec)
+    assert [(r.triple, r.condition) for r in table] == \
+        [(tc.triple, tc.value) for tc in checks]
 
 
 def test_oscillatory_probe_feeds_forward_cycle():
@@ -216,6 +238,10 @@ def test_report_csv_and_lookup(tmp_path):
     path = tmp_path / "diag.csv"
     rep.to_csv(str(path))
     assert path.read_text(encoding="utf-8") == text
+    # a pathlib.Path target writes the same bytes
+    other = tmp_path / "diag-path.csv"
+    rep.to_csv(other)
+    assert other.read_bytes() == path.read_bytes()
     with pytest.raises(KeyError):
         rep.modulus(5, 2, 0.25)
     with pytest.raises(KeyError):

@@ -92,16 +92,18 @@ def test_neumann_converges_on_contraction():
 def test_neumann_transports_the_final_iterate_once(monkeypatch):
     # one group transport inside each of a sweep's three group steps, each
     # holding the one row of the group it reads, and one n-row transport
-    # for u = C^{-1} w, whose coupling also gives the residual. The sweeps
-    # and that last transport call fredholm's imports of
-    # solve_transport_group and solve_transport_stack; characteristics'
-    # own solve_transport_stack is counted too, so no field-level
-    # transport goes unseen
+    # for u = C^{-1} w, whose one coupling product also gives the
+    # residual. The sweeps and that tail call fredholm's imports of
+    # solve_transport_group, solve_transport_stack and
+    # apply_coupling_stack; characteristics' own solve_transport_stack and
+    # apply_coupling_stack are counted too, so no field-level transport or
+    # coupling goes unseen
     spec = coupled_spec()
     grid = cf.Grid(nx=6, ny=6, nt=6)
     f = cf.sample(EXPRS, grid)
-    group, stack = (fredholm.solve_transport_group,
-                    fredholm.solve_transport_stack)
+    group, stack, couple = (fredholm.solve_transport_group,
+                            fredholm.solve_transport_stack,
+                            fredholm.apply_coupling_stack)
     calls = []
 
     def counting_group(plan, g, held):
@@ -112,15 +114,21 @@ def test_neumann_transports_the_final_iterate_once(monkeypatch):
         calls.append((None, full.shape[:2]))
         return stack(plan, full, *args)
 
+    def counting_coupling(plan, full):
+        calls.append(("D", full.shape[:2]))
+        return couple(plan, full)
+
     monkeypatch.setattr(fredholm, "solve_transport_group", counting_group)
     for owner in (fredholm, characteristics):
         monkeypatch.setattr(owner, "solve_transport_stack", counting_stack)
+        monkeypatch.setattr(owner, "apply_coupling_stack", counting_coupling)
     out = cf.solve_neumann(spec, f)
     assert out.iterations > 1
     # a sweep updates b, c, p from p, b, c in turn
     b, c, p = fredholm._sweep_order(spec, spec.feeding_group())
     sweep = [(h, (1, 1)) for h in (p, b, c)]
-    assert calls == sweep * out.iterations + [(None, (1, spec.n))]
+    assert calls == sweep * out.iterations + [(None, (1, spec.n)),
+                                              ("D", (1, spec.n))]
 
 
 def counted_calls(monkeypatch, owner, name):
@@ -878,6 +886,30 @@ def test_couplings_outside_the_cycle_are_refused(make_spec, solve):
         solve(spec, f)
 
 
+@pytest.mark.parametrize("stall", [False, True])
+def test_discrete_couples_once_per_trial(tmp_path, monkeypatch, stall):
+    # each _refine trial forms its u and full residual from one n-row
+    # transport and one coupling product, and the solve's tail reuses
+    # them: past the certificate's one product of |M|, on the unit
+    # fields, there is no other. The stall runs three GMRES trials, then
+    # the LU trials on the dense section
+    if stall:
+        cfg = overflow_config(tmp_path)
+        spec, f = cfg.spec, cf.sample(cfg.rhs, cfg.grid)
+    else:
+        spec = coupled_spec()
+        f = cf.sample(EXPRS, cf.Grid(nx=6, ny=6, nt=6))
+    trials = counted_calls(monkeypatch, fredholm._Reduction, "expand")
+    transports = counted_calls(monkeypatch, fredholm, "solve_transport_stack")
+    products = counted_calls(monkeypatch, fredholm, "apply_coupling_stack")
+    out = cf.solve_discrete(spec, f)
+    assert (out.stalled_residual is not None) is stall
+    assert len(trials) > (3 if stall else 0)
+    assert [a[1].shape[:2] for a in products] == \
+        [(spec.n, spec.n)] + [(1, spec.n)] * len(trials)
+    assert [a[1].shape[:2] for a in transports] == [(1, spec.n)] * len(trials)
+
+
 def test_discrete_zero_rhs_gives_zero(monkeypatch):
     # no GMRES and no division by |f| = 0
     def no_gmres(*args):
@@ -888,6 +920,7 @@ def test_discrete_zero_rhs_gives_zero(monkeypatch):
     with np.errstate(all="raise"):
         out = cf.solve_discrete(coupled_spec(), cf.zeros(grid, 3))
     assert not out.w.values.any() and out.residual_sup == 0.0
+    assert not out.u.values.any()
     assert out.iterations == 0 and out.refinements == 0
 
 

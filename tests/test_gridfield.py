@@ -31,6 +31,21 @@ def test_grid_validation():
     np.testing.assert_allclose(g.ys(), np.arange(5) * 2.0 / 5)
 
 
+@pytest.mark.parametrize("size", [4.0, 4.5, np.float64(5.0), True])
+def test_grid_refuses_non_integer_sizes(size):
+    # a float size would pass the floor check and fail only at the first
+    # allocation, and a bool is no size
+    for name in ("nx", "ny", "nt"):
+        sizes = {"nx": 4, "ny": 5, "nt": 6, name: size}
+        with pytest.raises(ValueError,
+                           match=re.escape(f"{name} must be an integer, "
+                                           f"got {size!r}")):
+            cf.Grid(**sizes)
+    # numpy integers are integers
+    g = cf.Grid(nx=np.int64(4), ny=np.int32(5), nt=np.uint8(6))
+    assert g.node_count == 5 * 5 * 6
+
+
 def test_gridfunction_shape_and_finiteness():
     g = cf.Grid(nx=4, ny=4, nt=4)
     with pytest.raises(ValueError):
@@ -192,6 +207,11 @@ def test_csv_file_round_trip(tmp_path):
     to_csv(f, str(path))
     back = from_csv(str(path), g)
     np.testing.assert_array_equal(back.values, f.values)
+    # a pathlib.Path names the same file: the same bytes, read back alike
+    other = tmp_path / "field-path.csv"
+    to_csv(f, other)
+    assert other.read_bytes() == path.read_bytes()
+    np.testing.assert_array_equal(from_csv(other, g).values, f.values)
 
 
 def test_from_csv_rejects_wrong_sizes():
