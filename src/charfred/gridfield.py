@@ -351,25 +351,31 @@ def text_target(target, mode: str = "w"):
 
 
 def to_csv(gf: GridFunction, target) -> None:
-    """Write the field as CSV rows in (component, ix, iy, it) order."""
+    """Write the field as CSV rows in (component, ix, iy, it) order.
+
+    Every number is written as its repr, so from_csv reads the values
+    back bit for bit. The rows are assembled and written one (c, ix)
+    block at a time, so the text of the whole field is never held.
+    """
     g = gf.grid
-    # every column but the value is formatted once per axis node
+    n = g.ny * g.nt
     x_cols = [f"{x!r}," for x in g.xs().tolist()]
-    y_cols = [f"{y!r}," for y in g.ys().tolist()]
     t_cols = [f"{t!r}," for t in g.ts().tolist()]
-    it_cols = [f"{it}," for it in range(g.nt)]
+    # a row is six pieces: "c,ix,", "iy,it,", "x,", "y,t,", the value and
+    # "\n". The (y, t) pieces are formatted once per plane node and the
+    # rest once per block, so repr of the value is the only per-row work
+    pieces = [""] * (6 * n)
+    pieces[1::6] = [f"{iy},{it}," for iy in range(g.ny) for it in range(g.nt)]
+    pieces[3::6] = [f"{y!r},{t}" for y in g.ys().tolist() for t in t_cols]
+    pieces[5::6] = ["\n"] * n
     with text_target(target) as fh:
         fh.write(CSV_HEADER + "\n")
         for c in range(gf.m):
             for ix in range(g.nx + 1):
-                rows = []
-                # one block of Python floats at a time, not the whole field
-                for iy, line in enumerate(gf.values[c, ix].tolist()):
-                    lead = f"{c},{ix},{iy},"
-                    xy = x_cols[ix] + y_cols[iy]
-                    rows += [f"{lead}{i}{xy}{t}{v!r}\n"
-                             for i, t, v in zip(it_cols, t_cols, line)]
-                fh.write("".join(rows))
+                pieces[0::6] = [f"{c},{ix},"] * n
+                pieces[2::6] = [x_cols[ix]] * n
+                pieces[4::6] = map(repr, gf.values[c, ix].reshape(-1).tolist())
+                fh.write("".join(pieces))
 
 
 def from_csv(source, grid: Grid) -> GridFunction:
@@ -391,13 +397,16 @@ def from_csv(source, grid: Grid) -> GridFunction:
         except ValueError as exc:
             raise ValueError(f"every row must hold the {width} numbers "
                              f"{CSV_HEADER!r}: {exc}") from None
-    # a negative index would wrap and a fractional one would truncate
+    # a negative index would wrap and a fractional one would truncate. The
+    # rows of component c follow those of c whole components, so a c not
+    # below rows / node_count (an infinite one too) is out of range
     index = rows[:, :4]
+    bounds = (rows.shape[0] / grid.node_count, grid.nx + 1, grid.ny, grid.nt)
     if (np.any(index != np.floor(index)) or np.any(index < 0)
-            or np.any(index[:, 1:] >= (grid.nx + 1, grid.ny, grid.nt))):
+            or np.any(index >= bounds)):
         raise ValueError("node indices out of range for this grid")
     m = int(rows[:, 0].max()) + 1 if rows.size else 0
-    expected = m * (grid.nx + 1) * grid.ny * grid.nt
+    expected = m * grid.node_count
     if rows.shape[0] != expected:
         raise ValueError(f"expected {expected} rows for {m} components on "
                          f"this grid, found {rows.shape[0]}")

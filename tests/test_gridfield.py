@@ -222,7 +222,8 @@ def test_from_csv_rejects_wrong_sizes():
     with pytest.raises(ValueError):
         from_csv(io.StringIO(text), small)
     truncated = "\n".join(text.splitlines()[:-3]) + "\n"
-    with pytest.raises(ValueError):
+    # the row count, not an index, is what is wrong with a short file
+    with pytest.raises(ValueError, match="expected 80 rows .* found 77"):
         from_csv(io.StringIO(truncated), g)
 
 
@@ -264,6 +265,19 @@ def test_from_csv_rejects_negative_and_fractional_indices(column):
     for old, new in ((last, "-1"), (1, "1.5")):
         with pytest.raises(ValueError, match="node indices out of range"):
             from_csv(io.StringIO(_relabel(text, column, old, new)), g)
+
+
+@pytest.mark.parametrize("component", ["inf", "1e300", "nan", "2"])
+def test_from_csv_rejects_a_component_beyond_the_rows(component):
+    # a 2-component file has rows for components 0 and 1 only: an infinite
+    # component overflowed int() and 1e300 asked for a 302-digit row count
+    g = cf.Grid(nx=4, ny=4, nt=4)
+    text = _relabel(csv_text(cf.zeros(g, 2)), 0, 1, component)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError,
+                           match="^node indices out of range for this grid$"):
+            from_csv(io.StringIO(text), g)
 
 
 def test_field_arithmetic():

@@ -412,3 +412,45 @@ def test_csv_matches_per_row_writer_and_round_trips(field, exponent):
     assert text.splitlines(True) == oracle_csv(gf).splitlines(True)
     back = from_csv(io.StringIO(text), gf.grid)
     assert same_bits(back.values, gf.values)
+
+
+def test_csv_matches_per_row_writer_at_the_workload_grid():
+    # the property above draws 4- to 9-node grids; this is solve-neumann's
+    # 33-node grid, with periods whose node coordinates are not dyadic
+    grid = cf.Grid(nx=32, ny=33, nt=33, period_y=0.5, period_t=3.0)
+    rng = np.random.default_rng(39)
+    values = rng.standard_normal((3, grid.nx + 1, grid.ny, grid.nt))
+    values *= 10.0 ** rng.integers(-20, 20, values.shape)
+    flat = values.reshape(-1)
+    flat[rng.integers(0, flat.size, SPECIAL.size)] = SPECIAL
+    gf = cf.GridFunction(grid, values)
+    assert csv_text(gf).splitlines(True) == oracle_csv(gf).splitlines(True)
+
+
+class RecordingTarget:
+    """A text target that keeps each write call's text."""
+
+    def __init__(self):
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(text)
+        return len(text)
+
+
+@pytest.mark.parametrize("m", [0, 1, 3])
+def test_csv_writes_the_header_then_one_block_per_component_and_x(m):
+    grid = cf.Grid(nx=4, ny=5, nt=6)
+    rng = np.random.default_rng(m)
+    gf = cf.GridFunction(
+        grid, rng.standard_normal((m, grid.nx + 1, grid.ny, grid.nt)))
+    target = RecordingTarget()
+    cf.to_csv(gf, target)
+    assert len(target.writes) == 1 + m * (grid.nx + 1)
+    # each call after the header holds the rows of one (c, ix) slab, in
+    # order, so the writer never holds more than one block of text
+    lines = oracle_csv(gf).splitlines(True)
+    block = grid.ny * grid.nt
+    assert target.writes[0] == lines[0] == CSV_HEADER + "\n"
+    assert target.writes[1:] == ["".join(lines[k:k + block])
+                                 for k in range(1, len(lines), block)]
